@@ -12,7 +12,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use irma_bench::bench_db;
-use irma_mine::{apriori, eclat, fpgrowth, MinerConfig};
+use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
+use irma_obs::Metrics;
+
+/// Runs `algorithm` unbudgeted and unobserved; returns the itemset count.
+fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> usize {
+    algorithm
+        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
+        .expect("valid config")
+        .len()
+}
 
 fn support_sweep(c: &mut Criterion) {
     let db = bench_db(30_000);
@@ -27,15 +36,15 @@ fn support_sweep(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("fpgrowth", min_support),
             &config,
-            |b, cfg| b.iter(|| black_box(fpgrowth(&db, cfg)).len()),
+            |b, cfg| b.iter(|| black_box(mine(Algorithm::FpGrowth, &db, cfg))),
         );
         group.bench_with_input(
             BenchmarkId::new("apriori", min_support),
             &config,
-            |b, cfg| b.iter(|| black_box(apriori(&db, cfg)).len()),
+            |b, cfg| b.iter(|| black_box(mine(Algorithm::Apriori, &db, cfg))),
         );
         group.bench_with_input(BenchmarkId::new("eclat", min_support), &config, |b, cfg| {
-            b.iter(|| black_box(eclat(&db, cfg)).len())
+            b.iter(|| black_box(mine(Algorithm::Eclat, &db, cfg)))
         });
     }
     group.finish();
@@ -52,13 +61,13 @@ fn size_sweep(c: &mut Criterion) {
             parallel: false,
         };
         group.bench_with_input(BenchmarkId::new("fpgrowth", n_jobs), &db, |b, db| {
-            b.iter(|| black_box(fpgrowth(db, &config)).len())
+            b.iter(|| black_box(mine(Algorithm::FpGrowth, db, &config)))
         });
         group.bench_with_input(BenchmarkId::new("apriori", n_jobs), &db, |b, db| {
-            b.iter(|| black_box(apriori(db, &config)).len())
+            b.iter(|| black_box(mine(Algorithm::Apriori, db, &config)))
         });
         group.bench_with_input(BenchmarkId::new("eclat", n_jobs), &db, |b, db| {
-            b.iter(|| black_box(eclat(db, &config)).len())
+            b.iter(|| black_box(mine(Algorithm::Eclat, db, &config)))
         });
     }
     group.finish();
@@ -77,7 +86,7 @@ fn max_len_sweep(c: &mut Criterion) {
             parallel: false,
         };
         group.bench_with_input(BenchmarkId::new("fpgrowth", max_len), &config, |b, cfg| {
-            b.iter(|| black_box(fpgrowth(&db, cfg)).len())
+            b.iter(|| black_box(mine(Algorithm::FpGrowth, &db, cfg)))
         });
     }
     group.finish();

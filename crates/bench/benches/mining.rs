@@ -32,7 +32,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use irma_bench::{bench_db, BENCH_SEED};
-use irma_mine::{Algorithm, MinerConfig, TransactionDb};
+use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
+use irma_obs::Metrics;
 
 struct Measurement {
     scale: usize,
@@ -93,7 +94,11 @@ fn measure(db: &TransactionDb, algorithm: Algorithm, threads: usize) -> (f64, u6
         .expect("build pool");
     let time_one = || {
         let t0 = Instant::now();
-        let frequent = pool.install(|| algorithm.mine(db, &config));
+        let frequent = pool
+            .install(|| {
+                algorithm.mine(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited())
+            })
+            .expect("valid config");
         (t0.elapsed().as_secs_f64(), frequent.len() as u64)
     };
     let (first, itemsets) = time_one();

@@ -30,7 +30,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use irma_core::{
-    analyze_with, pai_spec, try_analyze, AnalysisConfig, EventSink, ExecBudget, Metrics,
+    pai_spec, try_analyze, try_analyze_traced, Analysis, AnalysisConfig, EventSink, ExecBudget,
+    Metrics, Provenance,
 };
 use irma_synth::{pai, TraceConfig};
 
@@ -67,8 +68,20 @@ fn main() {
         ..AnalysisConfig::default()
     };
 
+    // The unbudgeted pipeline, reporting into `metrics`.
+    let analyze = |metrics: &Metrics| -> Analysis {
+        try_analyze_traced(
+            &merged,
+            &spec,
+            &analysis_config,
+            metrics,
+            &Provenance::disabled(),
+        )
+        .expect("clean synthetic trace")
+    };
+
     // Warm-up: page in the trace and populate allocator caches.
-    let warm = analyze_with(&merged, &spec, &analysis_config, &Metrics::disabled());
+    let warm = analyze(&Metrics::disabled());
     println!(
         "warm-up: {} itemsets, {} rules",
         warm.frequent.len(),
@@ -110,8 +123,7 @@ fn main() {
                         .expect("pool builds");
                     let metrics = Metrics::disabled();
                     start = Instant::now();
-                    let analysis =
-                        pool.install(|| analyze_with(&merged, &spec, &analysis_config, &metrics));
+                    let analysis = pool.install(|| analyze(&metrics));
                     // Counters exist exactly when telemetry is on, so the
                     // two variants really do differ only in counting.
                     assert_eq!(pool.sched_stats().workers.is_empty(), variant == 4);
@@ -125,7 +137,7 @@ fn main() {
                             .with_event_sink(EventSink::from_writer(Box::new(std::io::sink()))),
                     };
                     start = Instant::now();
-                    let analysis = analyze_with(&merged, &spec, &analysis_config, &metrics);
+                    let analysis = analyze(&metrics);
                     analysis.rules.len()
                 }
             };

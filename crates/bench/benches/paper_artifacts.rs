@@ -19,7 +19,9 @@ fn prepared() -> Vec<TraceAnalysis> {
         philly_jobs: 8_000,
         seed: 0xbe7c,
     };
-    prepare_all(&scale, &AnalysisConfig::default()).into()
+    prepare_all(&scale, &AnalysisConfig::default())
+        .expect("synthetic traces analyse")
+        .into()
 }
 
 fn artifacts(c: &mut Criterion) {
@@ -56,10 +58,14 @@ fn artifacts(c: &mut Criterion) {
         b.iter(|| black_box(failure_tables(&traces)).len())
     });
     group.bench_function("table8_misc", |b| {
-        b.iter(|| black_box(misc_tables(&traces)).len())
+        b.iter(|| black_box(misc_tables(&traces).expect("model subset")).len())
     });
     group.bench_function("ablation_binning", |b| {
-        b.iter(|| black_box(ablation_binning(&traces)).rows.len())
+        b.iter(|| {
+            black_box(ablation_binning(&traces).expect("pai re-analysis"))
+                .rows
+                .len()
+        })
     });
     group.bench_function("ablation_pruning", |b| {
         b.iter(|| black_box(ablation_pruning(&traces)).rows.len())
@@ -79,7 +85,8 @@ fn end_to_end(c: &mut Criterion) {
                 philly_jobs: 2_000,
                 seed: 0xbe7c,
             };
-            black_box(prepare_all(&scale, &AnalysisConfig::default())).len()
+            let traces = prepare_all(&scale, &AnalysisConfig::default());
+            black_box(traces.expect("synthetic traces analyse")).len()
         })
     });
     group.finish();

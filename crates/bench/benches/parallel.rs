@@ -9,7 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use irma_bench::bench_db;
-use irma_mine::{fpgrowth, MinerConfig};
+use irma_mine::{fpgrowth, BudgetGuard, MinerConfig};
+use irma_obs::Metrics;
 
 fn thread_sweep(c: &mut Criterion) {
     let db = bench_db(60_000);
@@ -26,7 +27,18 @@ fn thread_sweep(c: &mut Criterion) {
         ..config.clone()
     };
     group.bench_function("sequential", |b| {
-        b.iter(|| black_box(fpgrowth(&db, &sequential)).len())
+        b.iter(|| {
+            black_box(
+                fpgrowth(
+                    &db,
+                    &sequential,
+                    &Metrics::disabled(),
+                    &BudgetGuard::unlimited(),
+                )
+                .unwrap(),
+            )
+            .len()
+        })
     });
 
     let max_threads = std::thread::available_parallelism()
@@ -44,7 +56,20 @@ fn thread_sweep(c: &mut Criterion) {
             .build()
             .expect("build rayon pool");
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| pool.install(|| black_box(fpgrowth(&db, &config)).len()))
+            b.iter(|| {
+                pool.install(|| {
+                    black_box(
+                        fpgrowth(
+                            &db,
+                            &config,
+                            &Metrics::disabled(),
+                            &BudgetGuard::unlimited(),
+                        )
+                        .unwrap(),
+                    )
+                    .len()
+                })
+            })
         });
     }
     group.finish();

@@ -9,6 +9,7 @@ use std::hint::black_box;
 
 use irma_bench::{bench_bundle, bench_spec};
 use irma_data::{inner_join, read_csv_str, write_csv_string};
+use irma_obs::Metrics;
 use irma_prep::{encode, BinEdges, BinningScheme, FeatureSpec};
 
 fn csv_round_trip(c: &mut Criterion) {
@@ -72,7 +73,7 @@ fn full_encode(c: &mut Criterion) {
         let merged = bundle.merged();
         let spec = bench_spec(name);
         group.bench_with_input(BenchmarkId::new("encode_20k", name), &merged, |b, m| {
-            b.iter(|| black_box(encode(m, &spec)).db.len())
+            b.iter(|| black_box(encode(m, &spec, &Metrics::disabled())).db.len())
         });
     }
     group.finish();
@@ -94,7 +95,11 @@ fn encode_equal_width_ablation(c: &mut Criterion) {
             }
         }
         group.bench_function(label, |b| {
-            b.iter(|| black_box(encode(&merged, &spec)).db.total_items())
+            b.iter(|| {
+                black_box(encode(&merged, &spec, &Metrics::disabled()))
+                    .db
+                    .total_items()
+            })
         });
     }
     group.finish();

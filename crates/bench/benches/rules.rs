@@ -30,7 +30,7 @@ use std::time::Instant;
 use irma_bench::{bench_rules, BENCH_RULES_KEYWORD, BENCH_SEED};
 use irma_check::flat_prune::flat_prune_rules;
 use irma_obs::{Metrics, Provenance};
-use irma_rules::{prune_rules_traced, PruneParams, Rule};
+use irma_rules::{prune_rules, PruneParams, Rule};
 
 struct Measurement {
     scale: usize,
@@ -92,15 +92,17 @@ fn measure(rules: &[Rule], implementation: &'static str, threads: usize) -> (f64
             "flat" => {
                 flat_prune_rules(rules, BENCH_RULES_KEYWORD, &params, &Provenance::disabled())
             }
-            "trie" => pool.install(|| {
-                prune_rules_traced(
-                    rules,
-                    BENCH_RULES_KEYWORD,
-                    &params,
-                    &Metrics::disabled(),
-                    &Provenance::disabled(),
-                )
-            }),
+            "trie" => pool
+                .install(|| {
+                    prune_rules(
+                        rules,
+                        BENCH_RULES_KEYWORD,
+                        &params,
+                        &Metrics::disabled(),
+                        &Provenance::disabled(),
+                    )
+                })
+                .expect("default margins are valid"),
             other => panic!("unknown impl `{other}`"),
         };
         (

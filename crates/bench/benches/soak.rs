@@ -23,7 +23,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use irma_check::generators::{arb_miner_config, arb_transaction_db};
-use irma_mine::Algorithm;
+use irma_mine::{Algorithm, BudgetGuard};
+use irma_obs::Metrics;
 use proptest::{Strategy, TestRng};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -56,7 +57,14 @@ fn main() {
         let mut counts = [0usize; 3];
         for (slot, algorithm) in Algorithm::all().into_iter().enumerate() {
             let t = Instant::now();
-            let frequent = algorithm.mine(&db, &config);
+            let frequent = algorithm
+                .mine(
+                    &db,
+                    &config,
+                    &Metrics::disabled(),
+                    &BudgetGuard::unlimited(),
+                )
+                .expect("generated configs are valid");
             totals[slot] += t.elapsed();
             counts[slot] = black_box(frequent.len());
         }

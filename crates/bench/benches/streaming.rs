@@ -7,9 +7,15 @@ use std::hint::black_box;
 
 use irma_bench::bench_encoded;
 use irma_mine::{
-    closed_itemsets, fpgrowth, maximal_itemsets, mine_top_k, BudgetGuard, MinerConfig,
-    SlidingWindowMiner,
+    closed_itemsets, fpgrowth, maximal_itemsets, mine_top_k, BudgetGuard, FrequentItemsets,
+    MinerConfig, SlidingWindowMiner, TransactionDb,
 };
+use irma_obs::Metrics;
+
+/// Batch FP-Growth, unbudgeted and unobserved.
+fn batch(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
+    fpgrowth(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()).expect("valid config")
+}
 
 fn window_ops(c: &mut Criterion) {
     let encoded = bench_encoded("supercloud", 20_000);
@@ -29,15 +35,22 @@ fn window_ops(c: &mut Criterion) {
         })
     });
 
-    let mut filled = SlidingWindowMiner::new(4_096, MinerConfig::with_min_support(0.05));
+    let config = MinerConfig::with_min_support(0.05);
+    let mut filled = SlidingWindowMiner::new(4_096, config.clone());
     for txn in &txns {
         filled.push(txn.iter().copied());
     }
+    let mine = |miner: &mut SlidingWindowMiner| {
+        miner
+            .mine(&config, &BudgetGuard::unlimited())
+            .expect("unlimited budget")
+            .len()
+    };
     let mut baseline = filled.clone();
-    baseline.mine();
+    mine(&mut baseline);
     group.bench_function("drift_eval", |b| b.iter(|| black_box(baseline.drift())));
     group.bench_function("remine_window_4k", |b| {
-        b.iter(|| black_box(filled.clone().mine()).len())
+        b.iter(|| black_box(mine(&mut filled.clone())))
     });
 
     // The `irma watch` hot path at the daemon's default window: one
@@ -58,22 +71,16 @@ fn window_ops(c: &mut Criterion) {
         b.iter(|| {
             incremental.push(txns[next % txns.len()].iter().copied());
             next += 1;
-            black_box(
-                incremental
-                    .try_mine(&BudgetGuard::unlimited())
-                    .expect("unlimited budget")
-                    .len(),
-            )
+            black_box(mine(&mut incremental))
         })
     });
     let mut rebuilt = fill(4_000);
-    let config = MinerConfig::with_min_support(0.05);
     group.bench_function("arrival_mine_rebuild_2k", |b| {
         b.iter(|| {
             rebuilt.push(txns[next % txns.len()].iter().copied());
             next += 1;
             let db = rebuilt.snapshot();
-            black_box(fpgrowth(&db, &config).len())
+            black_box(batch(&db, &config).len())
         })
     });
     group.finish();
@@ -85,10 +92,10 @@ fn top_k_and_condense(c: &mut Criterion) {
     group.sample_size(10);
     for &k in &[10usize, 100, 1_000] {
         group.bench_with_input(BenchmarkId::new("mine_top_k", k), &k, |b, &k| {
-            b.iter(|| black_box(mine_top_k(&db, k, 5, fpgrowth)).len())
+            b.iter(|| black_box(mine_top_k(&db, k, 5, batch)).len())
         });
     }
-    let frequent = fpgrowth(&db, &MinerConfig::with_min_support(0.05));
+    let frequent = batch(&db, &MinerConfig::with_min_support(0.05));
     group.bench_function("closed_itemsets", |b| {
         b.iter(|| black_box(closed_itemsets(&frequent)).len())
     });

@@ -38,7 +38,16 @@ fn main() {
         scale.pai_jobs, scale.supercloud_jobs, scale.philly_jobs, scale.seed
     );
     let t0 = Instant::now();
-    let traces = prepare_all(&scale, &AnalysisConfig::default());
+    let traces = match prepare_all(&scale, &AnalysisConfig::default()) {
+        Ok(traces) => traces,
+        Err(error) => {
+            eprintln!(
+                "preparing traces failed in the {} stage: {error}",
+                error.stage()
+            );
+            std::process::exit(5);
+        }
+    };
     eprintln!("prepared in {:.1}s", t0.elapsed().as_secs_f64());
     for t in &traces {
         eprintln!(
@@ -51,6 +60,12 @@ fn main() {
         );
     }
     let t1 = Instant::now();
-    println!("{}", run_all(&traces));
+    match run_all(&traces) {
+        Ok(text) => println!("{text}"),
+        Err(error) => {
+            eprintln!("experiments failed in the {} stage: {error}", error.stage());
+            std::process::exit(5);
+        }
+    }
     eprintln!("experiments rendered in {:.1}s", t1.elapsed().as_secs_f64());
 }

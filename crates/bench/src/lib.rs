@@ -9,7 +9,7 @@
 //!
 //! Shared fixtures live here so every bench measures the same workloads.
 
-use irma_core::{pai_spec, philly_spec, supercloud_spec};
+use irma_core::{pai_spec, philly_spec, supercloud_spec, Metrics};
 use irma_mine::{ItemId, Itemset, TransactionDb};
 use irma_prep::{encode, Encoded, EncoderSpec};
 use irma_rules::Rule;
@@ -47,7 +47,7 @@ pub fn bench_spec(name: &str) -> EncoderSpec {
 /// Generates and encodes a trace in one step.
 pub fn bench_encoded(name: &str, n_jobs: usize) -> Encoded {
     let bundle = bench_bundle(name, n_jobs);
-    encode(&bundle.merged(), &bench_spec(name))
+    encode(&bundle.merged(), &bench_spec(name), &Metrics::disabled())
 }
 
 /// The encoded PAI transaction database (the paper's largest workload).

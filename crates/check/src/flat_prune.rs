@@ -5,7 +5,7 @@
 //! oracle for the trie-driven prune: same keyword filter, same canonical
 //! sort, same per-group `(i asc, j > i asc)` pair enumeration with inline
 //! proper-subset tests, same marking semantics and provenance calls. The
-//! `rule_trie` suite asserts `irma_rules::prune_rules_traced` matches
+//! `rule_trie` suite asserts `irma_rules::prune_rules` matches
 //! this function byte-for-byte — kept set, `PruneRecord` sequence, and
 //! provenance records — at every pool width.
 
@@ -16,8 +16,8 @@ use irma_obs::Provenance;
 use irma_rules::{PruneCondition, PruneOutcome, PruneParams, PruneRecord, Rule, RuleRole};
 
 /// Prunes `rules` for `keyword` with the flat all-pairs reference
-/// implementation. Panics on invalid `params` (like the paper-path entry
-/// point it mirrors).
+/// implementation. A test oracle: it panics on invalid `params` where
+/// [`irma_rules::prune_rules`] returns an error.
 pub fn flat_prune_rules(
     rules: &[Rule],
     keyword: ItemId,

@@ -11,10 +11,10 @@
 //!   `Degradation` record and marks the obs snapshot degraded;
 //! * trace-log write failures degrade the snapshot but never fail the
 //!   analysis;
-//! * un-faulted plans produce results byte-identical to the infallible
-//!   `analyze`;
+//! * un-faulted plans produce results byte-identical to a plain, unhooked
+//!   `try_analyze`;
 //! * the streaming side holds the same line: a budget-tripped
-//!   `SlidingWindowMiner::try_mine` never moves the drift baseline, and
+//!   `SlidingWindowMiner::mine` never moves the drift baseline, and
 //!   `irma_core::watch_feed` survives garbled input, budget trips, and a
 //!   broken trace sink thrown at it simultaneously.
 //!
@@ -31,7 +31,7 @@ use irma_check::fault::{
     base_csv, base_spec, failing_event_sink, BudgetFault, FaultPlan, InputFault,
 };
 use irma_core::{
-    analyze, try_analyze_traced_hooked, watch_feed, Analysis, AnalysisConfig, BudgetBreach,
+    try_analyze, try_analyze_traced_hooked, watch_feed, Analysis, AnalysisConfig, BudgetBreach,
     Metrics, PipelineError, Provenance, WatchConfig,
 };
 use irma_data::read_csv_str;
@@ -155,7 +155,7 @@ fn no_panic_escapes_and_every_failure_is_typed() {
 }
 
 #[test]
-fn clean_plans_match_the_infallible_pipeline_exactly() {
+fn clean_plans_match_the_unhooked_pipeline_exactly() {
     quiet_panics();
     let base = base_seed();
     for offset in 0..16 {
@@ -167,10 +167,11 @@ fn clean_plans_match_the_infallible_pipeline_exactly() {
 
         let csv = base_csv(plan.seed, 40);
         let frame = read_csv_str(&csv).expect("clean base csv parses");
-        let infallible = analyze(&frame, &base_spec(), &chaos_config(&plan));
-        assert_eq!(fallible.rules, infallible.rules);
-        assert_eq!(fallible.frequent.as_slice(), infallible.frequent.as_slice());
-        assert_eq!(fallible.summary(), infallible.summary());
+        let plain = try_analyze(&frame, &base_spec(), &chaos_config(&plan))
+            .expect("clean plan must succeed unhooked");
+        assert_eq!(fallible.rules, plain.rules);
+        assert_eq!(fallible.frequent.as_slice(), plain.frequent.as_slice());
+        assert_eq!(fallible.summary(), plain.summary());
     }
 }
 
@@ -308,12 +309,15 @@ fn poisoned_workers_are_contained_per_rank() {
 #[test]
 fn budget_trip_leaves_the_streaming_baseline_untouched() {
     quiet_panics();
-    let mut miner = SlidingWindowMiner::new(64, irma_mine::MinerConfig::with_min_support(0.2));
+    let config = irma_mine::MinerConfig::with_min_support(0.2);
+    let mut miner = SlidingWindowMiner::new(64, config.clone());
     for i in 0..32u32 {
         miner.push([i % 4, 4 + i % 2]);
     }
     // A successful mine commits the drift baseline for the first regime.
-    miner.mine();
+    miner
+        .mine(&config, &BudgetGuard::unlimited())
+        .expect("unbudgeted mine");
     // Shift the regime so the window has drifted well away from it.
     for i in 0..32u32 {
         miner.push([6, 7 - i % 2]);
@@ -328,7 +332,7 @@ fn budget_trip_leaves_the_streaming_baseline_untouched() {
         ..ExecBudget::default()
     });
     let region = ContainedRegion::enter();
-    let err = miner.try_mine(&tight);
+    let err = miner.mine(&config, &tight);
     drop(region);
     assert!(err.is_err(), "one itemset can never fit this window");
     assert_eq!(
@@ -338,7 +342,9 @@ fn budget_trip_leaves_the_streaming_baseline_untouched() {
     );
     // The miner is still healthy: an unlimited re-mine succeeds and only
     // *then* does the baseline advance.
-    let frequent = miner.try_mine(&BudgetGuard::unlimited()).expect("recovers");
+    let frequent = miner
+        .mine(&config, &BudgetGuard::unlimited())
+        .expect("recovers");
     assert!(!frequent.as_slice().is_empty());
     assert!(miner.drift() < drift_before);
 }

@@ -5,23 +5,34 @@ use proptest::prelude::*;
 
 use irma_check::generators::{arb_exact_threshold_case, arb_miner_config, arb_transaction_db};
 use irma_check::oracle;
-use irma_mine::{fpgrowth, Algorithm, Itemset, MinerConfig, SlidingWindowMiner};
+use irma_mine::{
+    Algorithm, BudgetGuard, FrequentItemsets, Itemset, MinerConfig, SlidingWindowMiner,
+    TransactionDb,
+};
+use irma_obs::Metrics;
+
+/// Runs `algorithm` unbudgeted and unobserved.
+fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
+    algorithm
+        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
+        .expect("valid config")
+}
 
 proptest! {
     #![proptest_config(irma_check::config())]
 
     #[test]
     fn fpgrowth_matches_oracle(db in arb_transaction_db(8, 40), config in arb_miner_config()) {
-        let fast = fpgrowth(&db, &config);
+        let fast = mine(Algorithm::FpGrowth, &db, &config);
         let reference = oracle::frequent_itemsets(&db, &config);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
 
     #[test]
     fn all_algorithms_agree(db in arb_transaction_db(10, 60), config in arb_miner_config()) {
-        let reference = Algorithm::FpGrowth.mine(&db, &config);
+        let reference = mine(Algorithm::FpGrowth, &db, &config);
         for algorithm in Algorithm::all() {
-            let result = algorithm.mine(&db, &config);
+            let result = mine(algorithm, &db, &config);
             prop_assert_eq!(
                 result.as_slice(),
                 reference.as_slice(),
@@ -44,9 +55,9 @@ proptest! {
         for txn in txns {
             miner.push(txn);
         }
-        let streamed = miner.mine();
+        let streamed = miner.mine(&config, &BudgetGuard::unlimited()).unwrap();
         let window = miner.snapshot();
-        let batch = fpgrowth(&window, &config);
+        let batch = mine(Algorithm::FpGrowth, &window, &config);
         prop_assert_eq!(streamed.as_slice(), batch.as_slice());
         let reference = oracle::frequent_itemsets(&window, &config);
         prop_assert_eq!(streamed.as_slice(), reference.as_slice());
@@ -58,9 +69,9 @@ proptest! {
         mut config in arb_miner_config(),
     ) {
         config.parallel = false;
-        let sequential = fpgrowth(&db, &config);
+        let sequential = mine(Algorithm::FpGrowth, &db, &config);
         config.parallel = true;
-        let parallel = fpgrowth(&db, &config);
+        let parallel = mine(Algorithm::FpGrowth, &db, &config);
         prop_assert_eq!(sequential.as_slice(), parallel.as_slice());
     }
 
@@ -72,7 +83,7 @@ proptest! {
         // "support ≥ threshold" must include it. The pre-fix float
         // min_count excluded it on 290 (pct, n) grid points.
         for algorithm in Algorithm::all() {
-            let frequent = algorithm.mine(&db, &config);
+            let frequent = mine(algorithm, &db, &config);
             prop_assert_eq!(
                 frequent.count(&Itemset::singleton(0)),
                 Some(expected_count),
@@ -104,10 +115,9 @@ proptest! {
 /// item space.
 #[test]
 fn counts_survive_universe_padding() {
-    let db =
-        irma_mine::TransactionDb::from_transactions(vec![vec![0u32, 1], vec![0]]).with_universe(6);
+    let db = TransactionDb::from_transactions(vec![vec![0u32, 1], vec![0]]).with_universe(6);
     let config = MinerConfig::with_min_support(0.5);
-    let frequent = fpgrowth(&db, &config);
+    let frequent = mine(Algorithm::FpGrowth, &db, &config);
     let reference = oracle::frequent_itemsets(&db, &config);
     assert_eq!(frequent.as_slice(), reference.as_slice());
 }

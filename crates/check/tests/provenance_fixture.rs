@@ -27,9 +27,9 @@
 //!   R2 on the lift branch (`1.5 × 1.111 > 1.333`) — the winner flips,
 //!   and the kept causes are `{R1, R3}`.
 
-use irma_mine::{Algorithm, MinerConfig, TransactionDb};
+use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
 use irma_obs::{Metrics, Provenance, PruneRole};
-use irma_rules::{generate_rules_traced, KeywordAnalysis, PruneParams, RuleConfig};
+use irma_rules::{generate_rules, KeywordAnalysis, PruneParams, RuleConfig};
 
 const A: u32 = 0;
 const B: u32 = 1;
@@ -56,23 +56,27 @@ fn label(id: u32) -> String {
 /// margin, returning the provenance and the kept cause antecedents.
 fn run_at(c_lift: f64) -> (Provenance, Vec<Vec<u32>>) {
     let db = fixture_db();
-    let frequent = Algorithm::FpGrowth.mine(
-        &db,
-        &MinerConfig {
-            min_support: 0.05,
-            max_len: 3,
-            parallel: false,
-        },
-    );
+    let metrics = Metrics::disabled();
+    let frequent = Algorithm::FpGrowth
+        .mine(
+            &db,
+            &MinerConfig {
+                min_support: 0.05,
+                max_len: 3,
+                parallel: false,
+            },
+            &metrics,
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap();
     let config = RuleConfig {
         min_lift: 1.0,
         min_confidence: 0.0,
         min_support: 0.0,
     };
     let provenance = Provenance::enabled();
-    let metrics = Metrics::disabled();
-    let rules = generate_rules_traced(&frequent, &config, &metrics, &provenance);
-    let analysis = KeywordAnalysis::run_traced(
+    let rules = generate_rules(&frequent, &config, &metrics, &provenance);
+    let analysis = KeywordAnalysis::run(
         &rules,
         K,
         &PruneParams {
@@ -81,7 +85,8 @@ fn run_at(c_lift: f64) -> (Provenance, Vec<Vec<u32>>) {
         },
         &metrics,
         &provenance,
-    );
+    )
+    .unwrap();
     let mut antecedents: Vec<Vec<u32>> = analysis
         .causes
         .iter()

@@ -5,8 +5,11 @@
 use proptest::prelude::*;
 
 use irma_check::generators::{arb_transaction_db, shuffled};
-use irma_mine::{fpgrowth, ItemId, MinerConfig};
-use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig, RuleRole};
+use irma_mine::{fpgrowth, BudgetGuard, ItemId, MinerConfig};
+use irma_obs::{Metrics, Provenance};
+use irma_rules::{
+    generate_rules, prune_rules, PruneOutcome, PruneParams, Rule, RuleConfig, RuleRole,
+};
 
 fn arb_prune_params() -> impl Strategy<Value = PruneParams> {
     (1.0f64..3.0, 1.0f64..3.0).prop_map(|(c_lift, c_supp)| PruneParams { c_lift, c_supp })
@@ -20,7 +23,26 @@ fn rules_from(db: &irma_mine::TransactionDb) -> Vec<Rule> {
         max_len: 4,
         parallel: false,
     };
-    generate_rules(&fpgrowth(db, &config), &RuleConfig::with_min_lift(0.0))
+    let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+    let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
+    generate_rules(
+        &frequent,
+        &RuleConfig::with_min_lift(0.0),
+        &metrics,
+        &provenance,
+    )
+}
+
+/// Prunes for `keyword` without observability.
+fn prune(rules: &[Rule], keyword: ItemId, params: &PruneParams) -> PruneOutcome {
+    prune_rules(
+        rules,
+        keyword,
+        params,
+        &Metrics::disabled(),
+        &Provenance::disabled(),
+    )
+    .expect("margins drawn >= 1")
 }
 
 proptest! {
@@ -34,8 +56,8 @@ proptest! {
         draws in proptest::collection::vec(proptest::any::<u64>(), 1..32),
     ) {
         let rules = rules_from(&db);
-        let baseline = prune_rules(&rules, keyword as ItemId, &params);
-        let permuted = prune_rules(&shuffled(&rules, &draws), keyword as ItemId, &params);
+        let baseline = prune(&rules, keyword as ItemId, &params);
+        let permuted = prune(&shuffled(&rules, &draws), keyword as ItemId, &params);
         prop_assert_eq!(&baseline.kept, &permuted.kept);
         prop_assert_eq!(&baseline.pruned, &permuted.pruned);
     }
@@ -52,7 +74,7 @@ proptest! {
             .iter()
             .filter(|r| r.role(keyword) != RuleRole::Unrelated)
             .count();
-        let outcome = prune_rules(&rules, keyword, &params);
+        let outcome = prune(&rules, keyword, &params);
         prop_assert_eq!(outcome.total(), relevant);
         // Every reported rule (kept or pruned) involves the keyword, and
         // no rule appears on both sides.
@@ -78,7 +100,7 @@ proptest! {
         // keyword-relevant input ("exists two rules" semantics: the
         // dominator may itself have been pruned, but never invented).
         let rules = rules_from(&db);
-        let outcome = prune_rules(&rules, keyword as ItemId, &params);
+        let outcome = prune(&rules, keyword as ItemId, &params);
         for record in &outcome.pruned {
             let (ante, cons) = &record.dominated_by;
             prop_assert!(
@@ -107,8 +129,8 @@ proptest! {
         // the short one), and via marking chains that can leave MORE rules
         // alive, not fewer.
         let rules = rules_from(&db);
-        let first = prune_rules(&rules, keyword as ItemId, &params);
-        let second = prune_rules(&rules, keyword as ItemId, &params);
+        let first = prune(&rules, keyword as ItemId, &params);
+        let second = prune(&rules, keyword as ItemId, &params);
         prop_assert_eq!(&first.kept, &second.kept);
         prop_assert_eq!(&first.pruned, &second.pruned);
     }

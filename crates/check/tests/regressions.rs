@@ -3,7 +3,8 @@
 //! narrower versions). Each test here failed on the pre-fix code.
 
 use irma_data::{parse_records, parse_size_gb, read_sacct_str};
-use irma_mine::{fpgrowth, Itemset, MinerConfig, SlidingWindowMiner};
+use irma_mine::{fpgrowth, BudgetGuard, Itemset, MinerConfig, SlidingWindowMiner};
+use irma_obs::Metrics;
 use irma_prep::{BinEdges, BinningScheme};
 
 /// `0.07 × 100 == 7.000000000000001`: the pre-fix ceil returned 8 and the
@@ -21,15 +22,22 @@ fn threshold_sitting_items_survive_the_float_ceil() {
         .collect();
 
     let db = irma_mine::TransactionDb::from_transactions(txns.clone());
-    let frequent = fpgrowth(&db, &config);
+    let frequent = fpgrowth(
+        &db,
+        &config,
+        &Metrics::disabled(),
+        &BudgetGuard::unlimited(),
+    )
+    .unwrap();
     assert_eq!(frequent.count(&Itemset::singleton(0)), Some(7));
 
-    let mut miner = SlidingWindowMiner::new(100, config);
+    let mut miner = SlidingWindowMiner::new(100, config.clone());
     for txn in txns {
         miner.push(txn);
     }
     assert!(miner.hot_items().contains(&0), "hot_items dropped item 0");
-    assert_eq!(miner.mine().count(&Itemset::singleton(0)), Some(7));
+    let windowed = miner.mine(&config, &BudgetGuard::unlimited()).unwrap();
+    assert_eq!(windowed.count(&Itemset::singleton(0)), Some(7));
 }
 
 /// Slurm sizes are 1024-based; the pre-fix parser used decimal factors

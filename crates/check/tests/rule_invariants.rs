@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use irma_check::generators::arb_transaction_db;
-use irma_mine::{fpgrowth, MinerConfig, TransactionDb};
-use irma_rules::{generate_rules, RuleConfig};
+use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
+use irma_obs::{Metrics, Provenance};
+use irma_rules::{generate_rules, Rule, RuleConfig};
 
 fn arb_rule_config() -> impl Strategy<Value = RuleConfig> {
     (0.0f64..3.0, 0.0f64..1.0, 0.0f64..0.2).prop_map(|(min_lift, min_confidence, min_support)| {
@@ -27,7 +28,27 @@ fn mine_config() -> MinerConfig {
     }
 }
 
-fn recompute_metrics(db: &TransactionDb, rule: &irma_rules::Rule) -> (u64, f64, f64, f64) {
+/// The low-threshold family of `db`, unbudgeted.
+fn mined(db: &TransactionDb) -> FrequentItemsets {
+    fpgrowth(
+        db,
+        &mine_config(),
+        &Metrics::disabled(),
+        &BudgetGuard::unlimited(),
+    )
+    .unwrap()
+}
+
+fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {
+    generate_rules(
+        frequent,
+        config,
+        &Metrics::disabled(),
+        &Provenance::disabled(),
+    )
+}
+
+fn recompute_metrics(db: &TransactionDb, rule: &Rule) -> (u64, f64, f64, f64) {
     let n = db.len().max(1) as f64;
     let xy = db.support_count(&rule.itemset());
     let x = db.support_count(&rule.antecedent);
@@ -51,8 +72,8 @@ proptest! {
         db in arb_transaction_db(8, 50),
         config in arb_rule_config(),
     ) {
-        let frequent = fpgrowth(&db, &mine_config());
-        let rules = generate_rules(&frequent, &config);
+        let frequent = mined(&db);
+        let rules = generate(&frequent, &config);
         for rule in &rules {
             let (xy, support, confidence, lift) = recompute_metrics(&db, rule);
             prop_assert_eq!(rule.support_count, xy, "{}", rule);
@@ -67,8 +88,8 @@ proptest! {
         db in arb_transaction_db(8, 50),
         config in arb_rule_config(),
     ) {
-        let frequent = fpgrowth(&db, &mine_config());
-        for rule in generate_rules(&frequent, &config) {
+        let frequent = mined(&db);
+        for rule in generate(&frequent, &config) {
             prop_assert!(!rule.antecedent.is_empty());
             prop_assert!(!rule.consequent.is_empty());
             prop_assert!(rule.antecedent.is_disjoint_from(&rule.consequent));
@@ -85,8 +106,8 @@ proptest! {
         // Every rule's whole itemset and both sides must be present in
         // the frequent family (this is what lets generate_rules resolve
         // counts without database rescans).
-        let frequent = fpgrowth(&db, &mine_config());
-        for rule in generate_rules(&frequent, &RuleConfig::with_min_lift(0.0)) {
+        let frequent = mined(&db);
+        for rule in generate(&frequent, &RuleConfig::with_min_lift(0.0)) {
             prop_assert!(frequent.count(&rule.itemset()).is_some());
             prop_assert!(frequent.count(&rule.antecedent).is_some());
             prop_assert!(frequent.count(&rule.consequent).is_some());
@@ -107,8 +128,8 @@ proptest! {
         db in arb_transaction_db(8, 50),
     ) {
         let n = db.len().max(1) as f64;
-        let frequent = fpgrowth(&db, &mine_config());
-        for rule in generate_rules(&frequent, &RuleConfig::with_min_lift(0.0)) {
+        let frequent = mined(&db);
+        for rule in generate(&frequent, &RuleConfig::with_min_lift(0.0)) {
             let x = db.support_count(&rule.antecedent) as f64 / n;
             let y = db.support_count(&rule.consequent) as f64 / n;
             // antecedent/consequent supports are recovered from the stored

@@ -1,6 +1,6 @@
 //! Trie-vs-flat pruning differential suite.
 //!
-//! The trie-driven `prune_rules_traced` promises a *byte-identical*
+//! The trie-driven `prune_rules` promises a *byte-identical*
 //! output contract to the flat all-pairs implementation it replaced —
 //! same kept rules, same `PruneRecord` sequence, same provenance records
 //! — at any rayon pool width. This suite pits it against the preserved
@@ -14,9 +14,12 @@ use rayon::ThreadPoolBuilder;
 
 use irma_check::flat_prune::flat_prune_rules;
 use irma_check::generators::arb_transaction_db;
-use irma_mine::{fpgrowth, is_sorted_subset, ItemId, Itemset, MinerConfig, TransactionDb};
+use irma_mine::{
+    fpgrowth, is_sorted_subset, BudgetGuard, FrequentItemsets, ItemId, Itemset, MinerConfig,
+    TransactionDb,
+};
 use irma_obs::{Metrics, Provenance};
-use irma_rules::{generate_rules, prune_rules_traced, PruneParams, Rule, RuleConfig, RuleTrie};
+use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig, RuleTrie};
 
 /// The pool widths every equivalence case runs at (the determinism claim:
 /// group parallelism must not leak into the output).
@@ -42,7 +45,7 @@ fn assert_equivalent(
             .expect("pool");
         let trie_provenance = Provenance::enabled();
         let actual = pool.install(|| {
-            prune_rules_traced(
+            prune_rules(
                 rules,
                 keyword,
                 params,
@@ -50,6 +53,7 @@ fn assert_equivalent(
                 &trie_provenance,
             )
         });
+        let actual = actual.expect("margins drawn >= 1");
         prop_assert_eq!(&expected.kept, &actual.kept, "kept set at width {}", width);
         prop_assert_eq!(
             &expected.pruned,
@@ -67,6 +71,14 @@ fn assert_equivalent(
     Ok(())
 }
 
+/// Mines `db` unbudgeted and generates its rules, both unobserved.
+fn mine_rules(db: &TransactionDb, config: &MinerConfig, rules: &RuleConfig) -> Vec<Rule> {
+    let metrics = Metrics::disabled();
+    let frequent: FrequentItemsets =
+        fpgrowth(db, config, &metrics, &BudgetGuard::unlimited()).expect("valid config");
+    generate_rules(&frequent, rules, &metrics, &Provenance::disabled())
+}
+
 /// Rules mined from a random database at permissive thresholds, so the
 /// lattice contains the nested families pruning operates on.
 fn rules_from(db: &TransactionDb) -> Vec<Rule> {
@@ -75,7 +87,7 @@ fn rules_from(db: &TransactionDb) -> Vec<Rule> {
         max_len: 4,
         parallel: false,
     };
-    generate_rules(&fpgrowth(db, &config), &RuleConfig::with_min_lift(0.0))
+    mine_rules(db, &config, &RuleConfig::with_min_lift(0.0))
 }
 
 /// Synthetic rules straight from bitmask draws: both sides over a 6-item
@@ -176,16 +188,13 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
     txns.extend(std::iter::repeat_n(vec![B, K], 2));
     txns.extend(std::iter::repeat_n(vec![A, B, K], 4));
     let db = TransactionDb::from_transactions(txns);
-    let frequent = fpgrowth(
+    let rules = mine_rules(
         &db,
         &MinerConfig {
             min_support: 0.05,
             max_len: 3,
             parallel: false,
         },
-    );
-    let rules = generate_rules(
-        &frequent,
         &RuleConfig {
             min_lift: 1.0,
             min_confidence: 0.0,
@@ -205,7 +214,7 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
     // tight margin only R3 `{b} => {K}` survives as a cause; relaxing the
     // margin resurrects R1 `{a} => {K}`.
     let kept_antecedents = |c_lift: f64| -> Vec<Vec<u32>> {
-        let outcome = prune_rules_traced(
+        let outcome = prune_rules(
             &rules,
             K,
             &PruneParams {
@@ -214,7 +223,8 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
             },
             &Metrics::disabled(),
             &Provenance::disabled(),
-        );
+        )
+        .unwrap();
         let mut antecedents: Vec<Vec<u32>> = outcome
             .kept
             .iter()

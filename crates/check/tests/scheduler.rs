@@ -87,9 +87,7 @@ fn mine_on(
         .steal_jitter(jitter)
         .build()
         .expect("pool builds");
-    pool.install(|| {
-        algorithm.try_mine_with(db, config, &Metrics::disabled(), &BudgetGuard::new(budget))
-    })
+    pool.install(|| algorithm.mine(db, config, &Metrics::disabled(), &BudgetGuard::new(budget)))
 }
 
 /// Collapses an outcome to its observable kind. `Ok` payloads are

@@ -18,8 +18,28 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use irma_check::generators::arb_miner_config;
-use irma_mine::{fpgrowth, IncrementalFpTree, ItemId, SlidingWindowMiner};
+use irma_mine::{
+    fpgrowth, BudgetGuard, FrequentItemsets, IncrementalFpTree, ItemId, MinerConfig,
+    SlidingWindowMiner,
+};
 use irma_obs::Metrics;
+
+/// Re-mines the window unbudgeted; returns it with the batch mine of the
+/// same window's snapshot.
+fn mine_both(
+    miner: &mut SlidingWindowMiner,
+    config: &MinerConfig,
+) -> (FrequentItemsets, FrequentItemsets) {
+    let streamed = miner.mine(config, &BudgetGuard::unlimited()).unwrap();
+    let batch = fpgrowth(
+        &miner.snapshot(),
+        config,
+        &Metrics::disabled(),
+        &BudgetGuard::unlimited(),
+    )
+    .unwrap();
+    (streamed, batch)
+}
 
 /// A fuzzed arrival schedule: transactions over a small item universe,
 /// with `mine_every` marking where re-mines interleave.
@@ -87,8 +107,7 @@ proptest! {
                     // a drift baseline and must leave the incremental tree
                     // consistent for the pushes and evictions that follow.
                     if i % mine_every == 0 {
-                        let streamed = miner.mine();
-                        let batch = fpgrowth(&miner.snapshot(), &config);
+                        let (streamed, batch) = mine_both(&mut miner, &config);
                         prop_assert_eq!(
                             streamed.as_slice(),
                             batch.as_slice(),
@@ -98,8 +117,7 @@ proptest! {
                         );
                     }
                 }
-                let streamed = miner.mine();
-                let batch = fpgrowth(&miner.snapshot(), &config);
+                let (streamed, batch) = mine_both(&mut miner, &config);
                 prop_assert_eq!(
                     streamed.as_slice(),
                     batch.as_slice(),
@@ -167,7 +185,7 @@ proptest! {
         ),
         capacity in 1usize..20,
     ) {
-        let config = irma_mine::MinerConfig::with_min_support(0.3);
+        let config = MinerConfig::with_min_support(0.3);
         let mut miner = SlidingWindowMiner::new(capacity, config.clone());
         let mut reference: VecDeque<Vec<ItemId>> = VecDeque::new();
         let mut baseline: Option<(usize, Vec<u64>)> = None;
@@ -197,7 +215,7 @@ proptest! {
             reference.push_back(canonical(txn));
             check(&miner, &reference, &baseline)?;
             for _ in 0..(*tag).min(2) {
-                miner.mine();
+                miner.mine(&config, &BudgetGuard::unlimited()).unwrap();
                 let mut counts = vec![0u64; 8];
                 for txn in &reference {
                     for &item in txn {

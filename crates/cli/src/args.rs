@@ -826,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_analyze_with_defaults() {
+    fn parses_analyze_defaults() {
         let cmd = parse(&argv("analyze supercloud")).unwrap();
         match cmd {
             Command::Analyze {
@@ -848,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn keyword_with_spaces_survives() {
+    fn keyword_containing_spaces_survives() {
         let args = vec![
             "analyze".to_string(),
             "philly".to_string(),

@@ -17,9 +17,9 @@ use irma_core::experiments::run_all;
 use irma_core::export::export_all;
 use irma_core::insights::insight_report;
 use irma_core::{
-    analyze_traced, failure_prediction, pai_spec, philly_spec, prepare, prepare_all,
-    supercloud_spec, try_analyze_traced, AnalysisConfig, EventSink, ExecBudget, ExperimentScale,
-    Metrics, PipelineError, Provenance,
+    failure_prediction, pai_spec, philly_spec, prepare, prepare_all, supercloud_spec,
+    try_analyze_traced, AnalysisConfig, EventSink, ExecBudget, ExperimentScale, Metrics,
+    PipelineError, Provenance,
 };
 use irma_core::{watch_feed, Emission, WatchConfig, KW_FAILED};
 use irma_mine::{ItemCatalog, MinerConfig};
@@ -361,7 +361,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             let provenance = Provenance::enabled();
             let metrics = Metrics::disabled();
             let analysis =
-                analyze_traced(&merged, &spec_for(&trace), &config, &metrics, &provenance);
+                try_analyze_traced(&merged, &spec_for(&trace), &config, &metrics, &provenance)
+                    .map_err(Failure::Pipeline)?;
             analysis
                 .keyword_traced(&keyword, &metrics, &provenance)
                 .ok_or_else(|| format!("keyword `{keyword}` is not an item of this trace"))?;
@@ -424,8 +425,9 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 philly_jobs: philly,
                 seed,
             };
-            let traces = prepare_all(&scale, &AnalysisConfig::default());
-            println!("{}", run_all(&traces));
+            let traces =
+                prepare_all(&scale, &AnalysisConfig::default()).map_err(Failure::Pipeline)?;
+            println!("{}", run_all(&traces).map_err(Failure::Pipeline)?);
             if let Some(dir) = export {
                 let files = export_all(&traces, Path::new(&dir)).map_err(|e| e.to_string())?;
                 eprintln!("exported {} CSV files to {dir}", files.len());
@@ -763,7 +765,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                     max_monitor_samples: 128,
                 },
                 &AnalysisConfig::default(),
-            );
+            )
+            .map_err(Failure::Pipeline)?;
             let result = failure_prediction(&t, jobs / 2, seed ^ 0xfeed, threshold);
             let e = &result.eval;
             println!(

@@ -5,15 +5,16 @@
 //! DESIGN.md §4 maps the artifacts to these functions; EXPERIMENTS.md
 //! records paper-vs-measured values.
 
-use irma_mine::{fpgrowth, MinerConfig};
+use irma_mine::{fpgrowth, BudgetGuard, MinerConfig};
+use irma_obs::{Metrics, Provenance};
 use irma_prep::BinningScheme;
 use irma_rules::{KeywordAnalysis, PruneParams, Rule};
 
+use crate::fault::{try_analyze, PipelineError};
 use crate::report::{bar_chart, box_line, cdf_sketch, TextTable};
 use crate::specs::{pai_spec, KW_FAILED, KW_KILLED, KW_MULTI_GPU, KW_SM_ZERO};
 use crate::stats::{BoxStats, Cdf};
 use crate::traces::TraceAnalysis;
-use crate::workflow::analyze;
 
 /// Table I: overview of the (generated) traces.
 #[derive(Debug, Clone)]
@@ -108,7 +109,15 @@ pub fn fig1(traces: &[TraceAnalysis], supports: &[f64]) -> Fig1 {
                         min_support: s,
                         ..t.analysis.config.miner.clone()
                     };
-                    fpgrowth(&t.analysis.encoded.db, &config).len()
+                    let guard = BudgetGuard::unlimited();
+                    fpgrowth(
+                        &t.analysis.encoded.db,
+                        &config,
+                        &Metrics::disabled(),
+                        &guard,
+                    )
+                    .expect("the analysis' miner config with a sweep support in (0, 1]")
+                    .len()
                 })
                 .collect();
             (t.name.to_string(), counts)
@@ -434,8 +443,9 @@ pub fn failure_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
         .collect()
 }
 
-/// Table VIII: trace-specific rules.
-pub fn misc_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
+/// Table VIII: trace-specific rules. PAI3/PAI4 re-run the pipeline on
+/// the model-labelled subset, which can fail like any analysis.
+pub fn misc_tables(traces: &[TraceAnalysis]) -> Result<Vec<RuleTable>, PipelineError> {
     let mut out = Vec::new();
     if let Some(pai_t) = traces.iter().find(|t| t.name == "pai") {
         out.push(rule_table(
@@ -454,7 +464,7 @@ pub fn misc_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
         // rows whose model is NaN before this analysis).
         let model_col = pai_t.merged.column("model").expect("model present");
         let labelled = pai_t.merged.filter(|i| !model_col.get(i).is_null());
-        let model_analysis = analyze(&labelled, &pai_spec(), &pai_t.analysis.config);
+        let model_analysis = try_analyze(&labelled, &pai_spec(), &pai_t.analysis.config)?;
         let fake = TraceAnalysis {
             name: "pai",
             bundle: pai_t.bundle.clone(),
@@ -490,7 +500,7 @@ pub fn misc_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
             3,
         ));
     }
-    out
+    Ok(out)
 }
 
 /// Ablation (§III-E): equal-frequency vs equal-width binning on PAI.
@@ -501,7 +511,7 @@ pub struct BinningAblation {
 }
 
 /// Runs the binning ablation on the PAI trace.
-pub fn ablation_binning(traces: &[TraceAnalysis]) -> BinningAblation {
+pub fn ablation_binning(traces: &[TraceAnalysis]) -> Result<BinningAblation, PipelineError> {
     let pai_t = traces
         .iter()
         .find(|t| t.name == "pai")
@@ -517,7 +527,7 @@ pub fn ablation_binning(traces: &[TraceAnalysis]) -> BinningAblation {
                 *s = scheme;
             }
         }
-        let analysis = analyze(&pai_t.merged, &spec, &pai_t.analysis.config);
+        let analysis = try_analyze(&pai_t.merged, &spec, &pai_t.analysis.config)?;
         let kept = analysis
             .keyword(KW_SM_ZERO)
             .map(|kw| kw.n_kept())
@@ -529,7 +539,7 @@ pub fn ablation_binning(traces: &[TraceAnalysis]) -> BinningAblation {
             kept,
         ));
     }
-    BinningAblation { rows }
+    Ok(BinningAblation { rows })
 }
 
 impl BinningAblation {
@@ -561,7 +571,7 @@ pub struct BinCountAblation {
 }
 
 /// Runs the bin-count sweep on the PAI trace.
-pub fn ablation_bin_count(traces: &[TraceAnalysis]) -> BinCountAblation {
+pub fn ablation_bin_count(traces: &[TraceAnalysis]) -> Result<BinCountAblation, PipelineError> {
     let pai_t = traces
         .iter()
         .find(|t| t.name == "pai")
@@ -574,7 +584,7 @@ pub fn ablation_bin_count(traces: &[TraceAnalysis]) -> BinCountAblation {
                 *n = n_bins;
             }
         }
-        let analysis = analyze(&pai_t.merged, &spec, &pai_t.analysis.config);
+        let analysis = try_analyze(&pai_t.merged, &spec, &pai_t.analysis.config)?;
         let kw = analysis.keyword(KW_SM_ZERO);
         let kept: Vec<&Rule> = kw
             .iter()
@@ -595,7 +605,7 @@ pub fn ablation_bin_count(traces: &[TraceAnalysis]) -> BinCountAblation {
             median(kept.iter().map(|r| r.lift).collect()),
         ));
     }
-    BinCountAblation { rows }
+    Ok(BinCountAblation { rows })
 }
 
 impl BinCountAblation {
@@ -739,14 +749,18 @@ pub fn ablation_pruning(traces: &[TraceAnalysis]) -> PruningAblation {
     let analysis = &pai_t.analysis;
     let kw_for = |label: &str, c: f64| {
         let id = analysis.item(label).expect("keyword present");
+        let params = PruneParams {
+            c_lift: c,
+            c_supp: c,
+        };
         KeywordAnalysis::run(
             &analysis.rules,
             id,
-            &PruneParams {
-                c_lift: c,
-                c_supp: c,
-            },
+            &params,
+            &Metrics::disabled(),
+            &Provenance::disabled(),
         )
+        .expect("sweep margins are >= 1")
     };
     let before = (
         kw_for(KW_SM_ZERO, 1.0).n_before(),
@@ -782,7 +796,7 @@ impl PruningAblation {
 }
 
 /// Runs every artifact and concatenates the rendered output in paper order.
-pub fn run_all(traces: &[TraceAnalysis]) -> String {
+pub fn run_all(traces: &[TraceAnalysis]) -> Result<String, PipelineError> {
     let mut out = String::new();
     out.push_str(&table1(traces).render());
     out.push('\n');
@@ -804,13 +818,13 @@ pub fn run_all(traces: &[TraceAnalysis]) -> String {
         out.push_str(&table.render());
         out.push('\n');
     }
-    for table in misc_tables(traces) {
+    for table in misc_tables(traces)? {
         out.push_str(&table.render());
         out.push('\n');
     }
-    out.push_str(&ablation_binning(traces).render());
+    out.push_str(&ablation_binning(traces)?.render());
     out.push('\n');
-    out.push_str(&ablation_bin_count(traces).render());
+    out.push_str(&ablation_bin_count(traces)?.render());
     out.push('\n');
     out.push_str(&ablation_pruning(traces).render());
     out.push('\n');
@@ -824,7 +838,7 @@ pub fn run_all(traces: &[TraceAnalysis]) -> String {
         out.push_str(&crate::insights::insight_report(&t.analysis, KW_SM_ZERO, 3));
         out.push_str(&crate::insights::insight_report(&t.analysis, KW_FAILED, 3));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -834,13 +848,13 @@ mod tests {
     use crate::workflow::AnalysisConfig;
 
     fn traces() -> [TraceAnalysis; 3] {
-        prepare_all(&ExperimentScale::tiny(), &AnalysisConfig::default())
+        prepare_all(&ExperimentScale::tiny(), &AnalysisConfig::default()).unwrap()
     }
 
     #[test]
     fn full_run_produces_all_sections() {
         let traces = traces();
-        let text = run_all(&traces);
+        let text = run_all(&traces).unwrap();
         for section in [
             "Table I",
             "Fig. 1",
@@ -933,7 +947,7 @@ mod tests {
     #[test]
     fn bin_count_tradeoff_shape() {
         let traces = traces();
-        let ab = ablation_bin_count(&traces);
+        let ab = ablation_bin_count(&traces).unwrap();
         assert_eq!(ab.rows.len(), 4);
         // The paper's trade-off at a fixed support threshold: thin bins
         // have low per-item support (fewer frequent itemsets, lower rule

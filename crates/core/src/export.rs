@@ -110,11 +110,11 @@ pub fn export_all(traces: &[TraceAnalysis], dir: &Path) -> std::io::Result<Vec<P
     written.push(write(
         dir,
         "table8_misc.csv",
-        &rule_table_csv(&misc_tables(traces)),
+        &rule_table_csv(&misc_tables(traces).map_err(std::io::Error::other)?),
     )?);
 
     // Ablations.
-    let ab = ablation_binning(traces);
+    let ab = ablation_binning(traces).map_err(std::io::Error::other)?;
     let mut csv = String::from("scheme,itemsets,rules,keyword_rules_kept\n");
     for (scheme, itemsets, rules, kept) in &ab.rows {
         let _ = writeln!(csv, "{scheme},{itemsets},{rules},{kept}");
@@ -146,7 +146,7 @@ mod tests {
             philly_jobs: 1_500,
             seed: 0xe5e5,
         };
-        let traces = prepare_all(&scale, &AnalysisConfig::default());
+        let traces = prepare_all(&scale, &AnalysisConfig::default()).unwrap();
         let dir = std::env::temp_dir().join(format!("irma_export_{}", std::process::id()));
         let files = export_all(&traces, &dir).unwrap();
         assert!(files.len() >= 10, "only {} files", files.len());

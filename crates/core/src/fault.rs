@@ -1,11 +1,7 @@
-//! Fault-tolerant pipeline entry points.
+//! The pipeline's entry points: the paper's workflow, made safe to run
+//! behind a service.
 //!
-//! [`crate::analyze`] is the paper's one-shot offline workflow: any
-//! corrupt input or pathological configuration panics, which is fine at a
-//! research prompt and fatal behind a service. This module adds the
-//! production entry points the ROADMAP's north star needs:
-//!
-//! * [`try_analyze`] / [`try_analyze_traced`] — the same pipeline, but
+//! * [`try_analyze`] / [`try_analyze_traced`] — encode, mine, generate;
 //!   every stage runs under `catch_unwind` and every failure comes back
 //!   as a stage-tagged [`PipelineError`] instead of unwinding the caller;
 //! * an execution budget ([`irma_mine::ExecBudget`], carried on
@@ -36,8 +32,8 @@ use std::sync::Arc;
 use irma_data::Frame;
 use irma_mine::{BudgetBreach, BudgetGuard, MineError, MinerConfig};
 use irma_obs::{Metrics, Provenance};
-use irma_prep::{encode_with, EncoderSpec};
-use irma_rules::generate_rules_traced;
+use irma_prep::{encode, EncoderSpec};
+use irma_rules::generate_rules;
 
 use crate::workflow::{Analysis, AnalysisConfig};
 
@@ -48,8 +44,7 @@ pub const MAX_DEGRADATION_RETRIES: usize = 3;
 /// not produce an [`Analysis`], none of which unwinds the caller.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
-    /// The input text could not be parsed into a [`Frame`]
-    /// (see [`try_analyze_csv`]).
+    /// The input text could not be parsed into a [`Frame`].
     Parse(String),
     /// The encode stage panicked (e.g. a spec names a missing column).
     Encode(String),
@@ -205,9 +200,10 @@ fn panic_to_error(stage: &'static str, payload: Box<dyn std::any::Any + Send>) -
     }
 }
 
-/// Fault-tolerant [`crate::analyze`]: returns a typed [`PipelineError`]
-/// instead of panicking, enforces [`AnalysisConfig::budget`], and retries
-/// over the degradation ladder on budget breaches.
+/// Runs encode -> mine -> generate over a merged per-job frame. Returns
+/// a typed [`PipelineError`] instead of panicking, enforces
+/// [`AnalysisConfig::budget`], and retries over the degradation ladder on
+/// budget breaches.
 pub fn try_analyze(
     frame: &Frame,
     spec: &EncoderSpec,
@@ -222,21 +218,14 @@ pub fn try_analyze(
     )
 }
 
-/// [`try_analyze`] over raw CSV text: parse failures become
-/// [`PipelineError::Parse`] instead of an `unwrap` at the call site.
-pub fn try_analyze_csv(
-    csv: &str,
-    spec: &EncoderSpec,
-    config: &AnalysisConfig,
-) -> Result<Analysis, PipelineError> {
-    let frame = irma_data::read_csv_str(csv).map_err(|e| PipelineError::Parse(e.to_string()))?;
-    try_analyze(&frame, spec, config)
-}
-
-/// [`try_analyze`] with observability + provenance, mirroring
-/// [`crate::analyze_traced`]. A degraded success marks the metrics
-/// registry ([`Metrics::mark_degraded`]) and counts ladder steps under
-/// `core.degradation_steps`.
+/// [`try_analyze`] with observability + provenance: every pipeline stage
+/// (`prep.fit`, `prep.transform`, `mine.tree_build`/`mine.mine`,
+/// `rules.generate`) emits a [`irma_obs::StageEvent`] into `metrics` under
+/// one `core.analyze` root span, and every candidate rule (survivor or
+/// threshold-filtered) lands in `provenance`; follow with
+/// [`Analysis::keyword_traced`] to add the pruning decisions. A degraded
+/// success marks the metrics registry ([`Metrics::mark_degraded`]) and
+/// counts ladder steps under `core.degradation_steps`.
 pub fn try_analyze_traced(
     frame: &Frame,
     spec: &EncoderSpec,
@@ -266,9 +255,8 @@ pub fn try_analyze_traced_hooked(
     let mut root = metrics.span("core.analyze");
 
     // Validate the pruning margins up front: keyword pruning runs as a
-    // later query against the returned `Analysis`, and by then the
-    // infallible `prune_rules_traced` path would panic instead of
-    // reporting a typed error.
+    // later query against the returned `Analysis`, whose keyword methods
+    // return `Option` and rely on this check instead of an error path.
     if let Err(error) = config.prune.validate() {
         return Err(PipelineError::Rules(format!(
             "invalid prune params: {error}"
@@ -279,7 +267,7 @@ pub fn try_analyze_traced_hooked(
     // ladder never needs to redo it.
     let encoded = catch_unwind(AssertUnwindSafe(|| {
         hooks.fire("encode");
-        encode_with(frame, spec, metrics)
+        encode(frame, spec, metrics)
     }))
     .map_err(|payload| panic_to_error("encode", payload))?;
 
@@ -296,9 +284,7 @@ pub fn try_analyze_traced_hooked(
         };
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             hooks.fire("mine");
-            config
-                .algorithm
-                .try_mine_with(&encoded.db, &miner, metrics, &guard)
+            config.algorithm.mine(&encoded.db, &miner, metrics, &guard)
         }))
         .map_err(|payload| panic_to_error("mine", payload))?;
 
@@ -306,7 +292,7 @@ pub fn try_analyze_traced_hooked(
             Ok(frequent) => {
                 let rules = catch_unwind(AssertUnwindSafe(|| {
                     hooks.fire("rules");
-                    generate_rules_traced(&frequent, &config.rules, metrics, provenance)
+                    generate_rules(&frequent, &config.rules, metrics, provenance)
                 }))
                 .map_err(|payload| panic_to_error("rules", payload))?;
                 break (frequent, rules);
@@ -378,7 +364,6 @@ pub fn try_analyze_traced_hooked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::analyze;
     use irma_data::read_csv_str;
     use irma_mine::ExecBudget;
     use irma_prep::{FeatureSpec, ZeroBin};
@@ -425,19 +410,6 @@ mod tests {
         let mut config = AnalysisConfig::default();
         config.rules.min_lift = 1.2;
         config
-    }
-
-    #[test]
-    fn unbudgeted_run_matches_analyze_exactly() {
-        let (frame, spec) = tiny_frame();
-        let config = base_config();
-        let fallible = try_analyze(&frame, &spec, &config).expect("clean input");
-        let infallible = analyze(&frame, &spec, &config);
-        assert!(fallible.degradation.is_none());
-        assert_eq!(fallible.rules, infallible.rules);
-        assert_eq!(fallible.frequent.as_slice(), infallible.frequent.as_slice());
-        assert_eq!(fallible.config, infallible.config);
-        assert_eq!(fallible.summary(), infallible.summary());
     }
 
     #[test]
@@ -544,13 +516,6 @@ mod tests {
             }
             other => panic!("expected WorkerPanic, got {other}"),
         }
-    }
-
-    #[test]
-    fn garbage_csv_is_a_parse_error() {
-        let spec = EncoderSpec::new(vec![FeatureSpec::numeric("a", "A")]);
-        let err = try_analyze_csv("a,b\n\"unclosed", &spec, &base_config()).unwrap_err();
-        assert_eq!(err.stage(), "parse");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`config_cache_key`] renders the analysis knobs that *change the
 //!   output* into a canonical string. Knobs that provably do not —
 //!   `MinerConfig::parallel` (byte-identical output at any width, pinned
-//!   by the differential harness) and the whole [`ExecBudget`] (cached
+//!   by the differential harness) and the whole [`irma_mine::ExecBudget`] (cached
 //!   entries are full-fidelity, never degraded, so the budget that
 //!   produced them is irrelevant) — are deliberately excluded, so a
 //!   client retrying with a longer deadline still hits the cache.

@@ -105,7 +105,8 @@ pub fn insight_report(analysis: &Analysis, keyword_label: &str, top: usize) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::{analyze, AnalysisConfig};
+    use crate::fault::try_analyze;
+    use crate::workflow::AnalysisConfig;
     use irma_data::read_csv_str;
     use irma_mine::Itemset;
     use irma_prep::{EncoderSpec, FeatureSpec, ZeroBin};
@@ -168,7 +169,7 @@ mod tests {
             FeatureSpec::numeric("runtime", "Runtime"),
             FeatureSpec::numeric_zero("sm", "SM Util", ZeroBin::percent()),
         ]);
-        let analysis = analyze(&frame, &spec, &AnalysisConfig::default());
+        let analysis = try_analyze(&frame, &spec, &AnalysisConfig::default()).unwrap();
         let report = insight_report(&analysis, "SM Util = 0%", 3);
         assert!(report.contains("Insights for"), "{report}");
         assert!(report.contains("* "), "{report}");

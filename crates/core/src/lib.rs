@@ -6,20 +6,25 @@
 //! generate and prune rules ([`irma_rules`]), and render the case-study
 //! tables.
 //!
-//! * [`workflow`] — [`AnalysisConfig`] / [`analyze`] / [`Analysis`], the
-//!   single-call pipeline with the paper's default thresholds;
+//! * [`fault`] / [`workflow`] — [`try_analyze`] and its traced variants
+//!   over [`AnalysisConfig`] / [`Analysis`], the single-call pipeline with
+//!   the paper's default thresholds;
 //! * [`specs`] — the per-trace §III-E feature specifications;
 //! * [`traces`] — one-call trace preparation ([`prepare`], [`prepare_all`]);
 //! * [`experiments`] — one function per paper table and figure;
 //! * [`stats`] / [`report`] — CDFs, box stats, and text rendering.
 //!
 //! ```no_run
-//! use irma_core::{analyze, pai_spec, AnalysisConfig};
+//! use irma_core::{pai_spec, try_analyze, AnalysisConfig, Metrics};
 //! use irma_synth::{pai, TraceConfig};
 //!
 //! let bundle = pai(&TraceConfig::with_jobs(50_000));
-//! let analysis = analyze(&bundle.merged(), &pai_spec(), &AnalysisConfig::default());
-//! println!("{}", analysis.render_keyword("SM Util = 0%", 5));
+//! match try_analyze(&bundle.merged(), &pai_spec(), &AnalysisConfig::default()) {
+//!     Ok(analysis) => {
+//!         println!("{}", analysis.render_keyword_with("SM Util = 0%", 5, &Metrics::disabled()))
+//!     }
+//!     Err(error) => eprintln!("analysis failed in the {} stage: {error}", error.stage()),
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -41,8 +46,8 @@ pub mod workflow;
 
 pub use chrome_trace::chrome_trace;
 pub use fault::{
-    try_analyze, try_analyze_csv, try_analyze_traced, try_analyze_traced_hooked, Degradation,
-    DegradationStep, PipelineError, StageHooks, MAX_DEGRADATION_RETRIES,
+    try_analyze, try_analyze_traced, try_analyze_traced_hooked, Degradation, DegradationStep,
+    PipelineError, StageHooks, MAX_DEGRADATION_RETRIES,
 };
 pub use fingerprint::{config_cache_key, dataset_fingerprint};
 pub use predict::{
@@ -54,7 +59,7 @@ pub use specs::{
 };
 pub use traces::{prepare, prepare_all, ExperimentScale, TraceAnalysis};
 pub use watch::{watch_feed, AdaptiveSampler, Emission, SpscRing, WatchConfig, WatchSummary};
-pub use workflow::{analyze, analyze_traced, analyze_with, Analysis, AnalysisConfig};
+pub use workflow::{Analysis, AnalysisConfig};
 
 // Budget types and observability handles, re-exported so workflow
 // callers need not depend on `irma-mine`/`irma-obs` directly.

@@ -14,8 +14,8 @@ use irma_rules::{Evaluation, RuleClassifier};
 use irma_synth::TraceConfig;
 
 use crate::report::TextTable;
-use crate::specs::{pai_spec, philly_spec, supercloud_spec, KW_FAILED};
-use crate::traces::{prepare, TraceAnalysis};
+use crate::specs::KW_FAILED;
+use crate::traces::{generate, TraceAnalysis};
 
 /// Outcome of one train/evaluate run.
 #[derive(Debug, Clone)]
@@ -50,27 +50,20 @@ pub fn failure_prediction(
         .kept;
     let classifier = RuleClassifier::train(&kept, keyword_id, threshold);
 
-    let spec = match t.name {
-        "pai" => pai_spec(),
-        "supercloud" => supercloud_spec(),
-        "philly" => philly_spec(),
-        other => panic!("unknown trace `{other}`"),
-    };
     // Freeze the preparation on the training frame; deterministic label
-    // emission makes this catalog identical to the analysis' own.
-    let fitted = fit(&t.merged, &spec);
-    debug_assert_eq!(fitted.catalog().len(), t.analysis.encoded.catalog.len());
-
-    let heldout = prepare(
+    // emission makes this catalog identical to the analysis' own. The
+    // held-out trace is only encoded with it, never mined.
+    let (heldout, spec) = generate(
         t.name,
         &TraceConfig {
             n_jobs: heldout_jobs,
             seed: heldout_seed,
             max_monitor_samples: 128,
         },
-        &t.analysis.config,
     );
-    let heldout_db = fitted.transform(&heldout.merged);
+    let fitted = fit(&t.merged, &spec);
+    debug_assert_eq!(fitted.catalog().len(), t.analysis.encoded.catalog.len());
+    let heldout_db = fitted.transform(&heldout.merged());
     let eval = classifier.evaluate(&heldout_db, threshold);
     PredictionResult {
         trace: t.name.to_string(),
@@ -149,7 +142,8 @@ mod tests {
                 max_monitor_samples: 32,
             },
             &AnalysisConfig::default(),
-        );
+        )
+        .unwrap();
         let result = failure_prediction(&t, 3_000, 0xdef, 0.8);
         assert!(result.n_rules > 0, "no failure rules to classify with");
         // Paper claim: strong submission-time rules exist in PAI — held-out
@@ -175,7 +169,8 @@ mod tests {
                 max_monitor_samples: 32,
             },
             &AnalysisConfig::default(),
-        );
+        )
+        .unwrap();
         let pai = prepare(
             "pai",
             &TraceConfig {
@@ -184,7 +179,8 @@ mod tests {
                 max_monitor_samples: 32,
             },
             &AnalysisConfig::default(),
-        );
+        )
+        .unwrap();
         let sc = failure_prediction(&t, 3_000, 0xdef, 0.8);
         let pai_r = failure_prediction(&pai, 3_000, 0xdef, 0.8);
         // Paper: SuperCloud failure rules have low confidence (Table VI),

@@ -1,10 +1,12 @@
 //! One-call preparation of a trace: generate -> merge -> analyze.
 
 use irma_data::Frame;
+use irma_prep::EncoderSpec;
 use irma_synth::{pai, philly, supercloud, TraceBundle, TraceConfig};
 
+use crate::fault::{try_analyze, PipelineError};
 use crate::specs::{pai_spec, philly_spec, supercloud_spec};
-use crate::workflow::{analyze, Analysis, AnalysisConfig};
+use crate::workflow::{Analysis, AnalysisConfig};
 
 /// A fully prepared trace: the generated bundle, the merged frame, and the
 /// completed workflow run.
@@ -59,30 +61,38 @@ impl ExperimentScale {
     }
 }
 
+/// Generates one trace by name, with its feature specification.
+pub(crate) fn generate(name: &str, trace_config: &TraceConfig) -> (TraceBundle, EncoderSpec) {
+    match name {
+        "pai" => (pai(trace_config), pai_spec()),
+        "supercloud" => (supercloud(trace_config), supercloud_spec()),
+        "philly" => (philly(trace_config), philly_spec()),
+        other => panic!("unknown trace `{other}`"),
+    }
+}
+
 /// Generates and analyses one trace by name.
 pub fn prepare(
     name: &str,
     trace_config: &TraceConfig,
     analysis_config: &AnalysisConfig,
-) -> TraceAnalysis {
-    let (bundle, spec) = match name {
-        "pai" => (pai(trace_config), pai_spec()),
-        "supercloud" => (supercloud(trace_config), supercloud_spec()),
-        "philly" => (philly(trace_config), philly_spec()),
-        other => panic!("unknown trace `{other}`"),
-    };
+) -> Result<TraceAnalysis, PipelineError> {
+    let (bundle, spec) = generate(name, trace_config);
     let merged = bundle.merged();
-    let analysis = analyze(&merged, &spec, analysis_config);
-    TraceAnalysis {
+    let analysis = try_analyze(&merged, &spec, analysis_config)?;
+    Ok(TraceAnalysis {
         name: bundle.name,
         bundle,
         merged,
         analysis,
-    }
+    })
 }
 
 /// Prepares all three traces at the given scale.
-pub fn prepare_all(scale: &ExperimentScale, config: &AnalysisConfig) -> [TraceAnalysis; 3] {
+pub fn prepare_all(
+    scale: &ExperimentScale,
+    config: &AnalysisConfig,
+) -> Result<[TraceAnalysis; 3], PipelineError> {
     let make = |name: &str, n: usize| {
         prepare(
             name,
@@ -94,11 +104,11 @@ pub fn prepare_all(scale: &ExperimentScale, config: &AnalysisConfig) -> [TraceAn
             config,
         )
     };
-    [
-        make("pai", scale.pai_jobs),
-        make("supercloud", scale.supercloud_jobs),
-        make("philly", scale.philly_jobs),
-    ]
+    Ok([
+        make("pai", scale.pai_jobs)?,
+        make("supercloud", scale.supercloud_jobs)?,
+        make("philly", scale.philly_jobs)?,
+    ])
 }
 
 #[cfg(test)]
@@ -114,7 +124,7 @@ mod tests {
         };
         let ac = AnalysisConfig::default();
         for name in ["pai", "supercloud", "philly"] {
-            let t = prepare(name, &tc, &ac);
+            let t = prepare(name, &tc, &ac).unwrap();
             assert_eq!(t.name, name);
             assert_eq!(t.analysis.n_jobs(), 2_000);
             assert!(!t.analysis.frequent.is_empty(), "{name}: no itemsets");
@@ -125,7 +135,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown trace")]
     fn unknown_trace_panics() {
-        prepare(
+        let _ = prepare(
             "helios",
             &TraceConfig::with_jobs(10),
             &AnalysisConfig::default(),

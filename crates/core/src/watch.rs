@@ -19,7 +19,7 @@
 //!   record is counted (`watch.sampled_out`) — degradation is always
 //!   visible, never silent.
 //! * **Budgeted mining with the degradation ladder.** Every re-mine runs
-//!   under an [`ExecBudget`] through [`SlidingWindowMiner::try_mine_with`],
+//!   under an [`ExecBudget`] through [`SlidingWindowMiner::mine`],
 //!   wrapped in the same relax-and-retry ladder the batch pipeline uses
 //!   (double `min_support`, shrink `max_len`, at most
 //!   [`MAX_DEGRADATION_RETRIES`] rungs). A poisoned window — budget
@@ -42,7 +42,9 @@ use irma_mine::{
     BudgetGuard, ExecBudget, FrequentItemsets, ItemId, MineError, MinerConfig, SlidingWindowMiner,
 };
 use irma_obs::{Metrics, Provenance};
-use irma_rules::{generate_rules_traced, KeywordAnalysis, PruneParams, Rule, RuleConfig};
+use irma_rules::{
+    generate_rules, InvalidPruneParams, KeywordAnalysis, PruneParams, Rule, RuleConfig,
+};
 
 use crate::fault::MAX_DEGRADATION_RETRIES;
 
@@ -357,7 +359,7 @@ fn laddered_mine(
     let mut steps = 0usize;
     loop {
         let guard = run_guard.renew(budget);
-        let outcome = catch_unwind(AssertUnwindSafe(|| miner.try_mine_with(&knobs, &guard)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| miner.mine(&knobs, &guard)));
         match outcome {
             Ok(Ok(frequent)) => {
                 if steps > 0 {
@@ -394,9 +396,16 @@ fn laddered_mine(
 
 /// Keyword causes when a keyword is configured, otherwise the top rules
 /// by lift; always at most `config.top`, deterministically ordered.
-fn select_rules(rules: Vec<Rule>, config: &WatchConfig, metrics: &Metrics) -> Vec<Rule> {
+fn select_rules(
+    rules: Vec<Rule>,
+    config: &WatchConfig,
+    metrics: &Metrics,
+) -> Result<Vec<Rule>, InvalidPruneParams> {
     let mut kept = match config.keyword {
-        Some(keyword) => KeywordAnalysis::run_with(&rules, keyword, &config.prune, metrics).causes,
+        Some(keyword) => {
+            let provenance = Provenance::disabled();
+            KeywordAnalysis::run(&rules, keyword, &config.prune, metrics, &provenance)?.causes
+        }
         None => rules,
     };
     kept.sort_by(|a, b| {
@@ -406,7 +415,7 @@ fn select_rules(rules: Vec<Rule>, config: &WatchConfig, metrics: &Metrics) -> Ve
             .then_with(|| a.consequent.items().cmp(b.consequent.items()))
     });
     kept.truncate(config.top);
-    kept
+    Ok(kept)
 }
 
 /// Feed-side state shared between the producer thread and the mining
@@ -527,15 +536,17 @@ where
                         since_emit: &mut usize,
                         cooldown: &mut usize,
                         drift: f64| {
-            match laddered_mine(miner, &config.miner, &config.budget, &first_guard, metrics) {
-                Ok((frequent, steps)) => {
-                    let rules = generate_rules_traced(
-                        &frequent,
-                        &config.rules,
-                        metrics,
-                        &Provenance::disabled(),
-                    );
-                    let rules = select_rules(rules, config, metrics);
+            let selected =
+                laddered_mine(miner, &config.miner, &config.budget, &first_guard, metrics)
+                    .and_then(|(frequent, steps)| {
+                        let provenance = Provenance::disabled();
+                        let rules = generate_rules(&frequent, &config.rules, metrics, &provenance);
+                        let rules = select_rules(rules, config, metrics)
+                            .map_err(|error| format!("invalid prune params: {error}"))?;
+                        Ok((rules, steps))
+                    });
+            match selected {
+                Ok((rules, steps)) => {
                     summary.emissions += 1;
                     if steps > 0 {
                         summary.degraded_emissions += 1;
@@ -1157,5 +1168,28 @@ mod tests {
                 "non-cause rule leaked through the keyword filter: {rule:?}"
             );
         }
+    }
+
+    #[test]
+    fn invalid_prune_margins_fail_emissions_not_the_daemon() {
+        let config = WatchConfig {
+            window: 16,
+            warmup: 4,
+            cadence: 8,
+            drift_threshold: f64::INFINITY,
+            keyword: Some(1),
+            prune: PruneParams {
+                c_lift: 0.5,
+                c_supp: 1.5,
+            },
+            ..WatchConfig::default()
+        };
+        let summary = watch_feed(two_regime_feed(40), &config, &Metrics::disabled(), |_| {
+            panic!("no emission can succeed with invalid margins")
+        });
+        assert_eq!(summary.emissions, 0);
+        assert!(summary.failed_emissions >= 1);
+        let error = summary.last_error.expect("failure recorded");
+        assert!(error.contains("invalid prune params"), "{error}");
     }
 }

@@ -1,16 +1,16 @@
-//! The end-to-end analysis workflow (§III).
+//! The end-to-end analysis workflow (§III): its configuration and result.
 //!
-//! `merged frame -> encode -> mine -> rules` in one call, with the paper's
-//! defaults (5% support, max itemset length 5, lift >= 1.5,
-//! `C_lift = C_supp = 1.5`) baked into [`AnalysisConfig::default`]; keyword
-//! analyses are then cheap queries against the shared rule set, exactly the
-//! "all high-quality rules in a single execution" design §V highlights.
+//! `merged frame -> encode -> mine -> rules` runs in one call
+//! ([`crate::try_analyze`]), with the paper's defaults (5% support, max
+//! itemset length 5, lift >= 1.5, `C_lift = C_supp = 1.5`) baked into
+//! [`AnalysisConfig::default`]; keyword analyses are then cheap queries
+//! against the shared rule set, exactly the "all high-quality rules in a
+//! single execution" design §V highlights.
 
-use irma_data::Frame;
 use irma_mine::{Algorithm, ExecBudget, FrequentItemsets, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
-use irma_prep::{encode_with, Encoded, EncoderSpec};
-use irma_rules::{generate_rules_traced, KeywordAnalysis, PruneParams, Rule, RuleConfig, RuleTrie};
+use irma_prep::Encoded;
+use irma_rules::{KeywordAnalysis, PruneParams, Rule, RuleConfig, RuleTrie};
 
 /// Every knob of the paper's workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -24,9 +24,9 @@ pub struct AnalysisConfig {
     /// The four pruning conditions' relaxation margins.
     pub prune: PruneParams,
     /// Execution budget (itemsets, estimated tree memory, wall-clock
-    /// deadline). Only the fallible entry points ([`crate::try_analyze`]
-    /// and friends) enforce it; [`analyze`] ignores it, preserving the
-    /// paper's unbounded offline behaviour. Unlimited by default.
+    /// deadline), enforced by [`crate::try_analyze`] and its traced
+    /// variants. Unlimited by default, the paper's unbounded offline
+    /// behaviour.
     pub budget: ExecBudget,
 }
 
@@ -47,57 +47,8 @@ pub struct Analysis {
     /// knobs actually used — relaxed ones if the degradation ladder ran).
     pub config: AnalysisConfig,
     /// Present iff the degradation ladder relaxed the mining knobs to fit
-    /// [`AnalysisConfig::budget`]; `None` for full-fidelity results (and
-    /// always for the infallible [`analyze`] family).
+    /// [`AnalysisConfig::budget`]; `None` for full-fidelity results.
     pub degradation: Option<crate::fault::Degradation>,
-}
-
-/// Runs encode -> mine -> generate over a merged per-job frame.
-pub fn analyze(frame: &Frame, spec: &EncoderSpec, config: &AnalysisConfig) -> Analysis {
-    analyze_with(frame, spec, config, &Metrics::disabled())
-}
-
-/// [`analyze`] with observability: every pipeline stage (`prep.fit`,
-/// `prep.transform`, `mine.tree_build`/`mine.mine`, `rules.generate`)
-/// emits a [`irma_obs::StageEvent`] into `metrics`; keyword pruning adds
-/// its own via [`Analysis::keyword_with`].
-pub fn analyze_with(
-    frame: &Frame,
-    spec: &EncoderSpec,
-    config: &AnalysisConfig,
-    metrics: &Metrics,
-) -> Analysis {
-    analyze_traced(frame, spec, config, metrics, &Provenance::disabled())
-}
-
-/// [`analyze_with`] plus per-rule decision lineage: every candidate rule
-/// (survivor or threshold-filtered) lands in `provenance`; follow with
-/// [`Analysis::keyword_traced`] to add the pruning decisions. The whole
-/// run nests under one `core.analyze` root span.
-pub fn analyze_traced(
-    frame: &Frame,
-    spec: &EncoderSpec,
-    config: &AnalysisConfig,
-    metrics: &Metrics,
-    provenance: &Provenance,
-) -> Analysis {
-    let mut root = metrics.span("core.analyze");
-    let encoded = encode_with(frame, spec, metrics);
-    let frequent = config
-        .algorithm
-        .mine_with(&encoded.db, &config.miner, metrics);
-    let rules = generate_rules_traced(&frequent, &config.rules, metrics, provenance);
-    root.field("jobs", encoded.db.len() as u64);
-    root.field("rules", rules.len() as u64);
-    let rule_trie = RuleTrie::over_antecedents(&rules);
-    Analysis {
-        encoded,
-        frequent,
-        rules,
-        rule_trie,
-        config: config.clone(),
-        degradation: None,
-    }
 }
 
 impl Analysis {
@@ -111,18 +62,15 @@ impl Analysis {
     /// Returns `None` when the label does not exist in the catalog (never
     /// emitted, or dropped by the prevalence cut).
     pub fn keyword(&self, label: &str) -> Option<KeywordAnalysis> {
-        self.keyword_with(label, &Metrics::disabled())
+        self.keyword_traced(label, &Metrics::disabled(), &Provenance::disabled())
     }
 
-    /// [`Analysis::keyword`] with observability: the pruning stage emits
-    /// a `rules.prune` event with per-condition counts into `metrics`.
-    pub fn keyword_with(&self, label: &str, metrics: &Metrics) -> Option<KeywordAnalysis> {
-        self.keyword_traced(label, metrics, &Provenance::disabled())
-    }
-
-    /// [`Analysis::keyword_with`] plus per-rule decision lineage in
-    /// `provenance` (winner/loser edges for every pruning decision; see
-    /// [`irma_rules::prune_rules_traced`]).
+    /// [`Analysis::keyword`] with observability: the pruning stage emits a
+    /// `rules.prune` event with per-condition counts into `metrics`, and
+    /// every pruning decision's winner/loser edges land in `provenance`
+    /// (see [`irma_rules::prune_rules`]). Every `Analysis` is built by
+    /// [`crate::try_analyze_traced_hooked`], which validates `config.prune`
+    /// up front, so pruning here cannot fail on its margins.
     pub fn keyword_traced(
         &self,
         label: &str,
@@ -130,24 +78,16 @@ impl Analysis {
         provenance: &Provenance,
     ) -> Option<KeywordAnalysis> {
         let id = self.item(label)?;
-        Some(KeywordAnalysis::run_traced(
-            &self.rules,
-            id,
-            &self.config.prune,
-            metrics,
-            provenance,
-        ))
+        let analysis =
+            KeywordAnalysis::run(&self.rules, id, &self.config.prune, metrics, provenance)
+                .expect("prune params validated when the analysis was built");
+        Some(analysis)
     }
 
-    /// Renders a keyword analysis as the paper's C/A table.
-    pub fn render_keyword(&self, label: &str, top: usize) -> String {
-        self.render_keyword_with(label, top, &Metrics::disabled())
-    }
-
-    /// [`Analysis::render_keyword`] with observability (see
-    /// [`Analysis::keyword_with`]).
+    /// Renders a keyword analysis as the paper's C/A table, reporting the
+    /// pruning stage into `metrics` (see [`Analysis::keyword_traced`]).
     pub fn render_keyword_with(&self, label: &str, top: usize, metrics: &Metrics) -> String {
-        match self.keyword_with(label, metrics) {
+        match self.keyword_traced(label, metrics, &Provenance::disabled()) {
             Some(analysis) => {
                 let id = self.item(label).expect("keyword checked above");
                 analysis.render(&self.encoded.catalog, id, top)
@@ -267,6 +207,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{try_analyze, try_analyze_traced};
     use irma_data::read_csv_str;
     use irma_prep::{FeatureSpec, ZeroBin};
 
@@ -290,7 +231,7 @@ mod tests {
         ]);
         let mut config = AnalysisConfig::default();
         config.rules.min_lift = 1.2;
-        analyze(&frame, &spec, &config)
+        try_analyze(&frame, &spec, &config).unwrap()
     }
 
     #[test]
@@ -316,7 +257,7 @@ mod tests {
     fn unknown_keyword_is_none() {
         let analysis = tiny_analysis();
         assert!(analysis.keyword("No Such Item").is_none());
-        let text = analysis.render_keyword("No Such Item", 5);
+        let text = analysis.render_keyword_with("No Such Item", 5, &Metrics::disabled());
         assert!(text.contains("not present"));
     }
 
@@ -365,8 +306,9 @@ mod tests {
         let mut config = AnalysisConfig::default();
         config.rules.min_lift = 1.2;
         let metrics = Metrics::enabled();
-        let analysis = analyze_with(&frame, &spec, &config, &metrics);
-        let _ = analysis.keyword_with("SM Util = 0%", &metrics);
+        let analysis =
+            try_analyze_traced(&frame, &spec, &config, &metrics, &Provenance::disabled()).unwrap();
+        let _ = analysis.keyword_traced("SM Util = 0%", &metrics, &Provenance::disabled());
         let snap = metrics.snapshot();
         for stage in [
             "core.analyze",
@@ -420,7 +362,8 @@ mod tests {
         let mut config = AnalysisConfig::default();
         config.rules.min_lift = 1.2;
         let provenance = Provenance::enabled();
-        let analysis = analyze_traced(&frame, &spec, &config, &Metrics::disabled(), &provenance);
+        let analysis =
+            try_analyze_traced(&frame, &spec, &config, &Metrics::disabled(), &provenance).unwrap();
         let kw = analysis
             .keyword_traced("SM Util = 0%", &Metrics::disabled(), &provenance)
             .unwrap();
@@ -450,7 +393,7 @@ mod tests {
                 algorithm,
                 ..AnalysisConfig::default()
             };
-            rules_by_algo.push(analyze(&frame, &spec, &config).rules);
+            rules_by_algo.push(try_analyze(&frame, &spec, &config).unwrap().rules);
         }
         assert_eq!(rules_by_algo[0], rules_by_algo[1]);
         assert_eq!(rules_by_algo[0], rules_by_algo[2]);

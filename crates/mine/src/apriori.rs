@@ -276,21 +276,12 @@ fn dedup_transactions(db: &TransactionDb) -> Vec<(u32, u64)> {
 /// Mines all frequent itemsets with the Apriori algorithm.
 ///
 /// Output-equivalent to [`crate::fpgrowth`]; kept as the performance
-/// baseline and as a cross-check oracle in property tests.
-pub fn apriori(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    match try_apriori(db, config, &BudgetGuard::unlimited()) {
-        Ok(frequent) => frequent,
-        // Unlimited guard: only a config error can surface here, matching
-        // the panic the infallible signature always had.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`apriori`] made fault-tolerant: itemset/deadline budgets are checked
-/// once per level (level-wise search has no deep recursion to interleave
-/// checks into) and per emitted itemset, and a cancelled token makes the
-/// parallel counting fold skip its remaining transactions.
-pub fn try_apriori(
+/// baseline and as a cross-check oracle in property tests. Itemset and
+/// deadline budgets are checked once per level (level-wise search has no
+/// deep recursion to interleave checks into) and per emitted itemset, and
+/// a cancelled token makes the parallel counting fold skip its remaining
+/// transactions.
+pub fn apriori(
     db: &TransactionDb,
     config: &MinerConfig,
     guard: &BudgetGuard,
@@ -378,6 +369,7 @@ pub fn try_apriori(
 mod tests {
     use super::*;
     use crate::fpgrowth::fpgrowth;
+    use irma_obs::Metrics;
 
     fn textbook_db() -> TransactionDb {
         TransactionDb::from_transactions(vec![
@@ -403,8 +395,14 @@ mod tests {
                 max_len: 5,
                 parallel: false,
             };
-            let a = apriori(&db, &config);
-            let f = fpgrowth(&db, &config);
+            let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
+            let f = fpgrowth(
+                &db,
+                &config,
+                &Metrics::disabled(),
+                &BudgetGuard::unlimited(),
+            )
+            .unwrap();
             assert_eq!(a.as_slice(), f.as_slice(), "support {min_support}");
         }
     }
@@ -412,7 +410,12 @@ mod tests {
     #[test]
     fn counts_match_brute_force() {
         let db = textbook_db();
-        let fi = apriori(&db, &MinerConfig::with_min_support(0.2));
+        let fi = apriori(
+            &db,
+            &MinerConfig::with_min_support(0.2),
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap();
         for (set, count) in fi.iter() {
             assert_eq!(*count, db.support_count(set), "wrong count for {set}");
         }
@@ -447,7 +450,7 @@ mod tests {
             max_len: 2,
             parallel: false,
         };
-        let fi = apriori(&db, &config);
+        let fi = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
     }
 

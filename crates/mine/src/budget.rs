@@ -111,8 +111,8 @@ impl std::fmt::Display for BudgetBreach {
     }
 }
 
-/// A typed mining failure: what [`crate::Algorithm::try_mine_with`] and
-/// the `try_*` miner entry points return instead of panicking/aborting.
+/// A typed mining failure: what [`crate::Algorithm::mine`] and the
+/// miner entry points return instead of panicking/aborting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MineError {
     /// The [`crate::MinerConfig`] failed validation.
@@ -292,8 +292,8 @@ impl BudgetGuard {
         self.emitted.load(Ordering::Relaxed)
     }
 
-    /// Cooperative poll: cancellation flag always, wall clock every
-    /// [`CHECK_STRIDE`] calls. Call once per recursion step.
+    /// Cooperative poll: cancellation flag always, wall clock every 64
+    /// calls. Call once per recursion step.
     pub fn checkpoint(&self) -> Result<(), BudgetBreach> {
         if self.token.is_cancelled() {
             return Err(BudgetBreach::Cancelled);

@@ -79,9 +79,11 @@ pub fn support_from_closed(closed: &[(Itemset, u64)], itemset: &Itemset) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetGuard;
     use crate::counts::MinerConfig;
     use crate::db::TransactionDb;
     use crate::fpgrowth::fpgrowth;
+    use irma_obs::Metrics;
 
     fn db() -> TransactionDb {
         TransactionDb::from_transactions(vec![
@@ -94,7 +96,14 @@ mod tests {
     }
 
     fn mined() -> FrequentItemsets {
-        fpgrowth(&db(), &MinerConfig::with_min_support(0.2))
+        let config = MinerConfig::with_min_support(0.2);
+        fpgrowth(
+            &db(),
+            &config,
+            &Metrics::disabled(),
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap()
     }
 
     #[test]

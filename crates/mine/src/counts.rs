@@ -262,7 +262,17 @@ mod tests {
 
     #[test]
     fn mine_top_k_raises_support_dynamically() {
+        use crate::budget::BudgetGuard;
         use crate::fpgrowth::fpgrowth;
+        let fpgrowth = |db: &crate::db::TransactionDb, config: &MinerConfig| {
+            fpgrowth(
+                db,
+                config,
+                &irma_obs::Metrics::disabled(),
+                &BudgetGuard::unlimited(),
+            )
+            .unwrap()
+        };
         // 0 in every txn; 1 in half; 2 rare.
         let txns: Vec<Vec<u32>> = (0..64)
             .map(|i| {

@@ -201,20 +201,11 @@ fn extend(
 }
 
 /// Mines all frequent itemsets with the Eclat algorithm.
-pub fn eclat(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    match try_eclat(db, config, &BudgetGuard::unlimited()) {
-        Ok(frequent) => frequent,
-        // Unlimited guard: only a config error can surface here, matching
-        // the panic the infallible signature always had.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`eclat`] made fault-tolerant: budget breaches come back as
-/// [`MineError::Budget`]. In the parallel fan-out each prefix subtree
-/// returns its own `Result`; the lowest-position error wins so the
-/// reported breach is deterministic.
-pub fn try_eclat(
+///
+/// Budget breaches come back as [`MineError::Budget`]. In the parallel
+/// fan-out each prefix subtree returns its own `Result`; the
+/// lowest-position error wins so the reported breach is deterministic.
+pub fn eclat(
     db: &TransactionDb,
     config: &MinerConfig,
     guard: &BudgetGuard,
@@ -304,6 +295,7 @@ mod tests {
     use super::*;
     use crate::apriori::apriori;
     use crate::fpgrowth::fpgrowth;
+    use irma_obs::Metrics;
 
     fn textbook_db() -> TransactionDb {
         TransactionDb::from_transactions(vec![
@@ -407,9 +399,15 @@ mod tests {
                     max_len: 5,
                     parallel,
                 };
-                let e = eclat(&db, &config);
-                let f = fpgrowth(&db, &config);
-                let a = apriori(&db, &config);
+                let e = eclat(&db, &config, &BudgetGuard::unlimited()).unwrap();
+                let f = fpgrowth(
+                    &db,
+                    &config,
+                    &Metrics::disabled(),
+                    &BudgetGuard::unlimited(),
+                )
+                .unwrap();
+                let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
                 assert_eq!(e.as_slice(), f.as_slice());
                 assert_eq!(e.as_slice(), a.as_slice());
             }
@@ -419,7 +417,12 @@ mod tests {
     #[test]
     fn counts_match_brute_force() {
         let db = textbook_db();
-        let fi = eclat(&db, &MinerConfig::with_min_support(0.2));
+        let fi = eclat(
+            &db,
+            &MinerConfig::with_min_support(0.2),
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap();
         for (set, count) in fi.iter() {
             assert_eq!(*count, db.support_count(set));
         }
@@ -433,7 +436,7 @@ mod tests {
             max_len: 3,
             parallel: false,
         };
-        let fi = eclat(&db, &config);
+        let fi = eclat(&db, &config, &BudgetGuard::unlimited()).unwrap();
         assert!(fi.iter().all(|(s, _)| s.len() <= 3));
         assert!(fi.iter().any(|(s, _)| s.len() == 3));
     }

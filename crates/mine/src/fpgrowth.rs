@@ -380,7 +380,7 @@ fn emit_single_path(
 }
 
 /// Per-run mining statistics, accumulated locally (no synchronization in
-/// the hot recursion) and merged in rank order by [`fpgrowth_with`].
+/// the hot recursion) and merged in rank order by [`fpgrowth_paths`].
 #[derive(Debug, Clone, Copy, Default)]
 struct MineStats {
     /// Conditional FP-trees built during the recursion.
@@ -587,34 +587,6 @@ fn mine_one_rank(
     Ok((chunk, stats))
 }
 
-/// Mines all frequent itemsets with FP-Growth.
-///
-/// Equivalent to [`crate::apriori`] and [`crate::eclat`] in output (the
-/// equivalence is property-tested) but asymptotically cheaper on large,
-/// dense databases.
-pub fn fpgrowth(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    fpgrowth_with(db, config, &Metrics::disabled())
-}
-
-/// [`fpgrowth`] with observability: emits a `mine.tree_build` stage event
-/// (transactions in, surviving frequent items) and a `mine.mine` event
-/// (itemsets out, conditional trees built, single-path shortcuts taken)
-/// into `metrics`. Statistics are accumulated thread-locally and merged,
-/// so the recursion is as hot as the uninstrumented path.
-pub fn fpgrowth_with(
-    db: &TransactionDb,
-    config: &MinerConfig,
-    metrics: &Metrics,
-) -> FrequentItemsets {
-    match try_fpgrowth_with(db, config, metrics, &BudgetGuard::unlimited()) {
-        Ok(frequent) => frequent,
-        // An unlimited guard never trips and contains no injected faults,
-        // so the only reachable error is a config one — the panic the
-        // infallible signature always had.
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Renders a `catch_unwind` payload for a [`MineError::WorkerPanic`].
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -626,19 +598,31 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`fpgrowth_with`] made fault-tolerant: budget breaches come back as
-/// [`MineError::Budget`], an invalid config as [`MineError::InvalidConfig`],
-/// and a panic inside any parallel subtree — wherever it was stolen to —
-/// is contained by the nearest leaf's `catch_unwind` and surfaced as
-/// [`MineError::WorkerPanic`] (lowest poisoned rank wins when several
-/// fail, so the error is deterministic).
-pub fn try_fpgrowth_with(
+/// Mines all frequent itemsets with FP-Growth.
+///
+/// Equivalent to [`crate::apriori`] and [`crate::eclat`] in output (the
+/// equivalence is property-tested) but asymptotically cheaper on large,
+/// dense databases.
+///
+/// Emits a `mine.tree_build` stage event (transactions in, surviving
+/// frequent items) and a `mine.mine` event (itemsets out, conditional
+/// trees built, single-path shortcuts taken) into `metrics`; statistics
+/// are accumulated thread-locally and merged, so the recursion is as hot
+/// as with a disabled registry.
+///
+/// Budget breaches come back as [`MineError::Budget`], an invalid config
+/// as [`MineError::InvalidConfig`], and a panic inside any parallel
+/// subtree — wherever it was stolen to — is contained by the nearest
+/// leaf's `catch_unwind` and surfaced as [`MineError::WorkerPanic`]
+/// (lowest poisoned rank wins when several fail, so the error is
+/// deterministic).
+pub fn fpgrowth(
     db: &TransactionDb,
     config: &MinerConfig,
     metrics: &Metrics,
     guard: &BudgetGuard,
 ) -> Result<FrequentItemsets, MineError> {
-    try_fpgrowth_paths_with(
+    fpgrowth_paths(
         db.iter().map(|t| (t, 1)),
         db.len(),
         db.n_items(),
@@ -648,7 +632,7 @@ pub fn try_fpgrowth_with(
     )
 }
 
-/// [`try_fpgrowth_with`] over *weighted paths* instead of a materialized
+/// [`fpgrowth`] over *weighted paths* instead of a materialized
 /// [`TransactionDb`]: the entry point for callers that already hold the
 /// window in compressed form (the incrementally-maintained prefix tree in
 /// [`crate::SlidingWindowMiner`]), so re-mining skips the
@@ -660,7 +644,7 @@ pub fn try_fpgrowth_with(
 /// denominator but to no path). The output is identical to mining the
 /// materialized window: the tree builder recounts and re-ranks from the
 /// weighted multiset, which insertion order cannot affect.
-pub fn try_fpgrowth_paths_with<'a, I>(
+pub fn fpgrowth_paths<'a, I>(
     paths: I,
     n_transactions: usize,
     n_items: usize,
@@ -739,19 +723,23 @@ mod tests {
         ])
     }
 
-    fn mine_with(db: &TransactionDb, min_support: f64, parallel: bool) -> FrequentItemsets {
+    fn mine_db(db: &TransactionDb, min_support: f64, parallel: bool) -> FrequentItemsets {
         let config = MinerConfig {
             min_support,
             max_len: 5,
             parallel,
         };
-        fpgrowth(db, &config)
+        unbudgeted(db, &config)
+    }
+
+    fn unbudgeted(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
+        fpgrowth(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()).unwrap()
     }
 
     #[test]
     fn counts_match_brute_force() {
         let db = textbook_db();
-        let fi = mine_with(&db, 0.2, false);
+        let fi = mine_db(&db, 0.2, false);
         assert!(!fi.is_empty());
         for (set, count) in fi.iter() {
             assert_eq!(*count, db.support_count(set), "wrong count for {set}");
@@ -761,7 +749,7 @@ mod tests {
     #[test]
     fn finds_all_frequent_itemsets() {
         let db = textbook_db();
-        let fi = mine_with(&db, 0.2, false);
+        let fi = mine_db(&db, 0.2, false);
         // Brute-force enumeration over the 5-item universe.
         let mut expected = 0usize;
         for mask in 1u32..(1 << 5) {
@@ -780,21 +768,21 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let db = textbook_db();
-        let seq = mine_with(&db, 0.2, false);
-        let par = mine_with(&db, 0.2, true);
+        let seq = mine_db(&db, 0.2, false);
+        let par = mine_db(&db, 0.2, true);
         assert_eq!(seq.as_slice(), par.as_slice());
     }
 
     #[test]
     fn parallel_matches_sequential_on_multithread_pool() {
         let db = textbook_db();
-        let seq = mine_with(&db, 0.2, false);
+        let seq = mine_db(&db, 0.2, false);
         for width in [2usize, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
                 .unwrap();
-            let par = pool.install(|| mine_with(&db, 0.2, true));
+            let par = pool.install(|| mine_db(&db, 0.2, true));
             assert_eq!(seq.as_slice(), par.as_slice(), "width {width}");
         }
     }
@@ -807,10 +795,10 @@ mod tests {
             max_len: 2,
             parallel: false,
         };
-        let fi = fpgrowth(&db, &config);
+        let fi = unbudgeted(&db, &config);
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
         // And the capped family equals the full family filtered to len<=2.
-        let full = mine_with(&db, 0.1, false);
+        let full = mine_db(&db, 0.1, false);
         let expected: Vec<_> = full.iter().filter(|(s, _)| s.len() <= 2).cloned().collect();
         assert_eq!(fi.as_slice(), expected.as_slice());
     }
@@ -818,7 +806,7 @@ mod tests {
     #[test]
     fn high_support_returns_only_heavy_hitters() {
         let db = textbook_db();
-        let fi = mine_with(&db, 0.8, false);
+        let fi = mine_db(&db, 0.8, false);
         assert_eq!(fi.len(), 1);
         assert_eq!(fi.count(&Itemset::singleton(0)), Some(8));
     }
@@ -826,14 +814,14 @@ mod tests {
     #[test]
     fn empty_db_yields_nothing() {
         let db = TransactionDb::from_transactions(Vec::<Vec<ItemId>>::new());
-        let fi = mine_with(&db, 0.5, false);
+        let fi = mine_db(&db, 0.5, false);
         assert!(fi.is_empty());
     }
 
     #[test]
     fn single_transaction() {
         let db = TransactionDb::from_transactions(vec![vec![0, 1, 2]]);
-        let fi = mine_with(&db, 1.0, false);
+        let fi = mine_db(&db, 1.0, false);
         assert_eq!(fi.len(), 7); // 2^3 - 1 subsets
         assert_eq!(fi.count(&Itemset::from_items([0, 1, 2])), Some(1));
     }
@@ -842,7 +830,13 @@ mod tests {
     fn metrics_capture_build_and_mine_split() {
         let db = textbook_db();
         let metrics = Metrics::enabled();
-        let fi = fpgrowth_with(&db, &MinerConfig::with_min_support(0.2), &metrics);
+        let fi = fpgrowth(
+            &db,
+            &MinerConfig::with_min_support(0.2),
+            &metrics,
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap();
         let snap = metrics.snapshot();
         let build = snap.stage("mine.tree_build").expect("tree_build event");
         assert_eq!(build.field("transactions_in"), Some(10));
@@ -865,7 +859,7 @@ mod tests {
             .sum();
         assert_eq!(per_rank, fi.len() as u64);
         // Disabled-path result is identical.
-        let plain = fpgrowth(&db, &MinerConfig::with_min_support(0.2));
+        let plain = unbudgeted(&db, &MinerConfig::with_min_support(0.2));
         assert_eq!(plain.as_slice(), fi.as_slice());
     }
 
@@ -930,7 +924,7 @@ mod tests {
             vec![0, 1, 2],
             vec![0, 1, 2],
         ]);
-        let fi = mine_with(&db, 0.25, false);
+        let fi = mine_db(&db, 0.25, false);
         assert_eq!(fi.count(&Itemset::from_items([0])), Some(4));
         assert_eq!(fi.count(&Itemset::from_items([0, 1])), Some(3));
         assert_eq!(fi.count(&Itemset::from_items([1, 2])), Some(2));

@@ -10,20 +10,24 @@
 //! * [`eclat`] — a vertical (tid-list) miner used as a third independent
 //!   oracle in the equivalence property tests.
 //!
-//! All three take a [`TransactionDb`] and a [`MinerConfig`] and return the
-//! identical [`FrequentItemsets`] family (property-tested), so downstream
-//! rule generation is miner-agnostic.
+//! All three take a [`TransactionDb`], a [`MinerConfig`] and a
+//! [`BudgetGuard`] and return the identical [`FrequentItemsets`] family
+//! (property-tested) or a typed [`MineError`], so downstream rule
+//! generation is miner-agnostic.
 //!
 //! ```
-//! use irma_mine::{fpgrowth, MinerConfig, TransactionDb, Itemset};
+//! use irma_mine::{fpgrowth, BudgetGuard, Itemset, MinerConfig, TransactionDb};
+//! use irma_obs::Metrics;
 //!
 //! let db = TransactionDb::from_transactions(vec![
 //!     vec![0, 1, 2],
 //!     vec![0, 1],
 //!     vec![0, 2],
 //! ]);
-//! let frequent = fpgrowth(&db, &MinerConfig::with_min_support(0.6));
+//! let config = MinerConfig::with_min_support(0.6);
+//! let frequent = fpgrowth(&db, &config, &Metrics::disabled(), &BudgetGuard::unlimited())?;
 //! assert_eq!(frequent.count(&Itemset::from_items([0, 1])), Some(2));
+//! # Ok::<(), irma_mine::MineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -40,13 +44,13 @@ mod item;
 pub mod simd;
 mod stream;
 
-pub use apriori::{apriori, try_apriori};
+pub use apriori::apriori;
 pub use budget::{BudgetBreach, BudgetGuard, CancelToken, ExecBudget, MineError};
 pub use condense::{closed_itemsets, maximal_itemsets, support_from_closed};
 pub use counts::{mine_top_k, FrequentItemsets, MinerConfig};
 pub use db::TransactionDb;
-pub use eclat::{eclat, try_eclat};
-pub use fpgrowth::{fpgrowth, fpgrowth_with, try_fpgrowth_paths_with, try_fpgrowth_with};
+pub use eclat::eclat;
+pub use fpgrowth::{fpgrowth, fpgrowth_paths};
 pub use incremental::IncrementalFpTree;
 pub use item::{is_sorted_subset, ItemCatalog, ItemId, Itemset};
 pub use stream::SlidingWindowMiner;
@@ -64,40 +68,13 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Runs the selected miner.
-    pub fn mine(self, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-        self.mine_with(db, config, &irma_obs::Metrics::disabled())
-    }
-
-    /// [`Algorithm::mine`] with observability. FP-Growth reports its
-    /// tree-build/mine split; the baselines emit a single `mine.mine`
-    /// stage event with the input/output cardinalities.
-    pub fn mine_with(
-        self,
-        db: &TransactionDb,
-        config: &MinerConfig,
-        metrics: &irma_obs::Metrics,
-    ) -> FrequentItemsets {
-        match self {
-            Algorithm::FpGrowth => fpgrowth_with(db, config, metrics),
-            Algorithm::Apriori | Algorithm::Eclat => {
-                let mut span = metrics.span("mine.mine");
-                let frequent = match self {
-                    Algorithm::Apriori => apriori(db, config),
-                    _ => eclat(db, config),
-                };
-                span.field("transactions_in", db.len() as u64);
-                span.field("itemsets_out", frequent.len() as u64);
-                frequent
-            }
-        }
-    }
-
-    /// [`Algorithm::mine_with`] made fault-tolerant: runs the selected
-    /// miner under `guard`, so budget breaches, invalid configs, and
-    /// (for FP-Growth's fan-out) contained worker panics come back as a
-    /// typed [`MineError`] instead of unwinding.
-    pub fn try_mine_with(
+    /// Runs the selected miner under `guard`, so budget breaches, invalid
+    /// configs, and (for FP-Growth's fan-out) contained worker panics come
+    /// back as a typed [`MineError`] instead of unwinding. FP-Growth
+    /// reports its tree-build/mine split into `metrics`; the baselines emit
+    /// a single `mine.mine` stage event with the input/output
+    /// cardinalities.
+    pub fn mine(
         self,
         db: &TransactionDb,
         config: &MinerConfig,
@@ -105,12 +82,12 @@ impl Algorithm {
         guard: &BudgetGuard,
     ) -> Result<FrequentItemsets, MineError> {
         match self {
-            Algorithm::FpGrowth => try_fpgrowth_with(db, config, metrics, guard),
+            Algorithm::FpGrowth => fpgrowth(db, config, metrics, guard),
             Algorithm::Apriori | Algorithm::Eclat => {
                 let mut span = metrics.span("mine.mine");
                 let frequent = match self {
-                    Algorithm::Apriori => try_apriori(db, config, guard)?,
-                    _ => try_eclat(db, config, guard)?,
+                    Algorithm::Apriori => apriori(db, config, guard)?,
+                    _ => eclat(db, config, guard)?,
                 };
                 span.field("transactions_in", db.len() as u64);
                 span.field("itemsets_out", frequent.len() as u64);

@@ -27,7 +27,7 @@ use irma_obs::Metrics;
 use crate::budget::{BudgetGuard, MineError};
 use crate::counts::{FrequentItemsets, MinerConfig};
 use crate::db::TransactionDb;
-use crate::fpgrowth::try_fpgrowth_paths_with;
+use crate::fpgrowth::fpgrowth_paths;
 use crate::incremental::IncrementalFpTree;
 use crate::item::ItemId;
 
@@ -194,32 +194,14 @@ impl SlidingWindowMiner {
             .sum()
     }
 
-    /// Mines the current window with FP-Growth and resets the drift
-    /// baseline. Unbudgeted; daemons should use
-    /// [`SlidingWindowMiner::try_mine`] instead.
-    pub fn mine(&mut self) -> FrequentItemsets {
-        match self.try_mine(&BudgetGuard::unlimited()) {
-            Ok(frequent) => frequent,
-            // An unlimited guard never trips, so the only reachable error
-            // is a config one — rejected by the constructor already.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`SlidingWindowMiner::mine`] under an execution budget: a breach
-    /// comes back as [`MineError::Budget`] with the drift baseline — and
-    /// therefore the caller's re-mine triggering — left exactly as it
-    /// was, so a failed attempt neither masks the drift that prompted it
-    /// nor double-counts it on retry.
-    pub fn try_mine(&mut self, guard: &BudgetGuard) -> Result<FrequentItemsets, MineError> {
-        let config = self.config.clone();
-        self.try_mine_with(&config, guard)
-    }
-
-    /// [`SlidingWindowMiner::try_mine`] with an explicit config override:
-    /// the degradation ladder's entry point, where retries relax the
-    /// knobs without mutating the miner's own configuration.
-    pub fn try_mine_with(
+    /// Mines the current window with FP-Growth under `config` and `guard`
+    /// and resets the drift baseline. `config` overrides the miner's own
+    /// (the degradation ladder relaxes the knobs without mutating the
+    /// miner). A breach comes back as [`MineError::Budget`] with the drift
+    /// baseline — and therefore the caller's re-mine triggering — left
+    /// exactly as it was, so a failed attempt neither masks the drift that
+    /// prompted it nor double-counts it on retry.
+    pub fn mine(
         &mut self,
         config: &MinerConfig,
         guard: &BudgetGuard,
@@ -233,7 +215,7 @@ impl SlidingWindowMiner {
             .path_spans
             .iter()
             .map(|&(start, end, weight)| (&items[start as usize..end as usize], weight));
-        let result = try_fpgrowth_paths_with(
+        let result = fpgrowth_paths(
             paths,
             self.window.len(),
             self.item_counts.len().max(1),
@@ -330,8 +312,26 @@ mod tests {
     use crate::fpgrowth::fpgrowth;
     use crate::item::Itemset;
 
+    fn config() -> MinerConfig {
+        MinerConfig::with_min_support(0.5)
+    }
+
     fn miner(capacity: usize) -> SlidingWindowMiner {
-        SlidingWindowMiner::new(capacity, MinerConfig::with_min_support(0.5))
+        SlidingWindowMiner::new(capacity, config())
+    }
+
+    fn remine(m: &mut SlidingWindowMiner) -> FrequentItemsets {
+        m.mine(&config(), &BudgetGuard::unlimited()).unwrap()
+    }
+
+    fn batch(db: &TransactionDb) -> FrequentItemsets {
+        fpgrowth(
+            db,
+            &config(),
+            &Metrics::disabled(),
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -371,9 +371,8 @@ mod tests {
             m.push(txn);
         }
         // Window holds the last four transactions.
-        let frequent = m.mine();
-        let batch = fpgrowth(&m.snapshot(), &MinerConfig::with_min_support(0.5));
-        assert_eq!(frequent.as_slice(), batch.as_slice());
+        let frequent = remine(&mut m);
+        assert_eq!(frequent.as_slice(), batch(&m.snapshot()).as_slice());
         assert_eq!(frequent.count(&Itemset::from_items([0, 1])), Some(2));
     }
 
@@ -384,7 +383,7 @@ mod tests {
             m.push([0, 1]);
         }
         assert!(m.drift().is_infinite(), "no baseline yet");
-        m.mine();
+        remine(&mut m);
         assert_eq!(m.drift(), 0.0);
         // Same distribution keeps drift at zero.
         m.push([0, 1]);
@@ -405,11 +404,11 @@ mod tests {
         for i in 0..6u32 {
             m.push([i % 4, (i * 3) % 4]);
         }
-        m.mine();
+        remine(&mut m);
         for i in 0..40u32 {
             m.push([i % 5, (i * 7 + 1) % 5]);
             if i % 11 == 0 {
-                m.mine();
+                remine(&mut m);
             }
             let cached = m.drift();
             let recomputed = {
@@ -437,7 +436,7 @@ mod tests {
         for txn in [vec![0, 1], vec![0, 1], vec![0, 2], vec![1, 2]] {
             m.push(txn);
         }
-        m.mine();
+        remine(&mut m);
         m.push([3, 4]);
         let drift_before = m.drift();
         assert!(drift_before > 0.0);
@@ -446,14 +445,13 @@ mod tests {
             max_itemsets: Some(0),
             ..ExecBudget::default()
         };
-        let err = m.try_mine(&BudgetGuard::new(&budget)).unwrap_err();
+        let err = m.mine(&config(), &BudgetGuard::new(&budget)).unwrap_err();
         assert!(matches!(err, MineError::Budget { .. }), "{err}");
         // Baseline untouched: drift still reports the same pending change,
         // and a successful retry mines the identical window.
         assert_eq!(m.drift(), drift_before);
-        let frequent = m.try_mine(&BudgetGuard::unlimited()).unwrap();
-        let batch = fpgrowth(&m.snapshot(), &MinerConfig::with_min_support(0.5));
-        assert_eq!(frequent.as_slice(), batch.as_slice());
+        let frequent = remine(&mut m);
+        assert_eq!(frequent.as_slice(), batch(&m.snapshot()).as_slice());
         assert_eq!(m.drift(), 0.0);
     }
 
@@ -480,9 +478,9 @@ mod tests {
         let mut m = miner(2).with_metrics(metrics.clone());
         m.push([0, 1]);
         m.push([0, 1]);
-        m.mine(); // first mine: no finite drift yet
+        remine(&mut m); // first mine: no finite drift yet
         m.push([2, 3]); // evicts one transaction
-        m.mine();
+        remine(&mut m);
         let snap = metrics.snapshot();
         assert!(snap.counters.contains(&("stream.evictions".to_string(), 1)));
         assert!(snap.counters.contains(&("stream.remines".to_string(), 2)));
@@ -518,7 +516,7 @@ mod tests {
             max_itemsets: Some(0),
             ..ExecBudget::default()
         };
-        assert!(m.try_mine(&BudgetGuard::new(&budget)).is_err());
+        assert!(m.mine(&config(), &BudgetGuard::new(&budget)).is_err());
         let snap = metrics.snapshot();
         assert!(snap
             .counters

@@ -1,14 +1,14 @@
 //! Budget integration tests: all three miners honour the same
-//! `ExecBudget` contract — unlimited guards reproduce the infallible
-//! output bit-for-bit, itemset caps and zero deadlines surface as typed
+//! `ExecBudget` contract — unlimited guards agree bit-for-bit across
+//! miners and through the `Algorithm` dispatch, itemset caps and zero deadlines surface as typed
 //! breaches, and an injected worker panic in FP-Growth's parallel
 //! fan-out is contained into `MineError::WorkerPanic`.
 
 use std::time::Duration;
 
 use irma_mine::{
-    apriori, eclat, fpgrowth, try_apriori, try_eclat, try_fpgrowth_with, Algorithm, BudgetBreach,
-    BudgetGuard, ExecBudget, MineError, MinerConfig, TransactionDb,
+    apriori, eclat, fpgrowth, Algorithm, BudgetBreach, BudgetGuard, ExecBudget, MineError,
+    MinerConfig, TransactionDb,
 };
 use irma_obs::Metrics;
 
@@ -36,17 +36,22 @@ fn config(parallel: bool) -> MinerConfig {
 }
 
 #[test]
-fn unlimited_guard_matches_infallible_miners() {
+fn unlimited_guard_miners_agree() {
     let db = textbook_db();
     for parallel in [false, true] {
         let cfg = config(parallel);
         let guard = BudgetGuard::unlimited();
-        let f = try_fpgrowth_with(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
-        assert_eq!(f.as_slice(), fpgrowth(&db, &cfg).as_slice());
-        let a = try_apriori(&db, &cfg, &guard).unwrap();
-        assert_eq!(a.as_slice(), apriori(&db, &cfg).as_slice());
-        let e = try_eclat(&db, &cfg, &guard).unwrap();
-        assert_eq!(e.as_slice(), eclat(&db, &cfg).as_slice());
+        let f = fpgrowth(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
+        let a = apriori(&db, &cfg, &guard).unwrap();
+        assert_eq!(f.as_slice(), a.as_slice());
+        let e = eclat(&db, &cfg, &guard).unwrap();
+        assert_eq!(f.as_slice(), e.as_slice());
+        for algorithm in Algorithm::all() {
+            let dispatched = algorithm
+                .mine(&db, &cfg, &Metrics::disabled(), &guard)
+                .unwrap();
+            assert_eq!(f.as_slice(), dispatched.as_slice(), "{}", algorithm.name());
+        }
     }
 }
 
@@ -61,7 +66,7 @@ fn itemset_cap_trips_every_miner() {
         for parallel in [false, true] {
             let guard = BudgetGuard::new(&budget);
             let err = algorithm
-                .try_mine_with(&db, &config(parallel), &Metrics::disabled(), &guard)
+                .mine(&db, &config(parallel), &Metrics::disabled(), &guard)
                 .unwrap_err();
             match err {
                 MineError::Budget(BudgetBreach::Itemsets { cap: 3, .. }) => {}
@@ -81,7 +86,7 @@ fn zero_deadline_trips_every_miner() {
     for algorithm in Algorithm::all() {
         let guard = BudgetGuard::new(&budget);
         let err = algorithm
-            .try_mine_with(&db, &config(true), &Metrics::disabled(), &guard)
+            .mine(&db, &config(true), &Metrics::disabled(), &guard)
             .unwrap_err();
         assert!(
             matches!(err, MineError::Budget(BudgetBreach::Deadline { .. })),
@@ -99,7 +104,7 @@ fn tiny_tree_memory_cap_trips_fpgrowth() {
         ..ExecBudget::default()
     };
     let guard = BudgetGuard::new(&budget);
-    let err = try_fpgrowth_with(&db, &config(false), &Metrics::disabled(), &guard).unwrap_err();
+    let err = fpgrowth(&db, &config(false), &Metrics::disabled(), &guard).unwrap_err();
     assert!(
         matches!(
             err,
@@ -117,7 +122,7 @@ fn injected_worker_panic_is_contained_in_parallel_fpgrowth() {
         ..ExecBudget::default()
     };
     let guard = BudgetGuard::new(&budget);
-    let err = try_fpgrowth_with(&db, &config(true), &Metrics::disabled(), &guard).unwrap_err();
+    let err = fpgrowth(&db, &config(true), &Metrics::disabled(), &guard).unwrap_err();
     match err {
         MineError::WorkerPanic { message } => {
             assert!(
@@ -138,7 +143,7 @@ fn cancelled_token_stops_all_miners() {
         let guard = BudgetGuard::with_token(&ExecBudget::default(), guard.token().clone());
         guard.token().cancel();
         let err = algorithm
-            .try_mine_with(&db, &config(false), &Metrics::disabled(), &guard)
+            .mine(&db, &config(false), &Metrics::disabled(), &guard)
             .unwrap_err();
         assert!(
             matches!(err, MineError::Budget(BudgetBreach::Cancelled)),
@@ -160,9 +165,16 @@ fn generous_budget_changes_nothing() {
     for algorithm in Algorithm::all() {
         let guard = BudgetGuard::new(&budget);
         let bounded = algorithm
-            .try_mine_with(&db, &config(true), &Metrics::disabled(), &guard)
+            .mine(&db, &config(true), &Metrics::disabled(), &guard)
             .unwrap();
-        let free = algorithm.mine(&db, &config(true));
+        let free = algorithm
+            .mine(
+                &db,
+                &config(true),
+                &Metrics::disabled(),
+                &BudgetGuard::unlimited(),
+            )
+            .unwrap();
         assert_eq!(bounded.as_slice(), free.as_slice(), "{}", algorithm.name());
     }
 }

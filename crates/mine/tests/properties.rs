@@ -3,7 +3,15 @@
 
 use proptest::prelude::*;
 
-use irma_mine::{apriori, eclat, fpgrowth, Itemset, MinerConfig, TransactionDb};
+use irma_mine::{Algorithm, BudgetGuard, FrequentItemsets, Itemset, MinerConfig, TransactionDb};
+use irma_obs::Metrics;
+
+/// Runs `algorithm` unbudgeted and unobserved.
+fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
+    algorithm
+        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
+        .expect("valid config")
+}
 
 /// Random database over a small item universe (so brute force stays cheap).
 fn arb_db(max_items: u32, max_txns: usize) -> impl Strategy<Value = TransactionDb> {
@@ -49,16 +57,16 @@ proptest! {
 
     #[test]
     fn fpgrowth_matches_brute_force(db in arb_db(8, 40), config in arb_config()) {
-        let fi = fpgrowth(&db, &config);
+        let fi = mine(Algorithm::FpGrowth, &db, &config);
         let expected = brute_force(&db, &config);
         prop_assert_eq!(fi.as_slice(), expected.as_slice());
     }
 
     #[test]
     fn miners_agree(db in arb_db(10, 60), config in arb_config()) {
-        let f = fpgrowth(&db, &config);
-        let a = apriori(&db, &config);
-        let e = eclat(&db, &config);
+        let f = mine(Algorithm::FpGrowth, &db, &config);
+        let a = mine(Algorithm::Apriori, &db, &config);
+        let e = mine(Algorithm::Eclat, &db, &config);
         prop_assert_eq!(f.as_slice(), a.as_slice());
         prop_assert_eq!(f.as_slice(), e.as_slice());
     }
@@ -66,15 +74,15 @@ proptest! {
     #[test]
     fn parallel_equals_sequential(db in arb_db(10, 60), mut config in arb_config()) {
         config.parallel = false;
-        let seq = fpgrowth(&db, &config);
+        let seq = mine(Algorithm::FpGrowth, &db, &config);
         config.parallel = true;
-        let par = fpgrowth(&db, &config);
+        let par = mine(Algorithm::FpGrowth, &db, &config);
         prop_assert_eq!(seq.as_slice(), par.as_slice());
     }
 
     #[test]
     fn supports_are_exact(db in arb_db(8, 40), config in arb_config()) {
-        let fi = fpgrowth(&db, &config);
+        let fi = mine(Algorithm::FpGrowth, &db, &config);
         for (set, count) in fi.iter() {
             prop_assert_eq!(*count, db.support_count(set));
             prop_assert!(*count >= config.min_count(db.len()));
@@ -85,7 +93,7 @@ proptest! {
     #[test]
     fn downward_closure_holds(db in arb_db(8, 40), config in arb_config()) {
         // Every non-empty subset of a frequent itemset is frequent.
-        let fi = fpgrowth(&db, &config);
+        let fi = mine(Algorithm::FpGrowth, &db, &config);
         for (set, _) in fi.iter() {
             for sub in set.proper_subsets() {
                 prop_assert!(

@@ -355,15 +355,11 @@ impl FittedEncoder {
     }
 }
 
-/// Fit + transform in one call (the batch workflow's entry point).
-pub fn encode(frame: &Frame, spec: &EncoderSpec) -> Encoded {
-    encode_with(frame, spec, &Metrics::disabled())
-}
-
-/// [`encode`] with observability: emits `prep.fit` and `prep.transform`
-/// stage events (row/transaction cardinalities, bins fitted, skewed items
-/// dropped by the prevalence cut) into `metrics`.
-pub fn encode_with(frame: &Frame, spec: &EncoderSpec, metrics: &Metrics) -> Encoded {
+/// Fit + transform in one call (the batch workflow's entry point). Emits
+/// `prep.fit` and `prep.transform` stage events (row/transaction
+/// cardinalities, bins fitted, skewed items dropped by the prevalence
+/// cut) into `metrics`.
+pub fn encode(frame: &Frame, spec: &EncoderSpec, metrics: &Metrics) -> Encoded {
     let mut span = metrics.span("prep.fit");
     let fitted = fit(frame, spec);
     span.field("rows_in", frame.n_rows() as u64);
@@ -455,7 +451,7 @@ mod tests {
 
     #[test]
     fn zero_bin_emitted() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         let id = enc.item("SM Util = 0%");
         assert_eq!(
             enc.db.support_count(&Itemset::singleton(id)),
@@ -466,7 +462,7 @@ mod tests {
 
     #[test]
     fn spike_becomes_std_item() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         let id = enc.item("CPU Request = Std");
         assert_eq!(enc.db.support_count(&Itemset::singleton(id)), 4);
         let fit = &enc.report.numeric_fits["cpus"];
@@ -475,7 +471,7 @@ mod tests {
 
     #[test]
     fn residual_values_binned() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         // Non-std cpus: 100,200,300,400 -> one per quartile.
         for bin in 1..=4 {
             let id = enc.item(&format!("CPU Request = Bin{bin}"));
@@ -489,7 +485,7 @@ mod tests {
 
     #[test]
     fn frequency_classes() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         // alice = 4/8 submissions -> head; singles form the tail.
         let freq = enc.item("Freq User");
         let new = enc.item("New User");
@@ -499,14 +495,14 @@ mod tests {
 
     #[test]
     fn flag_items() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         let id = enc.item("Multi-GPU");
         assert_eq!(enc.db.support_count(&Itemset::singleton(id)), 2);
     }
 
     #[test]
     fn prevalence_drop_removes_dominant_items() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         // "Status = Pass" covers 7/8 = 87.5% > 80% -> dropped.
         assert!(enc.catalog.id("Status = Pass").is_none());
         assert!(enc.catalog.id("Status = Failed").is_some());
@@ -521,7 +517,7 @@ mod tests {
     fn null_cells_emit_no_item() {
         let frame = read_csv_str("job_id,sm_util\n0,\n1,50.0\n").unwrap();
         let spec = EncoderSpec::new(vec![FeatureSpec::numeric("sm_util", "SM Util")]);
-        let enc = encode(&frame, &spec);
+        let enc = encode(&frame, &spec, &Metrics::disabled());
         assert_eq!(enc.db.transaction(0), &[] as &[u32]);
         assert_eq!(enc.db.transaction(1).len(), 1);
     }
@@ -534,7 +530,7 @@ mod tests {
             "Model",
             [("resnet", "CV"), ("vgg", "CV"), ("bert", "NLP")],
         )]);
-        let enc = encode(&frame, &spec);
+        let enc = encode(&frame, &spec, &Metrics::disabled());
         let cv = enc.item("Model = CV");
         assert_eq!(enc.db.support_count(&Itemset::singleton(cv)), 2);
         assert!(enc.catalog.id("Model = resnet").is_none());
@@ -543,7 +539,7 @@ mod tests {
 
     #[test]
     fn transactions_align_with_rows() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         assert_eq!(enc.db.len(), 8);
         // Row 0: zero SM + std cpu + freq user + status Pass(dropped).
         let t0: Vec<&str> = enc
@@ -594,7 +590,7 @@ mod tests {
     fn missing_column_panics_with_context() {
         let frame = read_csv_str("a\n1\n").unwrap();
         let spec = EncoderSpec::new(vec![FeatureSpec::numeric("nope", "Nope")]);
-        let _ = encode(&frame, &spec);
+        let _ = encode(&frame, &spec, &Metrics::disabled());
     }
 
     #[test]
@@ -602,23 +598,23 @@ mod tests {
     fn numeric_column_rejected_for_categorical_spec() {
         let frame = read_csv_str("a\n1\n2\n").unwrap();
         let spec = EncoderSpec::new(vec![FeatureSpec::categorical("a", "A")]);
-        let _ = encode(&frame, &spec);
+        let _ = encode(&frame, &spec, &Metrics::disabled());
     }
 
     #[test]
     fn item_lookup_panics_readably() {
         let frame = read_csv_str("a\n1\n2\n").unwrap();
         let spec = EncoderSpec::new(vec![FeatureSpec::numeric("a", "A")]);
-        let enc = encode(&frame, &spec);
+        let enc = encode(&frame, &spec, &Metrics::disabled());
         let err = std::panic::catch_unwind(|| enc.item("Ghost Item")).unwrap_err();
         let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(message.contains("Ghost Item"), "{message}");
     }
 
     #[test]
-    fn encode_with_emits_stage_events() {
+    fn encode_emits_stage_events() {
         let metrics = Metrics::enabled();
-        let enc = encode_with(&frame(), &spec(), &metrics);
+        let enc = encode(&frame(), &spec(), &metrics);
         let snap = metrics.snapshot();
         let fit_event = snap.stage("prep.fit").expect("prep.fit event");
         assert_eq!(fit_event.field("rows_in"), Some(8));
@@ -626,14 +622,14 @@ mod tests {
         assert_eq!(fit_event.field("items_out"), Some(enc.catalog.len() as u64));
         let transform_event = snap.stage("prep.transform").expect("prep.transform event");
         assert_eq!(transform_event.field("transactions_out"), Some(8));
-        // The plain entry point records nothing and returns the same data.
-        let plain = encode(&frame(), &spec());
+        // A disabled registry records nothing and returns the same data.
+        let plain = encode(&frame(), &spec(), &Metrics::disabled());
         assert_eq!(plain.db.len(), enc.db.len());
     }
 
     #[test]
     fn fit_then_transform_equals_encode() {
-        let enc = encode(&frame(), &spec());
+        let enc = encode(&frame(), &spec(), &Metrics::disabled());
         let fitted = fit(&frame(), &spec());
         let db = fitted.transform(&frame());
         assert_eq!(enc.db.len(), db.len());

@@ -15,13 +15,14 @@
 //!
 //! ```
 //! use irma_data::read_csv_str;
+//! use irma_obs::Metrics;
 //! use irma_prep::{encode, EncoderSpec, FeatureSpec, ZeroBin};
 //!
 //! let frame = read_csv_str("sm\n0.0\n0.2\n80.0\n40.0\n95.0\n").unwrap();
 //! let spec = EncoderSpec::new(vec![FeatureSpec::numeric_zero(
 //!     "sm", "SM Util", ZeroBin::percent(),
 //! )]);
-//! let enc = encode(&frame, &spec);
+//! let enc = encode(&frame, &spec, &Metrics::disabled());
 //! assert!(enc.catalog.id("SM Util = 0%").is_some());
 //! ```
 
@@ -32,7 +33,5 @@ mod encode;
 mod spec;
 
 pub use binning::{detect_spike, quantile_sorted, try_quantile_sorted, BinEdges, BinningScheme};
-pub use encode::{
-    encode, encode_with, fit, EncodeReport, Encoded, FittedEncoder, FrequencyFit, NumericFit,
-};
+pub use encode::{encode, fit, EncodeReport, Encoded, FittedEncoder, FrequencyFit, NumericFit};
 pub use spec::{EncoderSpec, FeatureSpec, SpikeBin, ZeroBin};

@@ -9,7 +9,7 @@
 use irma_mine::{ItemCatalog, ItemId};
 use irma_obs::{Metrics, Provenance};
 
-use crate::prune::{prune_rules_traced, PruneOutcome, PruneParams};
+use crate::prune::{prune_rules, InvalidPruneParams, PruneOutcome, PruneParams};
 use crate::rule::{Rule, RuleRole};
 
 /// The pruned, classified rule set for one analysis keyword.
@@ -25,32 +25,17 @@ pub struct KeywordAnalysis {
 }
 
 impl KeywordAnalysis {
-    /// Runs keyword filtering + the four pruning conditions over `rules`.
-    pub fn run(rules: &[Rule], keyword: ItemId, params: &PruneParams) -> KeywordAnalysis {
-        KeywordAnalysis::run_with(rules, keyword, params, &Metrics::disabled())
-    }
-
-    /// [`KeywordAnalysis::run`] with observability: the pruning stage
-    /// reports its per-condition removal counts into `metrics`.
-    pub fn run_with(
-        rules: &[Rule],
-        keyword: ItemId,
-        params: &PruneParams,
-        metrics: &Metrics,
-    ) -> KeywordAnalysis {
-        KeywordAnalysis::run_traced(rules, keyword, params, metrics, &Provenance::disabled())
-    }
-
-    /// [`KeywordAnalysis::run_with`] plus per-rule decision lineage in
-    /// `provenance` (see [`prune_rules_traced`]).
-    pub fn run_traced(
+    /// Runs keyword filtering + the four pruning conditions over `rules`,
+    /// reporting the pruning stage into `metrics` and its per-rule
+    /// decision lineage into `provenance` (see [`prune_rules`]).
+    pub fn run(
         rules: &[Rule],
         keyword: ItemId,
         params: &PruneParams,
         metrics: &Metrics,
         provenance: &Provenance,
-    ) -> KeywordAnalysis {
-        let outcome = prune_rules_traced(rules, keyword, params, metrics, provenance);
+    ) -> Result<KeywordAnalysis, InvalidPruneParams> {
+        let outcome = prune_rules(rules, keyword, params, metrics, provenance)?;
         let mut causes = Vec::new();
         let mut characteristics = Vec::new();
         for rule in &outcome.kept {
@@ -68,11 +53,11 @@ impl KeywordAnalysis {
         };
         causes.sort_by(by_strength);
         characteristics.sort_by(by_strength);
-        KeywordAnalysis {
+        Ok(KeywordAnalysis {
             causes,
             characteristics,
             outcome,
-        }
+        })
     }
 
     /// Number of rules surviving pruning.
@@ -111,6 +96,18 @@ mod tests {
 
     const KW: ItemId = 5;
 
+    /// Keyword analysis for [`KW`] with default margins, unobserved.
+    fn run(rules: &[Rule]) -> KeywordAnalysis {
+        KeywordAnalysis::run(
+            rules,
+            KW,
+            &PruneParams::default(),
+            &Metrics::disabled(),
+            &Provenance::disabled(),
+        )
+        .unwrap()
+    }
+
     fn mk(ante: &[ItemId], cons: &[ItemId], conf: f64, lift: f64) -> Rule {
         Rule {
             antecedent: Itemset::from_items(ante.iter().copied()),
@@ -129,7 +126,7 @@ mod tests {
             mk(&[KW], &[2], 0.8, 3.0),
             mk(&[1], &[2], 0.7, 4.0), // unrelated: dropped
         ];
-        let analysis = KeywordAnalysis::run(&rules, KW, &PruneParams::default());
+        let analysis = run(&rules);
         assert_eq!(analysis.causes.len(), 1);
         assert_eq!(analysis.characteristics.len(), 1);
         assert_eq!(analysis.n_kept(), 2);
@@ -143,7 +140,7 @@ mod tests {
             mk(&[2], &[KW], 0.9, 1.6),
             mk(&[3], &[KW], 0.7, 2.0),
         ];
-        let analysis = KeywordAnalysis::run(&rules, KW, &PruneParams::default());
+        let analysis = run(&rules);
         let confs: Vec<f64> = analysis.causes.iter().map(|r| r.confidence).collect();
         assert_eq!(confs, vec![0.9, 0.7, 0.7]);
         // Tie on confidence broken by lift.
@@ -157,7 +154,7 @@ mod tests {
             cat.intern(label);
         }
         let rules = vec![mk(&[1], &[KW], 0.9, 2.0), mk(&[KW], &[2], 0.8, 3.0)];
-        let analysis = KeywordAnalysis::run(&rules, KW, &PruneParams::default());
+        let analysis = run(&rules);
         let text = analysis.render(&cat, KW, 10);
         assert!(text.contains("C1: {b} => {Failed}"), "{text}");
         assert!(text.contains("A1: {Failed} => {c}"), "{text}");

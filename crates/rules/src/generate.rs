@@ -49,25 +49,12 @@ impl RuleConfig {
 
 /// Generates all rules meeting `config` from a mined itemset family.
 ///
-/// Output is deterministic: sorted by antecedent, then consequent.
-pub fn generate_rules(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {
-    generate_rules_with(frequent, config, &Metrics::disabled())
-}
-
-/// [`generate_rules`] with observability: emits a `rules.generate` stage
-/// event (itemsets in, rule-bearing itemsets, rules out) into `metrics`.
-pub fn generate_rules_with(
-    frequent: &FrequentItemsets,
-    config: &RuleConfig,
-    metrics: &Metrics,
-) -> Vec<Rule> {
-    generate_rules_traced(frequent, config, metrics, &Provenance::disabled())
-}
-
-/// [`generate_rules_with`] plus per-candidate lineage: every candidate
-/// rule lands in `provenance` — either as a survivor or tagged with the
-/// first threshold (`lift`, `confidence`, `support`) that dropped it.
-pub fn generate_rules_traced(
+/// Output is deterministic: sorted by antecedent, then consequent. Emits
+/// a `rules.generate` stage event (itemsets in, rule-bearing itemsets,
+/// rules out) into `metrics`, and records every candidate rule in
+/// `provenance` — either as a survivor or tagged with the first threshold
+/// (`lift`, `confidence`, `support`) that dropped it.
+pub fn generate_rules(
     frequent: &FrequentItemsets,
     config: &RuleConfig,
     metrics: &Metrics,
@@ -154,7 +141,7 @@ fn generate_rules_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irma_mine::{fpgrowth, MinerConfig, TransactionDb};
+    use irma_mine::{fpgrowth, BudgetGuard, MinerConfig, TransactionDb};
 
     /// 0 and 1 co-occur strongly; 2 is independent noise.
     fn db() -> TransactionDb {
@@ -174,12 +161,28 @@ mod tests {
     }
 
     fn mined() -> FrequentItemsets {
-        fpgrowth(&db(), &MinerConfig::with_min_support(0.05))
+        let config = MinerConfig::with_min_support(0.05);
+        fpgrowth(
+            &db(),
+            &config,
+            &Metrics::disabled(),
+            &BudgetGuard::unlimited(),
+        )
+        .unwrap()
+    }
+
+    fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {
+        generate_rules(
+            frequent,
+            config,
+            &Metrics::disabled(),
+            &Provenance::disabled(),
+        )
     }
 
     #[test]
     fn generates_both_directions() {
-        let rules = generate_rules(&mined(), &RuleConfig::with_min_lift(1.0));
+        let rules = generate(&mined(), &RuleConfig::with_min_lift(1.0));
         // {0}=>{1} and {1}=>{0} both pass lift >= 1.
         assert!(rules.iter().any(|r| r.antecedent.items() == [0]));
         assert!(rules.iter().any(|r| r.antecedent.items() == [1]));
@@ -187,7 +190,7 @@ mod tests {
 
     #[test]
     fn metrics_are_exact() {
-        let rules = generate_rules(&mined(), &RuleConfig::with_min_lift(0.0));
+        let rules = generate(&mined(), &RuleConfig::with_min_lift(0.0));
         let r = rules
             .iter()
             .find(|r| r.antecedent.items() == [0] && r.consequent.items() == [1])
@@ -202,10 +205,10 @@ mod tests {
     fn lift_threshold_filters() {
         // Both {0}=>{1} and {1}=>{0} have lift 4/3; a threshold between
         // passes them, a higher one removes them.
-        let all = generate_rules(&mined(), &RuleConfig::with_min_lift(1.3));
+        let all = generate(&mined(), &RuleConfig::with_min_lift(1.3));
         assert_eq!(all.len(), 2);
         assert!(all.iter().all(|r| r.lift >= 1.3));
-        let strict = generate_rules(&mined(), &RuleConfig::with_min_lift(1.34));
+        let strict = generate(&mined(), &RuleConfig::with_min_lift(1.34));
         assert!(strict.is_empty());
     }
 
@@ -216,14 +219,14 @@ mod tests {
             min_confidence: 0.7,
             min_support: 0.0,
         };
-        let rules = generate_rules(&mined(), &config);
+        let rules = generate(&mined(), &config);
         assert!(rules.iter().all(|r| r.confidence >= 0.7));
         assert!(!rules.is_empty());
     }
 
     #[test]
     fn sides_always_disjoint_and_nonempty() {
-        let rules = generate_rules(&mined(), &RuleConfig::with_min_lift(0.0));
+        let rules = generate(&mined(), &RuleConfig::with_min_lift(0.0));
         for r in &rules {
             assert!(!r.antecedent.is_empty());
             assert!(!r.consequent.is_empty());
@@ -233,8 +236,8 @@ mod tests {
 
     #[test]
     fn deterministic_order() {
-        let a = generate_rules(&mined(), &RuleConfig::with_min_lift(0.0));
-        let b = generate_rules(&mined(), &RuleConfig::with_min_lift(0.0));
+        let a = generate(&mined(), &RuleConfig::with_min_lift(0.0));
+        let b = generate(&mined(), &RuleConfig::with_min_lift(0.0));
         assert_eq!(a, b);
     }
 }

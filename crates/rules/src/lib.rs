@@ -7,7 +7,8 @@
 //! characteristic tables ([`KeywordAnalysis`]).
 //!
 //! ```
-//! use irma_mine::{fpgrowth, MinerConfig, TransactionDb, ItemCatalog};
+//! use irma_mine::{fpgrowth, BudgetGuard, ItemCatalog, MinerConfig, TransactionDb};
+//! use irma_obs::{Metrics, Provenance};
 //! use irma_rules::{generate_rules, KeywordAnalysis, PruneParams, RuleConfig};
 //!
 //! let mut catalog = ItemCatalog::new();
@@ -23,10 +24,14 @@
 //!     })
 //!     .collect();
 //! let db = TransactionDb::from_transactions(txns).with_universe(catalog.len());
-//! let frequent = fpgrowth(&db, &MinerConfig::with_min_support(0.05));
-//! let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.2));
-//! let analysis = KeywordAnalysis::run(&rules, idle, &PruneParams::default());
+//! let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+//! let config = MinerConfig::with_min_support(0.05);
+//! let frequent = fpgrowth(&db, &config, &metrics, &BudgetGuard::unlimited())?;
+//! let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.2), &metrics, &provenance);
+//! let params = PruneParams::default();
+//! let analysis = KeywordAnalysis::run(&rules, idle, &params, &metrics, &provenance)?;
 //! assert_eq!(analysis.causes[0].antecedent.items(), &[debug]);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -42,10 +47,9 @@ mod trie;
 pub use analysis::KeywordAnalysis;
 pub use classify::{Evaluation, RuleClassifier};
 pub use compare::{compare_rules, label_rules, LabeledRule, RuleComparison};
-pub use generate::{generate_rules, generate_rules_traced, generate_rules_with, RuleConfig};
+pub use generate::{generate_rules, RuleConfig};
 pub use prune::{
-    prune_rules, prune_rules_traced, prune_rules_with, try_prune_rules_traced, InvalidPruneParams,
-    PruneCondition, PruneOutcome, PruneParams, PruneRecord,
+    prune_rules, InvalidPruneParams, PruneCondition, PruneOutcome, PruneParams, PruneRecord,
 };
 pub use rule::{Rule, RuleRole};
 pub use trie::RuleTrie;

@@ -189,51 +189,16 @@ impl PruneCondition {
 /// Only rules that contain the keyword on either side participate; the
 /// paper discards keyword-free rules from the analysis entirely, and so do
 /// we (they are not reported in `pruned` either).
-pub fn prune_rules(rules: &[Rule], keyword: ItemId, params: &PruneParams) -> PruneOutcome {
-    prune_rules_with(rules, keyword, params, &Metrics::disabled())
-}
-
-/// [`prune_rules`] with observability: emits a `rules.prune` stage event
-/// (keyword-relevant rules in, kept, and per-condition prune counts) and
-/// bumps one `prune.condition<N>` counter per removed rule.
-pub fn prune_rules_with(
-    rules: &[Rule],
-    keyword: ItemId,
-    params: &PruneParams,
-    metrics: &Metrics,
-) -> PruneOutcome {
-    prune_rules_traced(rules, keyword, params, metrics, &Provenance::disabled())
-}
-
-/// [`prune_rules_with`] plus per-rule decision lineage: every pairwise
-/// winner/loser edge (including marking-chain echoes on already-dead
-/// rules), the branch and margin that decided it, undecided comparisons,
-/// and each relevant rule's final verdict land in `provenance`.
 ///
-/// # Panics
-///
-/// Panics on invalid [`PruneParams`], matching the infallible paper-path
-/// contract of [`irma_core::analyze`-style] entry points; use
-/// [`try_prune_rules_traced`] (or `irma_core::try_analyze`, which
-/// validates up front) for typed errors instead.
-pub fn prune_rules_traced(
-    rules: &[Rule],
-    keyword: ItemId,
-    params: &PruneParams,
-    metrics: &Metrics,
-    provenance: &Provenance,
-) -> PruneOutcome {
-    match try_prune_rules_traced(rules, keyword, params, metrics, provenance) {
-        Ok(outcome) => outcome,
-        Err(error) => panic!("invalid prune params: {error}"),
-    }
-}
-
-/// [`prune_rules_traced`] with typed parameter validation: invalid
-/// margins return [`InvalidPruneParams`] instead of panicking (the PR-4
-/// failure model; `irma_core::try_analyze` maps it into
-/// `PipelineError::Rules`).
-pub fn try_prune_rules_traced(
+/// Emits a `rules.prune` stage event (keyword-relevant rules in, kept,
+/// and per-condition prune counts) and bumps one `prune.condition<N>`
+/// counter per removed rule. Every pairwise winner/loser edge (including
+/// marking-chain echoes on already-dead rules), the branch and margin that
+/// decided it, undecided comparisons, and each relevant rule's final
+/// verdict land in `provenance`. Invalid margins return
+/// [`InvalidPruneParams`] (`irma_core::try_analyze` validates them up
+/// front and maps the error into `PipelineError::Rules`).
+pub fn prune_rules(
     rules: &[Rule],
     keyword: ItemId,
     params: &PruneParams,
@@ -728,12 +693,24 @@ mod tests {
 
     const KW: ItemId = 9; // the analysis keyword
 
+    /// Prunes for [`KW`] without observability.
+    fn prune(rules: &[Rule], params: &PruneParams) -> PruneOutcome {
+        prune_rules(
+            rules,
+            KW,
+            params,
+            &Metrics::disabled(),
+            &Provenance::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn condition1_prunes_longer_when_short_lift_comparable() {
         // R1: {user A} => {fail}; R2: {user A, type B} => {fail}.
         let r1 = mk(&[1], &[KW], 0.2, 3.0);
         let r2 = mk(&[1, 2], &[KW], 0.1, 3.5);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         // 1.5 * 3.0 >= 3.5 -> prune the longer rule.
         assert_eq!(out.kept, vec![r1]);
         assert_eq!(out.pruned.len(), 1);
@@ -746,7 +723,7 @@ mod tests {
         // Long rule has clearly higher lift and similar support.
         let r1 = mk(&[1], &[KW], 0.2, 2.0);
         let r2 = mk(&[1, 2], &[KW], 0.18, 3.5);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         // 1.5*2.0 = 3.0 < 3.5, and 1.5*0.18 >= 0.2 -> prune shorter.
         assert_eq!(out.kept, vec![r2]);
         assert_eq!(out.pruned[0].rule, r1);
@@ -757,7 +734,7 @@ mod tests {
         // Long has much higher lift but much lower support.
         let r1 = mk(&[1], &[KW], 0.5, 2.0);
         let r2 = mk(&[1, 2], &[KW], 0.05, 3.5);
-        let out = prune_rules(&[r1, r2], KW, &PruneParams::default());
+        let out = prune(&[r1, r2], &PruneParams::default());
         assert_eq!(out.kept.len(), 2);
         assert!(out.pruned.is_empty());
     }
@@ -768,7 +745,7 @@ mod tests {
         // metrics: keep the longer (more informative) consequent.
         let r1 = mk(&[KW], &[1], 0.2, 3.0);
         let r2 = mk(&[KW], &[1, 2], 0.18, 2.8);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r2]);
         assert_eq!(out.pruned[0].condition, PruneCondition::Condition2);
     }
@@ -777,7 +754,7 @@ mod tests {
     fn condition2_keeps_shorter_when_lift_gap_large() {
         let r1 = mk(&[KW], &[1], 0.2, 6.0);
         let r2 = mk(&[KW], &[1, 2], 0.18, 2.0);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         // 1.5*2.0 < 6.0 -> prune the longer rule.
         assert_eq!(out.kept, vec![r1]);
         assert_eq!(out.pruned[0].rule, r2);
@@ -788,7 +765,7 @@ mod tests {
         // {user A} => {fail}; {user A} => {fail, clusterC}.
         let r1 = mk(&[1], &[KW], 0.2, 3.0);
         let r2 = mk(&[1], &[KW, 2], 0.15, 3.2);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r1]);
         assert_eq!(out.pruned[0].condition, PruneCondition::Condition3);
     }
@@ -797,7 +774,7 @@ mod tests {
     fn condition3_keeps_longer_when_its_lift_is_much_higher() {
         let r1 = mk(&[1], &[KW], 0.2, 1.6);
         let r2 = mk(&[1], &[KW, 2], 0.15, 3.0);
-        let out = prune_rules(&[r1, r2], KW, &PruneParams::default());
+        let out = prune(&[r1, r2], &PruneParams::default());
         // 1.5*1.6 = 2.4 < 3.0: condition 3 does not fire...
         // but condition 2 does not apply (keyword not in antecedent), so
         // both survive.
@@ -809,7 +786,7 @@ mod tests {
         // {fail} => {short}; {fail, clusterC} => {short}.
         let r1 = mk(&[KW], &[1], 0.2, 3.0);
         let r2 = mk(&[KW, 2], &[1], 0.1, 2.9);
-        let out = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r1]);
         assert_eq!(out.pruned[0].condition, PruneCondition::Condition4);
     }
@@ -817,7 +794,7 @@ mod tests {
     #[test]
     fn keyword_free_rules_are_dropped_silently() {
         let r1 = mk(&[1], &[2], 0.2, 3.0);
-        let out = prune_rules(&[r1], KW, &PruneParams::default());
+        let out = prune(&[r1], &PruneParams::default());
         assert!(out.kept.is_empty());
         assert!(out.pruned.is_empty());
     }
@@ -830,7 +807,7 @@ mod tests {
         let r1 = mk(&[1], &[KW], 0.3, 3.0);
         let r2 = mk(&[1, 2], &[KW], 0.2, 3.1);
         let r3 = mk(&[1, 2, 3], &[KW], 0.1, 10.0);
-        let out = prune_rules(&[r1.clone(), r2, r3.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2, r3.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r1, r3]);
         assert_eq!(out.pruned.len(), 1);
     }
@@ -842,7 +819,7 @@ mod tests {
         let r1 = mk(&[1], &[KW], 0.30, 5.0);
         let r2 = mk(&[1, 2], &[KW], 0.20, 5.5);
         let r3 = mk(&[1, 2, 3], &[KW], 0.18, 5.6);
-        let out = prune_rules(&[r1.clone(), r2, r3], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r2, r3], &PruneParams::default());
         // 1.5*5.0 >= 5.5 kills r2; 1.5*5.5 >= 5.6 kills r3 (via r2);
         // also 1.5*5.0 >= 5.6 kills r3 via r1 directly.
         assert_eq!(out.kept, vec![r1]);
@@ -854,7 +831,7 @@ mod tests {
         // Equal varying sides are not proper subsets of each other, so
         // exact duplicates pass through untouched.
         let r1 = mk(&[1, 2], &[KW], 0.2, 3.0);
-        let out = prune_rules(&[r1.clone(), r1.clone()], KW, &PruneParams::default());
+        let out = prune(&[r1.clone(), r1.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r1.clone(), r1]);
         assert!(out.pruned.is_empty());
     }
@@ -868,7 +845,14 @@ mod tests {
         let r3 = mk(&[KW], &[3], 0.2, 3.0);
         let r4 = mk(&[KW, 2], &[3], 0.1, 2.9);
         let metrics = Metrics::enabled();
-        let outcome = prune_rules_with(&[r1, r2, r3, r4], KW, &PruneParams::default(), &metrics);
+        let outcome = prune_rules(
+            &[r1, r2, r3, r4],
+            KW,
+            &PruneParams::default(),
+            &metrics,
+            &Provenance::disabled(),
+        )
+        .unwrap();
         assert_eq!(outcome.pruned_by_condition(PruneCondition::Condition1), 1);
         assert_eq!(outcome.pruned_by_condition(PruneCondition::Condition4), 1);
         let snap = metrics.snapshot();
@@ -889,13 +873,14 @@ mod tests {
         let r2 = mk(&[1, 2], &[KW], 0.20, 5.5);
         let r3 = mk(&[1, 2, 3], &[KW], 0.18, 5.6);
         let provenance = Provenance::enabled();
-        let out = prune_rules_traced(
+        let out = prune_rules(
             &[r1.clone(), r2.clone(), r3.clone()],
             KW,
             &PruneParams::default(),
             &Metrics::disabled(),
             &provenance,
-        );
+        )
+        .unwrap();
         assert_eq!(out.kept, vec![r1]);
 
         let rec1 = provenance.get(&[1], &[KW]).unwrap();
@@ -921,14 +906,15 @@ mod tests {
     fn disabled_provenance_does_not_change_outcome() {
         let r1 = mk(&[1], &[KW], 0.2, 3.0);
         let r2 = mk(&[1, 2], &[KW], 0.1, 3.5);
-        let plain = prune_rules(&[r1.clone(), r2.clone()], KW, &PruneParams::default());
-        let traced = prune_rules_traced(
+        let plain = prune(&[r1.clone(), r2.clone()], &PruneParams::default());
+        let traced = prune_rules(
             &[r1, r2],
             KW,
             &PruneParams::default(),
             &Metrics::disabled(),
             &Provenance::enabled(),
-        );
+        )
+        .unwrap();
         assert_eq!(plain.kept, traced.kept);
         assert_eq!(plain.pruned, traced.pruned);
     }
@@ -952,13 +938,13 @@ mod tests {
     }
 
     #[test]
-    fn try_prune_returns_typed_error_instead_of_panicking() {
+    fn prune_returns_typed_error_instead_of_panicking() {
         let r1 = mk(&[1], &[KW], 0.2, 3.0);
         let params = PruneParams {
             c_lift: 1.5,
             c_supp: 0.0,
         };
-        let error = try_prune_rules_traced(
+        let error = prune_rules(
             &[r1],
             KW,
             &params,
@@ -973,9 +959,8 @@ mod tests {
     fn large_c_prunes_more() {
         let r1 = mk(&[1], &[KW], 0.2, 2.0);
         let r2 = mk(&[1, 2], &[KW], 0.1, 3.5);
-        let loose = prune_rules(
+        let loose = prune(
             &[r1.clone(), r2.clone()],
-            KW,
             &PruneParams {
                 c_lift: 2.0,
                 c_supp: 1.0,
@@ -983,9 +968,8 @@ mod tests {
         );
         // 2.0*2.0 >= 3.5 -> longer pruned.
         assert_eq!(loose.kept.len(), 1);
-        let tight = prune_rules(
+        let tight = prune(
             &[r1, r2],
-            KW,
             &PruneParams {
                 c_lift: 1.0,
                 c_supp: 1.0,

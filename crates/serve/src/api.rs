@@ -503,23 +503,22 @@ fn run_analysis(
         }
     };
     let payload = render_payload(shared, &analysis, fp, params, &provenance);
-    let degraded = analysis.degradation.is_some();
-    if !degraded {
+    let reply = Reply::json(200, "OK", format!("{{\"cached\":false,{payload}}}\n"));
+    // The analysis is dropped right after this: move what explain needs
+    // into the cache entry instead of cloning it.
+    if analysis.degradation.is_none() {
+        let entry = CacheEntry {
+            payload,
+            catalog: analysis.encoded.catalog,
+            provenance,
+            rules: analysis.rules,
+            trie: analysis.rule_trie,
+        };
         if let Ok(mut cache) = shared.cache.lock() {
-            cache.insert(
-                fp,
-                config_key,
-                CacheEntry {
-                    payload: payload.clone(),
-                    catalog: analysis.encoded.catalog.clone(),
-                    provenance,
-                    rules: analysis.rules.clone(),
-                    trie: analysis.rule_trie.clone(),
-                },
-            );
+            cache.insert(fp, config_key, entry);
         }
     }
-    Reply::json(200, "OK", format!("{{\"cached\":false,{payload}}}\n"))
+    reply
 }
 
 fn render_rule(rule: &Rule, catalog: &irma_mine::ItemCatalog) -> String {

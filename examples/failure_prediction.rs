@@ -10,10 +10,12 @@
 //! rules that do the predicting — every positive prediction is
 //! explainable by one table row.
 
-use irma::core::{failure_prediction, prepare_all, AnalysisConfig, ExperimentScale, KW_FAILED};
+use irma::core::{
+    failure_prediction, prepare_all, AnalysisConfig, ExperimentScale, PipelineError, KW_FAILED,
+};
 use irma::rules::RuleClassifier;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let mut args = std::env::args().skip(1);
     let n: usize = args
         .next()
@@ -30,7 +32,7 @@ fn main() {
         seed: 0xdcc0,
     };
     eprintln!("preparing traces ({n} PAI jobs)...");
-    let traces = prepare_all(&scale, &AnalysisConfig::default());
+    let traces = prepare_all(&scale, &AnalysisConfig::default())?;
 
     for t in &traces {
         // Two operating points: the requested high-precision threshold and
@@ -68,4 +70,5 @@ fn main() {
     println!("Expected shape (paper §IV-C): PAI precision far above its base");
     println!("rate with solid recall — a rule list suffices; SuperCloud and");
     println!("Philly rules are weaker, so recall collapses at high precision.");
+    Ok(())
 }

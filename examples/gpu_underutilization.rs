@@ -8,9 +8,9 @@
 //! GPU-underutilization rules of PAI, SuperCloud, and Philly).
 
 use irma::core::experiments::{fig4, underutilization_tables};
-use irma::core::{prepare_all, AnalysisConfig, ExperimentScale};
+use irma::core::{prepare_all, AnalysisConfig, ExperimentScale, PipelineError};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let n: usize = std::env::args()
         .nth(1)
         .map(|a| a.parse().expect("numeric job count"))
@@ -22,7 +22,7 @@ fn main() {
         seed: 0xdcc0,
     };
     eprintln!("preparing traces ({n} PAI jobs)...");
-    let traces = prepare_all(&scale, &AnalysisConfig::default());
+    let traces = prepare_all(&scale, &AnalysisConfig::default())?;
 
     println!("{}", fig4(&traces).render());
     for table in underutilization_tables(&traces) {
@@ -32,4 +32,5 @@ fn main() {
     println!("Takeaway (paper §IV-B): low CPU utilization and short runtime");
     println!("flag debug/exploratory runs in every trace; route them to a");
     println!("lower-tier pool or GPU-sharing (MPS / MIG) instead of full GPUs.");
+    Ok(())
 }

@@ -8,9 +8,9 @@
 //! job-failure rules of PAI, SuperCloud, and Philly).
 
 use irma::core::experiments::{failure_tables, fig5};
-use irma::core::{prepare_all, AnalysisConfig, ExperimentScale};
+use irma::core::{prepare_all, AnalysisConfig, ExperimentScale, PipelineError};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let n: usize = std::env::args()
         .nth(1)
         .map(|a| a.parse().expect("numeric job count"))
@@ -22,7 +22,7 @@ fn main() {
         seed: 0xdcc0,
     };
     eprintln!("preparing traces ({n} PAI jobs)...");
-    let traces = prepare_all(&scale, &AnalysisConfig::default());
+    let traces = prepare_all(&scale, &AnalysisConfig::default())?;
 
     println!("{}", fig5(&traces).render());
     for table in failure_tables(&traces) {
@@ -33,4 +33,5 @@ fn main() {
     println!("submission-time features (simple rule/tree classifiers suffice);");
     println!("SuperCloud/Philly failures correlate with users and multi-GPU");
     println!("gang scheduling — screen distributed jobs on a few nodes first.");
+    Ok(())
 }

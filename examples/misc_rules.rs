@@ -9,9 +9,9 @@
 //! long-running multi-GPU jobs on Philly (PHI1).
 
 use irma::core::experiments::misc_tables;
-use irma::core::{prepare_all, AnalysisConfig, ExperimentScale};
+use irma::core::{prepare_all, AnalysisConfig, ExperimentScale, PipelineError};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let n: usize = std::env::args()
         .nth(1)
         .map(|a| a.parse().expect("numeric job count"))
@@ -23,9 +23,9 @@ fn main() {
         seed: 0xdcc0,
     };
     eprintln!("preparing traces ({n} PAI jobs)...");
-    let traces = prepare_all(&scale, &AnalysisConfig::default());
+    let traces = prepare_all(&scale, &AnalysisConfig::default())?;
 
-    for table in misc_tables(&traces) {
+    for table in misc_tables(&traces)? {
         println!("{}", table.render());
     }
 
@@ -34,4 +34,5 @@ fn main() {
     println!("clusters; RecSys favours T4 with parallel tasks, NLP pairs");
     println!("high SM with idle CPUs; schedulers should expect multi-GPU");
     println!("jobs to run long (bad fit for shortest-job-first).");
+    Ok(())
 }

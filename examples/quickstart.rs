@@ -9,11 +9,13 @@
 //! tables for job failures, then re-runs with an observability sink (the
 //! library form of the CLI's `--metrics` / `--verbose-stages` flags).
 
-use irma::core::{analyze, analyze_with, AnalysisConfig, Metrics};
+use irma::core::{
+    try_analyze, try_analyze_traced, AnalysisConfig, Metrics, PipelineError, Provenance,
+};
 use irma::data::read_csv_str;
 use irma::prep::{EncoderSpec, FeatureSpec, ZeroBin};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     // A miniature scheduler log: short-runtime idle jobs from `eve` fail.
     let mut csv = String::from("job_id,user,runtime_s,sm_util,status\n");
     for i in 0..400 {
@@ -44,8 +46,10 @@ fn main() {
     ]);
 
     // Paper defaults: 5% support, itemsets up to length 5, lift >= 1.5,
-    // pruning margins C_lift = C_supp = 1.5.
-    let analysis = analyze(&frame, &spec, &AnalysisConfig::default());
+    // pruning margins C_lift = C_supp = 1.5. Every failure (a spec naming
+    // a missing column, an exhausted budget) comes back as a typed,
+    // stage-tagged `PipelineError` instead of a panic.
+    let analysis = try_analyze(&frame, &spec, &AnalysisConfig::default())?;
 
     println!(
         "{} jobs -> {} items -> {} frequent itemsets -> {} rules\n",
@@ -56,19 +60,25 @@ fn main() {
     );
 
     // Why do jobs fail, and what else do failed jobs look like?
-    println!("{}", analysis.render_keyword("Failed", 5));
+    let quiet = Metrics::disabled();
+    println!("{}", analysis.render_keyword_with("Failed", 5, &quiet));
     // Same question for idle GPUs.
-    println!("{}", analysis.render_keyword("SM Util = 0%", 5));
+    println!(
+        "{}",
+        analysis.render_keyword_with("SM Util = 0%", 5, &quiet)
+    );
 
     // The same run with per-stage observability: every pipeline stage
     // records wall time and cardinalities into a `Metrics` sink. This is
     // what `irma analyze --metrics out.json --verbose-stages true` uses;
-    // `Metrics::disabled()` (the default everywhere) makes it all a no-op.
+    // `Metrics::disabled()` makes it all a no-op.
     let metrics = Metrics::enabled();
-    let _ = analyze_with(&frame, &spec, &AnalysisConfig::default(), &metrics);
+    let config = AnalysisConfig::default();
+    try_analyze_traced(&frame, &spec, &config, &metrics, &Provenance::disabled())?;
     let snapshot = metrics.snapshot();
     println!("per-stage trace:\n{}", snapshot.render_table());
     // `snapshot.to_json()` yields the same data as a machine-readable
     // snapshot — write it wherever `--metrics <path>` would.
     println!("JSON snapshot is {} bytes", snapshot.to_json().len());
+    Ok(())
 }

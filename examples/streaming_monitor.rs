@@ -15,21 +15,22 @@
 //!
 //! Both the drift signal and the window's prefix tree are maintained
 //! incrementally (O(|txn|) per arrival, no full-window rescans), and the
-//! re-mine goes through the budgeted `try_mine` path so a pathological
+//! re-mine runs under an execution budget, so a pathological
 //! window degrades an emission instead of killing the monitor. The
 //! productionized version of this loop — bounded ring ingest, adaptive
 //! sampling, OpenMetrics deltas — is `irma watch` (see DESIGN.md §10).
 
 use irma::core::{supercloud_spec, KW_FAILED};
 use irma::mine::{BudgetGuard, ExecBudget, MinerConfig, SlidingWindowMiner};
+use irma::obs::{Metrics, Provenance};
 use irma::prep::fit;
-use irma::rules::{generate_rules, KeywordAnalysis, PruneParams, RuleConfig};
+use irma::rules::{generate_rules, InvalidPruneParams, KeywordAnalysis, PruneParams, RuleConfig};
 use irma::synth::{supercloud, TraceConfig};
 
 const WINDOW: usize = 2_000;
 const DRIFT_THRESHOLD: f64 = 0.35;
 
-fn main() {
+fn main() -> Result<(), InvalidPruneParams> {
     // Two regimes: normal operation, then a failure wave. Both encoded
     // with the preparation frozen on the normal regime (an operator's
     // dashboards don't re-bin on every arrival either).
@@ -58,7 +59,10 @@ fn main() {
         .map(|i| wave_all.transaction(i).to_vec())
         .collect();
 
-    let mut miner = SlidingWindowMiner::new(WINDOW, MinerConfig::with_min_support(0.05));
+    let config = MinerConfig::with_min_support(0.05);
+    let mut miner = SlidingWindowMiner::new(WINDOW, config.clone());
+    let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+    let params = PruneParams::default();
     let budget = ExecBudget {
         deadline: Some(std::time::Duration::from_secs(5)),
         ..ExecBudget::default()
@@ -80,7 +84,7 @@ fn main() {
         // Budgeted mining: a breach skips this emission (the daemon's
         // degradation ladder would relax knobs and retry) but the monitor
         // itself keeps running either way.
-        let frequent = match miner.try_mine(&BudgetGuard::new(&budget)) {
+        let frequent = match miner.mine(&config, &BudgetGuard::new(&budget)) {
             Ok(frequent) => frequent,
             Err(e) => {
                 println!("arrival {i:>5}: re-mine skipped ({e})");
@@ -88,8 +92,13 @@ fn main() {
             }
         };
         remines += 1;
-        let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.5));
-        let analysis = KeywordAnalysis::run(&rules, failed_item, &PruneParams::default());
+        let rules = generate_rules(
+            &frequent,
+            &RuleConfig::with_min_lift(1.5),
+            &metrics,
+            &provenance,
+        );
+        let analysis = KeywordAnalysis::run(&rules, failed_item, &params, &metrics, &provenance)?;
         let failure_share = miner.item_count(failed_item) as f64 / miner.len() as f64;
         println!(
             "arrival {i:>5}: re-mined (drift trigger) | window failure rate {:.0}% | {} failure rules",
@@ -111,4 +120,5 @@ fn main() {
     println!("The failure-wave regime shows up as a jump in the window failure");
     println!("rate and a larger failure-rule set; between regime shifts the");
     println!("drift signal stays quiet and no mining work happens at all.");
+    Ok(())
 }

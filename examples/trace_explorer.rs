@@ -14,11 +14,13 @@
 
 use std::path::PathBuf;
 
-use irma::core::{analyze, pai_spec, philly_spec, supercloud_spec, AnalysisConfig};
+use irma::core::{
+    pai_spec, philly_spec, supercloud_spec, try_analyze, AnalysisConfig, Metrics, PipelineError,
+};
 use irma::data::{inner_join, read_csv_path, write_csv_path};
 use irma::synth::{pai, philly, supercloud, TraceConfig};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let mut args = std::env::args().skip(1);
     let trace = args.next().unwrap_or_else(|| "supercloud".to_string());
     let keyword = args.next().unwrap_or_else(|| "SM Util = 0%".to_string());
@@ -55,7 +57,7 @@ fn main() {
     let scheduler = read_csv_path(&sched_path).expect("read scheduler csv");
     let monitoring = read_csv_path(&mon_path).expect("read monitoring csv");
     let merged = inner_join(&scheduler, &monitoring, "job_id").expect("join on job_id");
-    let analysis = analyze(&merged, &spec, &AnalysisConfig::default());
+    let analysis = try_analyze(&merged, &spec, &AnalysisConfig::default())?;
 
     eprintln!(
         "{} jobs, {} items, {} frequent itemsets, {} rules",
@@ -64,7 +66,8 @@ fn main() {
         analysis.frequent.len(),
         analysis.rules.len()
     );
-    println!("{}", analysis.render_keyword(&keyword, 8));
+    let rendered = analysis.render_keyword_with(&keyword, 8, &Metrics::disabled());
+    println!("{rendered}");
 
     // Rank other keywords by the strongest rule involving them, so the
     // next question starts from evidence.
@@ -79,4 +82,5 @@ fn main() {
         let row: Vec<String> = chunk.iter().map(|l| format!("{l:<28}")).collect();
         println!("  {}", row.join(""));
     }
+    Ok(())
 }

@@ -2,7 +2,7 @@
 
 use crate::{Strategy, TestRng};
 
-/// Acceptable size arguments for [`vec`]: an exact size or a range.
+/// Acceptable size arguments for [`vec()`]: an exact size or a range.
 pub trait SizeRange {
     /// Draws a length.
     fn sample_len(&self, rng: &mut TestRng) -> usize;

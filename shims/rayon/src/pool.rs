@@ -1,6 +1,6 @@
 //! The work-stealing scheduler behind the rayon shim.
 //!
-//! Each [`Registry`] owns `width - 1 >= 1` worker OS threads (a width-1
+//! Each `Registry` owns `width - 1 >= 1` worker OS threads (a width-1
 //! registry runs everything inline and spawns nothing). Every worker has
 //! its own lock-free [`ChaseLev`] deque of pending jobs; a worker pushes
 //! and pops at the *bottom* of its own deque (LIFO, so the hottest, most
@@ -22,7 +22,7 @@
 //! is what lets the miners keep their per-rank `catch_unwind`
 //! attribution no matter which worker actually ran the subtree.
 //!
-//! Idle workers sleep on an [`EventCounter`] (eventcount protocol):
+//! Idle workers sleep on an `EventCounter` (eventcount protocol):
 //! every producer bumps an epoch before checking for sleepers, and a
 //! worker re-validates its pre-scan epoch snapshot after registering as
 //! a sleeper, so wakeups cannot be lost and there is no polling timeout
@@ -81,13 +81,17 @@ impl FlatWords for JobRef {
 }
 
 /// A job whose closure and result slot live in the spawning stack frame.
+///
+/// The owner may return — freeing the job — the moment it observes
+/// `done`, so the executor's `Release` store of `done` is its last access
+/// to the job.
 struct StackJob<F, R> {
     f: UnsafeCell<Option<F>>,
     result: UnsafeCell<Option<thread::Result<R>>>,
     done: AtomicBool,
-    /// Parked external waiter to unpark on completion (worker waiters
-    /// spin-steal instead of parking).
-    waiter: Mutex<Option<thread::Thread>>,
+    /// The off-pool owner parked in [`StackJob::wait_parked`], unparked on
+    /// completion; `None` for worker owners, which spin-steal instead.
+    owner: Option<thread::Thread>,
 }
 
 impl<F, R> StackJob<F, R>
@@ -95,12 +99,12 @@ where
     F: FnOnce() -> R + Send,
     R: Send,
 {
-    fn new(f: F) -> StackJob<F, R> {
+    fn new(f: F, owner: Option<thread::Thread>) -> StackJob<F, R> {
         StackJob {
             f: UnsafeCell::new(Some(f)),
             result: UnsafeCell::new(None),
             done: AtomicBool::new(false),
-            waiter: Mutex::new(None),
+            owner,
         }
     }
 
@@ -118,8 +122,11 @@ where
         let f = (*job.f.get()).take().expect("job executed twice");
         let result = std::panic::catch_unwind(AssertUnwindSafe(f));
         *job.result.get() = Some(result);
+        // Clone the owner handle first: once `done` is visible the owner
+        // may free the job, so the store must be the last access to it.
+        let owner = job.owner.clone();
         job.done.store(true, Ordering::Release);
-        if let Some(thread) = job.waiter.lock().expect("waiter lock").take() {
+        if let Some(thread) = owner {
             thread.unpark();
         }
     }
@@ -128,17 +135,12 @@ where
         self.done.load(Ordering::Acquire)
     }
 
-    /// Blocks a non-worker thread until the job completes.
+    /// Blocks the off-pool owner until the job completes. An unpark that
+    /// lands before `park` leaves a token, so no wakeup is lost; the loop
+    /// absorbs spurious wakeups.
     fn wait_parked(&self) {
-        let mut slot = self.waiter.lock().expect("waiter lock");
-        loop {
-            if self.is_done() {
-                return;
-            }
-            *slot = Some(thread::current());
-            drop(slot);
+        while !self.is_done() {
             thread::park();
-            slot = self.waiter.lock().expect("waiter lock");
         }
     }
 
@@ -638,7 +640,7 @@ impl Registry {
         if inline {
             return op();
         }
-        let job = StackJob::new(op);
+        let job = StackJob::new(op, Some(thread::current()));
         self.shared.push_injected(job.as_job_ref());
         job.wait_parked();
         match job.take_result() {
@@ -731,7 +733,7 @@ where
     RA: Send,
     RB: Send,
 {
-    let job_b = StackJob::new(b);
+    let job_b = StackJob::new(b, None);
     shared.push_local(index, job_b.as_job_ref());
 
     let ra = std::panic::catch_unwind(AssertUnwindSafe(a));
@@ -811,6 +813,28 @@ mod tests {
                 w.steal_successes + w.steal_empty + w.steal_retries
             );
         }
+    }
+
+    /// Off-pool owners park in `in_worker` while a worker runs their job;
+    /// the executor must not touch the job once `done` is visible, or a
+    /// woken owner frees it under the executor's feet. Several external
+    /// callers hammering a narrow jittered pool keep that window hot.
+    #[test]
+    fn parked_owners_survive_concurrent_completion() {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(2)
+            .steal_jitter(0x5eed)
+            .build()
+            .expect("pool builds");
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..300 {
+                        assert_eq!(pool.install(|| fib(10)), 55);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! files on disk, re-join, and mine — the full operator workflow across
 //! every crate boundary.
 
-use irma::core::{analyze, supercloud_spec, AnalysisConfig, KW_SM_ZERO};
+use irma::core::{
+    pai_spec, supercloud_spec, try_analyze, try_analyze_traced, AnalysisConfig, Metrics,
+    Provenance, KW_FAILED, KW_SM_ZERO,
+};
 use irma::data::{inner_join, read_csv_path, write_csv_path};
-use irma::synth::{supercloud, TraceConfig};
+use irma::synth::{pai, supercloud, TraceConfig};
 
 #[test]
 fn csv_round_trip_preserves_analysis() {
@@ -16,11 +19,12 @@ fn csv_round_trip_preserves_analysis() {
     let bundle = supercloud(&config);
 
     // Analysis directly from the in-memory merge.
-    let direct = analyze(
+    let direct = try_analyze(
         &bundle.merged(),
         &supercloud_spec(),
         &AnalysisConfig::default(),
-    );
+    )
+    .expect("clean synthetic input");
 
     // Analysis after writing both collection-level files to disk and
     // reading them back.
@@ -33,7 +37,8 @@ fn csv_round_trip_preserves_analysis() {
     let sched = read_csv_path(&sched_path).unwrap();
     let mon = read_csv_path(&mon_path).unwrap();
     let merged = inner_join(&sched, &mon, "job_id").unwrap();
-    let from_disk = analyze(&merged, &supercloud_spec(), &AnalysisConfig::default());
+    let from_disk = try_analyze(&merged, &supercloud_spec(), &AnalysisConfig::default())
+        .expect("round-tripped input");
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(direct.n_jobs(), from_disk.n_jobs());
@@ -64,11 +69,12 @@ fn same_seed_same_rules_different_seed_different_trace() {
             seed,
             max_monitor_samples: 32,
         });
-        analyze(
+        try_analyze(
             &bundle.merged(),
             &supercloud_spec(),
             &AnalysisConfig::default(),
         )
+        .expect("clean synthetic input")
     };
     let a = mk(1);
     let b = mk(1);
@@ -84,5 +90,83 @@ fn same_seed_same_rules_different_seed_different_trace() {
             (ra.support - rc.support).abs() > 1e-12
         },
         "seeds 1 and 2 produced identical analyses"
+    );
+}
+
+/// FNV-1a over the pipeline's rendered output: stable across Rust
+/// releases (unlike `DefaultHasher`), so the pinned value below only
+/// moves when the output does.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden output of a fixed-seed PAI analysis: the full rule list (with
+/// exact metric bits), the two paper keyword tables, and the provenance
+/// explanation of the first pruned `Failed` rule. Any change to encoding,
+/// mining, rule generation, pruning, rendering or provenance moves the
+/// digest; a refactor that claims byte-identical output must keep it.
+#[test]
+fn pai_analysis_output_is_pinned() {
+    let bundle = pai(&TraceConfig {
+        n_jobs: 4_000,
+        seed: 2024,
+        max_monitor_samples: 32,
+    });
+    let provenance = Provenance::enabled();
+    let analysis = try_analyze_traced(
+        &bundle.merged(),
+        &pai_spec(),
+        &AnalysisConfig::default(),
+        &Metrics::disabled(),
+        &provenance,
+    )
+    .expect("clean synthetic input");
+    let catalog = &analysis.encoded.catalog;
+
+    let mut rule_text = String::new();
+    for rule in &analysis.rules {
+        rule_text.push_str(&format!(
+            "{} | {} {:016x} {:016x} {:016x}\n",
+            rule.render(catalog),
+            rule.support_count,
+            rule.support.to_bits(),
+            rule.confidence.to_bits(),
+            rule.lift.to_bits(),
+        ));
+    }
+    let mut tables = String::new();
+    for label in [KW_FAILED, KW_SM_ZERO] {
+        tables.push_str(&analysis.render_keyword_with(label, 10, &Metrics::disabled()));
+    }
+    let failed = analysis
+        .keyword_traced(KW_FAILED, &Metrics::disabled(), &provenance)
+        .expect("Failed is a PAI item");
+    let record = failed.outcome.pruned.first().expect("a pruned Failed rule");
+    let labeler = |id: u32| catalog.label(id).to_string();
+    let explain = provenance
+        .render_explain(
+            record.rule.antecedent.items(),
+            record.rule.consequent.items(),
+            &labeler,
+        )
+        .expect("pruned rule is recorded");
+
+    assert!(explain.contains("verdict: PRUNED"), "{explain}");
+    assert_eq!(
+        (
+            analysis.rules.len(),
+            fnv1a(&rule_text),
+            fnv1a(&tables),
+            fnv1a(&explain)
+        ),
+        (
+            109_044,
+            17_992_727_435_083_748_305,
+            6_630_595_333_397_597_649,
+            9_189_223_870_671_931_006
+        ),
+        "golden output changed; keyword tables:\n{tables}"
     );
 }

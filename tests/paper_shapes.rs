@@ -18,7 +18,7 @@ fn traces() -> [TraceAnalysis; 3] {
         philly_jobs: 4_000,
         seed: 0xdcc0,
     };
-    prepare_all(&scale, &AnalysisConfig::default())
+    prepare_all(&scale, &AnalysisConfig::default()).expect("synthetic traces analyse")
 }
 
 fn by_name<'a>(traces: &'a [TraceAnalysis], name: &str) -> &'a TraceAnalysis {
@@ -223,7 +223,7 @@ fn table8_queue_rules_opposite_for_t4_and_non_t4() {
 #[test]
 fn table8_misc_rule_sections_present() {
     let traces = traces();
-    let tables = misc_tables(&traces);
+    let tables = misc_tables(&traces).expect("model-subset analysis");
     assert!(tables.len() >= 5, "expected all Table VIII sections");
     for table in &tables {
         assert!(!table.rows.is_empty(), "{} produced no rules", table.title);

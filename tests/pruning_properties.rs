@@ -4,9 +4,11 @@
 
 use proptest::prelude::*;
 
-use irma::mine::{fpgrowth, ItemId, Itemset, MinerConfig, TransactionDb};
+use irma::mine::{fpgrowth, BudgetGuard, ItemId, Itemset, MinerConfig, TransactionDb};
+use irma::obs::{Metrics, Provenance};
 use irma::rules::{
-    generate_rules, prune_rules, KeywordAnalysis, PruneParams, RuleConfig, RuleRole,
+    generate_rules, prune_rules, KeywordAnalysis, PruneOutcome, PruneParams, Rule, RuleConfig,
+    RuleRole,
 };
 
 fn arb_db() -> impl Strategy<Value = TransactionDb> {
@@ -14,9 +16,28 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
         .prop_map(|txns| TransactionDb::from_transactions(txns).with_universe(8))
 }
 
-fn rules_of(db: &TransactionDb, min_lift: f64) -> Vec<irma::rules::Rule> {
-    let frequent = fpgrowth(db, &MinerConfig::with_min_support(0.05));
-    generate_rules(&frequent, &RuleConfig::with_min_lift(min_lift))
+fn rules_of(db: &TransactionDb, min_lift: f64) -> Vec<Rule> {
+    let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+    let config = MinerConfig::with_min_support(0.05);
+    let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
+    generate_rules(
+        &frequent,
+        &RuleConfig::with_min_lift(min_lift),
+        &metrics,
+        &provenance,
+    )
+}
+
+/// Prunes for `keyword` without observability.
+fn prune(rules: &[Rule], keyword: ItemId, params: &PruneParams) -> PruneOutcome {
+    prune_rules(
+        rules,
+        keyword,
+        params,
+        &Metrics::disabled(),
+        &Provenance::disabled(),
+    )
+    .expect("valid margins")
 }
 
 proptest! {
@@ -39,7 +60,7 @@ proptest! {
     #[test]
     fn kept_plus_pruned_equals_relevant(db in arb_db(), keyword in 0u32..8) {
         let rules = rules_of(&db, 1.0);
-        let out = prune_rules(&rules, keyword as ItemId, &PruneParams::default());
+        let out = prune(&rules, keyword as ItemId, &PruneParams::default());
         let relevant = rules
             .iter()
             .filter(|r| r.contains(keyword))
@@ -59,8 +80,8 @@ proptest! {
     fn pruning_is_idempotent(db in arb_db(), keyword in 0u32..8) {
         let rules = rules_of(&db, 1.0);
         let params = PruneParams::default();
-        let once = prune_rules(&rules, keyword as ItemId, &params);
-        let twice = prune_rules(&once.kept, keyword as ItemId, &params);
+        let once = prune(&rules, keyword as ItemId, &params);
+        let twice = prune(&once.kept, keyword as ItemId, &params);
         prop_assert_eq!(&once.kept, &twice.kept, "second pass pruned more");
         prop_assert!(twice.pruned.is_empty());
     }
@@ -68,10 +89,10 @@ proptest! {
     #[test]
     fn pruning_is_deterministic(db in arb_db(), keyword in 0u32..8) {
         let rules = rules_of(&db, 1.0);
-        let a = prune_rules(&rules, keyword as ItemId, &PruneParams::default());
+        let a = prune(&rules, keyword as ItemId, &PruneParams::default());
         let mut shuffled = rules.clone();
         shuffled.reverse();
-        let b = prune_rules(&shuffled, keyword as ItemId, &PruneParams::default());
+        let b = prune(&shuffled, keyword as ItemId, &PruneParams::default());
         prop_assert_eq!(a.kept, b.kept, "input order changed the outcome");
     }
 
@@ -88,7 +109,14 @@ proptest! {
     #[test]
     fn keyword_analysis_partitions_by_role(db in arb_db(), keyword in 0u32..8) {
         let rules = rules_of(&db, 1.0);
-        let analysis = KeywordAnalysis::run(&rules, keyword as ItemId, &PruneParams::default());
+        let analysis = KeywordAnalysis::run(
+            &rules,
+            keyword as ItemId,
+            &PruneParams::default(),
+            &Metrics::disabled(),
+            &Provenance::disabled(),
+        )
+        .unwrap();
         for rule in &analysis.causes {
             prop_assert_eq!(rule.role(keyword as ItemId), RuleRole::Cause);
         }

@@ -5,10 +5,17 @@
 use proptest::prelude::*;
 
 use irma::mine::{
-    closed_itemsets, fpgrowth, maximal_itemsets, support_from_closed, MinerConfig,
-    SlidingWindowMiner, TransactionDb,
+    closed_itemsets, fpgrowth, maximal_itemsets, support_from_closed, BudgetGuard,
+    FrequentItemsets, MinerConfig, SlidingWindowMiner, TransactionDb,
 };
+use irma::obs::Metrics;
 use irma::synth::sched::{simulate_queue, GpuPool, SchedRequest};
+
+/// FP-Growth at `min_support`, unbudgeted and unobserved.
+fn mine(db: &TransactionDb, min_support: f64) -> FrequentItemsets {
+    let config = MinerConfig::with_min_support(min_support);
+    fpgrowth(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited()).unwrap()
+}
 
 fn arb_requests(max_pool: usize) -> impl Strategy<Value = Vec<SchedRequest>> {
     prop::collection::vec(
@@ -81,11 +88,12 @@ proptest! {
         txns in prop::collection::vec(prop::collection::vec(0u32..6, 0..5), 1..50),
         capacity in 1usize..20,
     ) {
-        let mut miner = SlidingWindowMiner::new(capacity, MinerConfig::with_min_support(0.3));
+        let config = MinerConfig::with_min_support(0.3);
+        let mut miner = SlidingWindowMiner::new(capacity, config.clone());
         for txn in &txns {
             miner.push(txn.iter().copied());
         }
-        let streamed = miner.mine();
+        let streamed = miner.mine(&config, &BudgetGuard::unlimited()).unwrap();
         let window: Vec<Vec<u32>> = txns
             .iter()
             .rev()
@@ -95,7 +103,7 @@ proptest! {
             .collect();
         let batch_db = TransactionDb::from_transactions(window)
             .with_universe(miner.snapshot().n_items());
-        let batch = fpgrowth(&batch_db, &MinerConfig::with_min_support(0.3));
+        let batch = mine(&batch_db, 0.3);
         prop_assert_eq!(streamed.as_slice(), batch.as_slice());
     }
 
@@ -105,7 +113,7 @@ proptest! {
         min_support in 0.1f64..0.9,
     ) {
         let db = TransactionDb::from_transactions(txns);
-        let frequent = fpgrowth(&db, &MinerConfig::with_min_support(min_support));
+        let frequent = mine(&db, min_support);
         let closed = closed_itemsets(&frequent);
         let maximal = maximal_itemsets(&frequent);
         prop_assert!(maximal.len() <= closed.len());
