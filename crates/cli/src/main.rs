@@ -243,12 +243,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             deadline,
             threads,
         } => {
-            let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace)
-                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
-                None => generate_bundle(&trace, jobs, seed).merged(),
-            };
             // The sink stays a no-op unless somebody asked for output.
+            // It exists before the read so that ingest is attributed too.
             let mut metrics = if metrics_path.is_some() || verbose_stages {
                 Metrics::enabled()
             } else {
@@ -260,6 +256,11 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 metrics = metrics.with_event_sink(sink);
                 eprintln!("streaming trace events to {path}");
             }
+            let merged = match dir {
+                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &metrics)
+                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
+                None => generate_bundle(&trace, jobs, seed).merged(),
+            };
             let config = AnalysisConfig {
                 budget: ExecBudget {
                     max_itemsets: budget_itemsets,
@@ -341,8 +342,9 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             c_lift,
             c_supp,
         } => {
+            let metrics = Metrics::disabled();
             let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace)
+                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &metrics)
                     .map_err(|e| format!("reading trace CSVs: {e}"))?,
                 None => generate_bundle(&trace, jobs, seed).merged(),
             };
@@ -359,7 +361,6 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             config.prune.validate().map_err(|e| e.to_string())?;
 
             let provenance = Provenance::enabled();
-            let metrics = Metrics::disabled();
             let analysis =
                 try_analyze_traced(&merged, &spec_for(&trace), &config, &metrics, &provenance)
                     .map_err(Failure::Pipeline)?;

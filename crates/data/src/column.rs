@@ -52,6 +52,14 @@ pub struct StrStorage {
 }
 
 impl StrStorage {
+    /// Empty storage with room for `rows` codes.
+    pub(crate) fn with_capacity(rows: usize) -> StrStorage {
+        StrStorage {
+            codes: Vec::with_capacity(rows),
+            ..StrStorage::default()
+        }
+    }
+
     /// Interns `value` and returns its code.
     pub fn intern(&mut self, value: &str) -> u32 {
         if let Some(&code) = self.lookup.get(value) {
@@ -62,6 +70,11 @@ impl StrStorage {
         self.dict.push(value.to_string());
         self.lookup.insert(value.to_string(), code);
         code
+    }
+
+    /// The code of `value`, if it was interned.
+    pub(crate) fn code(&self, value: &str) -> Option<u32> {
+        self.lookup.get(value).copied()
     }
 
     /// Appends a value (or null).
@@ -138,10 +151,7 @@ impl Column {
         match dtype {
             DType::Int => Column::Int(Vec::with_capacity(cap)),
             DType::Float => Column::Float(Vec::with_capacity(cap)),
-            DType::Str => Column::Str(StrStorage {
-                codes: Vec::with_capacity(cap),
-                ..StrStorage::default()
-            }),
+            DType::Str => Column::Str(StrStorage::with_capacity(cap)),
             DType::Bool => Column::Bool(Vec::with_capacity(cap)),
         }
     }
@@ -318,14 +328,37 @@ impl Column {
 
     /// Materializes the subset of rows given by `indices` into a new column.
     pub fn take(&self, indices: &[usize]) -> Column {
+        self.gather(indices.iter().map(|&i| Some(i)))
+    }
+
+    /// Materializes `rows` into a new column, `None` giving a null cell.
+    ///
+    /// A string column remaps its codes through a dense table instead of
+    /// re-interning every cell, so each distinct value is copied once and
+    /// the new dictionary keeps first-appearance order in the output.
+    pub(crate) fn gather<I>(&self, rows: I) -> Column
+    where
+        I: ExactSizeIterator<Item = Option<usize>>,
+    {
         match self {
-            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
-            Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
+            Column::Int(v) => Column::Int(rows.map(|r| r.and_then(|i| v[i])).collect()),
+            Column::Float(v) => Column::Float(rows.map(|r| r.and_then(|i| v[i])).collect()),
+            Column::Bool(v) => Column::Bool(rows.map(|r| r.and_then(|i| v[i])).collect()),
             Column::Str(v) => {
-                let mut out = StrStorage::default();
-                for &i in indices {
-                    out.push(v.get(i));
+                let mut out = StrStorage::with_capacity(rows.len());
+                let mut remap = vec![STR_NULL; v.dict.len()];
+                for r in rows {
+                    let code = match r.map(|i| v.codes[i]) {
+                        Some(code) if code != STR_NULL => {
+                            let new = &mut remap[code as usize];
+                            if *new == STR_NULL {
+                                *new = out.intern(&v.dict[code as usize]);
+                            }
+                            *new
+                        }
+                        _ => STR_NULL,
+                    };
+                    out.codes.push(code);
                 }
                 Column::Str(out)
             }

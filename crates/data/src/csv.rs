@@ -9,101 +9,171 @@
 //! and a mandatory header row. CRLF is treated as the file's line-ending
 //! dialect rather than data, so a quoted `\r\n` normalizes to `\n` exactly
 //! as unquoted terminators do; a lone `\r` inside quotes stays literal.
+//!
+//! The reader works on bytes: one [`Tokenizer`] splits the input into
+//! fields that borrow from it, and each column is then classified and
+//! built straight into typed storage, so no cell becomes a `String` or a
+//! [`crate::Value`] on the way.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-use crate::column::{Column, DType};
+use crate::column::{Column, StrStorage};
 use crate::error::{DataError, Result};
 use crate::frame::Frame;
-use crate::value::Value;
+use crate::value::Cell;
+
+/// Splits CSV text into records of fields. A field borrows from the input
+/// unless quoting changed its bytes (a `""` escape, a quoted CRLF, or text
+/// after the closing quote); only then is it owned.
+struct Tokenizer<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based line at `pos`, for error messages.
+    line: usize,
+}
+
+impl<'a> Tokenizer<'a> {
+    fn new(text: &'a str) -> Tokenizer<'a> {
+        Tokenizer {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    fn error(&self, message: &str) -> DataError {
+        DataError::Csv {
+            line: self.line,
+            message: message.to_string(),
+        }
+    }
+
+    /// Reads the next record, handing each field to `sink` with its
+    /// index in the record; returns the field count, or `None` once the
+    /// input is exhausted. Text after the last line break is a final
+    /// record.
+    fn next_record(&mut self, mut sink: impl FnMut(usize, Cow<'a, str>)) -> Result<Option<usize>> {
+        if self.pos == self.text.len() {
+            return Ok(None);
+        }
+        let mut index = 0;
+        loop {
+            let (field, ends_record) = self.next_field()?;
+            sink(index, field);
+            index += 1;
+            if ends_record {
+                return Ok(Some(index));
+            }
+        }
+    }
+
+    /// Reads one field and its terminator; the flag is true when the
+    /// field ends its record.
+    fn next_field(&mut self) -> Result<(Cow<'a, str>, bool)> {
+        let bytes = self.text.as_bytes();
+        let quoted = if bytes.get(self.pos) == Some(&b'"') {
+            Some(self.quoted()?)
+        } else {
+            None
+        };
+        // The unquoted run: the whole field, or text after a closing quote.
+        let run_start = self.pos;
+        let i = run_start
+            + bytes[run_start..]
+                .iter()
+                .position(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+                .unwrap_or(bytes.len() - run_start);
+        let run = &self.text[run_start..i];
+        let field = match quoted {
+            None => Cow::Borrowed(run),
+            Some(quoted) if run.is_empty() => quoted,
+            Some(quoted) if quoted.is_empty() => Cow::Borrowed(run),
+            Some(quoted) => Cow::Owned(quoted.into_owned() + run),
+        };
+        let (next, ends_record) = match bytes.get(i) {
+            None => (i, true),
+            Some(b',') => (i + 1, false),
+            Some(b'\n') => {
+                self.line += 1;
+                (i + 1, true)
+            }
+            Some(b'\r') if bytes.get(i + 1) == Some(&b'\n') => {
+                self.line += 1;
+                (i + 2, true)
+            }
+            Some(b'\r') => return Err(self.error("bare carriage return")),
+            // A quote opens a field only at its start, which `quoted`
+            // consumed; a closing quote is never followed by another.
+            Some(_) => return Err(self.error("quote inside unquoted field")),
+        };
+        self.pos = next;
+        Ok((field, ends_record))
+    }
+
+    /// Reads the quoted section whose opening quote is at `pos`, leaving
+    /// `pos` just past the closing quote.
+    fn quoted(&mut self) -> Result<Cow<'a, str>> {
+        let bytes = self.text.as_bytes();
+        let mut owned: Option<String> = None;
+        let mut seg = self.pos + 1;
+        let mut i = seg;
+        loop {
+            i += bytes[i..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\r' | b'\n'))
+                .unwrap_or(bytes.len() - i);
+            match bytes.get(i) {
+                None => return Err(self.error("unterminated quoted field")),
+                Some(b'\n') => {
+                    self.line += 1;
+                    i += 1;
+                }
+                // A quoted CRLF is the same record terminator dialect as an
+                // unquoted one, so it normalizes to '\n' too; a lone '\r'
+                // is not a terminator and stays literal.
+                Some(b'\r') if bytes.get(i + 1) == Some(&b'\n') => {
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(&self.text[seg..i]);
+                    text.push('\n');
+                    self.line += 1;
+                    i += 2;
+                    seg = i;
+                }
+                Some(b'\r') => i += 1,
+                Some(_) if bytes.get(i + 1) == Some(&b'"') => {
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(&self.text[seg..=i]);
+                    i += 2;
+                    seg = i;
+                }
+                Some(_) => {
+                    self.pos = i + 1;
+                    let tail = &self.text[seg..i];
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(text) => Cow::Owned(text + tail),
+                    });
+                }
+            }
+        }
+    }
+}
 
 /// Splits raw CSV text into records of unescaped fields.
 ///
 /// Exposed for testing; most callers want [`read_csv`] / [`read_csv_path`].
 pub fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
+    let mut tokens = Tokenizer::new(text);
     let mut records = Vec::new();
-    let mut fields: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    // True when the current (possibly empty) field came from a quoted
-    // token — "" at EOF is a real empty field, not a missing record.
-    let mut field_quoted = false;
-    let mut line = 1usize;
-    let mut chars = text.chars().peekable();
-    let mut seen_any = false;
-
-    while let Some(c) = chars.next() {
-        seen_any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    line += 1;
-                    field.push('\n');
-                }
-                // A quoted CRLF is the same record terminator dialect as an
-                // unquoted one, so it normalizes to '\n' too; a lone '\r'
-                // is not a terminator and stays literal.
-                '\r' if chars.peek() == Some(&'\n') => {
-                    chars.next();
-                    line += 1;
-                    field.push('\n');
-                }
-                other => field.push(other),
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                if !field.is_empty() {
-                    return Err(DataError::Csv {
-                        line,
-                        message: "quote inside unquoted field".to_string(),
-                    });
-                }
-                in_quotes = true;
-                field_quoted = true;
-            }
-            ',' => {
-                fields.push(std::mem::take(&mut field));
-                field_quoted = false;
-            }
-            '\r' => {
-                if chars.peek() == Some(&'\n') {
-                    continue; // handled by the \n branch
-                }
-                return Err(DataError::Csv {
-                    line,
-                    message: "bare carriage return".to_string(),
-                });
-            }
-            '\n' => {
-                fields.push(std::mem::take(&mut field));
-                records.push(std::mem::take(&mut fields));
-                field_quoted = false;
-                line += 1;
-            }
-            other => field.push(other),
-        }
-    }
-    if in_quotes {
-        return Err(DataError::Csv {
-            line,
-            message: "unterminated quoted field".to_string(),
-        });
-    }
-    // Final record without trailing newline.
-    if seen_any && (!field.is_empty() || !fields.is_empty() || field_quoted) {
-        fields.push(field);
-        records.push(fields);
+    let mut fields = Vec::new();
+    while tokens
+        .next_record(|_, field| fields.push(field.into_owned()))?
+        .is_some()
+    {
+        records.push(std::mem::take(&mut fields));
     }
     Ok(records)
 }
@@ -114,74 +184,113 @@ pub fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
 /// Type inference promotes Int -> Float when a float appears later in an
 /// integer-looking column, and anything -> Str on conflict.
 pub fn read_csv_str(text: &str) -> Result<Frame> {
-    let records = parse_records(text)?;
-    let mut iter = records.into_iter();
-    let header = iter.next().ok_or(DataError::Csv {
-        line: 1,
-        message: "missing header row".to_string(),
-    })?;
-    let rows: Vec<Vec<String>> = iter.collect();
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != header.len() {
-            return Err(DataError::Csv {
-                line: i + 2,
-                message: format!("expected {} fields, found {}", header.len(), row.len()),
-            });
+    let mut tokens = Tokenizer::new(text);
+    let mut header = Vec::new();
+    let Some(width) = tokens.next_record(|_, field| header.push(field))? else {
+        return Err(DataError::Csv {
+            line: 1,
+            message: "missing header row".to_string(),
+        });
+    };
+
+    // Body fields, one vector per column. A ragged row is reported only
+    // once the whole input has tokenized, so that a syntax error anywhere
+    // wins. A well-formed record takes at least `width` bytes, which
+    // bounds the reservation when short rows or quoted line breaks make
+    // the line count overshoot.
+    let rows_hint = count_lines(text).min(text.len() / width) + 1;
+    let mut columns: Vec<Vec<Cow<str>>> =
+        (0..width).map(|_| Vec::with_capacity(rows_hint)).collect();
+    let mut rows = 0;
+    let mut ragged = None;
+    while let Some(found) = tokens.next_record(|i, field| {
+        if let Some(column) = columns.get_mut(i) {
+            column.push(field);
         }
+    })? {
+        if found != width && ragged.is_none() {
+            ragged = Some((rows, found));
+        }
+        rows += 1;
+    }
+    if let Some((row, found)) = ragged {
+        return Err(DataError::Csv {
+            line: row + 2,
+            message: format!("expected {width} fields, found {found}"),
+        });
     }
 
-    // Parse every cell once, then decide each column's type.
-    let parsed: Vec<Vec<Value>> = rows
-        .iter()
-        .map(|row| row.iter().map(|f| Value::parse_lossy(f)).collect())
-        .collect();
-
     let mut frame = Frame::new();
-    for (c, name) in header.iter().enumerate() {
-        let dtype = infer_dtype(parsed.iter().map(|row| &row[c]));
-        let mut col = Column::with_capacity(dtype, parsed.len());
-        for (r, row) in parsed.iter().enumerate() {
-            let v = coerce(&row[c], dtype, &rows[r][c]);
-            col.push_value(name, v).map_err(|e| DataError::Csv {
-                line: r + 2,
-                message: e.to_string(),
-            })?;
-        }
-        frame.add_column(name, col)?;
+    let mut cells = Vec::with_capacity(rows);
+    for (name, fields) in header.iter().zip(columns) {
+        frame.add_column(name, build_column(&fields, &mut cells))?;
     }
     Ok(frame)
 }
 
-/// Picks the narrowest dtype that can represent every non-null value.
-fn infer_dtype<'a, I: Iterator<Item = &'a Value>>(values: I) -> DType {
-    let mut seen_int = false;
-    let mut seen_float = false;
-    let mut seen_bool = false;
-    for v in values {
-        match v {
-            Value::Null => {}
-            Value::Int(_) => seen_int = true,
-            Value::Float(_) => seen_float = true,
-            Value::Bool(_) => seen_bool = true,
-            Value::Str(_) => return DType::Str,
-        }
-    }
-    match (seen_bool, seen_int, seen_float) {
-        (true, false, false) => DType::Bool,
-        (false, _, true) => DType::Float,
-        (false, true, false) => DType::Int,
-        (false, false, false) => DType::Str, // all-null column defaults to str
-        _ => DType::Str,                     // mixed bool/number: keep raw text
-    }
+/// Counts line breaks, an upper bound on the record count. Summing each
+/// 255-byte chunk into a `u8` lets the compiler vectorize the loop.
+fn count_lines(text: &str) -> usize {
+    text.as_bytes()
+        .chunks(255)
+        .map(|chunk| chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+        .sum()
 }
 
-/// Re-coerces a parsed value to the column's final dtype.
-fn coerce(value: &Value, dtype: DType, raw: &str) -> Value {
-    match (value, dtype) {
-        (Value::Null, _) => Value::Null,
-        (Value::Int(v), DType::Float) => Value::Float(*v as f64),
-        (v, DType::Str) if !matches!(v, Value::Str(_)) => Value::Str(raw.to_string()),
-        (v, _) => v.clone(),
+/// Builds one column from its fields: classifies each field once, picks
+/// the narrowest dtype that represents every non-null cell, then fills
+/// typed storage. Int cells widen in a Float column; every non-null cell
+/// of a Str column keeps its raw text.
+fn build_column(fields: &[Cow<str>], cells: &mut Vec<Cell>) -> Column {
+    cells.clear();
+    cells.extend(fields.iter().map(|field| Cell::classify(field)));
+    let (mut text, mut bools, mut ints, mut floats) = (false, false, false, false);
+    for cell in cells.iter() {
+        match cell {
+            Cell::Null => {}
+            Cell::Bool(_) => bools = true,
+            Cell::Int(_) => ints = true,
+            Cell::Float(_) => floats = true,
+            Cell::Text => text = true,
+        }
+    }
+    match (text, bools, ints, floats) {
+        (false, true, false, false) => Column::Bool(
+            cells
+                .iter()
+                .map(|cell| match *cell {
+                    Cell::Bool(b) => Some(b),
+                    _ => None,
+                })
+                .collect(),
+        ),
+        (false, false, _, true) => Column::Float(
+            cells
+                .iter()
+                .map(|cell| match *cell {
+                    Cell::Int(i) => Some(i as f64),
+                    Cell::Float(f) => Some(f),
+                    _ => None,
+                })
+                .collect(),
+        ),
+        (false, false, true, false) => Column::Int(
+            cells
+                .iter()
+                .map(|cell| match *cell {
+                    Cell::Int(i) => Some(i),
+                    _ => None,
+                })
+                .collect(),
+        ),
+        // Text, mixed bool/number, or an all-null column.
+        _ => {
+            let mut storage = StrStorage::with_capacity(cells.len());
+            for (cell, field) in cells.iter().zip(fields) {
+                storage.push((*cell != Cell::Null).then_some(field));
+            }
+            Column::Str(storage)
+        }
     }
 }
 
@@ -198,38 +307,57 @@ pub fn read_csv_path<P: AsRef<Path>>(path: P) -> Result<Frame> {
     read_csv(file)
 }
 
-/// Quotes a field if it contains a separator, quote, or newline.
-fn escape_field(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        let mut out = String::with_capacity(field.len() + 2);
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        field.to_string()
+/// Appends a text field, quoted if it holds a separator, quote or line
+/// break.
+fn push_field(out: &mut String, field: &str) {
+    if !field
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
+        out.push_str(field);
+        return;
     }
+    out.push('"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Appends one cell as [`crate::Value`]'s `Display` writes it (null is
+/// empty). Numbers and booleans never need quoting.
+fn push_cell(out: &mut String, column: &Column, row: usize) {
+    // Formatting into a `String` cannot fail.
+    let _ = match column {
+        Column::Int(v) => v[row].map(|x| write!(out, "{x}")),
+        Column::Float(v) => v[row].map(|x| write!(out, "{x}")),
+        Column::Bool(v) => v[row].map(|x| write!(out, "{x}")),
+        Column::Str(v) => v.get(row).map(|s| {
+            push_field(out, s);
+            Ok(())
+        }),
+    };
 }
 
 /// Serializes a frame to CSV text (header + rows, LF terminators).
 pub fn write_csv_string(frame: &Frame) -> String {
     let mut out = String::new();
-    let header: Vec<String> = frame.names().iter().map(|n| escape_field(n)).collect();
-    out.push_str(&header.join(","));
+    for (i, name) in frame.names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_field(&mut out, name);
+    }
     out.push('\n');
     for row in 0..frame.n_rows() {
-        let mut first = true;
-        for col in frame.columns() {
-            if !first {
+        for (i, column) in frame.columns().iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(&escape_field(&col.get(row).to_string()));
+            push_cell(&mut out, column, row);
         }
         out.push('\n');
     }
@@ -251,6 +379,8 @@ pub fn write_csv_path<P: AsRef<Path>>(frame: &Frame, path: P) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::DType;
+    use crate::value::Value;
 
     #[test]
     fn parses_simple_records() {
@@ -345,6 +475,20 @@ mod tests {
     #[test]
     fn rejects_ragged_rows() {
         assert!(read_csv_str("a,b\n1\n").is_err());
+    }
+
+    #[test]
+    fn wide_header_over_short_rows_stays_small() {
+        // 2000 columns over 2000 one-field lines: the per-column
+        // reservation is bounded by the input size (about 3 fields each
+        // here), not by the line count, and the first short row is the
+        // error.
+        let text = format!("{}\n{}", ",".repeat(1999), "x\n".repeat(2000));
+        let err = read_csv_str(&text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "csv parse error at line 2: expected 2000 fields, found 1"
+        );
     }
 
     #[test]

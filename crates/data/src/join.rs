@@ -10,59 +10,103 @@ use std::collections::HashMap;
 use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::frame::Frame;
-use crate::value::Value;
 
-/// A hashable join key extracted from a column cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Int(i64),
-    Str(String),
-    Bool(bool),
-}
+/// No slot or no row: a null key, a key the other side never holds, or
+/// the end of a chain.
+const NONE: usize = usize::MAX;
 
-fn key_at(col: &Column, row: usize) -> Result<Option<Key>> {
-    Ok(match col {
-        Column::Int(v) => v[row].map(Key::Int),
-        Column::Str(v) => v.get(row).map(|s| Key::Str(s.to_string())),
-        Column::Bool(v) => v[row].map(Key::Bool),
-        Column::Float(_) => {
-            return Err(DataError::Join("cannot join on a float column".to_string()))
+/// Maps both sides' key cells to dense slots, equal keys sharing a slot:
+/// int keys through a hash map over the right side, string keys through
+/// the right dictionary's codes (each left dictionary entry is looked up
+/// once), bool keys directly. Keys of different types never match.
+/// Returns the left and right slot per row and the number of slots.
+fn key_slots(left: &Column, right: &Column) -> Result<(Vec<usize>, Vec<usize>, usize)> {
+    let float = |col: &Column| matches!(col, Column::Float(_)) && !col.is_empty();
+    if float(right) || float(left) {
+        return Err(DataError::Join("cannot join on a float column".to_string()));
+    }
+    Ok(match (left, right) {
+        (Column::Int(l), Column::Int(r)) => {
+            let mut slot_of: HashMap<i64, usize> = HashMap::with_capacity(r.len());
+            let right = r
+                .iter()
+                .map(|k| {
+                    k.map_or(NONE, |k| {
+                        let n = slot_of.len();
+                        *slot_of.entry(k).or_insert(n)
+                    })
+                })
+                .collect();
+            let left = l
+                .iter()
+                .map(|k| k.and_then(|k| slot_of.get(&k).copied()).unwrap_or(NONE))
+                .collect();
+            (left, right, slot_of.len())
         }
+        (Column::Str(l), Column::Str(r)) => {
+            // Null cells carry the code `u32::MAX`.
+            let to_right: Vec<usize> = l
+                .dict()
+                .iter()
+                .map(|s| r.code(s).map_or(NONE, |c| c as usize))
+                .collect();
+            let left = l
+                .codes()
+                .iter()
+                .map(|&c| {
+                    if c == u32::MAX {
+                        NONE
+                    } else {
+                        to_right[c as usize]
+                    }
+                })
+                .collect();
+            let right = r
+                .codes()
+                .iter()
+                .map(|&c| if c == u32::MAX { NONE } else { c as usize })
+                .collect();
+            (left, right, r.cardinality())
+        }
+        (Column::Bool(l), Column::Bool(r)) => {
+            let slot = |k: &Option<bool>| k.map_or(NONE, usize::from);
+            (
+                l.iter().map(slot).collect(),
+                r.iter().map(slot).collect(),
+                2,
+            )
+        }
+        _ => (vec![NONE; left.len()], vec![NONE; right.len()], 0),
     })
 }
 
-/// Builds key -> row-indices for the right frame.
-fn build_index(frame: &Frame, key: &str) -> Result<HashMap<Key, Vec<usize>>> {
-    let col = frame.column(key)?;
-    let mut index: HashMap<Key, Vec<usize>> = HashMap::with_capacity(frame.n_rows());
-    for row in 0..frame.n_rows() {
-        if let Some(k) = key_at(col, row)? {
-            index.entry(k).or_default().push(row);
+fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) -> Result<Frame> {
+    let right_key = right.column(key)?;
+    let (left_slots, right_slots, n_slots) = key_slots(left.column(key)?, right_key)?;
+
+    // Right rows per slot: `head` holds the first, `next` chains the rest,
+    // both in row order so one-to-many matches keep the right-hand order.
+    let mut head = vec![NONE; n_slots];
+    let mut next = vec![NONE; right_slots.len()];
+    for (row, &slot) in right_slots.iter().enumerate().rev() {
+        if slot != NONE {
+            next[row] = head[slot];
+            head[slot] = row;
         }
     }
-    Ok(index)
-}
 
-fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) -> Result<Frame> {
-    let index = build_index(right, key)?;
-    let left_key = left.column(key)?;
-
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<Option<usize>> = Vec::new();
-    for row in 0..left.n_rows() {
-        match key_at(left_key, row)?.and_then(|k| index.get(&k)) {
-            Some(matches) => {
-                for &r in matches {
-                    left_rows.push(row);
-                    right_rows.push(Some(r));
-                }
-            }
-            None => {
-                if keep_unmatched_left {
-                    left_rows.push(row);
-                    right_rows.push(None);
-                }
-            }
+    let mut left_rows: Vec<usize> = Vec::with_capacity(left_slots.len());
+    let mut right_rows: Vec<Option<usize>> = Vec::with_capacity(left_slots.len());
+    for (row, &slot) in left_slots.iter().enumerate() {
+        let mut r = head.get(slot).copied().unwrap_or(NONE);
+        if r == NONE && keep_unmatched_left {
+            left_rows.push(row);
+            right_rows.push(None);
+        }
+        while r != NONE {
+            left_rows.push(row);
+            right_rows.push(Some(r));
+            r = next[r];
         }
     }
 
@@ -76,15 +120,7 @@ fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) 
         } else {
             name.clone()
         };
-        let mut new_col = Column::with_capacity(col.dtype(), right_rows.len());
-        for r in &right_rows {
-            let v = match r {
-                Some(r) => col.get(*r),
-                None => Value::Null,
-            };
-            new_col.push_value(&out_name, v)?;
-        }
-        out.add_column(&out_name, new_col)?;
+        out.add_column(&out_name, col.gather(right_rows.iter().copied()))?;
     }
     Ok(out)
 }
@@ -105,6 +141,7 @@ pub fn left_join(left: &Frame, right: &Frame, key: &str) -> Result<Frame> {
 mod tests {
     use super::*;
     use crate::csv::read_csv_str;
+    use crate::value::Value;
 
     fn sched() -> Frame {
         read_csv_str("job_id,user,status\n1,alice,pass\n2,bob,fail\n3,carol,pass\n").unwrap()

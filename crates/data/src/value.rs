@@ -1,9 +1,10 @@
 //! Dynamically typed cell values.
 //!
-//! A [`Value`] is the unit of data exchanged at frame boundaries (row
-//! construction, CSV parsing, joins). Inside a [`crate::Column`] values are
-//! stored in dense typed vectors; `Value` only appears at the edges, so the
-//! enum overhead never sits in a hot loop.
+//! A [`Value`] is the unit of data exchanged at row-at-a-time frame
+//! boundaries (row construction, cell access, derived columns). Inside a
+//! [`crate::Column`] values are stored in dense typed vectors, and the CSV
+//! reader and the joins move cells between typed storage directly, so the
+//! enum never sits in a hot loop.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -79,22 +80,13 @@ impl Value {
     /// `true`/`false` become `Bool`; otherwise integers are tried before
     /// floats, and anything left is a string.
     pub fn parse_lossy(field: &str) -> Value {
-        if field.is_empty() {
-            return Value::Null;
+        match Cell::classify(field) {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Text => Value::Str(field.to_string()),
         }
-        match field {
-            "null" | "NULL" | "NaN" | "nan" | "NA" | "na" => return Value::Null,
-            "true" | "TRUE" | "True" => return Value::Bool(true),
-            "false" | "FALSE" | "False" => return Value::Bool(false),
-            _ => {}
-        }
-        if let Ok(i) = field.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = field.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::Str(field.to_string())
     }
 
     /// Total order used by sorts: Null < Bool < Int/Float < Str, with
@@ -118,6 +110,36 @@ impl Value {
             (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
             (Str(a), Str(b)) => a.cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+/// What a CSV field means under [`Value::parse_lossy`]'s rules, decided
+/// without allocating: a text field stays in its source buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cell {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text,
+}
+
+impl Cell {
+    pub(crate) fn classify(field: &str) -> Cell {
+        match field {
+            "" | "null" | "NULL" | "NaN" | "nan" | "NA" | "na" => Cell::Null,
+            "true" | "TRUE" | "True" => Cell::Bool(true),
+            "false" | "FALSE" | "False" => Cell::Bool(false),
+            _ => {
+                if let Ok(i) = field.parse::<i64>() {
+                    Cell::Int(i)
+                } else if let Ok(f) = field.parse::<f64>() {
+                    Cell::Float(f)
+                } else {
+                    Cell::Text
+                }
+            }
         }
     }
 }

@@ -17,10 +17,17 @@
 //! [`FittedEncoder::transform`] replays the same label emission against
 //! the frozen catalog: labels that were dropped at fit time (or never
 //! seen) emit nothing. Null cells never emit an item.
+//!
+//! Emission works on slots, not strings: each feature maps a row to a
+//! small integer (zero bin, `Std` or bin *k*; a dictionary code; a head,
+//! tail or flag class) whose label is formatted once per feature and
+//! looked up once, the first time the row scan meets the slot. Labels
+//! therefore intern in the same (feature, row) first-appearance order as
+//! a per-row emission would, and every other row is integer work.
 
 use std::collections::{HashMap, HashSet};
 
-use irma_data::Frame;
+use irma_data::{Frame, StrStorage};
 use irma_mine::{ItemCatalog, ItemId, TransactionDb};
 use irma_obs::Metrics;
 
@@ -122,14 +129,36 @@ fn fit_frequency(frame: &Frame, column: &str, head_share: f64, tail_share: f64) 
     fit
 }
 
-/// Emits each row's item labels for one feature via `sink(row, label)`.
-fn emit_feature<F: FnMut(usize, &str)>(
+/// A row that emits no item. Equal to the null dictionary code, so a
+/// string column's codes are its slots as they are.
+const NO_ITEM: u32 = u32::MAX;
+
+/// One feature's rows mapped to small slots, where every row in a slot
+/// emits the same item: a numeric feature's zero bin, `Std` or bin *k*; a
+/// categorical column's dictionary code; a head, tail or flag class.
+struct Slots {
+    /// Slot per row, [`NO_ITEM`] where the row emits nothing.
+    rows: Vec<u32>,
+    /// Item label per slot, `None` where the slot emits nothing.
+    labels: Vec<Option<String>>,
+}
+
+fn str_column<'a>(frame: &'a Frame, column: &str, kind: &str) -> &'a StrStorage {
+    frame
+        .column(column)
+        .unwrap_or_else(|_| panic!("missing {kind} column `{column}`"))
+        .as_strs()
+        .unwrap_or_else(|| panic!("column `{column}` is not categorical"))
+}
+
+/// Slots every row of `frame` for `feature`. Null cells never emit an
+/// item.
+fn slots(
     frame: &Frame,
     feature: &FeatureSpec,
     numeric_fits: &HashMap<String, NumericFit>,
     frequency_fits: &HashMap<String, FrequencyFit>,
-    mut sink: F,
-) {
+) -> Slots {
     let n_rows = frame.n_rows();
     match feature {
         FeatureSpec::Numeric { column, zero, .. } => {
@@ -137,18 +166,28 @@ fn emit_feature<F: FnMut(usize, &str)>(
             let Ok(col) = frame.column(column) else {
                 panic!("missing numeric column `{column}`")
             };
-            for r in 0..n_rows {
-                let Some(v) = col.numeric(r).filter(|v| v.is_finite()) else {
-                    continue;
-                };
-                if let Some(z) = zero.as_ref().filter(|z| v <= z.threshold) {
-                    sink(r, &format!("{} = {}", fit.display, z.label));
-                } else if fit.spike_value == Some(v) {
-                    sink(r, &format!("{} = Std", fit.display));
-                } else if let Some(edges) = &fit.edges {
-                    sink(r, &format!("{} = Bin{}", fit.display, edges.assign(v) + 1));
-                }
-            }
+            // Slot 0 is the zero bin, 1 the spike, `2 + k` bin `k`.
+            let rows = (0..n_rows)
+                .map(|r| match col.numeric(r).filter(|v| v.is_finite()) {
+                    None => NO_ITEM,
+                    Some(v) if zero.as_ref().is_some_and(|z| v <= z.threshold) => 0,
+                    Some(v) if fit.spike_value == Some(v) => 1,
+                    Some(v) => fit
+                        .edges
+                        .as_ref()
+                        .map_or(NO_ITEM, |edges| 2 + edges.assign(v) as u32),
+                })
+                .collect();
+            let display = &fit.display;
+            let n_bins = fit.edges.as_ref().map_or(0, BinEdges::n_bins);
+            let labels = [
+                zero.as_ref().map(|z| format!("{display} = {}", z.label)),
+                Some(format!("{display} = Std")),
+            ]
+            .into_iter()
+            .chain((1..=n_bins).map(|bin| Some(format!("{display} = Bin{bin}"))))
+            .collect();
+            Slots { rows, labels }
         }
         FeatureSpec::Categorical {
             column,
@@ -156,24 +195,26 @@ fn emit_feature<F: FnMut(usize, &str)>(
             remap,
             skip,
         } => {
-            let storage = frame
-                .column(column)
-                .unwrap_or_else(|_| panic!("missing categorical column `{column}`"))
-                .as_strs()
-                .unwrap_or_else(|| panic!("column `{column}` is not categorical"));
-            for r in 0..n_rows {
-                let Some(raw) = storage.get(r) else { continue };
-                let value = remap.get(raw).map(String::as_str).unwrap_or(raw);
-                if skip.iter().any(|s| s == value) {
-                    continue;
-                }
-                // An empty display name yields bare value labels
-                // ("Failed") matching how the paper names status items.
-                if display.is_empty() {
-                    sink(r, value);
-                } else {
-                    sink(r, &format!("{display} = {value}"));
-                }
+            let storage = str_column(frame, column, "categorical");
+            let labels = storage
+                .dict()
+                .iter()
+                .map(|raw| {
+                    let value = remap.get(raw).unwrap_or(raw);
+                    if skip.contains(value) {
+                        None
+                    } else if display.is_empty() {
+                        // An empty display name yields bare value labels
+                        // ("Failed") matching how the paper names status items.
+                        Some(value.clone())
+                    } else {
+                        Some(format!("{display} = {value}"))
+                    }
+                })
+                .collect();
+            Slots {
+                rows: storage.codes().to_vec(),
+                labels,
             }
         }
         FeatureSpec::FrequencyClass {
@@ -183,21 +224,27 @@ fn emit_feature<F: FnMut(usize, &str)>(
             ..
         } => {
             let fit = &frequency_fits[column];
-            let storage = frame
-                .column(column)
-                .unwrap_or_else(|_| panic!("missing frequency column `{column}`"))
-                .as_strs()
-                .unwrap_or_else(|| panic!("column `{column}` is not categorical"));
-            for r in 0..n_rows {
-                let Some(value) = storage.get(r) else {
-                    continue;
-                };
-                if fit.head.contains(value) {
-                    sink(r, head_label);
-                } else if fit.tail.contains(value) {
-                    sink(r, tail_label);
-                }
-            }
+            let storage = str_column(frame, column, "frequency");
+            let class: Vec<u32> = storage
+                .dict()
+                .iter()
+                .map(|value| {
+                    if fit.head.contains(value) {
+                        0
+                    } else if fit.tail.contains(value) {
+                        1
+                    } else {
+                        NO_ITEM
+                    }
+                })
+                .collect();
+            let rows = storage
+                .codes()
+                .iter()
+                .map(|&code| class.get(code as usize).copied().unwrap_or(NO_ITEM))
+                .collect();
+            let labels = vec![Some(head_label.clone()), Some(tail_label.clone())];
+            Slots { rows, labels }
         }
         FeatureSpec::Flag {
             column,
@@ -207,12 +254,42 @@ fn emit_feature<F: FnMut(usize, &str)>(
             let col = frame
                 .column(column)
                 .unwrap_or_else(|_| panic!("missing flag column `{column}`"));
-            for r in 0..n_rows {
-                if col.numeric(r).is_some_and(|v| v > *greater_than) {
-                    sink(r, label);
-                }
+            let rows = (0..n_rows)
+                .map(|r| {
+                    if col.numeric(r).is_some_and(|v| v > *greater_than) {
+                        0
+                    } else {
+                        NO_ITEM
+                    }
+                })
+                .collect();
+            Slots {
+                rows,
+                labels: vec![Some(label.clone())],
             }
         }
+    }
+}
+
+impl Slots {
+    /// Resolves each row's slot to an item id ([`NO_ITEM`] for none). A
+    /// slot's label goes to `item` once, the first time the row scan
+    /// meets it, so items are met in (feature, row) first-appearance
+    /// order.
+    fn resolve(&self, mut item: impl FnMut(&str) -> Option<ItemId>) -> Vec<ItemId> {
+        let mut ids: Vec<Option<ItemId>> = vec![None; self.labels.len()];
+        self.rows
+            .iter()
+            .map(|&slot| match ids.get_mut(slot as usize) {
+                None => NO_ITEM,
+                Some(id) => *id.get_or_insert_with(|| {
+                    self.labels[slot as usize]
+                        .as_deref()
+                        .and_then(&mut item)
+                        .unwrap_or(NO_ITEM)
+                }),
+            })
+            .collect()
     }
 }
 
@@ -278,19 +355,12 @@ pub fn fit(frame: &Frame, spec: &EncoderSpec) -> FittedEncoder {
     let mut prelim = ItemCatalog::new();
     let mut counts: Vec<usize> = Vec::new();
     for feature in &spec.features {
-        emit_feature(
-            frame,
-            feature,
-            &numeric_fits,
-            &frequency_fits,
-            |_, label| {
-                let id = prelim.intern(label) as usize;
-                if id >= counts.len() {
-                    counts.resize(id + 1, 0);
-                }
-                counts[id] += 1;
-            },
-        );
+        let ids = slots(frame, feature, &numeric_fits, &frequency_fits)
+            .resolve(|label| Some(prelim.intern(label)));
+        counts.resize(prelim.len(), 0);
+        for id in ids.into_iter().filter(|&id| id != NO_ITEM) {
+            counts[id as usize] += 1;
+        }
     }
 
     let mut dropped = Vec::new();
@@ -337,20 +407,21 @@ impl FittedEncoder {
     /// Encodes any frame with the training-time vocabulary. Labels that
     /// were dropped (or never seen) at fit time emit nothing.
     pub fn transform(&self, frame: &Frame) -> TransactionDb {
-        let mut rows: Vec<Vec<ItemId>> = vec![Vec::new(); frame.n_rows()];
-        for feature in &self.spec.features {
-            emit_feature(
-                frame,
-                feature,
-                &self.numeric_fits,
-                &self.frequency_fits,
-                |r, label| {
-                    if let Some(id) = self.catalog.id(label) {
-                        rows[r].push(id);
-                    }
-                },
-            );
-        }
+        let per_feature: Vec<Vec<ItemId>> = self
+            .spec
+            .features
+            .iter()
+            .map(|feature| {
+                slots(frame, feature, &self.numeric_fits, &self.frequency_fits)
+                    .resolve(|label| self.catalog.id(label))
+            })
+            .collect();
+        let rows = (0..frame.n_rows()).map(|r| {
+            per_feature
+                .iter()
+                .map(move |ids| ids[r])
+                .filter(|&id| id != NO_ITEM)
+        });
         TransactionDb::from_transactions(rows).with_universe(self.catalog.len().max(1))
     }
 }

@@ -2,7 +2,8 @@
 
 use std::path::Path;
 
-use irma_data::{inner_join, read_csv_path, write_csv_path, Frame};
+use irma_data::{inner_join, read_csv_str, write_csv_path, Frame};
+use irma_obs::Metrics;
 
 /// Scale and determinism knobs for a trace profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,12 +131,29 @@ impl TraceBundle {
 }
 
 /// Reads a trace previously written by [`TraceBundle::write_csv_dir`] and
-/// re-joins it into the analysis frame.
-pub fn read_merged_csv_dir<P: AsRef<Path>>(dir: P, name: &str) -> irma_data::Result<Frame> {
+/// re-joins it into the analysis frame. Each file read is a
+/// `data.parse_csv` span (fields `bytes`, `rows`) and the merge a
+/// `data.join` span (field `rows`) in `metrics`.
+pub fn read_merged_csv_dir<P: AsRef<Path>>(
+    dir: P,
+    name: &str,
+    metrics: &Metrics,
+) -> irma_data::Result<Frame> {
     let dir = dir.as_ref();
-    let scheduler = read_csv_path(dir.join(format!("{name}_scheduler.csv")))?;
-    let monitoring = read_csv_path(dir.join(format!("{name}_monitoring.csv")))?;
-    inner_join(&scheduler, &monitoring, "job_id")
+    let read = |level: &str| -> irma_data::Result<Frame> {
+        let mut span = metrics.span("data.parse_csv");
+        let text = std::fs::read_to_string(dir.join(format!("{name}_{level}.csv")))?;
+        let frame = read_csv_str(&text)?;
+        span.field("bytes", text.len() as u64);
+        span.field("rows", frame.n_rows() as u64);
+        Ok(frame)
+    };
+    let scheduler = read("scheduler")?;
+    let monitoring = read("monitoring")?;
+    let mut span = metrics.span("data.join");
+    let merged = inner_join(&scheduler, &monitoring, "job_id")?;
+    span.field("rows", merged.n_rows() as u64);
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -153,8 +171,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("irma_bundle_{}", std::process::id()));
         let (sched, mon) = bundle.write_csv_dir(&dir).unwrap();
         assert!(sched.exists() && mon.exists());
-        let merged = read_merged_csv_dir(&dir, "supercloud").unwrap();
+        let metrics = Metrics::enabled();
+        let merged = read_merged_csv_dir(&dir, "supercloud", &metrics).unwrap();
         assert_eq!(merged.n_rows(), bundle.n_jobs());
+        let snapshot = metrics.snapshot();
+        let parse = snapshot.stage("data.parse_csv").expect("parse span");
+        assert_eq!(parse.field("rows"), Some(bundle.n_jobs() as u64));
+        assert!(parse.field("bytes").is_some_and(|b| b > 0));
+        let join = snapshot.stage("data.join").expect("join span");
+        assert_eq!(join.field("rows"), Some(bundle.n_jobs() as u64));
         assert_eq!(merged.n_cols(), bundle.merged().n_cols());
         std::fs::remove_dir_all(&dir).ok();
     }

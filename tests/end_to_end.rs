@@ -3,11 +3,11 @@
 //! every crate boundary.
 
 use irma::core::{
-    pai_spec, supercloud_spec, try_analyze, try_analyze_traced, AnalysisConfig, Metrics,
-    Provenance, KW_FAILED, KW_SM_ZERO,
+    pai_spec, philly_spec, supercloud_spec, try_analyze, try_analyze_traced, AnalysisConfig,
+    Metrics, Provenance, KW_FAILED, KW_SM_ZERO,
 };
-use irma::data::{inner_join, read_csv_path, write_csv_path};
-use irma::synth::{pai, supercloud, TraceConfig};
+use irma::data::{inner_join, read_csv_path, read_csv_str, write_csv_path, write_csv_string};
+use irma::synth::{pai, philly, supercloud, TraceConfig};
 
 #[test]
 fn csv_round_trip_preserves_analysis() {
@@ -168,5 +168,68 @@ fn pai_analysis_output_is_pinned() {
             9_189_223_870_671_931_006
         ),
         "golden output changed; keyword tables:\n{tables}"
+    );
+}
+
+/// Digest of an encoding: catalog labels in id order, then every
+/// transaction's item ids (the CSR rows), one line each.
+fn encoding_digest(encoded: &irma::prep::Encoded) -> (usize, usize, u64) {
+    let mut text = encoded.catalog.labels().join("\n");
+    for t in encoded.db.iter() {
+        text.push('\n');
+        for id in t {
+            text.push_str(&format!("{id} "));
+        }
+    }
+    (
+        encoded.catalog.len(),
+        encoded.db.total_items(),
+        fnv1a(&text),
+    )
+}
+
+/// Writes a bundle's two files as CSV text, reads them back, re-joins
+/// and encodes: the whole ingest path from bytes to transactions.
+fn encode_through_csv(
+    bundle: &irma::synth::TraceBundle,
+    spec: &irma::prep::EncoderSpec,
+) -> irma::prep::Encoded {
+    let sched = read_csv_str(&write_csv_string(&bundle.scheduler)).expect("scheduler CSV");
+    let mon = read_csv_str(&write_csv_string(&bundle.monitoring)).expect("monitoring CSV");
+    let merged = inner_join(&sched, &mon, "job_id").expect("join on job_id");
+    irma::prep::encode(&merged, spec, &Metrics::disabled())
+}
+
+/// Golden encoding of a fixed-seed SuperCloud trace after a CSV round
+/// trip: any change to the CSV reader or writer, the join or the
+/// encoder that moves a label, an item id or a transaction moves it.
+#[test]
+fn supercloud_encoding_is_pinned() {
+    let bundle = supercloud(&TraceConfig {
+        n_jobs: 3_000,
+        seed: 2024,
+        max_monitor_samples: 32,
+    });
+    let digest = encoding_digest(&encode_through_csv(&bundle, &supercloud_spec()));
+    assert_eq!(
+        digest,
+        (47, 34_931, 15_267_156_007_425_662_303),
+        "golden SuperCloud encoding changed"
+    );
+}
+
+/// Golden encoding of a fixed-seed Philly trace, as above.
+#[test]
+fn philly_encoding_is_pinned() {
+    let bundle = philly(&TraceConfig {
+        n_jobs: 3_000,
+        seed: 2024,
+        max_monitor_samples: 32,
+    });
+    let digest = encoding_digest(&encode_through_csv(&bundle, &philly_spec()));
+    assert_eq!(
+        digest,
+        (48, 28_278, 1_894_120_271_969_336_726),
+        "golden Philly encoding changed"
     );
 }
