@@ -19,12 +19,7 @@ fn mined(db: &irma_mine::TransactionDb) -> FrequentItemsets {
 
 fn generate(frequent: &FrequentItemsets, min_lift: f64) -> Vec<Rule> {
     let config = RuleConfig::with_min_lift(min_lift);
-    generate_rules(
-        frequent,
-        &config,
-        &Metrics::disabled(),
-        &Provenance::disabled(),
-    )
+    generate_rules(frequent, &config, &Metrics::disabled())
 }
 
 fn rule_generation(c: &mut Criterion) {

@@ -4,16 +4,18 @@
 //! verbatim (modulo using `irma_rules`' public types) as the differential
 //! oracle for the trie-driven prune: same keyword filter, same canonical
 //! sort, same per-group `(i asc, j > i asc)` pair enumeration with inline
-//! proper-subset tests, same marking semantics and provenance calls. The
-//! `rule_trie` suite asserts `irma_rules::prune_rules` matches
-//! this function byte-for-byte — kept set, `PruneRecord` sequence, and
-//! provenance records — at every pool width.
+//! proper-subset tests, same marking semantics, and the same decisions
+//! logged when provenance is enabled. The `rule_trie` suite asserts
+//! `irma_rules::prune_rules` matches this function byte-for-byte — kept
+//! set, `PruneRecord` sequence, and decision log — at every pool width.
 
 use std::collections::HashMap;
 
 use irma_mine::{ItemId, Itemset};
 use irma_obs::Provenance;
-use irma_rules::{PruneCondition, PruneOutcome, PruneParams, PruneRecord, Rule, RuleRole};
+use irma_rules::{
+    PruneCondition, PruneEdge, PruneLog, PruneOutcome, PruneParams, PruneRecord, Rule, RuleRole,
+};
 
 /// Prunes `rules` for `keyword` with the flat all-pairs reference
 /// implementation. A test oracle: it panics on invalid `params` where
@@ -26,19 +28,24 @@ pub fn flat_prune_rules(
 ) -> PruneOutcome {
     params.validate().expect("invalid prune params");
 
-    let mut relevant: Vec<Rule> = rules
-        .iter()
-        .filter(|r| r.role(keyword) != RuleRole::Unrelated)
-        .cloned()
+    let mut order: Vec<u32> = (0..rules.len() as u32)
+        .filter(|&i| rules[i as usize].role(keyword) != RuleRole::Unrelated)
         .collect();
-    relevant.sort_unstable_by(|a, b| {
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (&rules[a as usize], &rules[b as usize]);
         a.antecedent
             .cmp(&b.antecedent)
             .then_with(|| a.consequent.cmp(&b.consequent))
     });
+    let relevant: Vec<Rule> = order.iter().map(|&i| rules[i as usize].clone()).collect();
 
     let mut alive = vec![true; relevant.len()];
     let mut pruned: Vec<PruneRecord> = Vec::new();
+    let mut log = Log {
+        record: provenance.is_enabled(),
+        edges: Vec::new(),
+        undecided: vec![0; relevant.len()],
+    };
 
     for condition in PruneCondition::all() {
         apply_condition(
@@ -48,15 +55,13 @@ pub fn flat_prune_rules(
             params,
             &mut alive,
             &mut pruned,
-            provenance,
+            &mut log,
         );
     }
 
-    if provenance.is_enabled() {
-        for (rule, &is_alive) in relevant.iter().zip(&alive) {
-            provenance.mark_kept(&rule.provenance_info(), is_alive);
-        }
-    }
+    let log = log
+        .record
+        .then(|| PruneLog::new(*params, order, log.edges, log.undecided, alive.clone()));
 
     let kept: Vec<Rule> = relevant
         .iter()
@@ -64,7 +69,14 @@ pub fn flat_prune_rules(
         .filter(|(_, &a)| a)
         .map(|(r, _)| r.clone())
         .collect();
-    PruneOutcome { kept, pruned }
+    PruneOutcome { kept, pruned, log }
+}
+
+/// The decisions of one run, buffered when provenance is enabled.
+struct Log {
+    record: bool,
+    edges: Vec<PruneEdge>,
+    undecided: Vec<u32>,
 }
 
 /// Groups rule indices by a side and applies one condition within groups.
@@ -76,7 +88,7 @@ fn apply_condition(
     params: &PruneParams,
     alive: &mut [bool],
     pruned: &mut Vec<PruneRecord>,
-    provenance: &Provenance,
+    log: &mut Log,
 ) {
     // Conditions 1 and 4 compare rules sharing a consequent; 2 and 3 share
     // an antecedent.
@@ -136,22 +148,15 @@ fn apply_condition(
                         } else {
                             (long, short)
                         };
-                        if provenance.is_enabled() {
-                            provenance.record_decision(
-                                condition.number(),
-                                decision.branch,
-                                decision.margin,
-                                &render_detail(
-                                    condition,
-                                    &decision,
-                                    &rules[short],
-                                    &rules[long],
-                                    params,
-                                ),
-                                &rules[winner_idx].provenance_info(),
-                                &rules[loser_idx].provenance_info(),
-                                alive[loser_idx],
-                            );
+                        if log.record {
+                            log.edges.push(PruneEdge {
+                                winner: winner_idx as u32,
+                                loser: loser_idx as u32,
+                                condition: condition.number(),
+                                branch: decision.branch,
+                                margin: decision.margin,
+                                effective: alive[loser_idx],
+                            });
                         }
                         // Marking semantics: the winner prunes even if it was
                         // itself pruned earlier; record each loss once.
@@ -165,11 +170,9 @@ fn apply_condition(
                         }
                     }
                     Verdict::Undecided => {
-                        if provenance.is_enabled() {
-                            provenance.record_undecided(
-                                &rules[short].provenance_info(),
-                                &rules[long].provenance_info(),
-                            );
+                        if log.record {
+                            log.undecided[short] += 1;
+                            log.undecided[long] += 1;
                         }
                     }
                     Verdict::NotApplicable => {}
@@ -263,52 +266,5 @@ fn decide(
                 Verdict::Undecided
             }
         }
-    }
-}
-
-/// Renders the comparison a firing decision actually evaluated (must stay
-/// character-identical to `irma_rules`' private `render_detail`).
-fn render_detail(
-    condition: PruneCondition,
-    decision: &Decision,
-    short: &Rule,
-    long: &Rule,
-    params: &PruneParams,
-) -> String {
-    let (c_lift, c_supp) = (params.c_lift, params.c_supp);
-    match (condition, decision.branch) {
-        (PruneCondition::Condition2, "lift+support") => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} >= lift(short) = {:.4} and \
-             C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift,
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        (PruneCondition::Condition2, _) => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} < lift(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift
-        ),
-        (PruneCondition::Condition1, "support") => format!(
-            "C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        (_, _) => format!(
-            "C_lift x lift(short) = {:.2} x {:.4} = {:.4} >= lift(long) = {:.4}",
-            c_lift,
-            short.lift,
-            c_lift * short.lift,
-            long.lift
-        ),
     }
 }

@@ -32,7 +32,7 @@ use irma_check::fault::{
 };
 use irma_core::{
     try_analyze, try_analyze_traced_hooked, watch_feed, Analysis, AnalysisConfig, BudgetBreach,
-    Metrics, PipelineError, Provenance, WatchConfig,
+    Metrics, PipelineError, WatchConfig,
 };
 use irma_data::read_csv_str;
 use irma_mine::{BudgetGuard, ExecBudget, SlidingWindowMiner};
@@ -101,14 +101,9 @@ fn run_plan(plan: &FaultPlan) -> (Result<Analysis, PipelineError>, Snapshot) {
     let _region = ContainedRegion::enter();
     let result = match read_csv_str(&csv) {
         Err(e) => Err(PipelineError::Parse(e.to_string())),
-        Ok(frame) => try_analyze_traced_hooked(
-            &frame,
-            &base_spec(),
-            &config,
-            &metrics,
-            &Provenance::disabled(),
-            &plan.stage_hooks(),
-        ),
+        Ok(frame) => {
+            try_analyze_traced_hooked(&frame, &base_spec(), &config, &metrics, &plan.stage_hooks())
+        }
     };
     let snapshot = metrics.snapshot();
     (result, snapshot)

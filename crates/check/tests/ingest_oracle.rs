@@ -492,14 +492,21 @@ proptest! {
         prop_assert_eq!(frame.take(&indices), oracle::take(&frame, &indices));
         let kept: Vec<usize> = (0..frame.n_rows()).filter(|i| i % 3 != 1).collect();
         prop_assert_eq!(frame.filter(|i| i % 3 != 1), oracle::take(&frame, &kept));
-        let sorted = frame.sort_by("v", !descending).expect("column exists");
-        let col = frame.column("v").expect("column exists");
-        let mut order: Vec<usize> = (0..frame.n_rows()).collect();
-        order.sort_by(|&a, &b| {
-            let ord = col.get(a).total_cmp(&col.get(b));
-            if descending { ord.reverse() } else { ord }
-        });
-        prop_assert_eq!(sorted, oracle::take(&frame, &order));
+        // Sorting compares typed storage; the oracle compares `Value`s.
+        // Every key type (nulls included) and the string payload.
+        for kind in 0..4 {
+            let frame = keyed_frame(kind, &rows, "own");
+            for column in ["k", "v"] {
+                let sorted = frame.sort_by(column, !descending).expect("column exists");
+                let col = frame.column(column).expect("column exists");
+                let mut order: Vec<usize> = (0..frame.n_rows()).collect();
+                order.sort_by(|&a, &b| {
+                    let ord = col.get(a).total_cmp(&col.get(b));
+                    if descending { ord.reverse() } else { ord }
+                });
+                prop_assert_eq!(sorted, oracle::take(&frame, &order));
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! condition 1's lift branch harder to trigger, which can flip who wins a
 //! pairwise comparison and thereby change — not merely shrink or grow —
 //! the surviving rule set. This fixture pins the smallest database we
-//! know of that exhibits the flip and checks that the provenance recorder
+//! know of that exhibits the flip and checks that the decision log
 //! tells the story correctly at both margins.
 //!
 //! Items `a = 0`, `b = 1`, keyword `K = 2`; ten transactions
@@ -27,9 +27,11 @@
 //!   R2 on the lift branch (`1.5 × 1.111 > 1.333`) — the winner flips,
 //!   and the kept causes are `{R1, R3}`.
 
-use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
-use irma_obs::{Metrics, Provenance, PruneRole};
-use irma_rules::{generate_rules, KeywordAnalysis, PruneParams, RuleConfig};
+use irma_mine::{Algorithm, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
+use irma_obs::{Metrics, Provenance};
+use irma_rules::{
+    generate_rules, Explainer, KeywordAnalysis, PruneEdge, PruneLog, PruneParams, Rule, RuleConfig,
+};
 
 const A: u32 = 0;
 const B: u32 = 1;
@@ -52,9 +54,56 @@ fn label(id: u32) -> String {
     }
 }
 
+/// One keyword run over the fixture: what it mined, generated and kept,
+/// and its decision log.
+struct Run {
+    frequent: FrequentItemsets,
+    config: RuleConfig,
+    rules: Vec<Rule>,
+    log: PruneLog,
+    causes: Vec<Vec<u32>>,
+}
+
+impl Run {
+    /// The log position of rule `antecedent => {K}`.
+    fn position(&self, antecedent: &[u32]) -> usize {
+        self.log
+            .relevant()
+            .iter()
+            .position(|&i| {
+                let rule = &self.rules[i as usize];
+                rule.antecedent.items() == antecedent && rule.consequent.items() == [K]
+            })
+            .expect("rule took part in the keyword run")
+    }
+
+    /// The key of the rule at log position `position`.
+    fn key(&self, position: u32) -> (Vec<u32>, Vec<u32>) {
+        let rule = &self.rules[self.log.relevant()[position as usize] as usize];
+        (
+            rule.antecedent.items().to_vec(),
+            rule.consequent.items().to_vec(),
+        )
+    }
+
+    /// The fatal decision of rule `antecedent => {K}`.
+    fn killed_by(&self, antecedent: &[u32]) -> Option<&PruneEdge> {
+        self.log.killed_by(self.position(antecedent))
+    }
+
+    fn explain(&self, antecedent: &[u32]) -> String {
+        Explainer::new(
+            Some((&self.frequent, &self.config)),
+            Some((&self.rules, &self.log)),
+        )
+        .explain(antecedent, &[K], &label, &Metrics::disabled())
+        .expect("the rule was a candidate")
+    }
+}
+
 /// Mines the fixture and runs the keyword analysis at the given lift
-/// margin, returning the provenance and the kept cause antecedents.
-fn run_at(c_lift: f64) -> (Provenance, Vec<Vec<u32>>) {
+/// margin, keeping its decision log and the kept cause antecedents.
+fn run_at(c_lift: f64) -> Run {
     let db = fixture_db();
     let metrics = Metrics::disabled();
     let frequent = Algorithm::FpGrowth
@@ -74,8 +123,7 @@ fn run_at(c_lift: f64) -> (Provenance, Vec<Vec<u32>>) {
         min_confidence: 0.0,
         min_support: 0.0,
     };
-    let provenance = Provenance::enabled();
-    let rules = generate_rules(&frequent, &config, &metrics, &provenance);
+    let rules = generate_rules(&frequent, &config, &metrics);
     let analysis = KeywordAnalysis::run(
         &rules,
         K,
@@ -84,67 +132,75 @@ fn run_at(c_lift: f64) -> (Provenance, Vec<Vec<u32>>) {
             c_supp: 1.5,
         },
         &metrics,
-        &provenance,
+        &Provenance::enabled(),
     )
     .unwrap();
-    let mut antecedents: Vec<Vec<u32>> = analysis
+    let mut causes: Vec<Vec<u32>> = analysis
         .causes
         .iter()
         .map(|r| r.antecedent.items().to_vec())
         .collect();
-    antecedents.sort();
-    (provenance, antecedents)
+    causes.sort();
+    let log = analysis.outcome.log.expect("provenance enabled");
+    Run {
+        frequent,
+        config,
+        rules,
+        log,
+        causes,
+    }
 }
 
 #[test]
 fn tight_margin_keeps_only_the_strongest_cause() {
-    let (provenance, causes) = run_at(1.0);
-    assert_eq!(causes, vec![vec![B]], "only R3 survives at C_lift=1.0");
+    let run = run_at(1.0);
+    assert_eq!(run.causes, vec![vec![B]], "only R3 survives at C_lift=1.0");
 
     // R1 {a}=>{K} dies on the support branch against the equal-support,
     // higher-lift specialization R2.
-    let r1 = provenance.get(&[A], &[K]).expect("R1 recorded");
-    let kill = r1.killed_by().expect("R1 was pruned");
+    let kill = run.killed_by(&[A]).expect("R1 was pruned");
     assert_eq!(kill.condition, 1);
     assert_eq!(kill.branch, "support");
-    assert_eq!(kill.opponent, (vec![A, B], vec![K]));
+    assert_eq!(run.key(kill.winner), (vec![A, B], vec![K]));
 
     // R2 {a,b}=>{K} dies on the lift branch against R3.
-    let r2 = provenance.get(&[A, B], &[K]).expect("R2 recorded");
-    let kill = r2.killed_by().expect("R2 was pruned");
+    let kill = run.killed_by(&[A, B]).expect("R2 was pruned");
     assert_eq!(kill.condition, 1);
     assert_eq!(kill.branch, "lift");
-    assert_eq!(kill.opponent, (vec![B], vec![K]));
+    assert_eq!(run.key(kill.winner), (vec![B], vec![K]));
 
-    let r3 = provenance.get(&[B], &[K]).expect("R3 recorded");
-    assert_eq!(r3.kept, Some(true));
-    assert!(r3.killed_by().is_none());
+    let r3 = run.position(&[B]);
+    assert!(run.log.kept(r3));
+    assert!(run.log.killed_by(r3).is_none());
 }
 
 #[test]
 fn loose_margin_flips_the_condition1_winner() {
-    let (provenance, causes) = run_at(1.5);
+    let run = run_at(1.5);
     assert_eq!(
-        causes,
+        run.causes,
         vec![vec![A], vec![B]],
         "R1 *reappears* at the looser margin — pruning is not monotone in C_lift"
     );
 
     // The same pair (R1, R2) is decided the other way around: the short
     // general rule R1 is now the winner, via the lift branch.
-    let r2 = provenance.get(&[A, B], &[K]).expect("R2 recorded");
-    let kill = r2.killed_by().expect("R2 was pruned");
+    let kill = run.killed_by(&[A, B]).expect("R2 was pruned");
     assert_eq!(kill.condition, 1);
     assert_eq!(kill.branch, "lift");
-    assert_eq!(kill.opponent, (vec![A], vec![K]), "winner flipped to R1");
+    assert_eq!(
+        run.key(kill.winner),
+        (vec![A], vec![K]),
+        "winner flipped to R1"
+    );
 
-    let r1 = provenance.get(&[A], &[K]).expect("R1 recorded");
-    assert_eq!(r1.kept, Some(true));
-    let win = r1
-        .steps
-        .iter()
-        .find(|s| s.role == PruneRole::Winner && s.opponent == (vec![A, B], vec![K]))
-        .expect("R1 records its win over R2");
+    let r1 = run.position(&[A]);
+    assert!(run.log.kept(r1));
+    let win = run
+        .log
+        .edges_of(r1)
+        .find(|e| e.winner as usize == r1 && run.key(e.loser) == (vec![A, B], vec![K]))
+        .expect("R1 logs its win over R2");
     assert_eq!(win.branch, "lift");
 }
 
@@ -152,10 +208,7 @@ fn loose_margin_flips_the_condition1_winner() {
 fn explain_renders_the_chain_at_both_margins() {
     // At the tight margin, explaining R1 walks the chain: R1 lost to R2,
     // and R2's own fate is a loss to R3, which was kept.
-    let (provenance, _) = run_at(1.0);
-    let text = provenance
-        .render_explain(&[A], &[K], &label)
-        .expect("R1 has a record");
+    let text = run_at(1.0).explain(&[A]);
     assert!(text.contains("LOST to {a, b} => {K}"), "{text}");
     assert!(text.contains("the winner's own fate:"), "{text}");
     assert!(text.contains("LOST to {b} => {K}"), "{text}");
@@ -165,10 +218,7 @@ fn explain_renders_the_chain_at_both_margins() {
     // At the loose margin the flip is visible in the rendered chain: R2's
     // killer is now R1 (whose own verdict is KEPT), while R3's later win
     // over the already-dead R2 renders as an echo edge, not the cause.
-    let (provenance, _) = run_at(1.5);
-    let text = provenance
-        .render_explain(&[A, B], &[K], &label)
-        .expect("R2 has a record");
+    let text = run_at(1.5).explain(&[A, B]);
     assert!(text.contains("LOST to {a} => {K}"), "{text}");
     assert!(text.contains("the winner's own fate:"), "{text}");
     assert!(text.contains("verdict: KEPT"), "{text}");

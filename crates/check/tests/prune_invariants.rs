@@ -23,14 +23,9 @@ fn rules_from(db: &irma_mine::TransactionDb) -> Vec<Rule> {
         max_len: 4,
         parallel: false,
     };
-    let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+    let metrics = Metrics::disabled();
     let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
-    generate_rules(
-        &frequent,
-        &RuleConfig::with_min_lift(0.0),
-        &metrics,
-        &provenance,
-    )
+    generate_rules(&frequent, &RuleConfig::with_min_lift(0.0), &metrics)
 }
 
 /// Prunes for `keyword` without observability.

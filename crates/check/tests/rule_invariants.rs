@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use irma_check::generators::arb_transaction_db;
 use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
-use irma_obs::{Metrics, Provenance};
+use irma_obs::Metrics;
 use irma_rules::{generate_rules, Rule, RuleConfig};
 
 fn arb_rule_config() -> impl Strategy<Value = RuleConfig> {
@@ -40,12 +40,7 @@ fn mined(db: &TransactionDb) -> FrequentItemsets {
 }
 
 fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {
-    generate_rules(
-        frequent,
-        config,
-        &Metrics::disabled(),
-        &Provenance::disabled(),
-    )
+    generate_rules(frequent, config, &Metrics::disabled())
 }
 
 fn recompute_metrics(db: &TransactionDb, rule: &Rule) -> (u64, f64, f64, f64) {

@@ -2,8 +2,8 @@
 //!
 //! The trie-driven `prune_rules` promises a *byte-identical*
 //! output contract to the flat all-pairs implementation it replaced —
-//! same kept rules, same `PruneRecord` sequence, same provenance records
-//! — at any rayon pool width. This suite pits it against the preserved
+//! same kept rules, same `PruneRecord` sequence, same decision log (edges,
+//! undecided counts, verdicts) — at any rayon pool width. This suite pits it against the preserved
 //! oracle ([`irma_check::flat_prune`]) on mined and synthetic rule sets
 //! at widths 1/2/8, checks the raw trie walks against brute-force subset
 //! scans, and pins the non-monotone `C_lift` counterexample from the
@@ -35,22 +35,20 @@ fn assert_equivalent(
     keyword: ItemId,
     params: &PruneParams,
 ) -> Result<(), TestCaseError> {
-    let flat_provenance = Provenance::enabled();
-    let expected = flat_prune_rules(rules, keyword, params, &flat_provenance);
-    let expected_records = flat_provenance.records();
+    let expected = flat_prune_rules(rules, keyword, params, &Provenance::enabled());
+    let expected_log = expected.log.as_ref().expect("provenance enabled");
     for &width in &WIDTHS {
         let pool = ThreadPoolBuilder::new()
             .num_threads(width)
             .build()
             .expect("pool");
-        let trie_provenance = Provenance::enabled();
         let actual = pool.install(|| {
             prune_rules(
                 rules,
                 keyword,
                 params,
                 &Metrics::disabled(),
-                &trie_provenance,
+                &Provenance::enabled(),
             )
         });
         let actual = actual.expect("margins drawn >= 1");
@@ -61,10 +59,18 @@ fn assert_equivalent(
             "PruneRecord sequence at width {}",
             width
         );
+        let actual_log = actual.log.as_ref().expect("provenance enabled");
+        prop_assert_eq!(expected_log.relevant(), actual_log.relevant());
         prop_assert_eq!(
-            &expected_records,
-            &trie_provenance.records(),
-            "provenance records at width {}",
+            expected_log.edges(),
+            actual_log.edges(),
+            "decision edges at width {}",
+            width
+        );
+        prop_assert_eq!(
+            expected_log,
+            actual_log,
+            "undecided counts and verdicts at width {}",
             width
         );
     }
@@ -76,7 +82,7 @@ fn mine_rules(db: &TransactionDb, config: &MinerConfig, rules: &RuleConfig) -> V
     let metrics = Metrics::disabled();
     let frequent: FrequentItemsets =
         fpgrowth(db, config, &metrics, &BudgetGuard::unlimited()).expect("valid config");
-    generate_rules(&frequent, rules, &metrics, &Provenance::disabled())
+    generate_rules(&frequent, rules, &metrics)
 }
 
 /// Rules mined from a random database at permissive thresholds, so the

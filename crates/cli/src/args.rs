@@ -778,7 +778,7 @@ EXIT CODES:
       a cached dataset) plus query parameters (trace=, algorithm=,
       min_support=, max_len=, min_lift=, min_confidence=, keyword=,
       top=) and returns mined rules as JSON; GET /v1/explain/{rule}?fp=F
-      explains one rule from cached provenance; GET /metrics and
+      explains one rule from the cached analysis; GET /metrics and
       GET /healthz expose the runtime counters. Tenants identify with
       the x-irma-tenant header (default `anonymous`): each gets a
       token-bucket rate limit and a failure circuit breaker (429 +

@@ -360,13 +360,18 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             }
             config.prune.validate().map_err(|e| e.to_string())?;
 
-            let provenance = Provenance::enabled();
-            let analysis =
-                try_analyze_traced(&merged, &spec_for(&trace), &config, &metrics, &provenance)
-                    .map_err(Failure::Pipeline)?;
-            analysis
-                .keyword_traced(&keyword, &metrics, &provenance)
+            let analysis = try_analyze_traced(
+                &merged,
+                &spec_for(&trace),
+                &config,
+                &metrics,
+                &Provenance::disabled(),
+            )
+            .map_err(Failure::Pipeline)?;
+            let keyword_run = analysis
+                .keyword_traced(&keyword, &metrics, &Provenance::enabled())
                 .ok_or_else(|| format!("keyword `{keyword}` is not an item of this trace"))?;
+            let explainer = analysis.explainer(keyword_run.outcome.log.as_ref());
 
             let resolve = |labels: &[String]| -> Result<Vec<u32>, String> {
                 let mut ids = labels
@@ -399,7 +404,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                     rule.support, rule.confidence, rule.lift
                 );
             }
-            match provenance.render_explain(&ante, &cons, &labeler) {
+            match explainer.explain(&ante, &cons, &labeler, &metrics) {
                 Some(text) => print!("{text}"),
                 None => println!(
                     "rule was never a candidate: its itemset is not frequent at the \
@@ -407,7 +412,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 ),
             }
             if let Some(path) = provenance_path {
-                std::fs::write(&path, provenance.to_jsonl(&labeler))
+                std::fs::write(&path, explainer.to_jsonl(&labeler))
                     .map_err(|e| format!("writing provenance to {path}: {e}"))?;
                 eprintln!("wrote provenance {path}");
             }

@@ -209,38 +209,33 @@ pub fn try_analyze(
     spec: &EncoderSpec,
     config: &AnalysisConfig,
 ) -> Result<Analysis, PipelineError> {
-    try_analyze_traced(
+    try_analyze_traced_hooked(
         frame,
         spec,
         config,
         &Metrics::disabled(),
-        &Provenance::disabled(),
+        &StageHooks::default(),
     )
 }
 
-/// [`try_analyze`] with observability + provenance: every pipeline stage
-/// (`prep.fit`, `prep.transform`, `mine.tree_build`/`mine.mine`,
-/// `rules.generate`) emits a [`irma_obs::StageEvent`] into `metrics` under
-/// one `core.analyze` root span, and every candidate rule (survivor or
-/// threshold-filtered) lands in `provenance`; follow with
-/// [`Analysis::keyword_traced`] to add the pruning decisions. A degraded
-/// success marks the metrics registry ([`Metrics::mark_degraded`]) and
-/// counts ladder steps under `core.degradation_steps`.
+/// [`try_analyze`] with observability: every pipeline stage (`prep.fit`,
+/// `prep.transform`, `mine.tree_build`/`mine.mine`, `rules.generate`,
+/// `rules.trie_build`) emits a [`irma_obs::StageEvent`] into `metrics`
+/// under one `core.analyze` root span. A degraded success marks the
+/// metrics registry ([`Metrics::mark_degraded`]) and counts ladder steps
+/// under `core.degradation_steps`.
+///
+/// The provenance handle records nothing here: generation verdicts are
+/// recomputed on demand ([`Analysis::explainer`]), and only
+/// [`Analysis::keyword_traced`] keeps a decision log.
 pub fn try_analyze_traced(
     frame: &Frame,
     spec: &EncoderSpec,
     config: &AnalysisConfig,
     metrics: &Metrics,
-    provenance: &Provenance,
+    _provenance: &Provenance,
 ) -> Result<Analysis, PipelineError> {
-    try_analyze_traced_hooked(
-        frame,
-        spec,
-        config,
-        metrics,
-        provenance,
-        &StageHooks::default(),
-    )
+    try_analyze_traced_hooked(frame, spec, config, metrics, &StageHooks::default())
 }
 
 /// [`try_analyze_traced`] with fault-injection seams; see [`StageHooks`].
@@ -249,7 +244,6 @@ pub fn try_analyze_traced_hooked(
     spec: &EncoderSpec,
     config: &AnalysisConfig,
     metrics: &Metrics,
-    provenance: &Provenance,
     hooks: &StageHooks,
 ) -> Result<Analysis, PipelineError> {
     let mut root = metrics.span("core.analyze");
@@ -292,7 +286,7 @@ pub fn try_analyze_traced_hooked(
             Ok(frequent) => {
                 let rules = catch_unwind(AssertUnwindSafe(|| {
                     hooks.fire("rules");
-                    generate_rules(&frequent, &config.rules, metrics, provenance)
+                    generate_rules(&frequent, &config.rules, metrics)
                 }))
                 .map_err(|payload| panic_to_error("rules", payload))?;
                 break (frequent, rules);
@@ -347,7 +341,11 @@ pub fn try_analyze_traced_hooked(
     if let Some(d) = &degradation {
         root.field("degradation_steps", d.steps.len() as u64);
     }
-    let rule_trie = irma_rules::RuleTrie::over_antecedents(&rules);
+    let rule_trie = {
+        let mut span = metrics.span("rules.trie_build");
+        span.field("rules_in", rules.len() as u64);
+        irma_rules::RuleTrie::over_antecedents(&rules)
+    };
     Ok(Analysis {
         encoded,
         frequent,
@@ -484,15 +482,9 @@ mod tests {
                     panic!("injected {stage} failure");
                 }
             });
-            let err = try_analyze_traced_hooked(
-                &frame,
-                &spec,
-                &config,
-                &Metrics::disabled(),
-                &Provenance::disabled(),
-                &hooks,
-            )
-            .unwrap_err();
+            let err =
+                try_analyze_traced_hooked(&frame, &spec, &config, &Metrics::disabled(), &hooks)
+                    .unwrap_err();
             assert_eq!(err.stage(), expected, "{err}");
             assert!(err.to_string().contains("injected"), "{err}");
         }

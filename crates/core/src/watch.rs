@@ -539,8 +539,7 @@ where
             let selected =
                 laddered_mine(miner, &config.miner, &config.budget, &first_guard, metrics)
                     .and_then(|(frequent, steps)| {
-                        let provenance = Provenance::disabled();
-                        let rules = generate_rules(&frequent, &config.rules, metrics, &provenance);
+                        let rules = generate_rules(&frequent, &config.rules, metrics);
                         let rules = select_rules(rules, config, metrics)
                             .map_err(|error| format!("invalid prune params: {error}"))?;
                         Ok((rules, steps))

@@ -10,7 +10,7 @@
 use irma_mine::{Algorithm, ExecBudget, FrequentItemsets, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::Encoded;
-use irma_rules::{KeywordAnalysis, PruneParams, Rule, RuleConfig, RuleTrie};
+use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleConfig, RuleTrie};
 
 /// Every knob of the paper's workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -66,9 +66,10 @@ impl Analysis {
     }
 
     /// [`Analysis::keyword`] with observability: the pruning stage emits a
-    /// `rules.prune` event with per-condition counts into `metrics`, and
-    /// every pruning decision's winner/loser edges land in `provenance`
-    /// (see [`irma_rules::prune_rules`]). Every `Analysis` is built by
+    /// `rules.prune` event with per-condition counts into `metrics`, and an
+    /// enabled `provenance` keeps the run's decision log in the result's
+    /// `outcome.log` (see [`irma_rules::prune_rules`]), ready for
+    /// [`Analysis::explainer`]. Every `Analysis` is built by
     /// [`crate::try_analyze_traced_hooked`], which validates `config.prune`
     /// up front, so pruning here cannot fail on its margins.
     pub fn keyword_traced(
@@ -94,6 +95,16 @@ impl Analysis {
             }
             None => format!("keyword: {label} (item not present)\n"),
         }
+    }
+
+    /// Explains this analysis's rules on demand: generation verdicts
+    /// recomputed from `frequent`, plus the decisions of one keyword run
+    /// over `rules` when its `prune` log is given.
+    pub fn explainer<'a>(&'a self, prune: Option<&'a PruneLog>) -> Explainer<'a> {
+        Explainer::new(
+            Some((&self.frequent, &self.config.rules)),
+            prune.map(|log| (self.rules.as_slice(), log)),
+        )
     }
 
     /// Number of transactions analysed.
@@ -317,6 +328,7 @@ mod tests {
             "mine.tree_build",
             "mine.mine",
             "rules.generate",
+            "rules.trie_build",
             "rules.prune",
         ] {
             assert!(snap.stage(stage).is_some(), "missing stage event {stage}");
@@ -324,7 +336,12 @@ mod tests {
         // Pipeline stages nest under the core.analyze root span.
         let root = snap.stage("core.analyze").unwrap();
         assert_eq!(root.parent, None);
-        for stage in ["prep.fit", "mine.mine", "rules.generate"] {
+        for stage in [
+            "prep.fit",
+            "mine.mine",
+            "rules.generate",
+            "rules.trie_build",
+        ] {
             assert_eq!(
                 snap.stage(stage).unwrap().parent,
                 Some(root.id),
@@ -370,17 +387,23 @@ mod tests {
         assert!(!kw.causes.is_empty());
         // Every kept cause rule has a KEPT verdict in its explanation.
         let labeler = |id: u32| analysis.encoded.catalog.label(id).to_string();
+        let explainer = analysis.explainer(kw.outcome.log.as_ref());
+        let metrics = Metrics::enabled();
         for rule in &kw.causes {
-            let text = provenance
-                .render_explain(rule.antecedent.items(), rule.consequent.items(), &labeler)
-                .expect("kept rule is recorded");
+            let text = explainer
+                .explain(
+                    rule.antecedent.items(),
+                    rule.consequent.items(),
+                    &labeler,
+                    &metrics,
+                )
+                .expect("kept rule is explained");
             assert!(text.contains("verdict: KEPT"), "{text}");
         }
-        // Candidate rules below the lift floor are recorded as filtered.
-        assert!(provenance
-            .records()
-            .iter()
-            .any(|r| r.filtered.is_some() || r.kept == Some(false)));
+        assert!(metrics.snapshot().stage("rules.explain").is_some());
+        // Candidate rules below the lift floor are explained as filtered.
+        let jsonl = explainer.to_jsonl(&labeler);
+        assert!(jsonl.contains("\"filtered\":{") || jsonl.contains("\"kept\":false"));
     }
 
     #[test]

@@ -237,6 +237,21 @@ impl Column {
         }
     }
 
+    /// Compares two rows in [`Value::total_cmp`] order straight from the
+    /// typed storage, without building a [`Value`]: `Option`'s order puts
+    /// nulls first, as `total_cmp` does.
+    pub fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            Column::Int(v) => v[a].cmp(&v[b]),
+            Column::Float(v) => match (v[a], v[b]) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                (x, y) => x.is_some().cmp(&y.is_some()),
+            },
+            Column::Str(v) => v.get(a).cmp(&v.get(b)),
+            Column::Bool(v) => v[a].cmp(&v[b]),
+        }
+    }
+
     /// Appends a dynamic value, coercing `Int -> Float` where needed.
     ///
     /// The `column` name is only used for error reporting.

@@ -224,7 +224,7 @@ impl Frame {
         let col = self.column(column)?;
         let mut indices: Vec<usize> = (0..self.n_rows()).collect();
         indices.sort_by(|&a, &b| {
-            let ord = col.get(a).total_cmp(&col.get(b));
+            let ord = col.cmp_rows(a, b);
             if ascending {
                 ord
             } else {

@@ -31,7 +31,7 @@ use std::time::Duration;
 use crate::Snapshot;
 
 /// Escapes a string for use inside JSON quotes.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -47,7 +47,8 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-pub(crate) fn f64_value(x: f64) -> String {
+/// A finite `f64` as its shortest round-trip JSON number; `null` otherwise.
+pub fn f64_value(x: f64) -> String {
     if x.is_finite() {
         // `{:?}` prints a shortest-roundtrip literal that always contains
         // a decimal point or exponent — a valid JSON number either way.

@@ -26,9 +26,9 @@
 //!   [`EventSink`] that writes `span_open` / `span_close` / `counter`
 //!   JSONL lines *live* (see [`event`](EventSink) docs for the schema),
 //!   so long runs can be tailed instead of snapshotted post-mortem.
-//! * **[`Provenance`]** — a per-rule decision recorder (generation
-//!   thresholds, pruning winner/loser edges) backing the CLI `explain`
-//!   subcommand.
+//! * **[`Provenance`]** — the switch that makes a keyword prune keep its
+//!   index-keyed decision log, from which `irma_rules::Explainer` renders
+//!   the CLI `explain` subcommand and `GET /v1/explain` on demand.
 //!
 //! The default sink is **disabled**: [`Metrics::default`] carries no
 //! allocation and every method is a branch on `None`, so instrumented
@@ -62,9 +62,8 @@ pub mod serve;
 
 pub use event::EventSink;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
-pub use provenance::{
-    GenFilter, Provenance, PruneRole, PruneStep, RuleInfo, RuleKey, RuleProvenance,
-};
+pub use json::{escape as json_escape, f64_value as json_f64};
+pub use provenance::Provenance;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -45,15 +45,26 @@ impl BinEdges {
     /// so the tied mass fills the lowest bin and the skipped bins are
     /// simply empty.
     pub fn fit(values: &[f64], n_bins: usize, scheme: BinningScheme) -> Option<BinEdges> {
-        assert!(n_bins >= 1, "need at least one bin");
         let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        sorted.sort_unstable_by(f64::total_cmp);
+        BinEdges::fit_sorted(&sorted, n_bins, scheme)
+    }
+
+    /// [`BinEdges::fit`] over values that are already finite and sorted
+    /// by [`f64::total_cmp`], for callers that sorted them for another
+    /// reason (the spike search) and should not pay for a second sort.
+    pub(crate) fn fit_sorted(
+        sorted: &[f64],
+        n_bins: usize,
+        scheme: BinningScheme,
+    ) -> Option<BinEdges> {
+        assert!(n_bins >= 1, "need at least one bin");
         if sorted.is_empty() {
             return None;
         }
-        sorted.sort_unstable_by(f64::total_cmp);
         let edges = match scheme {
             BinningScheme::EqualFrequency => (1..n_bins)
-                .map(|i| try_quantile_sorted(&sorted, i as f64 / n_bins as f64))
+                .map(|i| try_quantile_sorted(sorted, i as f64 / n_bins as f64))
                 .collect::<Option<Vec<f64>>>()?,
             BinningScheme::EqualWidth => {
                 let lo = sorted[0];
@@ -125,15 +136,16 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     try_quantile_sorted(sorted, q).expect("no finite values to take a quantile of")
 }
 
-/// Detects a "standard value" spike: the modal value if it covers at least
-/// `min_share` of the (finite) values. Exact equality is intended — request
-/// defaults are exact constants in schedulers.
-pub fn detect_spike(values: &[f64], min_share: f64) -> Option<f64> {
-    if values.is_empty() {
+/// Detects a "standard value" spike: the modal value of `sorted` (finite
+/// values ordered by [`f64::total_cmp`]) if it covers at least `min_share`
+/// of them. Exact equality is intended — request defaults are exact
+/// constants in schedulers. Taking the values sorted lets the encoder fit
+/// bin edges from the same sort.
+pub fn detect_spike(sorted: &[f64], min_share: f64) -> Option<f64> {
+    debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+    if sorted.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
     let mut best_value = sorted[0];
     let mut best_count = 0usize;
     let mut i = 0;
@@ -148,7 +160,7 @@ pub fn detect_spike(values: &[f64], min_share: f64) -> Option<f64> {
         }
         i = j;
     }
-    if best_count as f64 / values.len() as f64 >= min_share {
+    if best_count as f64 / sorted.len() as f64 >= min_share {
         Some(best_value)
     } else {
         None
@@ -296,6 +308,7 @@ mod tests {
     fn spike_detection() {
         let mut values = vec![600.0; 50];
         values.extend((0..50).map(|i| 100.0 + i as f64));
+        values.sort_unstable_by(f64::total_cmp);
         assert_eq!(detect_spike(&values, 0.3), Some(600.0));
         assert_eq!(detect_spike(&values, 0.6), None);
         assert_eq!(detect_spike(&[], 0.1), None);

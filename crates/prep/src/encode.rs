@@ -320,13 +320,16 @@ pub fn fit(frame: &Frame, spec: &EncoderSpec) -> FittedEncoder {
                 if let Some(z) = zero {
                     values.retain(|&v| v > z.threshold);
                 }
+                // One sort serves both the spike's mode and the bin edges:
+                // removing the spike keeps the residual sorted.
+                values.sort_unstable_by(f64::total_cmp);
                 let spike_value = spike
                     .as_ref()
                     .and_then(|s| detect_spike(&values, s.min_share));
                 if let Some(sv) = spike_value {
                     values.retain(|&v| v != sv);
                 }
-                let edges = BinEdges::fit(&values, *n_bins, *scheme);
+                let edges = BinEdges::fit_sorted(&values, *n_bins, *scheme);
                 numeric_fits.insert(
                     column.clone(),
                     NumericFit {

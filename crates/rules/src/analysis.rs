@@ -20,14 +20,17 @@ pub struct KeywordAnalysis {
     /// Rules with the keyword in the antecedent ("what else do these jobs
     /// look like").
     pub characteristics: Vec<Rule>,
-    /// Full pruning provenance (for before/after diagnostics).
+    /// The prune outcome: every removed rule with its dominator (for
+    /// before/after diagnostics) and, when provenance was enabled, the
+    /// run's decision log.
     pub outcome: PruneOutcome,
 }
 
 impl KeywordAnalysis {
     /// Runs keyword filtering + the four pruning conditions over `rules`,
-    /// reporting the pruning stage into `metrics` and its per-rule
-    /// decision lineage into `provenance` (see [`prune_rules`]).
+    /// reporting the pruning stage into `metrics`; an enabled
+    /// `provenance` keeps the decision log in `outcome.log` (see
+    /// [`prune_rules`]).
     pub fn run(
         rules: &[Rule],
         keyword: ItemId,

@@ -7,10 +7,9 @@
 //! mined family; no database rescans. Itemsets are processed in parallel
 //! with rayon (each is independent).
 
-use irma_obs::{GenFilter, Metrics, Provenance};
+use irma_mine::{FrequentItemsets, Itemset};
+use irma_obs::Metrics;
 use rayon::prelude::*;
-
-use irma_mine::FrequentItemsets;
 
 use crate::rule::Rule;
 
@@ -51,17 +50,34 @@ impl RuleConfig {
 ///
 /// Output is deterministic: sorted by antecedent, then consequent. Emits
 /// a `rules.generate` stage event (itemsets in, rule-bearing itemsets,
-/// rules out) into `metrics`, and records every candidate rule in
-/// `provenance` — either as a survivor or tagged with the first threshold
-/// (`lift`, `confidence`, `support`) that dropped it.
+/// rules out) into `metrics`. Nothing else is recorded: a candidate's
+/// verdict is recomputed on demand by [`Explainer`](crate::Explainer)
+/// from the same counts and the same threshold checks.
 pub fn generate_rules(
     frequent: &FrequentItemsets,
     config: &RuleConfig,
     metrics: &Metrics,
-    provenance: &Provenance,
 ) -> Vec<Rule> {
     let mut span = metrics.span("rules.generate");
-    let rules = generate_rules_inner(frequent, config, provenance);
+    let mut rules: Vec<Rule> = frequent
+        .as_slice()
+        .par_iter()
+        .filter(|(set, _)| set.len() >= 2)
+        .flat_map_iter(|(set, xy_count)| {
+            set.proper_subsets()
+                .into_iter()
+                .filter_map(move |antecedent| {
+                    let consequent = set.difference(&antecedent);
+                    let rule = candidate(frequent, antecedent, consequent, *xy_count);
+                    gen_filter(&rule, config).is_none().then_some(rule)
+                })
+        })
+        .collect();
+    rules.sort_unstable_by(|a, b| {
+        a.antecedent
+            .cmp(&b.antecedent)
+            .then_with(|| a.consequent.cmp(&b.consequent))
+    });
     span.field("itemsets_in", frequent.len() as u64);
     span.field(
         "candidate_itemsets",
@@ -71,9 +87,20 @@ pub fn generate_rules(
     rules
 }
 
+/// Why a candidate rule was dropped at generation time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GenFilter {
+    /// Which threshold fired: `"lift"`, `"confidence"`, or `"support"`.
+    pub metric: &'static str,
+    /// The rule's value of that metric.
+    pub value: f64,
+    /// The configured floor it failed.
+    pub threshold: f64,
+}
+
 /// Which generation threshold (if any) rejects `rule`, checked in the
 /// order the filter short-circuits.
-fn gen_filter(rule: &Rule, config: &RuleConfig) -> Option<GenFilter> {
+pub(crate) fn gen_filter(rule: &Rule, config: &RuleConfig) -> Option<GenFilter> {
     if rule.lift < config.min_lift {
         Some(GenFilter {
             metric: "lift",
@@ -97,45 +124,28 @@ fn gen_filter(rule: &Rule, config: &RuleConfig) -> Option<GenFilter> {
     }
 }
 
-fn generate_rules_inner(
+/// The candidate rule `antecedent => consequent`, with `xy_count` the
+/// count of their union; both sides resolve by downward closure.
+pub(crate) fn candidate(
     frequent: &FrequentItemsets,
-    config: &RuleConfig,
-    provenance: &Provenance,
-) -> Vec<Rule> {
-    let n = frequent.n_transactions();
-    let mut rules: Vec<Rule> = frequent
-        .as_slice()
-        .par_iter()
-        .filter(|(set, _)| set.len() >= 2)
-        .flat_map_iter(|(set, xy_count)| {
-            let mut local = Vec::new();
-            for antecedent in set.proper_subsets() {
-                let consequent = set.difference(&antecedent);
-                let x_count = frequent
-                    .count(&antecedent)
-                    .expect("downward closure: antecedent must be frequent");
-                let y_count = frequent
-                    .count(&consequent)
-                    .expect("downward closure: consequent must be frequent");
-                let rule =
-                    Rule::from_counts(antecedent, consequent, *xy_count, x_count, y_count, n);
-                let filtered = gen_filter(&rule, config);
-                if provenance.is_enabled() {
-                    provenance.record_candidate(rule.provenance_info(), filtered);
-                }
-                if filtered.is_none() {
-                    local.push(rule);
-                }
-            }
-            local
-        })
-        .collect();
-    rules.sort_unstable_by(|a, b| {
-        a.antecedent
-            .cmp(&b.antecedent)
-            .then_with(|| a.consequent.cmp(&b.consequent))
-    });
-    rules
+    antecedent: Itemset,
+    consequent: Itemset,
+    xy_count: u64,
+) -> Rule {
+    let x_count = frequent
+        .count(&antecedent)
+        .expect("downward closure: antecedent must be frequent");
+    let y_count = frequent
+        .count(&consequent)
+        .expect("downward closure: consequent must be frequent");
+    Rule::from_counts(
+        antecedent,
+        consequent,
+        xy_count,
+        x_count,
+        y_count,
+        frequent.n_transactions(),
+    )
 }
 
 #[cfg(test)]
@@ -172,12 +182,7 @@ mod tests {
     }
 
     fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {
-        generate_rules(
-            frequent,
-            config,
-            &Metrics::disabled(),
-            &Provenance::disabled(),
-        )
+        generate_rules(frequent, config, &Metrics::disabled())
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! frequent-itemset family into association rules
 //! ([`generate_rules`]), then apply the paper's four keyword-centric
 //! pruning conditions ([`prune_rules`]) and split survivors into cause /
-//! characteristic tables ([`KeywordAnalysis`]).
+//! characteristic tables ([`KeywordAnalysis`]). [`Explainer`] renders why
+//! any rule was kept, pruned or filtered, on demand.
 //!
 //! ```
 //! use irma_mine::{fpgrowth, BudgetGuard, ItemCatalog, MinerConfig, TransactionDb};
@@ -27,7 +28,7 @@
 //! let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
 //! let config = MinerConfig::with_min_support(0.05);
 //! let frequent = fpgrowth(&db, &config, &metrics, &BudgetGuard::unlimited())?;
-//! let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.2), &metrics, &provenance);
+//! let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.2), &metrics);
 //! let params = PruneParams::default();
 //! let analysis = KeywordAnalysis::run(&rules, idle, &params, &metrics, &provenance)?;
 //! assert_eq!(analysis.causes[0].antecedent.items(), &[debug]);
@@ -39,6 +40,7 @@
 mod analysis;
 mod classify;
 mod compare;
+mod explain;
 mod generate;
 mod prune;
 mod rule;
@@ -47,7 +49,8 @@ mod trie;
 pub use analysis::KeywordAnalysis;
 pub use classify::{Evaluation, RuleClassifier};
 pub use compare::{compare_rules, label_rules, LabeledRule, RuleComparison};
-pub use generate::{generate_rules, RuleConfig};
+pub use explain::{Explainer, PruneEdge, PruneLog};
+pub use generate::{generate_rules, GenFilter, RuleConfig};
 pub use prune::{
     prune_rules, InvalidPruneParams, PruneCondition, PruneOutcome, PruneParams, PruneRecord,
 };

@@ -25,9 +25,10 @@
 //! parallel through the rayon shim; each group's verdicts are buffered
 //! ([`PairEvent`]) and replayed sequentially in canonical group order,
 //! which keeps the kept set, the `PruneRecord` sequence, and the
-//! provenance chains byte-identical to the flat all-pairs implementation
-//! (retained in `irma-check` as the differential oracle) at any pool
-//! width.
+//! decision log ([`PruneLog`]) byte-identical to the flat all-pairs
+//! implementation (retained in `irma-check` as the differential oracle) at
+//! any pool width. With provenance enabled, the replayed decisions *are*
+//! the log: index-keyed edges, no rule keys cloned, no text rendered.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -36,6 +37,7 @@ use irma_mine::{ItemId, Itemset};
 use irma_obs::{Metrics, Provenance};
 use rayon::prelude::*;
 
+use crate::explain::{PruneEdge, PruneLog};
 use crate::rule::{Rule, RuleRole};
 use crate::trie::RuleTrie;
 
@@ -133,8 +135,11 @@ pub struct PruneRecord {
 pub struct PruneOutcome {
     /// Rules that survived all four conditions, in canonical order.
     pub kept: Vec<Rule>,
-    /// Rules removed, with provenance.
+    /// Rules removed, with the rule that dominated each.
     pub pruned: Vec<PruneRecord>,
+    /// Every pairwise decision of the run, present iff provenance was
+    /// enabled; [`Explainer`](crate::Explainer) renders it on demand.
+    pub log: Option<PruneLog>,
 }
 
 impl PruneOutcome {
@@ -192,10 +197,12 @@ impl PruneCondition {
 ///
 /// Emits a `rules.prune` stage event (keyword-relevant rules in, kept,
 /// and per-condition prune counts) and bumps one `prune.condition<N>`
-/// counter per removed rule. Every pairwise winner/loser edge (including
+/// counter per removed rule. With `provenance` enabled the outcome also
+/// carries a [`PruneLog`]: every pairwise winner/loser edge (including
 /// marking-chain echoes on already-dead rules), the branch and margin that
 /// decided it, undecided comparisons, and each relevant rule's final
-/// verdict land in `provenance`. Invalid margins return
+/// verdict, keyed by position among the keyword-relevant rules (each
+/// mapped to its index in `rules`). Invalid margins return
 /// [`InvalidPruneParams`] (`irma_core::try_analyze` validates them up
 /// front and maps the error into `PipelineError::Rules`).
 pub fn prune_rules(
@@ -207,7 +214,7 @@ pub fn prune_rules(
 ) -> Result<PruneOutcome, InvalidPruneParams> {
     params.validate()?;
     let mut span = metrics.span("rules.prune");
-    let outcome = prune_rules_inner(rules, keyword, params, provenance);
+    let outcome = prune_rules_inner(rules, keyword, params, provenance.is_enabled());
     span.field("rules_in", outcome.total() as u64);
     span.field("kept", outcome.kept.len() as u64);
     for condition in PruneCondition::all() {
@@ -224,18 +231,10 @@ fn prune_rules_inner(
     rules: &[Rule],
     keyword: ItemId,
     params: &PruneParams,
-    provenance: &Provenance,
+    record: bool,
 ) -> PruneOutcome {
-    let mut relevant: Vec<Rule> = rules
-        .iter()
-        .filter(|r| r.role(keyword) != RuleRole::Unrelated)
-        .cloned()
-        .collect();
-    relevant.sort_unstable_by(|a, b| {
-        a.antecedent
-            .cmp(&b.antecedent)
-            .then_with(|| a.consequent.cmp(&b.consequent))
-    });
+    let order = relevant_order(rules, keyword);
+    let relevant: Vec<Rule> = order.iter().map(|&i| rules[i as usize].clone()).collect();
 
     // Nested-pair discovery depends only on the grouping, not on the
     // condition, so each plan is built once and shared by its two
@@ -246,29 +245,43 @@ fn prune_rules_inner(
 
     let mut alive = vec![true; relevant.len()];
     let mut pruned: Vec<PruneRecord> = Vec::new();
+    let mut edges: Vec<PruneEdge> = Vec::new();
+    let mut undecided = vec![0u32; if record { relevant.len() } else { 0 }];
 
     for condition in PruneCondition::all() {
         let plan = match condition {
             PruneCondition::Condition1 | PruneCondition::Condition4 => &by_consequent,
             PruneCondition::Condition2 | PruneCondition::Condition3 => &by_antecedent,
         };
-        apply_condition(
-            condition,
-            &relevant,
-            keyword,
-            params,
-            plan,
-            &mut alive,
-            &mut pruned,
-            provenance,
-        );
-    }
-
-    if provenance.is_enabled() {
-        for (rule, &is_alive) in relevant.iter().zip(&alive) {
-            provenance.mark_kept(&rule.provenance_info(), is_alive);
+        let outcomes: Vec<Vec<PairEvent>> = plan
+            .groups
+            .par_iter()
+            .map(|pairs| {
+                evaluate_group(condition, &relevant, keyword, params, pairs, &alive, record)
+            })
+            .collect();
+        // Replay in canonical group order: the output is independent of
+        // pool width and steal order.
+        for event in outcomes.into_iter().flatten() {
+            match event {
+                PairEvent::Decision(edge) => edges.push(edge),
+                PairEvent::Death { loser, winner } => {
+                    alive[loser as usize] = false;
+                    pruned.push(PruneRecord {
+                        rule: relevant[loser as usize].clone(),
+                        condition,
+                        dominated_by: relevant[winner as usize].key(),
+                    });
+                }
+                PairEvent::Undecided { short, long } => {
+                    undecided[short as usize] += 1;
+                    undecided[long as usize] += 1;
+                }
+            }
         }
     }
+
+    let log = record.then(|| PruneLog::new(*params, order, edges, undecided, alive.clone()));
 
     // Move the survivors out of `relevant` instead of cloning them a
     // second time: each kept rule is cloned exactly once, when the
@@ -279,7 +292,22 @@ fn prune_rules_inner(
         .filter(|&(_, is_alive)| is_alive)
         .map(|(rule, _)| rule)
         .collect();
-    PruneOutcome { kept, pruned }
+    PruneOutcome { kept, pruned, log }
+}
+
+/// The keyword-relevant rules of `rules` as indices, in canonical
+/// `(antecedent, consequent)` order: the position space of the run.
+fn relevant_order(rules: &[Rule], keyword: ItemId) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..rules.len() as u32)
+        .filter(|&i| rules[i as usize].role(keyword) != RuleRole::Unrelated)
+        .collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (&rules[a as usize], &rules[b as usize]);
+        a.antecedent
+            .cmp(&b.antecedent)
+            .then_with(|| a.consequent.cmp(&b.consequent))
+    });
+    order
 }
 
 /// Which side two rules of a group share (the other side varies).
@@ -386,85 +414,14 @@ fn nested_pairs(rules: &[Rule], members: &[u32], grouping: Grouping) -> Vec<Nest
 /// One buffered verdict from a group's evaluation, replayed sequentially.
 #[derive(Debug)]
 enum PairEvent {
-    /// A condition fired; recorded in provenance (echo edges included).
-    /// Only emitted when a provenance recorder is attached.
-    Decision {
-        winner: u32,
-        loser: u32,
-        branch: &'static str,
-        margin: f64,
-        detail: String,
-        effective: bool,
-    },
+    /// A condition fired (echo edges included). Only emitted when the
+    /// decision log is kept.
+    Decision(PruneEdge),
     /// The loser was still alive: mark it dead and emit a `PruneRecord`.
     Death { loser: u32, winner: u32 },
     /// The condition applied but neither branch fired. Only emitted when
-    /// a provenance recorder is attached.
+    /// the decision log is kept.
     Undecided { short: u32, long: u32 },
-}
-
-/// Evaluates one condition over a pre-computed group plan.
-///
-/// Groups partition the rules of a grouping, so their evaluations are
-/// independent and run in parallel; the buffered events are then replayed
-/// in canonical group order, making the output independent of pool width
-/// and steal order.
-#[allow(clippy::too_many_arguments)]
-fn apply_condition(
-    condition: PruneCondition,
-    rules: &[Rule],
-    keyword: ItemId,
-    params: &PruneParams,
-    plan: &GroupPlan,
-    alive: &mut [bool],
-    pruned: &mut Vec<PruneRecord>,
-    provenance: &Provenance,
-) {
-    let record = provenance.is_enabled();
-    let snapshot: &[bool] = alive;
-    let outcomes: Vec<Vec<PairEvent>> = plan
-        .groups
-        .par_iter()
-        .map(|pairs| evaluate_group(condition, rules, keyword, params, pairs, snapshot, record))
-        .collect();
-    for events in outcomes {
-        for event in events {
-            match event {
-                PairEvent::Decision {
-                    winner,
-                    loser,
-                    branch,
-                    margin,
-                    detail,
-                    effective,
-                } => {
-                    provenance.record_decision(
-                        condition.number(),
-                        branch,
-                        margin,
-                        &detail,
-                        &rules[winner as usize].provenance_info(),
-                        &rules[loser as usize].provenance_info(),
-                        effective,
-                    );
-                }
-                PairEvent::Death { loser, winner } => {
-                    alive[loser as usize] = false;
-                    pruned.push(PruneRecord {
-                        rule: rules[loser as usize].clone(),
-                        condition,
-                        dominated_by: rules[winner as usize].key(),
-                    });
-                }
-                PairEvent::Undecided { short, long } => {
-                    provenance.record_undecided(
-                        &rules[short as usize].provenance_info(),
-                        &rules[long as usize].provenance_info(),
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Runs one condition over one group's nested pairs against a snapshot of
@@ -483,8 +440,13 @@ fn evaluate_group(
     let mut events = Vec::new();
     let mut dead: HashSet<u32> = HashSet::new();
     for &NestedPair { short, long } in pairs {
-        let (short_rule, long_rule) = (&rules[short as usize], &rules[long as usize]);
-        match decide(condition, short_rule, long_rule, keyword, params) {
+        match decide(
+            condition,
+            &rules[short as usize],
+            &rules[long as usize],
+            keyword,
+            params,
+        ) {
             Verdict::Prune(decision) => {
                 let (loser, winner) = if decision.loser == Loser::Short {
                     (short, long)
@@ -493,14 +455,14 @@ fn evaluate_group(
                 };
                 let loser_alive = alive[loser as usize] && !dead.contains(&loser);
                 if record {
-                    events.push(PairEvent::Decision {
+                    events.push(PairEvent::Decision(PruneEdge {
                         winner,
                         loser,
+                        condition: condition.number(),
                         branch: decision.branch,
                         margin: decision.margin,
-                        detail: render_detail(condition, &decision, short_rule, long_rule, params),
                         effective: loser_alive,
-                    });
+                    }));
                 }
                 // Marking semantics: the winner prunes even if it was
                 // itself pruned earlier; record each loss once.
@@ -619,58 +581,6 @@ fn decide(
                 Verdict::Undecided
             }
         }
-    }
-}
-
-/// Renders the comparison a firing decision actually evaluated, for
-/// provenance traces (only built when a recorder is attached).
-fn render_detail(
-    condition: PruneCondition,
-    decision: &Decision,
-    short: &Rule,
-    long: &Rule,
-    params: &PruneParams,
-) -> String {
-    let (c_lift, c_supp) = (params.c_lift, params.c_supp);
-    match (condition, decision.branch) {
-        // Condition 2 short-rule branch: long covers short on both axes.
-        (PruneCondition::Condition2, "lift+support") => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} >= lift(short) = {:.4} and \
-             C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift,
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        // Condition 2 long-rule branch: even relaxed, long falls short.
-        (PruneCondition::Condition2, _) => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} < lift(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift
-        ),
-        // Condition 1 support branch: the long rule keeps enough support.
-        (PruneCondition::Condition1, "support") => format!(
-            "C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        // Conditions 1/3/4 lift branch: the short rule's lift, relaxed,
-        // covers the long rule's.
-        (_, _) => format!(
-            "C_lift x lift(short) = {:.2} x {:.4} = {:.4} >= lift(long) = {:.4}",
-            c_lift,
-            short.lift,
-            c_lift * short.lift,
-            long.lift
-        ),
     }
 }
 
@@ -866,40 +776,42 @@ mod tests {
     }
 
     #[test]
-    fn provenance_records_decisions_and_verdicts() {
+    fn provenance_logs_decisions_and_verdicts() {
         // Same family as `dominated_rule_still_prunes`: r1 kills r2, dead
         // r2 still dominates r3 (an echo edge), r1 also kills r3 first.
         let r1 = mk(&[1], &[KW], 0.30, 5.0);
         let r2 = mk(&[1, 2], &[KW], 0.20, 5.5);
         let r3 = mk(&[1, 2, 3], &[KW], 0.18, 5.6);
-        let provenance = Provenance::enabled();
+        let unrelated = mk(&[4], &[5], 0.5, 2.0);
+        // Out of canonical order, with a keyword-free rule in between, so
+        // the relevant-to-rules index map is exercised.
+        let rules = [r3.clone(), unrelated, r1.clone(), r2.clone()];
         let out = prune_rules(
-            &[r1.clone(), r2.clone(), r3.clone()],
+            &rules,
             KW,
             &PruneParams::default(),
             &Metrics::disabled(),
-            &provenance,
+            &Provenance::enabled(),
         )
         .unwrap();
         assert_eq!(out.kept, vec![r1]);
+        let log = out.log.expect("provenance enabled");
+        // Positions follow canonical order: r1, r2, r3.
+        assert_eq!(log.relevant(), &[2, 3, 0]);
+        assert!(log.kept(0));
+        assert!(log.killed_by(0).is_none());
+        assert_eq!(log.edges_of(0).count(), 2); // beat r2 and r3
 
-        let rec1 = provenance.get(&[1], &[KW]).unwrap();
-        assert_eq!(rec1.kept, Some(true));
-        assert!(rec1.killed_by().is_none());
-        assert_eq!(rec1.steps.len(), 2); // beat r2 and r3
-
-        let rec3 = provenance.get(&[1, 2, 3], &[KW]).unwrap();
-        assert_eq!(rec3.kept, Some(false));
+        assert!(!log.kept(2));
         // Killed by r1 (pair order reaches (r1, r3) before (r2, r3)); the
         // r2 edge is an echo on an already-dead rule.
-        assert_eq!(rec3.killed_by().unwrap().opponent, (vec![1], vec![KW]));
-        let echo = rec3
-            .steps
-            .iter()
-            .find(|s| s.opponent == (vec![1, 2], vec![KW]))
-            .expect("echo edge from dead r2 recorded");
+        assert_eq!(log.killed_by(2).unwrap().winner, 0);
+        let echo = log
+            .edges_of(2)
+            .find(|e| e.winner == 1)
+            .expect("echo edge from dead r2 logged");
         assert!(!echo.effective);
-        assert!(echo.detail.contains("C_lift"), "{}", echo.detail);
+        assert_eq!((echo.condition, echo.branch), (1, "lift"));
     }
 
     #[test]
@@ -917,6 +829,7 @@ mod tests {
         .unwrap();
         assert_eq!(plain.kept, traced.kept);
         assert_eq!(plain.pruned, traced.pruned);
+        assert!(plain.log.is_none() && traced.log.is_some());
     }
 
     #[test]

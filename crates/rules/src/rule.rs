@@ -148,20 +148,6 @@ impl Rule {
     pub fn key(&self) -> (Itemset, Itemset) {
         (self.antecedent.clone(), self.consequent.clone())
     }
-
-    /// The rule's identity and metrics in the shape the provenance
-    /// recorder consumes (raw item ids; labels are applied at render
-    /// time by whoever holds the catalog).
-    pub fn provenance_info(&self) -> irma_obs::RuleInfo {
-        irma_obs::RuleInfo {
-            antecedent: self.antecedent.items().to_vec(),
-            consequent: self.consequent.items().to_vec(),
-            support_count: self.support_count,
-            support: self.support,
-            confidence: self.confidence,
-            lift: self.lift,
-        }
-    }
 }
 
 impl fmt::Display for Rule {

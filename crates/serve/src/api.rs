@@ -30,7 +30,7 @@ use irma_data::DType;
 use irma_mine::Algorithm;
 use irma_obs::serve::{read_head, write_response, write_too_large, HeadError, RequestHead};
 use irma_prep::{EncoderSpec, FeatureSpec};
-use irma_rules::Rule;
+use irma_rules::{PruneLog, Rule};
 
 use crate::admission::Admit;
 use crate::cache::CacheEntry;
@@ -265,7 +265,7 @@ fn parse_analyze_params(shared: &Shared, head: &RequestHead) -> Result<AnalyzePa
 /// paper's 4-bin equal-frequency treatment, everything else is
 /// categorical. Good enough for ad-hoc datasets; the `trace` query
 /// parameter selects a hand-tuned spec instead.
-fn infer_spec(frame: &irma_data::Frame) -> EncoderSpec {
+pub(crate) fn infer_spec(frame: &irma_data::Frame) -> EncoderSpec {
     let features = frame
         .names()
         .iter()
@@ -502,7 +502,7 @@ fn run_analysis(
             );
         }
     };
-    let payload = render_payload(shared, &analysis, fp, params, &provenance);
+    let (payload, prune_log) = render_payload(shared, &analysis, fp, params, &provenance);
     let reply = Reply::json(200, "OK", format!("{{\"cached\":false,{payload}}}\n"));
     // The analysis is dropped right after this: move what explain needs
     // into the cache entry instead of cloning it.
@@ -510,9 +510,11 @@ fn run_analysis(
         let entry = CacheEntry {
             payload,
             catalog: analysis.encoded.catalog,
-            provenance,
+            frequent: analysis.frequent,
+            rule_config: analysis.config.rules,
             rules: analysis.rules,
             trie: analysis.rule_trie,
+            prune_log,
         };
         if let Ok(mut cache) = shared.cache.lock() {
             cache.insert(fp, config_key, entry);
@@ -568,14 +570,16 @@ fn top_rules(rules: &[Rule], top: usize) -> Vec<&Rule> {
 }
 
 /// Renders the response payload (everything except the `cached` flag,
-/// which differs between the cold and cache-hit paths).
+/// which differs between the cold and cache-hit paths), returning it with
+/// the keyword run's decision log for the cache entry.
 fn render_payload(
     shared: &Shared,
     analysis: &Analysis,
     fp: &str,
     params: &AnalyzeParams,
     provenance: &Provenance,
-) -> String {
+) -> (String, Option<PruneLog>) {
+    let mut prune_log = None;
     let catalog = &analysis.encoded.catalog;
     let rules_json = top_rules(&analysis.rules, params.top)
         .iter()
@@ -609,7 +613,10 @@ fn render_payload(
         Some(label) => {
             let causes = analysis
                 .keyword_traced(label, &shared.metrics, provenance)
-                .map(|ka| ka.causes);
+                .map(|ka| {
+                    prune_log = ka.outcome.log;
+                    ka.causes
+                });
             match causes {
                 None => format!(
                     ",\"keyword\":{{\"label\":\"{}\",\"present\":false,\"causes\":[]}}",
@@ -629,14 +636,15 @@ fn render_payload(
             }
         }
     };
-    format!(
+    let payload = format!(
         "\"fingerprint\":\"{fp}\",\"degraded\":{},\"degradation\":{degradation},\"jobs\":{},\"items\":{},\"frequent_itemsets\":{},\"rules_total\":{},\"rules\":[{rules_json}]{keyword_json}",
         analysis.degradation.is_some(),
         analysis.n_jobs(),
         catalog.len(),
         analysis.frequent.len(),
         analysis.rules.len(),
-    )
+    );
+    (payload, prune_log)
 }
 
 fn handle_explain(shared: &Shared, head: &RequestHead) -> Reply {
@@ -702,13 +710,16 @@ fn handle_explain(shared: &Shared, head: &RequestHead) -> Reply {
     };
     let labeler = |id: u32| entry.catalog.label(id).to_string();
     // Rule metrics resolve via the cached trie index (no linear scan of
-    // the flat rule export). A provenance chain can exist for a candidate
-    // that the generation thresholds later dropped, so this is `null`able.
+    // the flat rule export). A candidate that the generation thresholds
+    // dropped is still explainable, so this is `null`able.
     let metrics_json = match entry.find_rule(&ante, &cons) {
         Some(rule) => render_rule(rule, &entry.catalog),
         None => "null".to_string(),
     };
-    match entry.provenance.render_explain(&ante, &cons, &labeler) {
+    match entry
+        .explainer()
+        .explain(&ante, &cons, &labeler, &shared.metrics)
+    {
         Some(explanation) => Reply::json(
             200,
             "OK",

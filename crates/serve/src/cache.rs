@@ -1,10 +1,13 @@
 //! LRU result cache keyed by *(dataset fingerprint, normalized config)*.
 //!
-//! Entries hold the pre-rendered analyze payload plus the rule set, its
-//! trie index, the catalog, and the provenance needed to answer
-//! `GET /v1/explain/{rule}` later — the explain endpoint only works over
-//! cached analyses, which is exactly the workflow (analyze once,
-//! interrogate the survivors).
+//! Entries hold the pre-rendered analyze payload plus what
+//! `GET /v1/explain/{rule}` recomputes an explanation from: the catalog,
+//! the mined itemset family and the rule thresholds (generation
+//! verdicts), the rule set with its trie index, and the keyword run's
+//! index-keyed prune log. All of it is moved out of the finished
+//! analysis, never cloned, and nothing is rendered until someone asks —
+//! the explain endpoint only works over cached analyses, which is exactly
+//! the workflow (analyze once, interrogate the survivors).
 //!
 //! Only full-fidelity results are cached: a degraded analysis reflects
 //! the budget that produced it, and serving it to a tenant with a
@@ -21,9 +24,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use irma_mine::ItemCatalog;
-use irma_obs::Provenance;
-use irma_rules::{Rule, RuleTrie};
+use irma_mine::{FrequentItemsets, ItemCatalog};
+use irma_rules::{Explainer, PruneLog, Rule, RuleConfig, RuleTrie};
 
 /// One cached analysis.
 #[derive(Debug)]
@@ -32,16 +34,31 @@ pub struct CacheEntry {
     pub payload: String,
     /// Item catalog for label resolution in explain.
     pub catalog: ItemCatalog,
-    /// Pruning provenance for explain rendering.
-    pub provenance: Provenance,
+    /// The mined family generation verdicts are recomputed from.
+    pub frequent: FrequentItemsets,
+    /// The generation thresholds the analysis ran with.
+    pub rule_config: RuleConfig,
     /// The generated rules (pre-pruning), for explain metric lookups.
     pub rules: Vec<Rule>,
     /// Shared-prefix index over `rules`; explain resolves exact
     /// `(antecedent, consequent)` rules via trie walk, not linear scan.
     pub trie: RuleTrie,
+    /// The keyword run's decisions over `rules`; `None` when the analyze
+    /// request named no keyword.
+    pub prune_log: Option<PruneLog>,
 }
 
 impl CacheEntry {
+    /// Explains this entry's rules on demand.
+    pub fn explainer(&self) -> Explainer<'_> {
+        Explainer::new(
+            Some((&self.frequent, &self.rule_config)),
+            self.prune_log
+                .as_ref()
+                .map(|log| (self.rules.as_slice(), log)),
+        )
+    }
+
     /// Resolves a rule by exact sorted `(antecedent, consequent)` ids.
     pub fn find_rule(&self, antecedent: &[u32], consequent: &[u32]) -> Option<&Rule> {
         self.trie
@@ -105,7 +122,8 @@ impl ResultCache {
     }
 
     /// The most recent entry for a fingerprint under any config (the
-    /// explain path — provenance and catalog are what matter there).
+    /// explain path — what the explanation is recomputed from matters
+    /// there, not the config).
     pub fn latest_for_fp(&mut self, fingerprint: &str) -> Option<Arc<CacheEntry>> {
         let key = self.by_fp.get(fingerprint)?.clone();
         let stamp = self.next_stamp();
@@ -151,9 +169,11 @@ mod tests {
         CacheEntry {
             payload: tag.to_string(),
             catalog: ItemCatalog::new(),
-            provenance: Provenance::disabled(),
+            frequent: FrequentItemsets::default(),
+            rule_config: RuleConfig::default(),
             rules: Vec::new(),
             trie: RuleTrie::default(),
+            prune_log: None,
         }
     }
 
@@ -232,9 +252,11 @@ mod tests {
         let entry = CacheEntry {
             payload: String::new(),
             catalog: ItemCatalog::new(),
-            provenance: Provenance::disabled(),
+            frequent: FrequentItemsets::default(),
+            rule_config: RuleConfig::default(),
             rules,
             trie,
+            prune_log: None,
         };
         assert_eq!(entry.find_rule(&[1, 3], &[2]), Some(&rule));
         assert!(entry.find_rule(&[1], &[2]).is_none());

@@ -8,6 +8,8 @@
 
 use std::io::BufRead;
 
+pub use irma_obs::json_escape;
+
 /// Decodes `%XX` escapes and `+`-for-space in a URL component. Invalid
 /// escapes pass through verbatim (a garbled request earns a 400 later,
 /// not a panic here).
@@ -66,23 +68,6 @@ pub fn query_get<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str
         .iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v.as_str())
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a `{"error": ..., "stage": ...}` JSON body.

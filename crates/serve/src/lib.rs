@@ -3,9 +3,9 @@
 //! `irma-serve` turns the batch pipeline into a long-lived service:
 //! `POST /v1/analyze` accepts a CSV body (or an `fp:<fingerprint>`
 //! replay token) and returns mined association rules as JSON;
-//! `GET /v1/explain/{rule}` answers "why did this rule survive pruning"
-//! from cached provenance; `GET /metrics` and `GET /healthz` expose the
-//! runtime counters from `irma-obs`.
+//! `GET /v1/explain/{rule}` answers "why did this rule survive pruning",
+//! recomputed from the cached analysis; `GET /metrics` and `GET /healthz`
+//! expose the runtime counters from `irma-obs`.
 //!
 //! The robustness story reuses the fault-tolerance machinery the CLI
 //! already has, mapped onto HTTP:
@@ -354,6 +354,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::json_escape;
+    use irma_core::AnalysisConfig;
     use std::io::{Read, Write};
 
     /// Suppresses the backtrace spray from deliberately injected panics
@@ -494,6 +496,161 @@ mod tests {
             ),
         );
         assert_eq!(status_of(&bogus), 404);
+        server.shutdown();
+    }
+
+    /// Percent-encodes a rule spec for the explain route.
+    fn encode_spec(spec: &str) -> String {
+        spec.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' => (b as char).to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    /// A small mixed dataset: failures cluster on low GPU use and one
+    /// queue, so there are rules with and without the keyword, and
+    /// candidates the lift floor drops.
+    fn explain_csv() -> String {
+        let mut csv = String::from("gpu_util,queue,state\n");
+        for i in 0..60u32 {
+            let failed = i % 3 == 0 || i % 7 == 0;
+            let gpu = if failed { i % 20 } else { 40 + (i * 13) % 60 };
+            let queue = ["a", "b", "c"][((i / 2 + u32::from(failed)) % 3) as usize];
+            let state = if failed { "Failed" } else { "Succeeded" };
+            csv.push_str(&format!("{gpu},{queue},{state}\n"));
+        }
+        csv
+    }
+
+    #[test]
+    fn explain_matches_the_in_process_render() {
+        let csv = explain_csv();
+        let frame = irma_data::read_csv_str(&csv).unwrap();
+        let mut config = AnalysisConfig::default();
+        config.miner.min_support = 0.1;
+        let analysis =
+            irma_core::try_analyze(&frame, &crate::api::infer_spec(&frame), &config).unwrap();
+        let catalog = &analysis.encoded.catalog;
+        let labeler = |id: u32| catalog.label(id).to_string();
+        let keyword = catalog
+            .labels()
+            .iter()
+            .find(|label| label.contains("Failed"))
+            .expect("a Failed item")
+            .clone();
+        let keyword_id = catalog.id(&keyword).unwrap();
+        let run = analysis
+            .keyword_traced(
+                &keyword,
+                &Metrics::disabled(),
+                &irma_core::Provenance::enabled(),
+            )
+            .unwrap();
+        let spec = |ante: &[u32], cons: &[u32]| {
+            let side = |ids: &[u32]| {
+                ids.iter()
+                    .map(|&id| labeler(id))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            format!("{} => {}", side(ante), side(cons))
+        };
+        // A candidate the lift floor dropped, and a generated rule that
+        // does not mention the keyword.
+        let frequent = &analysis.frequent;
+        let filtered = frequent
+            .iter()
+            .filter(|(set, _)| set.len() >= 2)
+            .flat_map(|(set, _)| {
+                set.proper_subsets()
+                    .into_iter()
+                    .map(move |ante| (set.difference(&ante), ante))
+            })
+            .find(|(cons, ante)| analysis.find_rule(ante.items(), cons.items()).is_none())
+            .map(|(cons, ante)| (ante.items().to_vec(), cons.items().to_vec()))
+            .expect("a filtered candidate");
+        let outside = analysis
+            .rules
+            .iter()
+            .find(|rule| !rule.contains(keyword_id))
+            .map(|rule| {
+                (
+                    rule.antecedent.items().to_vec(),
+                    rule.consequent.items().to_vec(),
+                )
+            })
+            .expect("a rule without the keyword");
+
+        let server = start_test_server(ServeConfig::default());
+        let addr = server.local_addr();
+        let explain_over = |fp: &str, (ante, cons): &(Vec<u32>, Vec<u32>)| {
+            let path = encode_spec(&spec(ante, cons));
+            send_request(
+                addr,
+                &format!("GET /v1/explain/{path}?fp={fp} HTTP/1.1\r\nhost: t\r\n\r\n"),
+            )
+        };
+        let fingerprint = |response: &str| {
+            response
+                .split("\"fingerprint\":\"")
+                .nth(1)
+                .and_then(|rest| rest.split('"').next())
+                .expect("fingerprint in response")
+                .to_string()
+        };
+        let in_process = |explainer: &irma_rules::Explainer,
+                          (ante, cons): &(Vec<u32>, Vec<u32>)| {
+            let text = explainer
+                .explain(ante, cons, &labeler, &Metrics::disabled())
+                .expect("a candidate is explainable");
+            format!("\"explanation\":\"{}\"", json_escape(&text))
+        };
+
+        let query = format!("?min_support=0.1&keyword={}", encode_spec(&keyword));
+        let cold = post_analyze(addr, &query, "", &csv);
+        assert!(cold.starts_with("HTTP/1.1 200"), "got: {cold}");
+        let fp = fingerprint(&cold);
+        let with_keyword = analysis.explainer(run.outcome.log.as_ref());
+        let response = explain_over(&fp, &filtered);
+        assert_eq!(status_of(&response), 200, "got: {response}");
+        assert!(response.contains("\"metrics\":null"), "got: {response}");
+        assert!(response.contains("generation: dropped"), "got: {response}");
+        assert!(
+            response.contains(&in_process(&with_keyword, &filtered)),
+            "got: {response}"
+        );
+        let response = explain_over(&fp, &outside);
+        assert_eq!(status_of(&response), 200, "got: {response}");
+        assert!(
+            response.contains("not part of this keyword analysis"),
+            "got: {response}"
+        );
+        assert!(
+            response.contains(&in_process(&with_keyword, &outside)),
+            "got: {response}"
+        );
+
+        // Without `keyword=` the cache entry holds no prune log: even a
+        // keyword rule is explained from generation alone.
+        let kept = run.causes.first().expect("a kept cause");
+        let kept = (
+            kept.antecedent.items().to_vec(),
+            kept.consequent.items().to_vec(),
+        );
+        let cold = post_analyze(addr, "?min_support=0.1", "", &csv);
+        assert!(cold.contains("\"cached\":false"), "got: {cold}");
+        let response = explain_over(&fingerprint(&cold), &kept);
+        assert_eq!(status_of(&response), 200, "got: {response}");
+        assert!(
+            response.contains("not part of this keyword analysis"),
+            "got: {response}"
+        );
+        assert!(
+            response.contains(&in_process(&analysis.explainer(None), &kept)),
+            "got: {response}"
+        );
         server.shutdown();
     }
 

@@ -92,12 +92,7 @@ fn main() -> Result<(), InvalidPruneParams> {
             }
         };
         remines += 1;
-        let rules = generate_rules(
-            &frequent,
-            &RuleConfig::with_min_lift(1.5),
-            &metrics,
-            &provenance,
-        );
+        let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.5), &metrics);
         let analysis = KeywordAnalysis::run(&rules, failed_item, &params, &metrics, &provenance)?;
         let failure_share = miner.item_count(failed_item) as f64 / miner.len() as f64;
         println!(

@@ -10,8 +10,8 @@ the documented contract at every step:
    a fingerprint, at least one rule);
 2. replaying the identical request answers from the LRU (`cached:true`);
 3. a `fp:<fingerprint>` body replays the dataset without re-uploading;
-4. `GET /v1/explain/{rule}?fp=` walks the cached provenance (200 with an
-   `explanation`);
+4. `GET /v1/explain/{rule}?fp=` recomputes the explanation from the
+   cached analysis (200 with an `explanation`);
 5. a malformed request (unknown algorithm) gets a typed 400, not a 5xx;
 6. an over-budget request (`x-irma-timeout-ms: 0`) gets the documented
    504 deadline answer;
@@ -86,7 +86,7 @@ def main() -> int:
         fail(f"fp replay: want cached 200, got {status}: {text}")
     print("ok: fingerprint replay")
 
-    # 4. Explain over cached provenance.
+    # 4. Explain over the cached analysis.
     quoted = urllib.parse.quote(rule)
     status, text = request(base, "GET", f"/v1/explain/{quoted}?fp={fp}")
     if status != 200:

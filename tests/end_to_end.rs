@@ -7,6 +7,7 @@ use irma::core::{
     Metrics, Provenance, KW_FAILED, KW_SM_ZERO,
 };
 use irma::data::{inner_join, read_csv_path, read_csv_str, write_csv_path, write_csv_string};
+use irma::rules::Rule;
 use irma::synth::{pai, philly, supercloud, TraceConfig};
 
 #[test]
@@ -114,13 +115,12 @@ fn pai_analysis_output_is_pinned() {
         seed: 2024,
         max_monitor_samples: 32,
     });
-    let provenance = Provenance::enabled();
     let analysis = try_analyze_traced(
         &bundle.merged(),
         &pai_spec(),
         &AnalysisConfig::default(),
         &Metrics::disabled(),
-        &provenance,
+        &Provenance::disabled(),
     )
     .expect("clean synthetic input");
     let catalog = &analysis.encoded.catalog;
@@ -141,17 +141,19 @@ fn pai_analysis_output_is_pinned() {
         tables.push_str(&analysis.render_keyword_with(label, 10, &Metrics::disabled()));
     }
     let failed = analysis
-        .keyword_traced(KW_FAILED, &Metrics::disabled(), &provenance)
+        .keyword_traced(KW_FAILED, &Metrics::disabled(), &Provenance::enabled())
         .expect("Failed is a PAI item");
     let record = failed.outcome.pruned.first().expect("a pruned Failed rule");
     let labeler = |id: u32| catalog.label(id).to_string();
-    let explain = provenance
-        .render_explain(
+    let explain = analysis
+        .explainer(failed.outcome.log.as_ref())
+        .explain(
             record.rule.antecedent.items(),
             record.rule.consequent.items(),
             &labeler,
+            &Metrics::disabled(),
         )
-        .expect("pruned rule is recorded");
+        .expect("pruned rule is explained");
 
     assert!(explain.contains("verdict: PRUNED"), "{explain}");
     assert_eq!(
@@ -168,6 +170,116 @@ fn pai_analysis_output_is_pinned() {
             9_189_223_870_671_931_006
         ),
         "golden output changed; keyword tables:\n{tables}"
+    );
+}
+
+/// Golden provenance of the same fixed-seed PAI analysis and its `Failed`
+/// keyword run: the full JSONL export, and the explanations of a kept
+/// rule, a rule pruned through a marking chain (its winner was pruned
+/// too), the smallest-key candidate the lift floor dropped, and a
+/// generated rule outside the keyword analysis. The digests were recorded
+/// from the recorder that logged every decision as it happened; the
+/// on-demand renderer must reproduce them byte for byte.
+#[test]
+fn pai_provenance_export_is_pinned() {
+    let bundle = pai(&TraceConfig {
+        n_jobs: 4_000,
+        seed: 2024,
+        max_monitor_samples: 32,
+    });
+    let analysis = try_analyze(&bundle.merged(), &pai_spec(), &AnalysisConfig::default())
+        .expect("clean synthetic input");
+    let failed = analysis
+        .keyword_traced(KW_FAILED, &Metrics::disabled(), &Provenance::enabled())
+        .expect("Failed is a PAI item");
+    let catalog = &analysis.encoded.catalog;
+    let labeler = |id: u32| catalog.label(id).to_string();
+    let explainer = analysis.explainer(failed.outcome.log.as_ref());
+    let failed_id = analysis.item(KW_FAILED).expect("Failed is a PAI item");
+
+    let kept = failed.causes[0].clone();
+    let dead: std::collections::HashSet<_> =
+        failed.outcome.pruned.iter().map(|r| r.rule.key()).collect();
+    let chained = failed
+        .outcome
+        .pruned
+        .iter()
+        .find(|r| dead.contains(&r.dominated_by))
+        .expect("a marking chain")
+        .rule
+        .clone();
+    let frequent = &analysis.frequent;
+    let mut filtered: Option<Rule> = None;
+    for (set, count) in frequent.iter().filter(|(s, _)| s.len() >= 2) {
+        for ante in set.proper_subsets() {
+            let cons = set.difference(&ante);
+            let rule = Rule::from_counts(
+                ante.clone(),
+                cons.clone(),
+                *count,
+                frequent.count(&ante).unwrap(),
+                frequent.count(&cons).unwrap(),
+                frequent.n_transactions(),
+            );
+            if rule.lift < analysis.config.rules.min_lift
+                && filtered.as_ref().is_none_or(|f| rule.key() < f.key())
+            {
+                filtered = Some(rule);
+            }
+        }
+    }
+    let filtered = filtered.expect("a candidate below the lift floor");
+    let outside = analysis
+        .rules
+        .iter()
+        .find(|r| !r.contains(failed_id))
+        .expect("a rule without Failed")
+        .clone();
+
+    let explain = |rule: &Rule| {
+        explainer
+            .explain(
+                rule.antecedent.items(),
+                rule.consequent.items(),
+                &labeler,
+                &Metrics::disabled(),
+            )
+            .expect("every case was a candidate")
+    };
+    let texts = [&kept, &chained, &filtered, &outside].map(explain);
+    assert!(texts[0].contains("verdict: KEPT"), "{}", texts[0]);
+    assert!(texts[1].contains("the winner's own fate:"), "{}", texts[1]);
+    assert!(texts[2].contains("generation: dropped"), "{}", texts[2]);
+    assert!(
+        texts[3].contains("not part of this keyword analysis"),
+        "{}",
+        texts[3]
+    );
+    // A rule whose itemset is not frequent was never a candidate.
+    assert!(explainer
+        .explain(&[failed_id], &[failed_id], &labeler, &Metrics::disabled())
+        .is_none());
+
+    let jsonl = explainer.to_jsonl(&labeler);
+    assert_eq!(
+        (
+            jsonl.lines().count(),
+            jsonl.len(),
+            fnv1a(&jsonl),
+            texts.map(|t| fnv1a(&t))
+        ),
+        (
+            125_630,
+            75_653_395,
+            15_046_154_233_038_547_356,
+            [
+                15_300_895_501_240_129_666,
+                9_189_223_870_671_931_006,
+                16_934_280_941_534_897_131,
+                18_110_657_304_877_376_691
+            ]
+        ),
+        "golden provenance changed"
     );
 }
 

@@ -17,15 +17,10 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
 }
 
 fn rules_of(db: &TransactionDb, min_lift: f64) -> Vec<Rule> {
-    let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
+    let metrics = Metrics::disabled();
     let config = MinerConfig::with_min_support(0.05);
     let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
-    generate_rules(
-        &frequent,
-        &RuleConfig::with_min_lift(min_lift),
-        &metrics,
-        &provenance,
-    )
+    generate_rules(&frequent, &RuleConfig::with_min_lift(min_lift), &metrics)
 }
 
 /// Prunes for `keyword` without observability.
