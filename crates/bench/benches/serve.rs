@@ -47,6 +47,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use irma_obs::Metrics;
+use irma_serve::http::Limits;
 use irma_serve::{AdmissionConfig, ServeConfig, Server};
 
 const MODES: &[&str] = &["healthy", "degraded"];
@@ -143,8 +144,11 @@ fn json_u64_field(body: &str, key: &str) -> Option<u64> {
 
 fn start_server(workers: usize, budget_cap: Option<u64>) -> Server {
     let config = ServeConfig {
-        workers,
-        queue_depth: 64,
+        limits: Limits {
+            workers,
+            queue_depth: 64,
+            ..Limits::default()
+        },
         cache_entries: 512,
         // The bench measures the pipeline, not the rate limiter: a bucket
         // this deep never sheds closed-loop traffic.

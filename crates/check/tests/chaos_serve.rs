@@ -1,5 +1,10 @@
 //! Chaos suite for the `irma-serve` HTTP layer.
 //!
+//! Both daemons serve on the same `irma_serve::http::Transport`: the
+//! analyze app (`irma serve`) and a GET-only `/metrics` + `/healthz`
+//! handler shaped like `irma watch --listen`. The seeded socket faults
+//! and the slow-loris case run against both.
+//!
 //! The contract under test: whatever a client does at the socket level —
 //! slow-loris dribbles, mid-body disconnects, abandoned reads, binary
 //! garbage, oversized bodies and heads — the server answers with a
@@ -11,19 +16,24 @@
 //! a budget-tripping tenant, an injected worker panic) and checks the
 //! healthy tenant's requests keep succeeding throughout.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use irma_check::fault::{run_socket_fault, SocketFault, SocketOutcome};
 use irma_obs::Metrics;
+use irma_serve::http::{Limits, Load, Reply, RequestHead, Transport};
 use irma_serve::{AdmissionConfig, ServeConfig, Server};
 
 /// Statuses the HTTP↔error table in DESIGN.md §11 documents. Anything
 /// else coming back from the server is a contract violation.
 const DOCUMENTED: &[u16] = &[200, 400, 404, 405, 411, 413, 422, 429, 431, 500, 503, 504];
+
+/// Statuses a GET-only scrape handler can produce: its routes, 404/405,
+/// and the transport's own 431 and 503.
+const SCRAPE_DOCUMENTED: &[u16] = &[200, 404, 405, 431, 503];
 
 /// Suppresses backtrace spray from panics whose payload says they were
 /// injected on purpose; real assertion failures still print.
@@ -49,10 +59,12 @@ fn quiet_panics() {
 
 fn chaos_server() -> Server {
     let config = ServeConfig {
-        workers: 3,
-        queue_depth: 16,
+        limits: Limits {
+            workers: 3,
+            queue_depth: 16,
+            read_timeout: Duration::from_secs(2),
+        },
         max_body_bytes: 1024,
-        read_timeout: Duration::from_secs(2),
         allow_fault_injection: true,
         admission: AdmissionConfig {
             // Generous bucket so the chaos volume itself is not shed;
@@ -68,7 +80,7 @@ fn chaos_server() -> Server {
 
 const CSV: &str = "gpu_util,state\n0,Failed\n0,Failed\n0,Failed\n95,Succeeded\n90,Succeeded\n92,Succeeded\n0,Failed\n91,Succeeded\n";
 
-fn request(addr: std::net::SocketAddr, raw: &str) -> Option<String> {
+fn request(addr: SocketAddr, raw: &str) -> Option<String> {
     let mut stream = TcpStream::connect(addr).ok()?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -79,7 +91,7 @@ fn request(addr: std::net::SocketAddr, raw: &str) -> Option<String> {
     Some(response)
 }
 
-fn analyze(addr: std::net::SocketAddr, query: &str, headers: &str, body: &str) -> Option<String> {
+fn analyze(addr: SocketAddr, query: &str, headers: &str, body: &str) -> Option<String> {
     request(
         addr,
         &format!(
@@ -97,32 +109,61 @@ fn status_of(response: &str) -> u16 {
         .unwrap_or(0)
 }
 
-/// Polls until the server's active-connection gauge returns to zero
-/// (rejector threads and drops settle asynchronously).
-fn assert_drains_to_zero(server: &Server) {
+/// Polls until the active-connection count returns to zero (rejector
+/// threads and drops settle asynchronously).
+fn assert_drains_to_zero(active: impl Fn() -> usize) {
     for _ in 0..100 {
-        if server.active_connections() == 0 {
+        if active() == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-    panic!(
-        "active connections stuck at {} after chaos",
-        server.active_connections()
-    );
+    panic!("active connections stuck at {} after chaos", active());
 }
 
-#[test]
-fn every_socket_fault_yields_documented_status_or_clean_drop() {
-    quiet_panics();
-    let server = chaos_server();
-    let addr = server.local_addr();
+/// The shape of the `irma watch --listen` handler: GET-only `/metrics`
+/// and `/healthz`, 404 for every other route.
+fn scrape_handler(head: &RequestHead, _body: &mut dyn BufRead) -> Option<Reply> {
+    let route = head.route();
+    if route != "/metrics" && route != "/healthz" {
+        return Some(Reply::error(404, "Not Found", "unknown route", "watch"));
+    }
+    if head.method != "GET" {
+        return Some(
+            Reply::error(405, "Method Not Allowed", "use GET", "watch").with_header("Allow", "GET"),
+        );
+    }
+    Some(Reply::json(200, "OK", "{\"status\":\"ok\"}\n".to_string()))
+}
+
+/// A GET-only transport with the watch endpoint's limits, plus its load.
+fn scrape_transport() -> (Transport, Arc<Load>) {
+    let load = Arc::new(Load::default());
+    let limits = Limits {
+        workers: 2,
+        queue_depth: 8,
+        read_timeout: Duration::from_secs(2),
+    };
+    let transport = Transport::start(
+        "127.0.0.1:0",
+        limits,
+        Metrics::enabled(),
+        Arc::clone(&load),
+        scrape_handler,
+    )
+    .expect("bind scrape transport");
+    (transport, load)
+}
+
+/// Runs every seeded socket fault against `addr`; each must come back
+/// with a status from `documented` or a clean drop.
+fn run_every_seeded_fault(addr: SocketAddr, documented: &[u16]) {
     for seed in 0..48 {
         let fault = SocketFault::from_seed(seed);
         let outcome = run_socket_fault(addr, &fault);
         match outcome {
             SocketOutcome::Status(status) => assert!(
-                DOCUMENTED.contains(&status),
+                documented.contains(&status),
                 "seed {seed}: fault {fault:?} got undocumented status {status}"
             ),
             SocketOutcome::Dropped => {}
@@ -131,11 +172,67 @@ fn every_socket_fault_yields_documented_status_or_clean_drop() {
             }
         }
     }
-    assert_drains_to_zero(&server);
+}
+
+/// More concurrent slow clients than workers: each dribbles a partial
+/// head and hangs up. The read deadline bounds every slot.
+fn run_lorises(addr: SocketAddr) {
+    let lorises: Vec<_> = (0..6)
+        .map(|i| {
+            std::thread::spawn(move || {
+                run_socket_fault(
+                    addr,
+                    &SocketFault::SlowLoris {
+                        chunk: 2,
+                        pause_ms: 30,
+                        rounds: 4,
+                    },
+                );
+                i
+            })
+        })
+        .collect();
+    for handle in lorises {
+        handle.join().expect("loris thread");
+    }
+}
+
+#[test]
+fn every_socket_fault_yields_documented_status_or_clean_drop() {
+    quiet_panics();
+    let server = chaos_server();
+    let addr = server.local_addr();
+    run_every_seeded_fault(addr, DOCUMENTED);
+    assert_drains_to_zero(|| server.active_connections());
     // The server is still healthy after the storm.
     let health = request(addr, "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").expect("healthz");
     assert_eq!(status_of(&health), 200, "got: {health}");
     server.shutdown();
+}
+
+#[test]
+fn every_socket_fault_against_the_scrape_transport() {
+    let (transport, load) = scrape_transport();
+    let addr = transport.local_addr();
+    run_every_seeded_fault(addr, SCRAPE_DOCUMENTED);
+    assert_drains_to_zero(|| load.active());
+    let health = request(addr, "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").expect("healthz");
+    assert_eq!(status_of(&health), 200, "got: {health}");
+    // The analysis API is not routed on a scrape port.
+    let analyze = analyze(addr, "", "", CSV).expect("analyze on scrape port");
+    assert_eq!(status_of(&analyze), 404, "got: {analyze}");
+    transport.shutdown();
+}
+
+#[test]
+fn slow_loris_cannot_wedge_the_scrape_transport() {
+    let (transport, load) = scrape_transport();
+    let addr = transport.local_addr();
+    run_lorises(addr);
+    assert_drains_to_zero(|| load.active());
+    let metrics = request(addr, "GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n").expect("metrics");
+    assert_eq!(status_of(&metrics), 200, "got: {metrics}");
+    transport.shutdown();
 }
 
 #[test]
@@ -159,7 +256,7 @@ fn oversized_faults_get_their_specific_statuses() {
         SocketOutcome::Dropped => {}
         SocketOutcome::ConnectFailed => panic!("garbage fault could not connect"),
     }
-    assert_drains_to_zero(&server);
+    assert_drains_to_zero(|| server.active_connections());
     server.shutdown();
 }
 
@@ -168,27 +265,8 @@ fn slow_loris_cannot_wedge_the_worker_pool() {
     quiet_panics();
     let server = chaos_server();
     let addr = server.local_addr();
-    // More concurrent slow clients than workers: each dribbles a partial
-    // head and hangs up. The 2 s read timeout bounds every slot.
-    let lorises: Vec<_> = (0..6)
-        .map(|i| {
-            std::thread::spawn(move || {
-                run_socket_fault(
-                    addr,
-                    &SocketFault::SlowLoris {
-                        chunk: 2,
-                        pause_ms: 30,
-                        rounds: 4,
-                    },
-                );
-                i
-            })
-        })
-        .collect();
-    for handle in lorises {
-        handle.join().expect("loris thread");
-    }
-    assert_drains_to_zero(&server);
+    run_lorises(addr);
+    assert_drains_to_zero(|| server.active_connections());
     // Real work still flows afterwards.
     let ok = analyze(addr, "?min_support=0.2", "", CSV).expect("analyze after loris");
     assert_eq!(status_of(&ok), 200, "got: {ok}");
@@ -290,7 +368,7 @@ fn combined_chaos_budget_trips_and_panics_spare_healthy_tenants() {
         ok == total && total > 0,
         "healthy tenant: only {ok}/{total} requests succeeded under chaos"
     );
-    assert_drains_to_zero(&server);
+    assert_drains_to_zero(|| server.active_connections());
     // Post-storm: the server still mines, and the metrics endpoint
     // still scrapes.
     let after = analyze(addr, "?min_support=0.2", "x-irma-tenant: steady\r\n", CSV)

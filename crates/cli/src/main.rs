@@ -10,7 +10,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use args::{parse, Command, MetricsFormat, USAGE};
 use irma_core::experiments::run_all;
@@ -23,9 +23,10 @@ use irma_core::{
 };
 use irma_core::{watch_feed, Emission, WatchConfig, KW_FAILED};
 use irma_mine::{ItemCatalog, MinerConfig};
-use irma_obs::serve::{ScrapeHandler, ScrapeResponse, ScrapeServer};
 use irma_prep::fit;
 use irma_rules::{Rule, RuleConfig};
+use irma_serve::http::{Limits, Reply, RequestHead, Transport};
+use irma_serve::OPENMETRICS_CONTENT_TYPE;
 use irma_synth::{pai, philly, read_merged_csv_dir, supercloud, TraceConfig};
 
 /// How a successful subcommand finished.
@@ -136,8 +137,17 @@ fn synthetic_watch_feed(trace: &str, jobs: usize, seed: u64) -> (String, ItemCat
     (lines, fitted.catalog().clone())
 }
 
-/// The Content-Type a Prometheus-style scraper expects for OpenMetrics.
-const OPENMETRICS_CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
+/// Transport limits of `irma watch --listen`. A scraper polls every few
+/// seconds and each answer is one snapshot render, so two workers keep
+/// up; at most eight connections wait (more get 503, from at most eight
+/// rejector threads), and a client that stalls holds a slot for at most
+/// the 2 s read/write deadline. A scrape storm or a slow-loris client
+/// cannot pile up threads.
+const WATCH_LIMITS: Limits = Limits {
+    workers: 2,
+    queue_depth: 8,
+    read_timeout: Duration::from_secs(2),
+};
 
 /// Shared liveness state between the watch loop and the `/healthz`
 /// handler: when the daemon started and (as microseconds since then)
@@ -564,9 +574,9 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             };
 
             // The pool is built up front (rather than inline at install
-            // time) so the scrape handler below — which runs on its own
-            // connection thread, outside any pool — can still read this
-            // pool's scheduler counters.
+            // time) so the scrape handler below — which runs on a
+            // transport worker thread, outside any pool — can still read
+            // this pool's scheduler counters.
             let pool = threads
                 .map(|n| {
                     rayon::ThreadPoolBuilder::new()
@@ -580,12 +590,20 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             let health = Arc::new(WatchHealth::new());
             let _server = match &listen {
                 Some(addr) => {
-                    let handler: ScrapeHandler = {
+                    let scrape = {
                         let metrics = metrics.clone();
                         let health = Arc::clone(&health);
                         let pool = pool.clone();
-                        Arc::new(move |path: &str| match path {
-                            "/metrics" => {
+                        move |head: &RequestHead, _body: &mut dyn std::io::BufRead| {
+                            let route = head.route();
+                            Some(if route != "/metrics" && route != "/healthz" {
+                                Reply::error(404, "Not Found", "unknown route", "watch")
+                            } else if head.method != "GET" {
+                                Reply::error(405, "Method Not Allowed", "use GET", "watch")
+                                    .with_header("Allow", "GET")
+                            } else if route == "/healthz" {
+                                Reply::json(200, "OK", health.to_json(metrics.is_degraded()))
+                            } else {
                                 let sched = match &pool {
                                     Some(pool) => pool.sched_stats(),
                                     // No --threads: the daemon mines on
@@ -597,20 +615,19 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                                 if let Some(age) = health.last_emission_age_seconds() {
                                     metrics.gauge("watch.last_emission_age_seconds", age);
                                 }
-                                Some(ScrapeResponse {
-                                    content_type: OPENMETRICS_CONTENT_TYPE,
-                                    body: metrics.snapshot().to_openmetrics(),
-                                })
-                            }
-                            "/healthz" => Some(ScrapeResponse {
-                                content_type: "application/json",
-                                body: health.to_json(metrics.is_degraded()),
-                            }),
-                            _ => None,
-                        })
+                                let body = metrics.snapshot().to_openmetrics();
+                                Reply::new(200, "OK", OPENMETRICS_CONTENT_TYPE, body)
+                            })
+                        }
                     };
-                    let server = ScrapeServer::start(addr.as_str(), handler)
-                        .map_err(|e| format!("binding scrape endpoint {addr}: {e}"))?;
+                    let server = Transport::start(
+                        addr.as_str(),
+                        WATCH_LIMITS,
+                        metrics.clone(),
+                        Arc::default(),
+                        scrape,
+                    )
+                    .map_err(|e| format!("binding scrape endpoint {addr}: {e}"))?;
                     // CI and scripts parse this line for the ephemeral
                     // port; keep its shape stable.
                     eprintln!("listening on http://{}", server.local_addr());
@@ -691,8 +708,11 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             let shutdown = signals::install();
             let metrics = Metrics::enabled();
             let config = irma_serve::ServeConfig {
-                workers,
-                queue_depth,
+                limits: Limits {
+                    workers,
+                    queue_depth,
+                    ..Limits::default()
+                },
                 cache_entries,
                 default_budget: ExecBudget {
                     max_itemsets: budget_itemsets,

@@ -15,6 +15,10 @@
 //!   ([`Snapshot::render_table`]) for the CLI's `--metrics` /
 //!   `--verbose-stages` flags.
 //!
+//! [`Snapshot::to_openmetrics`] renders the same snapshot as an
+//! OpenMetrics exposition. This crate only formats; serving it over HTTP
+//! (`irma watch --listen`, `irma serve`) is `irma_serve::http`'s job.
+//!
 //! Three extensions layer on top of the flat registry:
 //!
 //! * **Hierarchical spans** — every span carries an id and an optional
@@ -58,7 +62,6 @@ mod histogram;
 mod json;
 mod openmetrics;
 mod provenance;
-pub mod serve;
 
 pub use event::EventSink;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};

@@ -17,8 +17,7 @@
 //! and the full `Degradation` record — the HTTP mirror of CLI exit
 //! code 4.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
+use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -28,109 +27,37 @@ use irma_core::{
 };
 use irma_data::DType;
 use irma_mine::Algorithm;
-use irma_obs::serve::{read_head, write_response, write_too_large, HeadError, RequestHead};
 use irma_prep::{EncoderSpec, FeatureSpec};
 use irma_rules::{PruneLog, Rule};
 
 use crate::admission::Admit;
 use crate::cache::CacheEntry;
-use crate::http::{json_error, json_escape, parse_query, percent_decode, query_get, read_body};
+use crate::http::{
+    json_escape, parse_query, percent_decode, query_get, read_body, Reply, RequestHead,
+};
 use crate::{Shared, OPENMETRICS_CONTENT_TYPE};
 
-/// One computed response, ready to write.
-struct Reply {
-    status: u16,
-    reason: &'static str,
-    content_type: &'static str,
-    retry_after: Option<u64>,
-    body: String,
-}
-
-impl Reply {
-    fn json(status: u16, reason: &'static str, body: String) -> Reply {
-        Reply {
-            status,
-            reason,
-            content_type: "application/json",
-            retry_after: None,
-            body,
-        }
-    }
-
-    fn error(status: u16, reason: &'static str, message: &str, stage: &str) -> Reply {
-        Reply::json(status, reason, json_error(message, stage))
-    }
-
-    fn with_retry_after(mut self, secs: u64) -> Reply {
-        self.retry_after = Some(secs);
-        self
-    }
-}
-
-/// Serves one connection end to end: head, route, body, response.
-/// Called on an HTTP worker thread; the caller wraps it in
-/// `catch_unwind` so a handler panic costs this response, not the
-/// worker.
-pub(crate) fn handle(shared: &Shared, stream: &mut TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let head = match read_head(&mut reader) {
-        Ok(head) => head,
-        Err(HeadError::TooLarge) => {
-            shared.metrics.incr("serve.rejected_head", 1);
-            write_too_large(stream);
-            return;
-        }
-        Err(HeadError::Closed) => {
-            shared.metrics.incr("serve.dropped_connections", 1);
-            return;
-        }
-    };
-    shared.metrics.incr("serve.requests", 1);
-    let reply = route(shared, &head, &mut reader);
-    let Some(reply) = reply else {
-        // Mid-body disconnect or stall: nobody left to answer.
-        shared.metrics.incr("serve.dropped_connections", 1);
-        return;
-    };
-    let class = match reply.status {
-        200..=299 => "serve.responses_2xx",
-        400..=499 => "serve.responses_4xx",
-        _ => "serve.responses_5xx",
-    };
-    shared.metrics.incr(class, 1);
-    let retry = reply
-        .retry_after
-        .map(|secs| [("Retry-After", secs.to_string())]);
-    write_response(
-        stream,
-        reply.status,
-        reply.reason,
-        reply.content_type,
-        retry.as_ref().map_or(&[][..], |h| &h[..]),
-        &reply.body,
-    );
-}
-
-/// Maps `(method, path)` to a handler. `None` from a handler means the
-/// connection died mid-request and must be dropped without a response.
-fn route<R: BufRead>(shared: &Shared, head: &RequestHead, reader: &mut R) -> Option<Reply> {
+/// Maps `(method, path)` to a handler: the analyze app's
+/// [`crate::http::Handler`]. `None` from a handler means the connection
+/// died mid-request and must be dropped without a response.
+pub(crate) fn route(
+    shared: &Shared,
+    head: &RequestHead,
+    reader: &mut dyn BufRead,
+) -> Option<Reply> {
     let path = head.route().to_string();
     match (head.method.as_str(), path.as_str()) {
         ("GET", "/healthz") => Some(handle_healthz(shared)),
         ("GET", "/metrics") => Some(handle_metrics(shared)),
         ("POST", "/v1/analyze") => handle_analyze(shared, head, reader),
-        (_, "/v1/analyze") => Some(Reply::error(
-            405,
-            "Method Not Allowed",
-            "analyze is POST-only",
-            "serve",
-        )),
+        (_, "/v1/analyze") => Some(
+            Reply::error(405, "Method Not Allowed", "analyze is POST-only", "serve")
+                .with_header("Allow", "POST"),
+        ),
         ("GET", p) if p.starts_with("/v1/explain/") => Some(handle_explain(shared, head)),
         (_, p) if p.starts_with("/v1/explain/") || p == "/healthz" || p == "/metrics" => Some(
-            Reply::error(405, "Method Not Allowed", "use GET for this route", "serve"),
+            Reply::error(405, "Method Not Allowed", "use GET for this route", "serve")
+                .with_header("Allow", "GET"),
         ),
         _ => Some(Reply::error(404, "Not Found", "unknown route", "serve")),
     }
@@ -140,8 +67,8 @@ fn handle_healthz(shared: &Shared) -> Reply {
     let body = format!(
         "{{\"status\":\"ok\",\"uptime_seconds\":{:.3},\"active_connections\":{},\"queue_depth\":{},\"cache_entries\":{},\"degraded\":{}}}\n",
         shared.started.elapsed().as_secs_f64(),
-        shared.active.load(std::sync::atomic::Ordering::Acquire),
-        shared.queue.lock().map(|q| q.len()).unwrap_or(0),
+        shared.load.active(),
+        shared.load.queued(),
         shared.cache.lock().map(|c| c.len()).unwrap_or(0),
         shared.metrics.is_degraded(),
     );
@@ -150,13 +77,12 @@ fn handle_healthz(shared: &Shared) -> Reply {
 
 fn handle_metrics(shared: &Shared) -> Reply {
     shared.refresh_gauges();
-    Reply {
-        status: 200,
-        reason: "OK",
-        content_type: OPENMETRICS_CONTENT_TYPE,
-        retry_after: None,
-        body: shared.metrics.snapshot().to_openmetrics(),
-    }
+    Reply::new(
+        200,
+        "OK",
+        OPENMETRICS_CONTENT_TYPE,
+        shared.metrics.snapshot().to_openmetrics(),
+    )
 }
 
 /// Parsed analyze-request knobs (query string + headers).
@@ -308,7 +234,8 @@ fn status_for(error: &PipelineError) -> Reply {
                 BudgetBreach::Deadline { .. } => {
                     Reply::error(504, "Gateway Timeout", &message, stage)
                 }
-                _ => Reply::error(503, "Service Unavailable", &message, stage).with_retry_after(1),
+                _ => Reply::error(503, "Service Unavailable", &message, stage)
+                    .with_header("Retry-After", "1"),
             }
         }
         PipelineError::WorkerPanic { message, .. } => Reply::error(
@@ -320,11 +247,7 @@ fn status_for(error: &PipelineError) -> Reply {
     }
 }
 
-fn handle_analyze<R: BufRead>(
-    shared: &Shared,
-    head: &RequestHead,
-    reader: &mut R,
-) -> Option<Reply> {
+fn handle_analyze(shared: &Shared, head: &RequestHead, reader: &mut dyn BufRead) -> Option<Reply> {
     // Content-Length is mandatory: the server refuses to guess body
     // boundaries (no chunked encoding in this hand-rolled core).
     let Some(raw_len) = head.header("content-length") else {
@@ -393,7 +316,7 @@ fn handle_analyze<R: BufRead>(
                     &format!("tenant `{tenant}` is over its request rate"),
                     "serve",
                 )
-                .with_retry_after(secs),
+                .with_header("Retry-After", secs.to_string()),
             );
         }
         Admit::BreakerOpen(secs) => {
@@ -407,7 +330,7 @@ fn handle_analyze<R: BufRead>(
                     ),
                     "serve",
                 )
-                .with_retry_after(secs),
+                .with_header("Retry-After", secs.to_string()),
             );
         }
     }
@@ -737,23 +660,5 @@ fn handle_explain(shared: &Shared, head: &RequestHead) -> Reply {
             "rule was never a candidate in this analysis (check labels and thresholds)",
             "serve",
         ),
-    }
-}
-
-/// Over-capacity path (bounded queue full): drain the head, answer 503
-/// with `Retry-After`, close. Oversized heads still earn their 431.
-pub(crate) fn reject(stream: TcpStream) {
-    let mut stream = stream;
-    match read_head(&mut BufReader::new(&stream)) {
-        Ok(_) => write_response(
-            &mut stream,
-            503,
-            "Service Unavailable",
-            "application/json",
-            &[("Retry-After", "1".to_string())],
-            &json_error("request queue is full", "serve"),
-        ),
-        Err(HeadError::TooLarge) => write_too_large(&mut stream),
-        Err(HeadError::Closed) => {}
     }
 }

@@ -7,17 +7,20 @@
 //! recomputed from the cached analysis; `GET /metrics` and `GET /healthz`
 //! expose the runtime counters from `irma-obs`.
 //!
+//! The crate also owns the workspace's only HTTP code: [`http`] holds the
+//! request framing and the route-agnostic [`http::Transport`] that both
+//! `irma serve` ([`Server`]) and `irma watch --listen` run on.
+//!
 //! The robustness story reuses the fault-tolerance machinery the CLI
 //! already has, mapped onto HTTP:
 //!
 //! - **Admission** — per-tenant token bucket plus a consecutive-failure
 //!   circuit breaker ([`admission`]). Over-rate or cooling-down tenants
 //!   get `429` with `Retry-After`; they never reach the miner.
-//! - **Bounded queue** — accepted sockets feed a fixed worker pool
-//!   through a bounded queue. When it fills, connections are answered
-//!   `503` by a capped pool of short-lived rejector threads (the
-//!   `irma-obs` scrape pattern); past that cap they are dropped. Load
-//!   never spawns unbounded threads.
+//! - **Bounded queue** — the transport feeds accepted sockets to a fixed
+//!   worker pool through a bounded queue. When it fills, connections are
+//!   answered `503` by a capped pool of short-lived rejector threads;
+//!   past that cap they are dropped. Load never spawns unbounded threads.
 //! - **Budgets** — every analysis runs under an [`irma_core::ExecBudget`]
 //!   with a deadline from the client's `x-irma-timeout-ms` header
 //!   (clamped to a server maximum). The degradation ladder applies:
@@ -34,13 +37,9 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::collections::HashMap;
+use std::net::ToSocketAddrs;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use irma_core::ExecBudget;
@@ -54,7 +53,7 @@ pub mod http;
 pub use admission::{AdmissionConfig, Admit, TenantState};
 pub use cache::{CacheEntry, ResultCache};
 
-use crate::http::json_error;
+use crate::http::{Limits, Load, Transport};
 
 /// Content type for `GET /metrics` (OpenMetrics text format).
 pub const OPENMETRICS_CONTENT_TYPE: &str =
@@ -63,15 +62,13 @@ pub const OPENMETRICS_CONTENT_TYPE: &str =
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// HTTP worker threads (each runs one request at a time; the mining
-    /// inside a request still uses the work-stealing pool).
-    pub workers: usize,
-    /// Bounded connection-queue depth; beyond it, connections get 503.
-    pub queue_depth: usize,
+    /// Transport limits: HTTP worker threads (each runs one request at a
+    /// time; the mining inside a request still uses the work-stealing
+    /// pool), bounded queue depth (503 beyond it) and the socket
+    /// read/write timeout.
+    pub limits: Limits,
     /// Largest accepted request body, in bytes (413 past this).
     pub max_body_bytes: usize,
-    /// Socket read/write timeout (slow-loris bound).
-    pub read_timeout: Duration,
     /// Per-tenant rate limiting and circuit-breaker knobs.
     pub admission: AdmissionConfig,
     /// Result-cache capacity (entries).
@@ -91,10 +88,8 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            workers: 2,
-            queue_depth: 32,
+            limits: Limits::default(),
             max_body_bytes: 4 * 1024 * 1024,
-            read_timeout: Duration::from_secs(5),
             admission: AdmissionConfig::default(),
             cache_entries: 64,
             default_budget: ExecBudget::default(),
@@ -105,15 +100,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared between the accept loop, workers, and handlers.
+/// State the analyze handlers share across worker threads.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) metrics: Metrics,
-    pub(crate) queue: Mutex<VecDeque<TcpStream>>,
-    pub(crate) queue_cv: Condvar,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) active: AtomicUsize,
-    pub(crate) rejecting: AtomicUsize,
+    pub(crate) load: Arc<Load>,
     pub(crate) tenants: Mutex<HashMap<String, TenantState>>,
     pub(crate) cache: Mutex<ResultCache>,
     pub(crate) started: Instant,
@@ -144,14 +135,10 @@ impl Shared {
 
     /// Refreshes the point-in-time gauges before a metrics scrape.
     pub(crate) fn refresh_gauges(&self) {
-        self.metrics.gauge(
-            "serve.active_connections",
-            self.active.load(Ordering::Acquire) as f64,
-        );
-        self.metrics.gauge(
-            "serve.queue_depth",
-            self.queue.lock().map(|q| q.len()).unwrap_or(0) as f64,
-        );
+        self.metrics
+            .gauge("serve.active_connections", self.load.active() as f64);
+        self.metrics
+            .gauge("serve.queue_depth", self.load.queued() as f64);
         self.metrics.gauge(
             "serve.cache_entries",
             self.cache.lock().map(|c| c.len()).unwrap_or(0) as f64,
@@ -161,76 +148,50 @@ impl Shared {
     }
 }
 
-/// A running HTTP server. Dropping it (or calling [`Server::shutdown`])
+/// The running analysis service: the analyze handlers on an
+/// [`http::Transport`]. Dropping it (or calling [`Server::shutdown`])
 /// stops the accept loop, drains queued connections, and joins every
 /// thread.
 pub struct Server {
-    addr: std::net::SocketAddr,
+    transport: Transport,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` and starts the accept loop plus the worker pool.
     /// Pass port 0 to bind an ephemeral port; read it back with
-    /// [`Server::local_addr`].
+    /// [`Server::local_addr`]. Fails if binding fails or a thread cannot
+    /// be spawned.
     pub fn start<A: ToSocketAddrs>(
         addr: A,
         config: ServeConfig,
         metrics: Metrics,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let load = Arc::new(Load::default());
+        let limits = config.limits;
         let shared = Arc::new(Shared {
             cache: Mutex::new(ResultCache::new(config.cache_entries)),
             config,
-            metrics,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            rejecting: AtomicUsize::new(0),
+            metrics: metrics.clone(),
+            load: Arc::clone(&load),
             tenants: Mutex::new(HashMap::new()),
             started: Instant::now(),
         });
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("irma-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning serve worker")
-            })
-            .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("irma-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawning serve accept loop")
-        };
-        Ok(Server {
-            addr: local,
-            shared,
-            accept: Some(accept),
-            workers,
-        })
+        let app = Arc::clone(&shared);
+        let transport = Transport::start(addr, limits, metrics, load, move |head, body| {
+            api::route(&app, head, body)
+        })?;
+        Ok(Server { transport, shared })
     }
 
     /// The bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.transport.local_addr()
     }
 
     /// Connections currently queued or being handled.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
-    }
-
-    /// Connections waiting in the bounded queue.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().map(|q| q.len()).unwrap_or(0)
+        self.shared.load.active()
     }
 
     /// Entries currently held by the result cache.
@@ -239,115 +200,8 @@ impl Server {
     }
 
     /// Stops accepting, drains queued connections, joins all threads.
-    pub fn shutdown(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Poke the blocking accept() awake so the loop observes the flag.
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shared.queue_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-        let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
-        let Ok(mut queue) = shared.queue.lock() else {
-            break;
-        };
-        if queue.len() >= shared.config.queue_depth {
-            drop(queue);
-            shared.metrics.incr("serve.rejected_queue", 1);
-            // Reject on a short-lived thread so a slow writer cannot
-            // stall the accept loop — but cap those threads too.
-            if shared.rejecting.load(Ordering::Acquire) < shared.config.queue_depth {
-                shared.rejecting.fetch_add(1, Ordering::AcqRel);
-                let for_thread = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("irma-serve-reject".to_string())
-                    .spawn(move || {
-                        api::reject(stream);
-                        for_thread.rejecting.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.rejecting.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            // Past the rejector cap the connection is silently dropped:
-            // under that much pressure even writing 503s is load.
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::AcqRel);
-        queue.push_back(stream);
-        drop(queue);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let Ok(mut queue) = shared.queue.lock() else {
-                return;
-            };
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
-                }
-                // Drain-then-exit: the queue-empty check runs before the
-                // shutdown check, so queued connections are served first.
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let Ok((guard, _)) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                else {
-                    return;
-                };
-                queue = guard;
-            }
-        };
-        let Some(mut stream) = stream else {
-            return;
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| api::handle(shared, &mut stream)));
-        if outcome.is_err() {
-            shared.metrics.incr("serve.worker_panics", 1);
-            let body = json_error("request handler panicked; the panic was contained", "serve");
-            let _ = write!(
-                stream,
-                "HTTP/1.1 500 Internal Server Error\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-        }
-        shared.active.fetch_sub(1, Ordering::AcqRel);
+    pub fn shutdown(self) {
+        self.transport.shutdown();
     }
 }
 
@@ -357,6 +211,7 @@ mod tests {
     use crate::http::json_escape;
     use irma_core::AnalysisConfig;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     /// Suppresses the backtrace spray from deliberately injected panics
     /// (the `panic_after` chaos path) without hiding real failures.
@@ -680,8 +535,15 @@ mod tests {
         // Unknown route and wrong method are typed too.
         let lost = send_request(addr, "GET /nope HTTP/1.1\r\nhost: t\r\n\r\n");
         assert_eq!(status_of(&lost), 404);
+        // Every 405 names the allowed method (RFC 9110 §15.5.6).
         let wrong = send_request(addr, "GET /v1/analyze HTTP/1.1\r\nhost: t\r\n\r\n");
         assert_eq!(status_of(&wrong), 405);
+        assert!(wrong.contains("\r\nAllow: POST\r\n"), "got: {wrong}");
+        for route in ["/v1/explain/a%20%3D%3E%20b", "/healthz", "/metrics"] {
+            let wrong = send_request(addr, &format!("DELETE {route} HTTP/1.1\r\nhost: t\r\n\r\n"));
+            assert_eq!(status_of(&wrong), 405, "got: {wrong}");
+            assert!(wrong.contains("\r\nAllow: GET\r\n"), "got: {wrong}");
+        }
         server.shutdown();
     }
 
