@@ -1,9 +1,12 @@
 //! Differential tests for the trace ingest path: the byte-level CSV
-//! reader, the typed CSV writer, and the dictionary-code joins and takes,
-//! each against the cell-at-a-time implementation it replaced. That
+//! reader (on pools of width 1, 2 and 8, so in 1, 2 and 8 chunks),
+//! the typed CSV writer, and the dictionary-code joins and takes, each
+//! against the cell-at-a-time implementation it replaced. That
 //! implementation is kept below, test-only, as the oracle: frames must be
 //! equal (dictionary order included) and errors must match in `Display`,
 //! line number included.
+
+use std::sync::OnceLock;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,6 +17,7 @@ use irma_data::{
     inner_join, left_join, parse_records, read_csv_str, write_csv_string, Column, DType, Frame,
     Value,
 };
+use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// The previous reader, writer, join and take, cell by cell through
 /// `String`s and [`Value`]s.
@@ -335,6 +339,31 @@ fn same<T: std::fmt::Debug>(
     }
 }
 
+/// Pools of width 1, 2 and 8, built once for every case.
+fn pools() -> &'static [ThreadPool] {
+    static POOLS: OnceLock<[ThreadPool; 3]> = OnceLock::new();
+    POOLS.get_or_init(|| {
+        [1, 2, 8].map(|width| {
+            ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .expect("pool")
+        })
+    })
+}
+
+/// The reader on pools of width 1, 2 and 8, which cut the body into as
+/// many chunks, against the oracle. On small inputs the cuts land every
+/// few bytes, so they fall inside quoted fields, on escapes and between
+/// the two bytes of a CRLF.
+fn chunked_matches_oracle(text: &str) -> Result<(), TestCaseError> {
+    for pool in pools() {
+        let fast = pool.install(|| read_csv_str(text));
+        same(fast, oracle::read_csv_str(text), frames_eq)?;
+    }
+    Ok(())
+}
+
 const NULLS: &[&str] = &["", "NA", "null", "NaN", "nan", "na", "NULL"];
 const INTS: &[&str] = &[
     "0",
@@ -456,6 +485,18 @@ proptest! {
     ) {
         same(read_csv_str(&text), oracle::read_csv_str(&text), frames_eq)?;
         same(parse_records(&text), oracle::parse_records(&text), PartialEq::eq)?;
+    }
+
+    #[test]
+    fn chunked_reader_matches_oracle_on_typed_tables(text in arb_csv()) {
+        chunked_matches_oracle(&text)?;
+    }
+
+    #[test]
+    fn chunked_reader_matches_oracle_on_byte_soup(
+        text in string_regex("[a1.,\"\r\n-]{0,60}").expect("valid regex")
+    ) {
+        chunked_matches_oracle(&text)?;
     }
 
     #[test]
@@ -626,6 +667,98 @@ fn reader_reports_errors_like_the_oracle() {
         let fast = read_csv_str(text).unwrap_err();
         let slow = oracle::read_csv_str(text).unwrap_err();
         assert_eq!(fast.to_string(), slow.to_string(), "{text:?}");
+    }
+}
+
+#[test]
+fn chunked_reader_handles_quotes_across_cuts() {
+    // Quoted separators, `""` escapes, embedded LF and quoted CRLF, a
+    // lone `\r` inside quotes, and text after a closing quote, repeated
+    // so that every chunk count cuts through some of them.
+    let row = "1,\"a,b\",\"say \"\"hi\"\"\",\"l1\nl2\",\"c1\r\nc2\",\"x\ry\",\"ab\"cd\n";
+    for eol in ["\n", "\r\n"] {
+        let mut text = format!("id,sep,esc,lf,crlf,cr,tail{eol}");
+        for i in 0..40 {
+            text.push_str(
+                &row.replacen('1', &i.to_string(), 1)
+                    .replace("cd\n", &format!("cd{eol}")),
+            );
+        }
+        let frame = pools()[2]
+            .install(|| read_csv_str(&text))
+            .expect("valid CSV");
+        assert_eq!(frame.n_rows(), 40);
+        assert_eq!(frame.get(3, "crlf").unwrap(), Value::Str("c1\nc2".into()));
+        assert_eq!(frame.get(3, "cr").unwrap(), Value::Str("x\ry".into()));
+        chunked_matches_oracle(&text).unwrap();
+    }
+}
+
+#[test]
+fn chunked_reader_reports_errors_like_the_oracle() {
+    let body = "1,x\n2,\"q\nr\"\n".repeat(20);
+    for (text, expected) in [
+        // A bare carriage return late in the body.
+        (
+            format!("a,b\n{body}3,y\rz\n"),
+            "line 62: bare carriage return",
+        ),
+        // A ragged row, then a syntax error further on: the syntax
+        // error wins, as in one pass.
+        (
+            format!("a,b\n{body}3\n{body}4,x\"y\n"),
+            "line 123: quote inside unquoted field",
+        ),
+        // A ragged row alone is reported by its row.
+        (
+            format!("a,b\n{body}3\n{body}"),
+            "line 42: expected 2 fields, found 1",
+        ),
+        // A quote left open runs to the end of the input.
+        (
+            format!("a,b\n{body}3,\"open\n{}", "1,x\n".repeat(40)),
+            "line 103: unterminated quoted field",
+        ),
+        // Its closing quote is missing, so the quotes after it pair up
+        // the wrong way and the error is a later line's.
+        (
+            format!("a,b\n{body}3,\"open\n{body}"),
+            "line 65: quote inside unquoted field",
+        ),
+    ] {
+        let slow = oracle::read_csv_str(&text).unwrap_err();
+        assert!(slow.to_string().ends_with(expected), "{slow}");
+        for pool in pools() {
+            let fast = pool.install(|| read_csv_str(&text)).unwrap_err();
+            assert_eq!(
+                fast.to_string(),
+                slow.to_string(),
+                "{} chunks",
+                pool.current_num_threads()
+            );
+        }
+    }
+}
+
+#[test]
+fn chunked_reader_keeps_dictionary_first_appearance_order() {
+    // Values first appear in different chunks, and later chunks repeat
+    // earlier values; the dictionary must list them in row order.
+    let words = ["t4", "v100", "p100", "a100", "k80", "misc"];
+    let mut text = String::from("gpu,n\n");
+    for i in 0..60 {
+        text.push_str(&format!("{},{i}\n", words[(i * i / 7) % words.len()]));
+    }
+    let expected = oracle::read_csv_str(&text).unwrap();
+    for pool in pools() {
+        let frame = pool.install(|| read_csv_str(&text)).unwrap();
+        assert_eq!(
+            strs(&frame, "gpu"),
+            strs(&expected, "gpu"),
+            "{} chunks",
+            pool.current_num_threads()
+        );
+        assert_eq!(frame, expected);
     }
 }
 

@@ -78,7 +78,7 @@ pub enum Command {
         budget_tree_mb: Option<u64>,
         /// Wall-clock deadline for the whole mining run (e.g. `250ms`).
         deadline: Option<Duration>,
-        /// Worker threads for the mining pool (default: one per core).
+        /// Worker threads for the pass's pool (default: one per core).
         threads: Option<usize>,
     },
     /// `irma explain <trace> --rule "A, B => C" [--keyword K] [--jobs N]
@@ -716,9 +716,10 @@ USAGE:
       with raised min-support and lowered max itemset length and flags
       the result as degraded (exit code 4); if the ladder runs out, the
       run fails with a typed error (exit code 5) instead of aborting.
-      --threads pins the mining work-stealing pool to N workers
-      (default: one per core); --threads 1 forces fully sequential
-      mining, useful for timing baselines and deterministic profiles.
+      --threads pins the work-stealing pool to N workers for the whole
+      pass, from CSV parse to the rendered tables (default: one per
+      core); --threads 1 runs it fully sequentially, useful for timing
+      baselines and deterministic profiles. Output never depends on N.
 
 EXIT CODES:
   0  success

@@ -25,7 +25,7 @@ use irma_core::{watch_feed, Emission, WatchConfig, KW_FAILED};
 use irma_mine::{ItemCatalog, MinerConfig};
 use irma_prep::fit;
 use irma_rules::{Rule, RuleConfig};
-use irma_serve::http::{Limits, Reply, RequestHead, Transport};
+use irma_serve::http::{Limits, Load, Reply, RequestHead, Transport};
 use irma_serve::OPENMETRICS_CONTENT_TYPE;
 use irma_synth::{pai, philly, read_merged_csv_dir, supercloud, TraceConfig};
 
@@ -266,11 +266,6 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 metrics = metrics.with_event_sink(sink);
                 eprintln!("streaming trace events to {path}");
             }
-            let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &metrics)
-                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
-                None => generate_bundle(&trace, jobs, seed).merged(),
-            };
             let config = AnalysisConfig {
                 budget: ExecBudget {
                     max_itemsets: budget_itemsets,
@@ -280,30 +275,41 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 },
                 ..AnalysisConfig::default()
             };
-            let run_analysis = || {
+            let run_analysis = || -> Result<_, Failure> {
+                let merged = match &dir {
+                    Some(dir) => read_merged_csv_dir(Path::new(dir), &trace, &metrics)
+                        .map_err(|e| format!("reading trace CSVs: {e}"))?,
+                    None => generate_bundle(&trace, jobs, seed).merged(),
+                };
                 let result = try_analyze_traced(
                     &merged,
                     &spec_for(&trace),
                     &config,
                     &metrics,
                     &Provenance::disabled(),
-                );
+                )
+                .map(|analysis| {
+                    // The keyword prunes behind the tables run here too.
+                    let tables = analysis.render_keyword_with(&keyword, top, &metrics);
+                    let insights = insights.then(|| insight_report(&analysis, &keyword, top));
+                    (analysis, tables, insights)
+                });
                 // Inside `install`, so this reads the pool that actually
                 // mined (the global registry when --threads is absent).
                 irma_core::record_sched_stats(&metrics);
-                result
+                result.map_err(Failure::Pipeline)
             };
-            // --threads pins the work-stealing pool width; otherwise the
+            // --threads pins the work-stealing pool width for the whole
+            // pass, from CSV parse to the rendered tables; otherwise the
             // global registry (one worker per core) serves the run.
-            let analysis = match threads {
+            let (analysis, tables, insights) = match threads {
                 Some(n) => rayon::ThreadPoolBuilder::new()
                     .num_threads(n)
                     .build()
                     .map_err(|e| format!("building {n}-thread mining pool: {e}"))?
                     .install(run_analysis),
                 None => run_analysis(),
-            }
-            .map_err(Failure::Pipeline)?;
+            }?;
             if let Some(degradation) = &analysis.degradation {
                 eprintln!(
                     "warning: degraded result — budget breached {} time(s) \
@@ -315,9 +321,9 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 );
             }
             eprintln!("{}", analysis.summary());
-            print!("{}", analysis.render_keyword_with(&keyword, top, &metrics));
-            if insights {
-                print!("{}", insight_report(&analysis, &keyword, top));
+            print!("{tables}");
+            if let Some(insights) = insights {
+                print!("{insights}");
             }
             if metrics.is_enabled() {
                 let snapshot = metrics.snapshot();
@@ -590,10 +596,12 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             let health = Arc::new(WatchHealth::new());
             let _server = match &listen {
                 Some(addr) => {
+                    let load = Arc::new(Load::default());
                     let scrape = {
                         let metrics = metrics.clone();
                         let health = Arc::clone(&health);
                         let pool = pool.clone();
+                        let load = Arc::clone(&load);
                         move |head: &RequestHead, _body: &mut dyn std::io::BufRead| {
                             let route = head.route();
                             Some(if route != "/metrics" && route != "/healthz" {
@@ -611,6 +619,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                                     None => rayon::sched_stats(),
                                 };
                                 irma_core::record_sched_snapshot(&metrics, &sched);
+                                load.record_gauges(&metrics);
                                 metrics.gauge("watch.uptime_seconds", health.uptime_seconds());
                                 if let Some(age) = health.last_emission_age_seconds() {
                                     metrics.gauge("watch.last_emission_age_seconds", age);
@@ -624,7 +633,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                         addr.as_str(),
                         WATCH_LIMITS,
                         metrics.clone(),
-                        Arc::default(),
+                        load,
                         scrape,
                     )
                     .map_err(|e| format!("binding scrape endpoint {addr}: {e}"))?;

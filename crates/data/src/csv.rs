@@ -13,12 +13,18 @@
 //! The reader works on bytes: one [`Tokenizer`] splits the input into
 //! fields that borrow from it, and each column is then classified and
 //! built straight into typed storage, so no cell becomes a `String` or a
-//! [`crate::Value`] on the way.
+//! [`crate::Value`] on the way. The body is cut at record starts (found
+//! from quote parity), one chunk per worker of the rayon pool, and
+//! tokenized chunk by chunk on the pool; columns are built on the pool
+//! over the chunks in order, so dictionaries keep their first-appearance
+//! order.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
+
+use rayon::prelude::*;
 
 use crate::column::{Column, StrStorage};
 use crate::error::{DataError, Result};
@@ -183,7 +189,17 @@ pub fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
 ///
 /// Type inference promotes Int -> Float when a float appears later in an
 /// integer-looking column, and anything -> Str on conflict.
+///
+/// The body is split into one chunk per worker of the current rayon
+/// pool (one chunk on a one-worker pool) and tokenized on it; columns
+/// are built on the pool over the chunks. The frame, and every error,
+/// equals what one sequential pass gives.
 pub fn read_csv_str(text: &str) -> Result<Frame> {
+    read_csv_chunks(text, rayon::current_num_threads())
+}
+
+/// [`read_csv_str`] with the body split into `chunks` pieces.
+fn read_csv_chunks(text: &str, chunks: usize) -> Result<Frame> {
     let mut tokens = Tokenizer::new(text);
     let mut header = Vec::new();
     let Some(width) = tokens.next_record(|_, field| header.push(field))? else {
@@ -192,13 +208,67 @@ pub fn read_csv_str(text: &str) -> Result<Frame> {
             message: "missing header row".to_string(),
         });
     };
+    let chunked = if chunks > 1 {
+        tokenize_chunks(&text[tokens.pos..], width, chunks)
+    } else {
+        None
+    };
+    let bodies = match chunked {
+        Some(bodies) => bodies,
+        // One pass, which also reports any error the chunks met with its
+        // line number.
+        None => {
+            let body = tokenize_body(&mut tokens, width)?;
+            if let Some((row, found)) = body.ragged {
+                return Err(DataError::Csv {
+                    line: row + 2,
+                    message: format!("expected {width} fields, found {found}"),
+                });
+            }
+            vec![body]
+        }
+    };
 
-    // Body fields, one vector per column. A ragged row is reported only
-    // once the whole input has tokenized, so that a syntax error anywhere
-    // wins. A well-formed record takes at least `width` bytes, which
-    // bounds the reservation when short rows or quoted line breaks make
-    // the line count overshoot.
-    let rows_hint = count_lines(text).min(text.len() / width) + 1;
+    // Regroup the fields by column, moving each chunk's vector rather
+    // than concatenating them; each column build then frees its fields.
+    let rows = bodies.iter().map(|body| body.rows).sum();
+    let mut per_column: Vec<Vec<Vec<Cow<str>>>> = (0..width)
+        .map(|_| Vec::with_capacity(bodies.len()))
+        .collect();
+    for body in bodies {
+        for (chunks, fields) in per_column.iter_mut().zip(body.columns) {
+            chunks.push(fields);
+        }
+    }
+    let columns: Vec<Column> = per_column
+        .into_par_iter()
+        .map(|chunks| build_column(&chunks, rows))
+        .collect();
+    let mut frame = Frame::new();
+    for (name, column) in header.iter().zip(columns) {
+        frame.add_column(name, column)?;
+    }
+    Ok(frame)
+}
+
+/// The body records of one chunk (or of the whole input), one field
+/// vector per column.
+struct Body<'a> {
+    columns: Vec<Vec<Cow<'a, str>>>,
+    rows: usize,
+    /// The first record whose field count differs from the header's:
+    /// its row within this body and its field count.
+    ragged: Option<(usize, usize)>,
+}
+
+/// Tokenizes every remaining record. A ragged row is only recorded, so
+/// that a syntax error anywhere after it wins.
+fn tokenize_body<'a>(tokens: &mut Tokenizer<'a>, width: usize) -> Result<Body<'a>> {
+    // The line count bounds the record count; a well-formed record takes
+    // at least `width` bytes, which bounds the reservation when short
+    // rows or quoted line breaks make the line count overshoot.
+    let rest = &tokens.text.as_bytes()[tokens.pos..];
+    let rows_hint = count_byte(rest, b'\n').min(rest.len() / width) + 1;
     let mut columns: Vec<Vec<Cow<str>>> =
         (0..width).map(|_| Vec::with_capacity(rows_hint)).collect();
     let mut rows = 0;
@@ -213,49 +283,107 @@ pub fn read_csv_str(text: &str) -> Result<Frame> {
         }
         rows += 1;
     }
-    if let Some((row, found)) = ragged {
-        return Err(DataError::Csv {
-            line: row + 2,
-            message: format!("expected {width} fields, found {found}"),
-        });
-    }
-
-    let mut frame = Frame::new();
-    let mut cells = Vec::with_capacity(rows);
-    for (name, fields) in header.iter().zip(columns) {
-        frame.add_column(name, build_column(&fields, &mut cells))?;
-    }
-    Ok(frame)
+    Ok(Body {
+        columns,
+        rows,
+        ragged,
+    })
 }
 
-/// Counts line breaks, an upper bound on the record count. Summing each
-/// 255-byte chunk into a `u8` lets the compiler vectorize the loop.
-fn count_lines(text: &str) -> usize {
-    text.as_bytes()
+/// Tokenizes `body` as `chunks` pieces on the pool, or returns `None`
+/// when any piece fails or holds a ragged row, leaving the report to the
+/// sequential pass.
+///
+/// If every piece tokenizes cleanly, every cut is a true record start:
+/// each cut follows a line feed, and a piece that ended inside a quoted
+/// field would have failed as unterminated, so the line feed ended a
+/// record. The pieces then yield exactly the records of one pass.
+fn tokenize_chunks<'a>(body: &'a str, width: usize, chunks: usize) -> Option<Vec<Body<'a>>> {
+    let cuts = record_cuts(body, chunks);
+    let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+    let bodies: Vec<Option<Body<'a>>> = ranges
+        .into_par_iter()
+        .map(|(start, end)| {
+            tokenize_body(&mut Tokenizer::new(&body[start..end]), width)
+                .ok()
+                .filter(|body| body.ragged.is_none())
+        })
+        .collect();
+    bodies.into_iter().collect()
+}
+
+/// Cuts `body` into `chunks` ranges at record starts: each cut moves
+/// from its even share of the bytes to just past the next line feed
+/// outside quotes. In RFC 4180 text every quote byte opens, closes or
+/// half-escapes a quoted field, so the parity of the quotes before a
+/// byte says whether it is inside one. In malformed text the parity can
+/// be wrong; some piece then fails and the caller falls back. The cuts
+/// never decrease: the parity at a byte does not depend on where the
+/// scan that reaches it started, so a scan that runs past the next
+/// share finds the same line feed as the scan from that share.
+fn record_cuts(body: &str, chunks: usize) -> Vec<usize> {
+    let bytes = body.as_bytes();
+    let shares: Vec<usize> = (0..=chunks).map(|k| k * bytes.len() / chunks).collect();
+    let quotes: Vec<usize> = (0..chunks)
+        .into_par_iter()
+        .map(|k| count_byte(&bytes[shares[k]..shares[k + 1]], b'"'))
+        .collect();
+    let mut cuts = vec![0];
+    let mut quotes_before = 0;
+    for k in 1..chunks {
+        quotes_before += quotes[k - 1];
+        let mut inside = quotes_before % 2 == 1;
+        let cut = bytes[shares[k]..]
+            .iter()
+            .position(|&b| {
+                inside ^= b == b'"';
+                b == b'\n' && !inside
+            })
+            .map_or(bytes.len(), |i| shares[k] + i + 1);
+        cuts.push(cut);
+    }
+    cuts.push(bytes.len());
+    cuts
+}
+
+/// Counts `byte` in `bytes`. Summing each 255-byte chunk into a `u8`
+/// lets the compiler vectorize the loop.
+fn count_byte(bytes: &[u8], byte: u8) -> usize {
+    bytes
         .chunks(255)
-        .map(|chunk| chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+        .map(|chunk| chunk.iter().map(|&b| u8::from(b == byte)).sum::<u8>() as usize)
         .sum()
 }
 
-/// Builds one column from its fields: classifies each field once, picks
-/// the narrowest dtype that represents every non-null cell, then fills
-/// typed storage. Int cells widen in a Float column; every non-null cell
-/// of a Str column keeps its raw text.
-fn build_column(fields: &[Cow<str>], cells: &mut Vec<Cell>) -> Column {
-    cells.clear();
-    cells.extend(fields.iter().map(|field| Cell::classify(field)));
-    let (mut text, mut bools, mut ints, mut floats) = (false, false, false, false);
-    for cell in cells.iter() {
+/// Builds one column from its fields, given as chunks in row order:
+/// classifies each field once, picks the narrowest dtype that represents
+/// every non-null cell, then fills typed storage. Int cells widen in a
+/// Float column; every non-null cell of a Str column keeps its raw text.
+fn build_column(chunks: &[Vec<Cow<str>>], rows: usize) -> Column {
+    let fields = || chunks.iter().flatten();
+    let (mut bools, mut ints, mut floats) = (false, false, false);
+    let mut cells = Vec::new();
+    for field in fields() {
+        let cell = Cell::classify(field);
         match cell {
+            // Text makes a Str column whatever follows, and a Str column
+            // needs no cells.
+            Cell::Text => return str_column(fields(), rows),
             Cell::Null => {}
             Cell::Bool(_) => bools = true,
             Cell::Int(_) => ints = true,
             Cell::Float(_) => floats = true,
-            Cell::Text => text = true,
         }
+        if cells.is_empty() {
+            cells.reserve_exact(rows);
+        }
+        cells.push(cell);
     }
-    match (text, bools, ints, floats) {
-        (false, true, false, false) => Column::Bool(
+    // A numeric column collects in place: `Option<i64>` and
+    // `Option<f64>` have `Cell`'s size, so the cells' buffer becomes the
+    // column's.
+    match (bools, ints, floats) {
+        (true, false, false) => Column::Bool(
             cells
                 .iter()
                 .map(|cell| match *cell {
@@ -264,34 +392,38 @@ fn build_column(fields: &[Cow<str>], cells: &mut Vec<Cell>) -> Column {
                 })
                 .collect(),
         ),
-        (false, false, _, true) => Column::Float(
+        (false, _, true) => Column::Float(
             cells
-                .iter()
-                .map(|cell| match *cell {
+                .into_iter()
+                .map(|cell| match cell {
                     Cell::Int(i) => Some(i as f64),
                     Cell::Float(f) => Some(f),
                     _ => None,
                 })
                 .collect(),
         ),
-        (false, false, true, false) => Column::Int(
+        (false, true, false) => Column::Int(
             cells
-                .iter()
-                .map(|cell| match *cell {
+                .into_iter()
+                .map(|cell| match cell {
                     Cell::Int(i) => Some(i),
                     _ => None,
                 })
                 .collect(),
         ),
-        // Text, mixed bool/number, or an all-null column.
-        _ => {
-            let mut storage = StrStorage::with_capacity(cells.len());
-            for (cell, field) in cells.iter().zip(fields) {
-                storage.push((*cell != Cell::Null).then_some(field));
-            }
-            Column::Str(storage)
-        }
+        // Mixed bool/number, or an all-null column.
+        _ => str_column(fields(), rows),
     }
+}
+
+/// A Str column over `fields`: null tokens are null, every other field
+/// keeps its raw text.
+fn str_column<'f>(fields: impl Iterator<Item = &'f Cow<'f, str>>, rows: usize) -> Column {
+    let mut storage = StrStorage::with_capacity(rows);
+    for field in fields {
+        storage.push((!Cell::is_null(field)).then_some(field));
+    }
+    Column::Str(storage)
 }
 
 /// Reads a frame from any reader.
@@ -489,6 +621,70 @@ mod tests {
             err.to_string(),
             "csv parse error at line 2: expected 2000 fields, found 1"
         );
+    }
+
+    #[test]
+    fn valid_quoted_input_is_cut_at_record_starts() {
+        // Every piece tokenizes, so the chunked path is taken, and no
+        // record is split or lost, whatever the cuts land on.
+        let body = "\"a\nb\",\"c\"\"d\"\r\n\"e\r\nf\",g\n".repeat(30);
+        for chunks in 2..=8 {
+            let bodies = tokenize_chunks(&body, 2, chunks).expect("every piece tokenizes");
+            assert_eq!(bodies.len(), chunks);
+            assert_eq!(bodies.iter().map(|b| b.rows).sum::<usize>(), 60);
+        }
+    }
+
+    #[test]
+    fn malformed_quotes_fall_back_to_one_pass() {
+        // The stray quote flips the parity, so later cuts land inside
+        // quoted fields; a piece fails and the one pass reports line 2.
+        let text = format!("a,b\nx\"y,1\n{}", "\"p\nq\",2\n".repeat(30));
+        assert!(tokenize_chunks(&text[4..], 2, 4).is_none());
+        let err = read_csv_chunks(&text, 4).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "csv parse error at line 2: quote inside unquoted field"
+        );
+    }
+
+    /// `text` at every chunk count from 2 to 8 against one pass: equal
+    /// frames, or equal errors with their line numbers.
+    fn chunks_match_one_pass(text: &str) {
+        let one = read_csv_chunks(text, 1).map_err(|e| e.to_string());
+        for chunks in 2..=8 {
+            let many = read_csv_chunks(text, chunks).map_err(|e| e.to_string());
+            assert_eq!(many, one, "{chunks} chunks over {text:?}");
+        }
+    }
+
+    #[test]
+    fn every_chunk_count_matches_one_pass() {
+        let quoted = "1,\"a,b\",\"say \"\"hi\"\"\",\"l1\nl2\",\"c1\r\nc2\",\"x\ry\"\n".repeat(20);
+        let body = "1,x\n2,\"q\nr\"\n".repeat(20);
+        let words = ["t4", "v100", "p100", "a100", "k80", "misc"];
+        let dictionary: String = (0..60)
+            .map(|i| format!("{},{i}\n", words[(i * i / 7) % words.len()]))
+            .collect();
+        for text in [
+            format!("id,sep,esc,lf,crlf,cr\n{quoted}"),
+            format!("a,b\n{body}3,y\rz\n"),
+            format!("a,b\n{body}3\n{body}4,x\"y\n"),
+            format!("a,b\n{body}3\n{body}"),
+            format!("a,b\n{body}3,\"open\n{body}"),
+            format!("gpu,n\n{dictionary}"),
+        ] {
+            chunks_match_one_pass(&text);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_chunk_count_matches_one_pass_on_byte_soup(
+            body in proptest::string::string_regex("[a1.,\"\r\n-]{0,60}").unwrap()
+        ) {
+            chunks_match_one_pass(&format!("a,b\n{body}"));
+        }
     }
 
     #[test]

@@ -126,9 +126,16 @@ pub(crate) enum Cell {
 }
 
 impl Cell {
+    /// True for the tokens that read as a null cell.
+    pub(crate) fn is_null(field: &str) -> bool {
+        matches!(field, "" | "null" | "NULL" | "NaN" | "nan" | "NA" | "na")
+    }
+
     pub(crate) fn classify(field: &str) -> Cell {
+        if Cell::is_null(field) {
+            return Cell::Null;
+        }
         match field {
-            "" | "null" | "NULL" | "NaN" | "nan" | "NA" | "na" => Cell::Null,
             "true" | "TRUE" | "True" => Cell::Bool(true),
             "false" | "FALSE" | "False" => Cell::Bool(false),
             _ => {

@@ -28,8 +28,11 @@ impl TransactionDb {
         let mut offsets = vec![0u32];
         let mut items: Vec<ItemId> = Vec::new();
         let mut max_item: Option<ItemId> = None;
+        // One scratch buffer serves every transaction.
+        let mut t: Vec<ItemId> = Vec::new();
         for txn in transactions {
-            let mut t: Vec<ItemId> = txn.into_iter().collect();
+            t.clear();
+            t.extend(txn);
             t.sort_unstable();
             t.dedup();
             if let Some(&last) = t.last() {

@@ -6,36 +6,43 @@
 //! — required by the rule-based failure predictor, which must not re-fit
 //! its bins on the jobs it is evaluated on.
 //!
-//! [`fit`] makes two passes over the training frame:
+//! [`fit`] makes two passes over the training frame, each over the
+//! features on the rayon pool:
 //!
 //! 1. per numeric feature: collect finite values, detect the spike value,
 //!    fit bin edges on the residual distribution; per id feature: compute
 //!    head/tail frequency classes;
-//! 2. emit item labels per row, then drop items whose prevalence exceeds
-//!    the cut-off (§III-E) and freeze the surviving [`ItemCatalog`].
+//! 2. map every row of every feature to its slot (below), count each
+//!    slot's rows and note the first row that meets it. Then, on one
+//!    thread and in feature order, intern the met slots' labels into a
+//!    preliminary catalog in first-appearance order, drop items whose
+//!    prevalence exceeds the cut-off (§III-E) and freeze the surviving
+//!    [`ItemCatalog`].
 //!
-//! [`FittedEncoder::transform`] replays the same label emission against
-//! the frozen catalog: labels that were dropped at fit time (or never
-//! seen) emit nothing. Null cells never emit an item.
+//! [`FittedEncoder::transform`] slots a frame under the frozen fits and
+//! looks each slot's label up in the frozen catalog: labels that were
+//! dropped at fit time (or never seen) emit nothing. Null cells never
+//! emit an item. [`encode`] slots the training frame once and hands the
+//! slots from the fit to the transform.
 //!
 //! Emission works on slots, not strings: each feature maps a row to a
 //! small integer (zero bin, `Std` or bin *k*; a dictionary code; a head,
-//! tail or flag class) whose label is formatted once per feature and
-//! looked up once, the first time the row scan meets the slot. Labels
-//! therefore intern in the same (feature, row) first-appearance order as
-//! a per-row emission would, and every other row is integer work.
+//! tail or flag class) whose label is formatted once per feature. Labels
+//! intern in the same (feature, row) first-appearance order as a per-row
+//! emission would, and every row is integer work.
 
 use std::collections::{HashMap, HashSet};
 
 use irma_data::{Frame, StrStorage};
 use irma_mine::{ItemCatalog, ItemId, TransactionDb};
 use irma_obs::Metrics;
+use rayon::prelude::*;
 
 use crate::binning::{detect_spike, BinEdges};
 use crate::spec::{EncoderSpec, FeatureSpec};
 
 /// Fit state for one numeric feature.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumericFit {
     /// Display name of the feature.
     pub display: String,
@@ -55,7 +62,7 @@ pub struct FrequencyFit {
 }
 
 /// What the encoder did — kept for reports and ablation benches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EncodeReport {
     /// Per numeric column: the fit.
     pub numeric_fits: HashMap<String, NumericFit>,
@@ -272,98 +279,133 @@ fn slots(
 }
 
 impl Slots {
-    /// Resolves each row's slot to an item id ([`NO_ITEM`] for none). A
-    /// slot's label goes to `item` once, the first time the row scan
-    /// meets it, so items are met in (feature, row) first-appearance
-    /// order.
-    fn resolve(&self, mut item: impl FnMut(&str) -> Option<ItemId>) -> Vec<ItemId> {
-        let mut ids: Vec<Option<ItemId>> = vec![None; self.labels.len()];
-        self.rows
+    /// Per slot: the first row that falls in it and its row count.
+    fn census(&self) -> Vec<(usize, usize)> {
+        let mut census = vec![(0, 0); self.labels.len()];
+        for (row, &slot) in self.rows.iter().enumerate() {
+            if let Some((first, count)) = census.get_mut(slot as usize) {
+                if *count == 0 {
+                    *first = row;
+                }
+                *count += 1;
+            }
+        }
+        census
+    }
+
+    /// Item id per slot in `catalog`, [`NO_ITEM`] where the slot emits
+    /// nothing or its label is not in the catalog.
+    fn ids(&self, catalog: &ItemCatalog) -> Vec<ItemId> {
+        self.labels
             .iter()
-            .map(|&slot| match ids.get_mut(slot as usize) {
-                None => NO_ITEM,
-                Some(id) => *id.get_or_insert_with(|| {
-                    self.labels[slot as usize]
-                        .as_deref()
-                        .and_then(&mut item)
-                        .unwrap_or(NO_ITEM)
-                }),
-            })
+            .map(|label| label.as_deref().and_then(|l| catalog.id(l)))
+            .map(|id| id.unwrap_or(NO_ITEM))
             .collect()
     }
 }
 
+/// Fits one numeric feature: one sort of its finite values serves both
+/// the spike's mode and the bin edges, since removing the spike keeps
+/// the residual sorted.
+fn fit_numeric(frame: &Frame, feature: &FeatureSpec) -> Option<NumericFit> {
+    let FeatureSpec::Numeric {
+        column,
+        display,
+        n_bins,
+        scheme,
+        zero,
+        spike,
+    } = feature
+    else {
+        return None;
+    };
+    let col = frame
+        .column(column)
+        .unwrap_or_else(|_| panic!("missing numeric column `{column}`"));
+    let mut values: Vec<f64> = (0..frame.n_rows())
+        .filter_map(|r| col.numeric(r))
+        .filter(|v| v.is_finite())
+        .collect();
+    if let Some(z) = zero {
+        values.retain(|&v| v > z.threshold);
+    }
+    values.sort_unstable_by(f64::total_cmp);
+    let spike_value = spike
+        .as_ref()
+        .and_then(|s| detect_spike(&values, s.min_share));
+    if let Some(sv) = spike_value {
+        values.retain(|&v| v != sv);
+    }
+    Some(NumericFit {
+        display: display.clone(),
+        spike_value,
+        edges: BinEdges::fit_sorted(&values, *n_bins, *scheme),
+    })
+}
+
 /// Fits the §III-E preprocessing on a training frame.
 pub fn fit(frame: &Frame, spec: &EncoderSpec) -> FittedEncoder {
+    fit_slotted(frame, spec).0
+}
+
+/// [`fit`], also returning every feature's slots over `frame`, which
+/// [`encode`] reuses for the transform.
+fn fit_slotted(frame: &Frame, spec: &EncoderSpec) -> (FittedEncoder, Vec<Slots>) {
     let n_rows = frame.n_rows();
 
     // ---- pass 1: per-feature fits ----
-    let mut numeric_fits: HashMap<String, NumericFit> = HashMap::new();
-    let mut frequency_fits: HashMap<String, FrequencyFit> = HashMap::new();
-    for feature in &spec.features {
-        match feature {
-            FeatureSpec::Numeric {
-                column,
-                display,
-                n_bins,
-                scheme,
-                zero,
-                spike,
-            } => {
-                let col = frame
-                    .column(column)
-                    .unwrap_or_else(|_| panic!("missing numeric column `{column}`"));
-                let mut values: Vec<f64> = (0..n_rows)
-                    .filter_map(|r| col.numeric(r))
-                    .filter(|v| v.is_finite())
-                    .collect();
-                if let Some(z) = zero {
-                    values.retain(|&v| v > z.threshold);
-                }
-                // One sort serves both the spike's mode and the bin edges:
-                // removing the spike keeps the residual sorted.
-                values.sort_unstable_by(f64::total_cmp);
-                let spike_value = spike
-                    .as_ref()
-                    .and_then(|s| detect_spike(&values, s.min_share));
-                if let Some(sv) = spike_value {
-                    values.retain(|&v| v != sv);
-                }
-                let edges = BinEdges::fit_sorted(&values, *n_bins, *scheme);
-                numeric_fits.insert(
-                    column.clone(),
-                    NumericFit {
-                        display: display.clone(),
-                        spike_value,
-                        edges,
-                    },
-                );
-            }
+    let fits: Vec<(Option<NumericFit>, Option<FrequencyFit>)> = spec
+        .features
+        .par_iter()
+        .map(|feature| match feature {
             FeatureSpec::FrequencyClass {
                 column,
                 head_share,
                 tail_share,
                 ..
-            } => {
-                frequency_fits.insert(
-                    column.clone(),
-                    fit_frequency(frame, column, *head_share, *tail_share),
-                );
-            }
-            _ => {}
+            } => (
+                None,
+                Some(fit_frequency(frame, column, *head_share, *tail_share)),
+            ),
+            _ => (fit_numeric(frame, feature), None),
+        })
+        .collect();
+    let mut numeric_fits: HashMap<String, NumericFit> = HashMap::new();
+    let mut frequency_fits: HashMap<String, FrequencyFit> = HashMap::new();
+    for (feature, (numeric, frequency)) in spec.features.iter().zip(fits) {
+        if let Some(fit) = numeric {
+            numeric_fits.insert(feature.column().to_string(), fit);
+        }
+        if let Some(fit) = frequency {
+            frequency_fits.insert(feature.column().to_string(), fit);
         }
     }
 
-    // ---- pass 2: emit training labels, apply the prevalence cut ----
+    // ---- pass 2: slot the training rows, apply the prevalence cut ----
+    let slotted: Vec<(Slots, Vec<(usize, usize)>)> = spec
+        .features
+        .par_iter()
+        .map(|feature| {
+            let slots = slots(frame, feature, &numeric_fits, &frequency_fits);
+            let census = slots.census();
+            (slots, census)
+        })
+        .collect();
     let mut prelim = ItemCatalog::new();
     let mut counts: Vec<usize> = Vec::new();
-    for feature in &spec.features {
-        let ids = slots(frame, feature, &numeric_fits, &frequency_fits)
-            .resolve(|label| Some(prelim.intern(label)));
-        counts.resize(prelim.len(), 0);
-        for id in ids.into_iter().filter(|&id| id != NO_ITEM) {
-            counts[id as usize] += 1;
+    let mut all_slots = Vec::with_capacity(slotted.len());
+    for (slots, census) in slotted {
+        // Labels intern in the order the row scan first meets their slots.
+        let mut met: Vec<usize> = (0..census.len()).filter(|&s| census[s].1 > 0).collect();
+        met.sort_unstable_by_key(|&s| census[s].0);
+        for slot in met {
+            if let Some(label) = &slots.labels[slot] {
+                let id = prelim.intern(label) as usize;
+                counts.resize(prelim.len(), 0);
+                counts[id] += census[slot].1;
+            }
         }
+        all_slots.push(slots);
     }
 
     let mut dropped = Vec::new();
@@ -377,7 +419,7 @@ pub fn fit(frame: &Frame, spec: &EncoderSpec) -> FittedEncoder {
         }
     }
 
-    FittedEncoder {
+    let fitted = FittedEncoder {
         spec: spec.clone(),
         numeric_fits,
         frequency_fits,
@@ -388,7 +430,8 @@ pub fn fit(frame: &Frame, spec: &EncoderSpec) -> FittedEncoder {
             n_items_before_drop: prelim.len(),
         },
     }
-    .with_report_fits()
+    .with_report_fits();
+    (fitted, all_slots)
 }
 
 impl FittedEncoder {
@@ -410,19 +453,23 @@ impl FittedEncoder {
     /// Encodes any frame with the training-time vocabulary. Labels that
     /// were dropped (or never seen) at fit time emit nothing.
     pub fn transform(&self, frame: &Frame) -> TransactionDb {
-        let per_feature: Vec<Vec<ItemId>> = self
+        let slots: Vec<Slots> = self
             .spec
             .features
-            .iter()
-            .map(|feature| {
-                slots(frame, feature, &self.numeric_fits, &self.frequency_fits)
-                    .resolve(|label| self.catalog.id(label))
-            })
+            .par_iter()
+            .map(|feature| slots(frame, feature, &self.numeric_fits, &self.frequency_fits))
             .collect();
-        let rows = (0..frame.n_rows()).map(|r| {
-            per_feature
+        self.transform_slots(&slots, frame.n_rows())
+    }
+
+    /// Encodes `n_rows` rows already slotted under this encoder's fits.
+    fn transform_slots(&self, slots: &[Slots], n_rows: usize) -> TransactionDb {
+        let ids: Vec<Vec<ItemId>> = slots.iter().map(|s| s.ids(&self.catalog)).collect();
+        let rows = (0..n_rows).map(|r| {
+            slots
                 .iter()
-                .map(move |ids| ids[r])
+                .zip(&ids)
+                .filter_map(move |(slots, ids)| ids.get(slots.rows[r] as usize).copied())
                 .filter(|&id| id != NO_ITEM)
         });
         TransactionDb::from_transactions(rows).with_universe(self.catalog.len().max(1))
@@ -435,7 +482,7 @@ impl FittedEncoder {
 /// cut) into `metrics`.
 pub fn encode(frame: &Frame, spec: &EncoderSpec, metrics: &Metrics) -> Encoded {
     let mut span = metrics.span("prep.fit");
-    let fitted = fit(frame, spec);
+    let (fitted, slots) = fit_slotted(frame, spec);
     span.field("rows_in", frame.n_rows() as u64);
     span.field(
         "bins_fitted",
@@ -465,7 +512,7 @@ pub fn encode(frame: &Frame, spec: &EncoderSpec, metrics: &Metrics) -> Encoded {
     drop(span);
 
     let mut span = metrics.span("prep.transform");
-    let db = fitted.transform(frame);
+    let db = fitted.transform_slots(&slots, frame.n_rows());
     span.field("transactions_out", db.len() as u64);
     span.field(
         "items_emitted",

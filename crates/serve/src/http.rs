@@ -307,6 +307,14 @@ impl Load {
     pub fn queued(&self) -> usize {
         self.queue.lock().map(|q| q.len()).unwrap_or(0)
     }
+
+    /// Writes both counts to the `serve.active_connections` and
+    /// `serve.queue_depth` gauges; a handler calls it when it answers a
+    /// metrics scrape.
+    pub fn record_gauges(&self, metrics: &Metrics) {
+        metrics.gauge("serve.active_connections", self.active() as f64);
+        metrics.gauge("serve.queue_depth", self.queued() as f64);
+    }
 }
 
 /// State shared by the accept loop, the workers and the rejectors.
@@ -733,6 +741,38 @@ mod tests {
         // Query strings are ignored for routing.
         let q = request(addr, "GET /metrics?window=5 HTTP/1.1\r\n\r\n");
         assert!(q.starts_with("HTTP/1.1 200 OK\r\n"), "{q}");
+    }
+
+    #[test]
+    fn scrape_records_the_occupancy_gauges() {
+        // A handler with no gauges of its own exports the transport's
+        // through its `Load`.
+        let metrics = Metrics::enabled();
+        let scraped = metrics.clone();
+        let load = Arc::new(Load::default());
+        let counted = Arc::clone(&load);
+        let server = Transport::start(
+            "127.0.0.1:0",
+            Limits::default(),
+            metrics,
+            load,
+            move |_: &RequestHead, _: &mut dyn BufRead| {
+                counted.record_gauges(&scraped);
+                let body = scraped.snapshot().to_openmetrics();
+                Some(Reply::new(200, "OK", "text/plain", body))
+            },
+        )
+        .expect("bind");
+        let exposition = request(server.local_addr(), "GET /metrics HTTP/1.1\r\n\r\n");
+        // The scrape's own connection is the one in flight.
+        assert!(
+            exposition.contains("\nirma_serve_active_connections 1.0\n"),
+            "{exposition}"
+        );
+        assert!(
+            exposition.contains("\nirma_serve_queue_depth 0.0\n"),
+            "{exposition}"
+        );
     }
 
     #[test]

@@ -135,10 +135,7 @@ impl Shared {
 
     /// Refreshes the point-in-time gauges before a metrics scrape.
     pub(crate) fn refresh_gauges(&self) {
-        self.metrics
-            .gauge("serve.active_connections", self.load.active() as f64);
-        self.metrics
-            .gauge("serve.queue_depth", self.load.queued() as f64);
+        self.load.record_gauges(&self.metrics);
         self.metrics.gauge(
             "serve.cache_entries",
             self.cache.lock().map(|c| c.len()).unwrap_or(0) as f64,
