@@ -7,13 +7,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use irma_bench::{bench_bundle, bench_spec};
+use irma_bench::bench_bundle;
+use irma_core::Trace;
 use irma_data::{inner_join, read_csv_str, write_csv_string};
 use irma_obs::Metrics;
 use irma_prep::{encode, BinEdges, BinningScheme, FeatureSpec};
 
 fn csv_round_trip(c: &mut Criterion) {
-    let bundle = bench_bundle("supercloud", 20_000);
+    let bundle = bench_bundle(Trace::SuperCloud, 20_000);
     let text = write_csv_string(&bundle.scheduler);
     let mut group = c.benchmark_group("prep/csv");
     group.sample_size(10);
@@ -27,7 +28,7 @@ fn csv_round_trip(c: &mut Criterion) {
 }
 
 fn join_cost(c: &mut Criterion) {
-    let bundle = bench_bundle("pai", 40_000);
+    let bundle = bench_bundle(Trace::Pai, 40_000);
     let mut group = c.benchmark_group("prep/join");
     group.sample_size(10);
     group.bench_function("inner_join_40k", |b| {
@@ -43,7 +44,7 @@ fn join_cost(c: &mut Criterion) {
 fn binning_schemes(c: &mut Criterion) {
     // Long-tailed runtimes: the distribution where the paper says
     // equal-width fails.
-    let bundle = bench_bundle("pai", 40_000);
+    let bundle = bench_bundle(Trace::Pai, 40_000);
     let merged = bundle.merged();
     let col = merged.column("runtime_s").expect("runtime column");
     let values: Vec<f64> = (0..merged.n_rows())
@@ -68,19 +69,21 @@ fn binning_schemes(c: &mut Criterion) {
 fn full_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("prep/encode");
     group.sample_size(10);
-    for name in ["pai", "supercloud", "philly"] {
-        let bundle = bench_bundle(name, 20_000);
+    for trace in Trace::ALL {
+        let bundle = bench_bundle(trace, 20_000);
         let merged = bundle.merged();
-        let spec = bench_spec(name);
-        group.bench_with_input(BenchmarkId::new("encode_20k", name), &merged, |b, m| {
-            b.iter(|| black_box(encode(m, &spec, &Metrics::disabled())).db.len())
-        });
+        let spec = trace.spec();
+        group.bench_with_input(
+            BenchmarkId::new("encode_20k", trace.name()),
+            &merged,
+            |b, m| b.iter(|| black_box(encode(m, &spec, &Metrics::disabled())).db.len()),
+        );
     }
     group.finish();
 }
 
 fn encode_equal_width_ablation(c: &mut Criterion) {
-    let bundle = bench_bundle("pai", 20_000);
+    let bundle = bench_bundle(Trace::Pai, 20_000);
     let merged = bundle.merged();
     let mut group = c.benchmark_group("prep/encode_ablation");
     group.sample_size(10);
@@ -88,7 +91,7 @@ fn encode_equal_width_ablation(c: &mut Criterion) {
         ("equal_frequency", BinningScheme::EqualFrequency),
         ("equal_width", BinningScheme::EqualWidth),
     ] {
-        let mut spec = bench_spec("pai");
+        let mut spec = Trace::Pai.spec();
         for feature in &mut spec.features {
             if let FeatureSpec::Numeric { scheme: s, .. } = feature {
                 *s = scheme;

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use irma_bench::bench_encoded;
+use irma_core::Trace;
 use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig};
@@ -23,7 +24,7 @@ fn generate(frequent: &FrequentItemsets, min_lift: f64) -> Vec<Rule> {
 }
 
 fn rule_generation(c: &mut Criterion) {
-    let encoded = bench_encoded("pai", 30_000);
+    let encoded = bench_encoded(Trace::Pai, 30_000);
     let frequent = mined(&encoded.db);
     let mut group = c.benchmark_group("rules/generation");
     group.sample_size(10);
@@ -38,7 +39,7 @@ fn rule_generation(c: &mut Criterion) {
 }
 
 fn keyword_pruning(c: &mut Criterion) {
-    let encoded = bench_encoded("pai", 30_000);
+    let encoded = bench_encoded(Trace::Pai, 30_000);
     let frequent = mined(&encoded.db);
     let rules = generate(&frequent, 1.5);
     let keyword = encoded.item("SM Util = 0%");

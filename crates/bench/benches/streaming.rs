@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use irma_bench::bench_encoded;
+use irma_core::Trace;
 use irma_mine::{
     closed_itemsets, fpgrowth, maximal_itemsets, mine_top_k, BudgetGuard, FrequentItemsets,
     MinerConfig, SlidingWindowMiner, TransactionDb,
@@ -18,7 +19,7 @@ fn batch(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
 }
 
 fn window_ops(c: &mut Criterion) {
-    let encoded = bench_encoded("supercloud", 20_000);
+    let encoded = bench_encoded(Trace::SuperCloud, 20_000);
     let txns: Vec<Vec<u32>> = (0..encoded.db.len())
         .map(|i| encoded.db.transaction(i).to_vec())
         .collect();

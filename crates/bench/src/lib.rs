@@ -9,50 +9,34 @@
 //!
 //! Shared fixtures live here so every bench measures the same workloads.
 
-use irma_core::{pai_spec, philly_spec, supercloud_spec, Metrics};
+use irma_core::{Metrics, Trace};
 use irma_mine::{ItemId, Itemset, TransactionDb};
-use irma_prep::{encode, Encoded, EncoderSpec};
+use irma_prep::{encode, Encoded};
 use irma_rules::Rule;
-use irma_synth::{pai, philly, supercloud, TraceBundle, TraceConfig};
+use irma_synth::{TraceBundle, TraceConfig};
 
 /// Deterministic seed shared by all benches.
 pub const BENCH_SEED: u64 = 0xbe7c;
 
 /// Generates a trace bundle for benching (monitor samples capped low; the
 /// reductions are statistically converged well before the cap).
-pub fn bench_bundle(name: &str, n_jobs: usize) -> TraceBundle {
-    let config = TraceConfig {
+pub fn bench_bundle(trace: Trace, n_jobs: usize) -> TraceBundle {
+    trace.generate(&TraceConfig {
         n_jobs,
         seed: BENCH_SEED,
         max_monitor_samples: 64,
-    };
-    match name {
-        "pai" => pai(&config),
-        "supercloud" => supercloud(&config),
-        "philly" => philly(&config),
-        other => panic!("unknown trace `{other}`"),
-    }
-}
-
-/// The encoder spec for a trace name.
-pub fn bench_spec(name: &str) -> EncoderSpec {
-    match name {
-        "pai" => pai_spec(),
-        "supercloud" => supercloud_spec(),
-        "philly" => philly_spec(),
-        other => panic!("unknown trace `{other}`"),
-    }
+    })
 }
 
 /// Generates and encodes a trace in one step.
-pub fn bench_encoded(name: &str, n_jobs: usize) -> Encoded {
-    let bundle = bench_bundle(name, n_jobs);
-    encode(&bundle.merged(), &bench_spec(name), &Metrics::disabled())
+pub fn bench_encoded(trace: Trace, n_jobs: usize) -> Encoded {
+    let bundle = bench_bundle(trace, n_jobs);
+    encode(&bundle.merged(), &trace.spec(), &Metrics::disabled())
 }
 
 /// The encoded PAI transaction database (the paper's largest workload).
 pub fn bench_db(n_jobs: usize) -> TransactionDb {
-    bench_encoded("pai", n_jobs).db
+    bench_encoded(Trace::Pai, n_jobs).db
 }
 
 /// The analysis keyword every synthetic [`bench_rules`] rule involves.

@@ -1,10 +1,14 @@
-//! Hand-rolled argument parsing for the `irma` binary.
+//! Argument parsing for the `irma` binary, kept dependency-free (no clap).
 //!
-//! Kept dependency-free (no clap) per the workspace's from-scratch policy;
-//! the grammar is small enough that a flag map suffices.
+//! One flag table per subcommand (`SUBCOMMANDS`) drives the parser and the [`USAGE`] synopses.
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
+use std::sync::LazyLock;
 use std::time::Duration;
+
+use irma_core::{Snapshot, Trace};
 
 /// Output format for the `--metrics` snapshot file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,7 +22,7 @@ pub enum MetricsFormat {
     Table,
 }
 
-impl std::str::FromStr for MetricsFormat {
+impl FromStr for MetricsFormat {
     type Err = String;
 
     fn from_str(s: &str) -> Result<MetricsFormat, String> {
@@ -26,17 +30,92 @@ impl std::str::FromStr for MetricsFormat {
             "json" => Ok(MetricsFormat::Json),
             "openmetrics" => Ok(MetricsFormat::OpenMetrics),
             "table" => Ok(MetricsFormat::Table),
-            other => Err(format!(
-                "unknown metrics format `{other}` (expected json|openmetrics|table)"
-            )),
+            _ => Err("expected json|openmetrics|table".to_string()),
         }
+    }
+}
+
+impl MetricsFormat {
+    /// Renders `snapshot` in this format.
+    pub fn render(self, snapshot: &Snapshot) -> String {
+        match self {
+            MetricsFormat::Json => snapshot.to_json(),
+            MetricsFormat::OpenMetrics => snapshot.to_openmetrics(),
+            MetricsFormat::Table => snapshot.render_table(),
+        }
+    }
+}
+
+/// The telemetry flags: `--metrics FILE`, `--metrics-format F` and
+/// `--trace-log FILE`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Telemetry {
+    /// Optional path for a metrics snapshot of the run.
+    pub metrics: Option<String>,
+    /// Format of the `--metrics` snapshot file.
+    pub metrics_format: MetricsFormat,
+    /// Optional path for a live JSONL trace of span/counter events.
+    pub trace_log: Option<String>,
+}
+
+/// The budget flags: `--budget-itemsets N`, `--budget-tree-mb N` and
+/// `--deadline DUR`. `serve` takes no `--deadline` (its deadlines come
+/// per request), so its `deadline` is always `None`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Budget {
+    /// Cap on mined itemsets per run before the degradation ladder kicks in.
+    pub itemsets: Option<u64>,
+    /// Cap on estimated FP-tree memory per run, in MiB.
+    pub tree_mb: Option<u64>,
+    /// Wall-clock deadline per mining run (e.g. `250ms`).
+    pub deadline: Option<Duration>,
+}
+
+/// An `explain --rule "A, B => C"` argument: the labels on each side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RuleSpec {
+    /// Antecedent labels, in the order given.
+    pub antecedent: Vec<String>,
+    /// Consequent labels, in the order given.
+    pub consequent: Vec<String>,
+}
+
+impl FromStr for RuleSpec {
+    type Err = String;
+
+    fn from_str(rule: &str) -> Result<RuleSpec, String> {
+        let (lhs, rhs) = rule
+            .split_once("=>")
+            .ok_or("need `=>` between antecedent and consequent")?;
+        let labels = |side: &str| -> Vec<String> {
+            side.split(',')
+                .map(str::trim)
+                .filter(|label| !label.is_empty())
+                .map(String::from)
+                .collect()
+        };
+        let (antecedent, consequent) = (labels(lhs), labels(rhs));
+        if antecedent.is_empty() || consequent.is_empty() {
+            return Err("need labels on both sides of `=>`".to_string());
+        }
+        Ok(RuleSpec {
+            antecedent,
+            consequent,
+        })
+    }
+}
+
+/// A rule equals any text that parses to it.
+impl PartialEq<&str> for RuleSpec {
+    fn eq(&self, text: &&str) -> bool {
+        text.parse::<RuleSpec>().as_ref() == Ok(self)
     }
 }
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `irma generate <trace> [--jobs N] [--seed S] [--out DIR]`
+    /// `irma generate`: write a synthetic trace's CSV pair.
     Generate {
         /// Trace profile name.
         trace: String,
@@ -47,8 +126,8 @@ pub enum Command {
         /// Output directory for the CSV pair.
         out: String,
     },
-    /// `irma analyze <trace> [--keyword K] [--jobs N] [--seed S] [--top N]
-    ///  [--dir DIR]` — `--dir` re-reads CSVs written by `generate`.
+    /// `irma analyze`: the full workflow; `--dir` re-reads CSVs written by
+    /// `generate`.
     Analyze {
         /// Trace profile name.
         trace: String,
@@ -64,33 +143,22 @@ pub enum Command {
         dir: Option<String>,
         /// Also print natural-language insights.
         insights: bool,
-        /// Optional path for a metrics snapshot of the run.
-        metrics: Option<String>,
-        /// Format of the `--metrics` snapshot file.
-        metrics_format: MetricsFormat,
         /// Also print the per-stage timing/cardinality table.
         verbose_stages: bool,
-        /// Optional path for a live JSONL trace of span/counter events.
-        trace_log: Option<String>,
-        /// Cap on mined itemsets before the degradation ladder kicks in.
-        budget_itemsets: Option<u64>,
-        /// Cap on estimated FP-tree memory, in MiB.
-        budget_tree_mb: Option<u64>,
-        /// Wall-clock deadline for the whole mining run (e.g. `250ms`).
-        deadline: Option<Duration>,
+        /// Metrics snapshot and trace log of the run.
+        telemetry: Telemetry,
+        /// Mining budget for the whole run.
+        budget: Budget,
         /// Worker threads for the pass's pool (default: one per core).
         threads: Option<usize>,
     },
-    /// `irma explain <trace> --rule "A, B => C" [--keyword K] [--jobs N]
-    ///  [--seed S] [--dir DIR] [--provenance FILE] [--c-lift X]
-    ///  [--c-supp Y]` — replay the generation/pruning decision path for
-    /// one rule.
+    /// `irma explain`: replay the generation/pruning decision path for one
+    /// rule.
     Explain {
         /// Trace profile name.
         trace: String,
-        /// The rule to explain: comma-separated antecedent labels, `=>`,
-        /// comma-separated consequent labels.
-        rule: String,
+        /// The rule to explain.
+        rule: RuleSpec,
         /// Analysis keyword (defaults to the rule's first consequent
         /// label).
         keyword: Option<String>,
@@ -107,8 +175,7 @@ pub enum Command {
         /// Override for the `C_supp` pruning margin.
         c_supp: Option<f64>,
     },
-    /// `irma experiments [--pai N] [--supercloud N] [--philly N] [--seed S]
-    ///  [--export DIR]`
+    /// `irma experiments`: every paper table and figure.
     Experiments {
         /// PAI job count.
         pai: usize,
@@ -121,8 +188,7 @@ pub enum Command {
         /// Optional directory for per-artifact CSV export.
         export: Option<String>,
     },
-    /// `irma watch [<trace>] [--feed FILE|-] [--window N] [--cadence N]
-    ///  [--drift-threshold X] ...` — the long-running streaming daemon.
+    /// `irma watch`: the long-running streaming daemon.
     Watch {
         /// Trace profile for the synthetic two-regime feed (and for
         /// keyword/label rendering). `None` only with `--feed`.
@@ -156,28 +222,17 @@ pub enum Command {
         keyword: Option<String>,
         /// Rules carried per emission.
         top: usize,
-        /// Optional path for a metrics snapshot, rewritten per emission.
-        metrics: Option<String>,
-        /// Format of the `--metrics` snapshot file.
-        metrics_format: MetricsFormat,
+        /// Metrics snapshot (rewritten per emission) and trace log.
+        telemetry: Telemetry,
         /// Optional address (`HOST:PORT`, port 0 for ephemeral) for the
         /// embedded `/metrics` + `/healthz` scrape endpoint.
         listen: Option<String>,
-        /// Optional path for a live JSONL trace of span/counter events.
-        trace_log: Option<String>,
-        /// Cap on mined itemsets per emission before the ladder kicks in.
-        budget_itemsets: Option<u64>,
-        /// Cap on estimated FP-tree memory per emission, in MiB.
-        budget_tree_mb: Option<u64>,
-        /// Wall-clock deadline per mining attempt (e.g. `250ms`).
-        deadline: Option<Duration>,
+        /// Mining budget per emission.
+        budget: Budget,
         /// Worker threads for the mining pool (default: one per core).
         threads: Option<usize>,
     },
-    /// `irma serve [--listen ADDR] [--workers N] [--queue-depth N]
-    ///  [--cache-entries N] [--budget-itemsets N] [--budget-tree-mb N]
-    ///  [--default-deadline DUR] [--max-deadline DUR] [--threads N]` —
-    /// the multi-tenant rule-serving HTTP API.
+    /// `irma serve`: the multi-tenant rule-serving HTTP API.
     Serve {
         /// Bind address (`HOST:PORT`, port 0 for ephemeral).
         listen: String,
@@ -187,10 +242,8 @@ pub enum Command {
         queue_depth: usize,
         /// Result-cache capacity, in entries.
         cache_entries: usize,
-        /// Cap on mined itemsets per request before the ladder kicks in.
-        budget_itemsets: Option<u64>,
-        /// Cap on estimated FP-tree memory per request, in MiB.
-        budget_tree_mb: Option<u64>,
+        /// Mining budget per request (no deadline: see below).
+        budget: Budget,
         /// Deadline when the client sends no `x-irma-timeout-ms` header.
         default_deadline: Duration,
         /// Hard cap on client-requested deadlines.
@@ -198,16 +251,15 @@ pub enum Command {
         /// Worker threads for the mining pool (default: one per core).
         threads: Option<usize>,
     },
-    /// `irma trace <input.jsonl|-> [--out FILE]` — convert a JSONL trace
-    /// log (`--trace-log` output) into Chrome `trace_event` JSON for
-    /// chrome://tracing / Perfetto.
+    /// `irma trace`: convert a JSONL trace log (`--trace-log` output) into
+    /// Chrome `trace_event` JSON for chrome://tracing / Perfetto.
     Trace {
         /// The JSONL trace log, or `-` for stdin.
         input: String,
         /// Output path; stdout when absent.
         out: Option<String>,
     },
-    /// `irma predict <trace> [--jobs N] [--threshold T] [--seed S]`
+    /// `irma predict`: train and evaluate the rule-list failure classifier.
     Predict {
         /// Trace profile name.
         trace: String,
@@ -218,7 +270,7 @@ pub enum Command {
         /// RNG seed.
         seed: u64,
     },
-    /// `irma help` or no/unknown arguments.
+    /// `irma help` or no arguments.
     Help,
 }
 
@@ -232,437 +284,425 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-const TRACES: [&str; 3] = ["pai", "supercloud", "philly"];
-
-/// Splits `args` into positionals and `--flag value` pairs.
-fn split_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), ParseError> {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(name) = arg.strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| ParseError(format!("flag --{name} needs a value")))?;
-            flags.insert(name.to_string(), value.clone());
-            i += 2;
-        } else {
-            positional.push(arg.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn get_parse<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, ParseError> {
-    match flags.get(name) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ParseError(format!("invalid value for --{name}: `{raw}`"))),
-        None => Ok(default),
-    }
-}
-
 /// Parses a human-friendly duration: an integer immediately followed by
 /// a unit (`us`, `ms`, `s`, `m`), e.g. `500us`, `250ms`, `2s`, `5m`.
 pub fn parse_duration(raw: &str) -> Result<Duration, String> {
     let raw = raw.trim();
     let split = raw
         .find(|c: char| !c.is_ascii_digit())
-        .ok_or_else(|| format!("duration `{raw}` is missing a unit (us|ms|s|m)"))?;
+        .ok_or("missing a unit (us|ms|s|m)")?;
     let (digits, unit) = raw.split_at(split);
     let value: u64 = digits
         .parse()
-        .map_err(|_| format!("duration `{raw}` needs an integer before the unit"))?;
+        .map_err(|_| "need an integer before the unit")?;
     match unit {
         "us" => Ok(Duration::from_micros(value)),
         "ms" => Ok(Duration::from_millis(value)),
         "s" => Ok(Duration::from_secs(value)),
         "m" => Ok(Duration::from_secs(value * 60)),
-        other => Err(format!(
-            "unknown duration unit `{other}` in `{raw}` (expected us|ms|s|m)"
-        )),
+        other => Err(format!("unknown unit `{other}` (expected us|ms|s|m)")),
     }
 }
 
-fn known_flags(flags: &HashMap<String, String>, allowed: &[&str]) -> Result<(), ParseError> {
-    for key in flags.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ParseError(format!("unknown flag --{key}")));
+/// A `--name METAVAR` flag. The synopsis brackets it unless it is
+/// required.
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    metavar: &'static str,
+    required: bool,
+}
+
+const fn flag(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar,
+        required: false,
+    }
+}
+
+const BUDGET_ITEMSETS: Flag = flag("budget-itemsets", "N");
+const BUDGET_TREE_MB: Flag = flag("budget-tree-mb", "N");
+const C_LIFT: Flag = flag("c-lift", "X");
+const C_SUPP: Flag = flag("c-supp", "Y");
+const CACHE_ENTRIES: Flag = flag("cache-entries", "N");
+const CADENCE: Flag = flag("cadence", "N");
+const DEADLINE: Flag = flag("deadline", "DUR");
+const DEFAULT_DEADLINE: Flag = flag("default-deadline", "DUR");
+const DIR: Flag = flag("dir", "DIR");
+const DRIFT_THRESHOLD: Flag = flag("drift-threshold", "X");
+const EXPORT: Flag = flag("export", "DIR");
+const FEED: Flag = flag("feed", "FILE|-");
+const INSIGHTS: Flag = flag("insights", "true");
+const JOBS: Flag = flag("jobs", "N");
+const KEYWORD: Flag = flag("keyword", "K");
+const LISTEN: Flag = flag("listen", "ADDR");
+const MAX_ARRIVALS: Flag = flag("max-arrivals", "N");
+const MAX_DEADLINE: Flag = flag("max-deadline", "DUR");
+const METRICS: Flag = flag("metrics", "FILE");
+const METRICS_FORMAT: Flag = flag("metrics-format", "json|openmetrics|table");
+const MIN_LIFT: Flag = flag("min-lift", "X");
+const MIN_SUPPORT: Flag = flag("min-support", "X");
+const OUT_DIR: Flag = flag("out", "DIR");
+const OUT_FILE: Flag = Flag {
+    metavar: "FILE",
+    ..OUT_DIR
+};
+const PAI: Flag = flag("pai", "N");
+const PHILLY: Flag = flag("philly", "N");
+const PROVENANCE: Flag = flag("provenance", "FILE");
+const QUEUE_DEPTH: Flag = flag("queue-depth", "N");
+const RULE: Flag = Flag {
+    required: true,
+    ..flag("rule", "\"A, B => C\"")
+};
+const SEED: Flag = flag("seed", "S");
+const SUPERCLOUD: Flag = flag("supercloud", "N");
+const THREADS: Flag = flag("threads", "N");
+const THRESHOLD: Flag = flag("threshold", "T");
+const TOP: Flag = flag("top", "N");
+const TRACE_LOG: Flag = flag("trace-log", "FILE");
+const VERBOSE_STAGES: Flag = flag("verbose-stages", "true");
+const WARMUP: Flag = flag("warmup", "N");
+const WINDOW: Flag = flag("window", "N");
+const WORKERS: Flag = flag("workers", "N");
+
+/// The flag groups several subcommands share.
+const TELEMETRY: &[Flag] = &[METRICS, METRICS_FORMAT, TRACE_LOG];
+const BUDGET_CAPS: &[Flag] = &[BUDGET_ITEMSETS, BUDGET_TREE_MB];
+
+/// One subcommand's arguments: its positionals and the values of the
+/// flags its table declares.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    values: HashMap<&'static str, &'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` into positionals and `--flag value` pairs, rejecting
+    /// any flag `subcommand` does not declare. A repeated flag keeps its
+    /// last value.
+    fn new(subcommand: &Subcommand, args: &'a [String]) -> Result<Args<'a>, ParseError> {
+        let mut positional = Vec::new();
+        let mut values = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                positional.push(arg.as_str());
+                continue;
+            };
+            let value = args
+                .next()
+                .ok_or_else(|| ParseError(format!("flag --{name} needs a value")))?;
+            let flag = subcommand
+                .flags()
+                .find(|flag| flag.name == name)
+                .ok_or_else(|| ParseError(format!("unknown flag --{name}")))?;
+            values.insert(flag.name, value.as_str());
+        }
+        Ok(Args { positional, values })
+    }
+
+    /// The flag's value run through `parse`, if given. A failure names
+    /// the flag, the value and what `parse` found wrong with it.
+    fn value<T>(
+        &self,
+        flag: Flag,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, ParseError> {
+        let Some(raw) = self.values.get(flag.name) else {
+            return Ok(None);
+        };
+        parse(raw)
+            .map(Some)
+            .map_err(|why| ParseError(format!("invalid value for --{}: `{raw}`: {why}", flag.name)))
+    }
+
+    /// The flag's value, if given.
+    fn opt<T: FromStr<Err: Display>>(&self, flag: Flag) -> Result<Option<T>, ParseError> {
+        self.value(flag, |raw| raw.parse().map_err(|e: T::Err| e.to_string()))
+    }
+
+    /// The flag's value, or `default` when it is absent.
+    fn get<T: FromStr<Err: Display>>(&self, flag: Flag, default: T) -> Result<T, ParseError> {
+        Ok(self.opt(flag)?.unwrap_or(default))
+    }
+
+    /// An integer that must be >= 1, if given.
+    fn count(&self, flag: Flag) -> Result<Option<usize>, ParseError> {
+        self.value(flag, |raw| {
+            raw.parse()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "need an integer >= 1".to_string())
+        })
+    }
+
+    /// A `HOST:PORT` bind address, if given: without a port it could not
+    /// be bound.
+    fn address(&self, flag: Flag) -> Result<Option<String>, ParseError> {
+        self.value(flag, |raw| match raw.contains(':') {
+            true => Ok(raw.to_string()),
+            false => Err("need HOST:PORT (port 0 picks an ephemeral one)".to_string()),
+        })
+    }
+
+    /// The first positional, which must name a trace profile.
+    fn trace(&self) -> Result<String, ParseError> {
+        let name = self
+            .positional
+            .first()
+            .ok_or_else(|| ParseError("missing trace name (pai|supercloud|philly)".to_string()))?;
+        name.parse::<Trace>().map_err(ParseError)?;
+        Ok(name.to_string())
+    }
+
+    /// Rejects positionals, for subcommands that take none.
+    fn no_positional(&self) -> Result<(), ParseError> {
+        match self.positional.first() {
+            Some(extra) => Err(ParseError(format!("unexpected argument `{extra}`"))),
+            None => Ok(()),
         }
     }
-    Ok(())
+
+    fn telemetry(&self) -> Result<Telemetry, ParseError> {
+        Ok(Telemetry {
+            metrics: self.opt(METRICS)?,
+            metrics_format: self.get(METRICS_FORMAT, MetricsFormat::Json)?,
+            trace_log: self.opt(TRACE_LOG)?,
+        })
+    }
+
+    fn budget(&self) -> Result<Budget, ParseError> {
+        Ok(Budget {
+            itemsets: self.opt(BUDGET_ITEMSETS)?,
+            tree_mb: self.opt(BUDGET_TREE_MB)?,
+            deadline: self.value(DEADLINE, parse_duration)?,
+        })
+    }
 }
 
-fn trace_arg(positional: &[String]) -> Result<String, ParseError> {
-    let trace = positional
-        .first()
-        .ok_or_else(|| ParseError("missing trace name (pai|supercloud|philly)".to_string()))?;
-    if !TRACES.contains(&trace.as_str()) {
-        return Err(ParseError(format!(
-            "unknown trace `{trace}` (expected pai|supercloud|philly)"
-        )));
-    }
-    Ok(trace.clone())
+/// One subcommand's positionals and flag table: the parser checks
+/// arguments against it and [`USAGE`] renders its synopsis from it.
+struct Subcommand {
+    name: &'static str,
+    /// The positionals as the synopsis shows them.
+    args: &'static str,
+    /// Flag groups, in synopsis order.
+    flags: &'static [&'static [Flag]],
 }
+
+impl Subcommand {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().copied().flatten()
+    }
+
+    /// `  irma NAME ARGS [--flag METAVAR] ...`, wrapped at 77 columns with
+    /// continuation lines aligned after the name.
+    fn synopsis(&self) -> String {
+        let head = format!("  irma {}", self.name);
+        let flags = self.flags().map(|flag| match flag.required {
+            true => format!("--{} {}", flag.name, flag.metavar),
+            false => format!("[--{} {}]", flag.name, flag.metavar),
+        });
+        let args = (!self.args.is_empty()).then(|| self.args.to_string());
+        let mut synopsis = String::new();
+        let mut line = head.clone();
+        for word in args.into_iter().chain(flags) {
+            if line.len() > head.len() && line.len() + 1 + word.len() > 77 {
+                synopsis = synopsis + &line + "\n";
+                line = " ".repeat(head.len());
+            }
+            line = line + " " + &word;
+        }
+        synopsis + &line + "\n"
+    }
+}
+
+/// Every subcommand but `help`, which takes no arguments.
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "generate",
+        args: "<trace>",
+        flags: &[&[JOBS, SEED, OUT_DIR]],
+    },
+    Subcommand {
+        name: "analyze",
+        args: "<trace>",
+        flags: &[
+            &[KEYWORD, JOBS, SEED, TOP, DIR, INSIGHTS, VERBOSE_STAGES],
+            TELEMETRY,
+            BUDGET_CAPS,
+            &[DEADLINE, THREADS],
+        ],
+    },
+    Subcommand {
+        name: "explain",
+        args: "<trace>",
+        flags: &[&[RULE, KEYWORD, JOBS, SEED, DIR, PROVENANCE, C_LIFT, C_SUPP]],
+    },
+    Subcommand {
+        name: "experiments",
+        args: "",
+        flags: &[&[PAI, SUPERCLOUD, PHILLY, SEED, EXPORT]],
+    },
+    Subcommand {
+        name: "watch",
+        args: "[<trace>]",
+        flags: &[
+            &[
+                FEED,
+                JOBS,
+                SEED,
+                WINDOW,
+                WARMUP,
+                DRIFT_THRESHOLD,
+                CADENCE,
+                MAX_ARRIVALS,
+                MIN_SUPPORT,
+                MIN_LIFT,
+                KEYWORD,
+                TOP,
+                LISTEN,
+            ],
+            TELEMETRY,
+            BUDGET_CAPS,
+            &[DEADLINE, THREADS],
+        ],
+    },
+    Subcommand {
+        name: "serve",
+        args: "",
+        flags: &[
+            &[LISTEN, WORKERS, QUEUE_DEPTH, CACHE_ENTRIES],
+            BUDGET_CAPS,
+            &[DEFAULT_DEADLINE, MAX_DEADLINE, THREADS],
+        ],
+    },
+    Subcommand {
+        name: "trace",
+        args: "<input.jsonl|->",
+        flags: &[&[OUT_FILE]],
+    },
+    Subcommand {
+        name: "predict",
+        args: "<trace>",
+        flags: &[&[JOBS, THRESHOLD, SEED]],
+    },
+];
 
 /// Parses the full argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(subcommand) = args.first() else {
+    let Some((name, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    match subcommand.as_str() {
-        "generate" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(&flags, &["jobs", "seed", "out"])?;
-            Ok(Command::Generate {
-                trace: trace_arg(&positional)?,
-                jobs: get_parse(&flags, "jobs", 20_000)?,
-                seed: get_parse(&flags, "seed", 0xdcc0)?,
-                out: flags.get("out").cloned().unwrap_or_else(|| ".".to_string()),
-            })
-        }
-        "analyze" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(
-                &flags,
-                &[
-                    "keyword",
-                    "jobs",
-                    "seed",
-                    "top",
-                    "dir",
-                    "insights",
-                    "metrics",
-                    "metrics-format",
-                    "verbose-stages",
-                    "trace-log",
-                    "budget-itemsets",
-                    "budget-tree-mb",
-                    "deadline",
-                    "threads",
-                ],
-            )?;
-            Ok(Command::Analyze {
-                trace: trace_arg(&positional)?,
-                keyword: flags
-                    .get("keyword")
-                    .cloned()
-                    .unwrap_or_else(|| "SM Util = 0%".to_string()),
-                jobs: get_parse(&flags, "jobs", 20_000)?,
-                seed: get_parse(&flags, "seed", 0xdcc0)?,
-                top: get_parse(&flags, "top", 6)?,
-                dir: flags.get("dir").cloned(),
-                insights: get_parse(&flags, "insights", false)?,
-                metrics: flags.get("metrics").cloned(),
-                metrics_format: get_parse(&flags, "metrics-format", MetricsFormat::Json)?,
-                verbose_stages: get_parse(&flags, "verbose-stages", false)?,
-                trace_log: flags.get("trace-log").cloned(),
-                budget_itemsets: flags
-                    .get("budget-itemsets")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-itemsets: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                budget_tree_mb: flags
-                    .get("budget-tree-mb")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-tree-mb: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                deadline: flags
-                    .get("deadline")
-                    .map(|raw| {
-                        parse_duration(raw)
-                            .map_err(|e| ParseError(format!("invalid --deadline: {e}")))
-                    })
-                    .transpose()?,
-                threads: flags
-                    .get("threads")
-                    .map(|raw| match raw.parse() {
-                        Ok(n) if n >= 1 => Ok(n),
-                        _ => Err(ParseError(format!(
-                            "invalid value for --threads: `{raw}` (need an integer >= 1)"
-                        ))),
-                    })
-                    .transpose()?,
-            })
-        }
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let subcommand = SUBCOMMANDS
+        .iter()
+        .find(|subcommand| subcommand.name == name)
+        .ok_or_else(|| ParseError(format!("unknown subcommand `{name}`")))?;
+    let a = Args::new(subcommand, rest)?;
+    match subcommand.name {
+        "generate" => Ok(Command::Generate {
+            trace: a.trace()?,
+            jobs: a.get(JOBS, 20_000)?,
+            seed: a.get(SEED, 0xdcc0)?,
+            out: a.get(OUT_DIR, ".".to_string())?,
+        }),
+        "analyze" => Ok(Command::Analyze {
+            trace: a.trace()?,
+            keyword: a.get(KEYWORD, "SM Util = 0%".to_string())?,
+            jobs: a.get(JOBS, 20_000)?,
+            seed: a.get(SEED, 0xdcc0)?,
+            top: a.get(TOP, 6)?,
+            dir: a.opt(DIR)?,
+            insights: a.get(INSIGHTS, false)?,
+            verbose_stages: a.get(VERBOSE_STAGES, false)?,
+            telemetry: a.telemetry()?,
+            budget: a.budget()?,
+            threads: a.count(THREADS)?,
+        }),
         "explain" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(
-                &flags,
-                &[
-                    "rule",
-                    "keyword",
-                    "jobs",
-                    "seed",
-                    "dir",
-                    "provenance",
-                    "c-lift",
-                    "c-supp",
-                ],
-            )?;
-            let rule = flags
-                .get("rule")
-                .cloned()
+            let rule = a
+                .opt(RULE)?
                 .ok_or_else(|| ParseError("explain needs --rule \"A, B => C\"".to_string()))?;
-            if !rule.contains("=>") {
-                return Err(ParseError(format!(
-                    "--rule must contain `=>` separating antecedent and consequent (got `{rule}`)"
-                )));
-            }
             Ok(Command::Explain {
-                trace: trace_arg(&positional)?,
+                trace: a.trace()?,
                 rule,
-                keyword: flags.get("keyword").cloned(),
-                jobs: get_parse(&flags, "jobs", 20_000)?,
-                seed: get_parse(&flags, "seed", 0xdcc0)?,
-                dir: flags.get("dir").cloned(),
-                provenance: flags.get("provenance").cloned(),
-                c_lift: flags
-                    .get("c-lift")
-                    .map(|raw| {
-                        raw.parse()
-                            .map_err(|_| ParseError(format!("invalid value for --c-lift: `{raw}`")))
-                    })
-                    .transpose()?,
-                c_supp: flags
-                    .get("c-supp")
-                    .map(|raw| {
-                        raw.parse()
-                            .map_err(|_| ParseError(format!("invalid value for --c-supp: `{raw}`")))
-                    })
-                    .transpose()?,
+                keyword: a.opt(KEYWORD)?,
+                jobs: a.get(JOBS, 20_000)?,
+                seed: a.get(SEED, 0xdcc0)?,
+                dir: a.opt(DIR)?,
+                provenance: a.opt(PROVENANCE)?,
+                c_lift: a.opt(C_LIFT)?,
+                c_supp: a.opt(C_SUPP)?,
             })
         }
         "experiments" => {
-            let (positional, flags) = split_flags(rest)?;
-            if !positional.is_empty() {
-                return Err(ParseError(format!(
-                    "unexpected argument `{}`",
-                    positional[0]
-                )));
-            }
-            known_flags(&flags, &["pai", "supercloud", "philly", "seed", "export"])?;
+            a.no_positional()?;
             Ok(Command::Experiments {
-                pai: get_parse(&flags, "pai", 40_000)?,
-                supercloud: get_parse(&flags, "supercloud", 8_000)?,
-                philly: get_parse(&flags, "philly", 8_000)?,
-                seed: get_parse(&flags, "seed", 0xdcc0)?,
-                export: flags.get("export").cloned(),
+                pai: a.get(PAI, 40_000)?,
+                supercloud: a.get(SUPERCLOUD, 8_000)?,
+                philly: a.get(PHILLY, 8_000)?,
+                seed: a.get(SEED, 0xdcc0)?,
+                export: a.opt(EXPORT)?,
             })
         }
         "watch" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(
-                &flags,
-                &[
-                    "feed",
-                    "jobs",
-                    "seed",
-                    "window",
-                    "warmup",
-                    "drift-threshold",
-                    "cadence",
-                    "max-arrivals",
-                    "min-support",
-                    "min-lift",
-                    "keyword",
-                    "top",
-                    "metrics",
-                    "metrics-format",
-                    "listen",
-                    "trace-log",
-                    "budget-itemsets",
-                    "budget-tree-mb",
-                    "deadline",
-                    "threads",
-                ],
-            )?;
-            let feed = flags.get("feed").cloned();
-            let trace = if positional.is_empty() {
-                if feed.is_none() {
+            let feed = a.opt(FEED)?;
+            let trace = match a.positional.is_empty() {
+                false => Some(a.trace()?),
+                true if feed.is_some() => None,
+                true => {
                     return Err(ParseError(
                         "watch needs a trace (pai|supercloud|philly) or --feed FILE|-".to_string(),
-                    ));
+                    ))
                 }
-                None
-            } else {
-                Some(trace_arg(&positional)?)
             };
             Ok(Command::Watch {
                 trace,
                 feed,
-                jobs: get_parse(&flags, "jobs", 6_000)?,
-                seed: get_parse(&flags, "seed", 0x57)?,
-                window: match get_parse(&flags, "window", 2_000)? {
-                    0 => return Err(ParseError("--window must be >= 1".to_string())),
-                    n => n,
-                },
-                warmup: flags
-                    .get("warmup")
-                    .map(|raw| {
-                        raw.parse()
-                            .map_err(|_| ParseError(format!("invalid value for --warmup: `{raw}`")))
-                    })
-                    .transpose()?,
-                drift_threshold: get_parse(&flags, "drift-threshold", 0.35)?,
-                cadence: get_parse(&flags, "cadence", 2_000)?,
-                max_arrivals: flags
-                    .get("max-arrivals")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --max-arrivals: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                min_support: get_parse(&flags, "min-support", 0.05)?,
-                min_lift: get_parse(&flags, "min-lift", 1.5)?,
-                keyword: flags.get("keyword").cloned(),
-                top: get_parse(&flags, "top", 5)?,
-                metrics: flags.get("metrics").cloned(),
-                metrics_format: get_parse(&flags, "metrics-format", MetricsFormat::Json)?,
-                listen: match flags.get("listen") {
-                    Some(raw) if raw.contains(':') => Some(raw.clone()),
-                    Some(raw) => {
-                        return Err(ParseError(format!(
-                            "invalid value for --listen: `{raw}` (need HOST:PORT, \
-                             e.g. 127.0.0.1:9184 or 127.0.0.1:0 for an ephemeral port)"
-                        )))
-                    }
-                    None => None,
-                },
-                trace_log: flags.get("trace-log").cloned(),
-                budget_itemsets: flags
-                    .get("budget-itemsets")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-itemsets: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                budget_tree_mb: flags
-                    .get("budget-tree-mb")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-tree-mb: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                deadline: flags
-                    .get("deadline")
-                    .map(|raw| {
-                        parse_duration(raw)
-                            .map_err(|e| ParseError(format!("invalid --deadline: {e}")))
-                    })
-                    .transpose()?,
-                threads: flags
-                    .get("threads")
-                    .map(|raw| match raw.parse() {
-                        Ok(n) if n >= 1 => Ok(n),
-                        _ => Err(ParseError(format!(
-                            "invalid value for --threads: `{raw}` (need an integer >= 1)"
-                        ))),
-                    })
-                    .transpose()?,
+                jobs: a.get(JOBS, 6_000)?,
+                seed: a.get(SEED, 0x57)?,
+                window: a.count(WINDOW)?.unwrap_or(2_000),
+                warmup: a.opt(WARMUP)?,
+                drift_threshold: a.get(DRIFT_THRESHOLD, 0.35)?,
+                cadence: a.get(CADENCE, 2_000)?,
+                max_arrivals: a.opt(MAX_ARRIVALS)?,
+                min_support: a.get(MIN_SUPPORT, 0.05)?,
+                min_lift: a.get(MIN_LIFT, 1.5)?,
+                keyword: a.opt(KEYWORD)?,
+                top: a.get(TOP, 5)?,
+                telemetry: a.telemetry()?,
+                listen: a.address(LISTEN)?,
+                budget: a.budget()?,
+                threads: a.count(THREADS)?,
             })
         }
         "serve" => {
-            let (positional, flags) = split_flags(rest)?;
-            if !positional.is_empty() {
-                return Err(ParseError(format!(
-                    "unexpected argument `{}`",
-                    positional[0]
-                )));
-            }
-            known_flags(
-                &flags,
-                &[
-                    "listen",
-                    "workers",
-                    "queue-depth",
-                    "cache-entries",
-                    "budget-itemsets",
-                    "budget-tree-mb",
-                    "default-deadline",
-                    "max-deadline",
-                    "threads",
-                ],
-            )?;
-            let listen = match flags.get("listen") {
-                Some(raw) if raw.contains(':') => raw.clone(),
-                Some(raw) => {
-                    return Err(ParseError(format!(
-                        "invalid value for --listen: `{raw}` (need HOST:PORT, \
-                         e.g. 127.0.0.1:9185 or 127.0.0.1:0 for an ephemeral port)"
-                    )))
-                }
-                None => "127.0.0.1:9185".to_string(),
-            };
+            a.no_positional()?;
             Ok(Command::Serve {
-                listen,
-                workers: match get_parse(&flags, "workers", 2)? {
-                    0 => return Err(ParseError("--workers must be >= 1".to_string())),
-                    n => n,
-                },
-                queue_depth: match get_parse(&flags, "queue-depth", 32)? {
-                    0 => return Err(ParseError("--queue-depth must be >= 1".to_string())),
-                    n => n,
-                },
-                cache_entries: get_parse(&flags, "cache-entries", 64)?,
-                budget_itemsets: flags
-                    .get("budget-itemsets")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-itemsets: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                budget_tree_mb: flags
-                    .get("budget-tree-mb")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            ParseError(format!("invalid value for --budget-tree-mb: `{raw}`"))
-                        })
-                    })
-                    .transpose()?,
-                default_deadline: match flags.get("default-deadline") {
-                    Some(raw) => parse_duration(raw)
-                        .map_err(|e| ParseError(format!("invalid --default-deadline: {e}")))?,
-                    None => Duration::from_secs(5),
-                },
-                max_deadline: match flags.get("max-deadline") {
-                    Some(raw) => parse_duration(raw)
-                        .map_err(|e| ParseError(format!("invalid --max-deadline: {e}")))?,
-                    None => Duration::from_secs(30),
-                },
-                threads: flags
-                    .get("threads")
-                    .map(|raw| match raw.parse() {
-                        Ok(n) if n >= 1 => Ok(n),
-                        _ => Err(ParseError(format!(
-                            "invalid value for --threads: `{raw}` (need an integer >= 1)"
-                        ))),
-                    })
-                    .transpose()?,
+                listen: a
+                    .address(LISTEN)?
+                    .unwrap_or_else(|| "127.0.0.1:9185".to_string()),
+                workers: a.count(WORKERS)?.unwrap_or(2),
+                queue_depth: a.count(QUEUE_DEPTH)?.unwrap_or(32),
+                cache_entries: a.get(CACHE_ENTRIES, 64)?,
+                budget: a.budget()?,
+                default_deadline: a
+                    .value(DEFAULT_DEADLINE, parse_duration)?
+                    .unwrap_or(Duration::from_secs(5)),
+                max_deadline: a
+                    .value(MAX_DEADLINE, parse_duration)?
+                    .unwrap_or(Duration::from_secs(30)),
+                threads: a.count(THREADS)?,
             })
         }
         "trace" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(&flags, &["out"])?;
-            let input = match positional.as_slice() {
-                [input] => input.clone(),
+            let input = match a.positional.as_slice() {
+                [input] => input.to_string(),
                 [] => {
                     return Err(ParseError(
                         "trace needs an input JSONL log (or - for stdin)".to_string(),
@@ -672,37 +712,28 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             };
             Ok(Command::Trace {
                 input,
-                out: flags.get("out").cloned(),
+                out: a.opt(OUT_FILE)?,
             })
         }
-        "predict" => {
-            let (positional, flags) = split_flags(rest)?;
-            known_flags(&flags, &["jobs", "threshold", "seed"])?;
-            Ok(Command::Predict {
-                trace: trace_arg(&positional)?,
-                jobs: get_parse(&flags, "jobs", 20_000)?,
-                threshold: get_parse(&flags, "threshold", 0.8)?,
-                seed: get_parse(&flags, "seed", 0xdcc0)?,
-            })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown subcommand `{other}`"))),
+        "predict" => Ok(Command::Predict {
+            trace: a.trace()?,
+            jobs: a.get(JOBS, 20_000)?,
+            threshold: a.get(THRESHOLD, 0.8)?,
+            seed: a.get(SEED, 0xdcc0)?,
+        }),
+        other => unreachable!("subcommand `{other}` has no parser"),
     }
 }
 
-/// The help text.
-pub const USAGE: &str = "\
+/// The help text, with a `{name}` line where each subcommand's synopsis
+/// goes.
+const HELP: &str = "\
 irma — interpretable rule mining for GPU cluster traces (IPPS'24 reproduction)
 
 USAGE:
-  irma generate <trace> [--jobs N] [--seed S] [--out DIR]
+{generate}
       Generate a synthetic trace and write its scheduler/monitoring CSVs.
-  irma analyze <trace> [--keyword K] [--jobs N] [--seed S] [--top N]
-               [--dir DIR] [--insights true] [--metrics FILE]
-               [--metrics-format json|openmetrics|table]
-               [--verbose-stages true] [--trace-log FILE]
-               [--budget-itemsets N] [--budget-tree-mb N] [--deadline DUR]
-               [--threads N]
+{analyze}
       Run the full workflow and print the keyword's cause/characteristic
       rules. With --dir, read CSVs previously written by `generate`.
       --metrics writes a snapshot of per-stage timers, cardinalities, and
@@ -720,34 +751,16 @@ USAGE:
       pass, from CSV parse to the rendered tables (default: one per
       core); --threads 1 runs it fully sequentially, useful for timing
       baselines and deterministic profiles. Output never depends on N.
-
-EXIT CODES:
-  0  success
-  1  runtime error (IO, bad keyword, ...)
-  2  usage error
-  4  degraded success: budgets forced relaxed mining knobs; stderr and
-     the metrics snapshot carry the degradation report
-  5  pipeline error: typed stage failure (parse|encode|mine|rules|
-     budget|worker_panic)
-  irma explain <trace> --rule \"A, B => C\" [--keyword K] [--jobs N]
-               [--seed S] [--dir DIR] [--provenance FILE]
-               [--c-lift X] [--c-supp Y]
+{explain}
       Replay the decision path for one rule: its support/confidence/lift
       inputs, the generation threshold or pruning condition that killed
       it (winner/loser edges, including marking chains), or why it
       survived. --keyword defaults to the rule's first consequent label;
       --provenance dumps every rule's record as JSONL.
-  irma experiments [--pai N] [--supercloud N] [--philly N] [--seed S]
-                   [--export DIR]
+{experiments}
       Regenerate every paper table and figure (optionally exporting the
       underlying data as CSVs).
-  irma watch [<trace>] [--feed FILE|-] [--jobs N] [--seed S] [--window N]
-             [--warmup N] [--drift-threshold X] [--cadence N]
-             [--max-arrivals N] [--min-support X] [--min-lift X]
-             [--keyword K] [--top N] [--metrics FILE]
-             [--metrics-format json|openmetrics|table] [--listen ADDR]
-             [--trace-log FILE] [--budget-itemsets N] [--budget-tree-mb N]
-             [--deadline DUR] [--threads N]
+{watch}
       Run the streaming daemon: ingest trace records continuously, keep
       the FP-tree of the last --window transactions incrementally
       up to date, and re-emit the keyword's failure rules whenever window
@@ -770,9 +783,7 @@ EXIT CODES:
       scheduler families — and GET /healthz serves a small JSON health
       document (uptime, degraded flag, seconds since the last emission).
       --listen implies metrics collection even without --metrics.
-  irma serve [--listen ADDR] [--workers N] [--queue-depth N]
-             [--cache-entries N] [--budget-itemsets N] [--budget-tree-mb N]
-             [--default-deadline DUR] [--max-deadline DUR] [--threads N]
+{serve}
       Run the multi-tenant rule-serving HTTP API (default
       127.0.0.1:9185; port 0 picks an ephemeral one, printed on stderr).
       POST /v1/analyze takes a CSV body (or `fp:<fingerprint>` to replay
@@ -790,19 +801,40 @@ EXIT CODES:
       exhaustion is 503/504. Full-fidelity results are cached (LRU,
       --cache-entries) keyed by dataset fingerprint + normalized config.
       SIGTERM/SIGINT drain in-flight requests and exit 0.
-  irma trace <input.jsonl|-> [--out FILE]
+{trace}
       Convert a JSONL trace log (the --trace-log output of analyze or
       watch) into Chrome trace_event JSON: spans become slices on
       per-worker lanes, counters become counter tracks, one process per
       run id. Open the result in chrome://tracing or ui.perfetto.dev.
       Writes to stdout unless --out is given.
-  irma predict <trace> [--jobs N] [--threshold T] [--seed S]
+{predict}
       Train the rule-list failure classifier and evaluate it held-out.
   irma help
       Show this message.
 
+EXIT CODES:
+  0  success
+  1  runtime error (IO, bad keyword, ...)
+  2  usage error
+  4  degraded success: budgets forced relaxed mining knobs; stderr and
+     the metrics snapshot carry the degradation report
+  5  pipeline error: typed stage failure (parse|encode|mine|rules|
+     budget|worker_panic)
+
 Traces: pai | supercloud | philly
 ";
+
+/// The help text, each synopsis rendered from its subcommand's flag table.
+pub static USAGE: LazyLock<String> = LazyLock::new(|| {
+    SUBCOMMANDS
+        .iter()
+        .fold(HELP.to_string(), |help, subcommand| {
+            help.replace(
+                &format!("{{{}}}\n", subcommand.name),
+                &subcommand.synopsis(),
+            )
+        })
+});
 
 #[cfg(test)]
 mod tests {
@@ -870,7 +902,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Analyze {
-                metrics,
+                telemetry: Telemetry { metrics, .. },
                 verbose_stages,
                 ..
             } => {
@@ -882,7 +914,7 @@ mod tests {
         // Defaults: no snapshot, no table.
         match parse(&argv("analyze pai")).unwrap() {
             Command::Analyze {
-                metrics,
+                telemetry: Telemetry { metrics, .. },
                 verbose_stages,
                 ..
             } => {
@@ -901,9 +933,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Analyze {
-                metrics,
-                metrics_format,
-                trace_log,
+                telemetry:
+                    Telemetry {
+                        metrics,
+                        metrics_format,
+                        trace_log,
+                    },
                 ..
             } => {
                 assert_eq!(metrics.as_deref(), Some("/tmp/m.om"));
@@ -961,9 +996,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Analyze {
-                budget_itemsets,
-                budget_tree_mb,
-                deadline,
+                budget:
+                    Budget {
+                        itemsets: budget_itemsets,
+                        tree_mb: budget_tree_mb,
+                        deadline,
+                    },
                 ..
             } => {
                 assert_eq!(budget_itemsets, Some(5000));
@@ -975,9 +1013,12 @@ mod tests {
         // Defaults: unlimited.
         match parse(&argv("analyze pai")).unwrap() {
             Command::Analyze {
-                budget_itemsets,
-                budget_tree_mb,
-                deadline,
+                budget:
+                    Budget {
+                        itemsets: budget_itemsets,
+                        tree_mb: budget_tree_mb,
+                        deadline,
+                    },
                 ..
             } => {
                 assert_eq!(budget_itemsets, None);
@@ -1026,11 +1067,216 @@ mod tests {
 
     #[test]
     fn rejects_unknown_trace_and_flags() {
-        assert!(parse(&argv("generate helios")).is_err());
-        assert!(parse(&argv("generate pai --bogus 1")).is_err());
-        assert!(parse(&argv("generate pai --jobs")).is_err());
-        assert!(parse(&argv("generate pai --jobs abc")).is_err());
-        assert!(parse(&argv("frobnicate")).is_err());
+        let rejected = [
+            ("frobnicate", "unknown subcommand `frobnicate`"),
+            ("generate", "missing trace name (pai|supercloud|philly)"),
+            (
+                "generate helios",
+                "unknown trace `helios` (expected pai|supercloud|philly)",
+            ),
+            ("generate pai --bogus 1", "unknown flag --bogus"),
+            ("generate pai --jobs", "flag --jobs needs a value"),
+            (
+                "generate pai --jobs abc",
+                "invalid value for --jobs: `abc`: invalid digit found in string",
+            ),
+            (
+                "analyze pai --insights yes",
+                "invalid value for --insights: `yes`: provided string was not `true` or `false`",
+            ),
+            (
+                "analyze pai --metrics-format yaml",
+                "invalid value for --metrics-format: `yaml`: expected json|openmetrics|table",
+            ),
+            (
+                "analyze pai --deadline fast",
+                "invalid value for --deadline: `fast`: need an integer before the unit",
+            ),
+            (
+                "analyze pai --deadline 12",
+                "invalid value for --deadline: `12`: missing a unit (us|ms|s|m)",
+            ),
+            (
+                "analyze pai --deadline 5h",
+                "invalid value for --deadline: `5h`: unknown unit `h` (expected us|ms|s|m)",
+            ),
+            (
+                "analyze pai --threads 0",
+                "invalid value for --threads: `0`: need an integer >= 1",
+            ),
+            (
+                "watch pai --window 0",
+                "invalid value for --window: `0`: need an integer >= 1",
+            ),
+            (
+                "watch",
+                "watch needs a trace (pai|supercloud|philly) or --feed FILE|-",
+            ),
+            (
+                "serve --listen noport",
+                "invalid value for --listen: `noport`: need HOST:PORT (port 0 picks an ephemeral one)",
+            ),
+            (
+                "serve --workers 0",
+                "invalid value for --workers: `0`: need an integer >= 1",
+            ),
+            ("serve stray", "unexpected argument `stray`"),
+            ("explain pai", "explain needs --rule \"A, B => C\""),
+            (
+                "explain pai --rule no-arrow",
+                "invalid value for --rule: `no-arrow`: need `=>` between antecedent and consequent",
+            ),
+            (
+                "explain pai --rule =>SM",
+                "invalid value for --rule: `=>SM`: need labels on both sides of `=>`",
+            ),
+            ("experiments stray", "unexpected argument `stray`"),
+            ("trace", "trace needs an input JSONL log (or - for stdin)"),
+            ("trace a.jsonl b.jsonl", "unexpected argument `b.jsonl`"),
+            (
+                "predict pai --threshold high",
+                "invalid value for --threshold: `high`: invalid float literal",
+            ),
+        ];
+        for (args, message) in rejected {
+            assert_eq!(
+                parse(&argv(args)),
+                Err(ParseError(message.to_string())),
+                "{args}"
+            );
+        }
+    }
+
+    /// The flags each subcommand accepted before the flag table existed.
+    const ACCEPTED: [(&str, &[&str]); 8] = [
+        ("generate", &["jobs", "seed", "out"]),
+        (
+            "analyze",
+            &[
+                "keyword",
+                "jobs",
+                "seed",
+                "top",
+                "dir",
+                "insights",
+                "metrics",
+                "metrics-format",
+                "verbose-stages",
+                "trace-log",
+                "budget-itemsets",
+                "budget-tree-mb",
+                "deadline",
+                "threads",
+            ],
+        ),
+        (
+            "explain",
+            &[
+                "rule",
+                "keyword",
+                "jobs",
+                "seed",
+                "dir",
+                "provenance",
+                "c-lift",
+                "c-supp",
+            ],
+        ),
+        (
+            "experiments",
+            &["pai", "supercloud", "philly", "seed", "export"],
+        ),
+        (
+            "watch",
+            &[
+                "feed",
+                "jobs",
+                "seed",
+                "window",
+                "warmup",
+                "drift-threshold",
+                "cadence",
+                "max-arrivals",
+                "min-support",
+                "min-lift",
+                "keyword",
+                "top",
+                "metrics",
+                "metrics-format",
+                "listen",
+                "trace-log",
+                "budget-itemsets",
+                "budget-tree-mb",
+                "deadline",
+                "threads",
+            ],
+        ),
+        (
+            "serve",
+            &[
+                "listen",
+                "workers",
+                "queue-depth",
+                "cache-entries",
+                "budget-itemsets",
+                "budget-tree-mb",
+                "default-deadline",
+                "max-deadline",
+                "threads",
+            ],
+        ),
+        ("trace", &["out"]),
+        ("predict", &["jobs", "threshold", "seed"]),
+    ];
+
+    #[test]
+    fn every_declared_flag_is_read_documented_and_accepted_as_before() {
+        // A value unlike every default, so a flag the parser ignores shows.
+        let sample = |flag: &str| match flag {
+            "rule" => "A => B",
+            "metrics-format" => "table",
+            "insights" | "verbose-stages" => "true",
+            "listen" => "127.0.0.1:0",
+            "deadline" | "default-deadline" | "max-deadline" => "7ms",
+            "drift-threshold" | "min-support" | "min-lift" | "c-lift" | "c-supp" | "threshold" => {
+                "0.25"
+            }
+            _ => "3",
+        };
+        assert_eq!(SUBCOMMANDS.len(), ACCEPTED.len());
+        for (name, accepted) in ACCEPTED {
+            let subcommand = SUBCOMMANDS.iter().find(|s| s.name == name).unwrap();
+            let mut declared: Vec<&str> = subcommand.flags().map(|flag| flag.name).collect();
+            let mut accepted = accepted.to_vec();
+            declared.sort_unstable();
+            accepted.sort_unstable();
+            assert_eq!(declared, accepted, "{name}");
+
+            let base = match name {
+                "explain" => "explain pai --rule X=>Y".to_string(),
+                "experiments" | "serve" => name.to_string(),
+                "trace" => "trace run.jsonl".to_string(),
+                _ => format!("{name} pai"),
+            };
+            let defaults = parse(&argv(&base)).unwrap();
+            let synopsis = subcommand.synopsis();
+            assert!(USAGE.contains(&synopsis), "{name}");
+            for flag in subcommand.flags() {
+                let mut args = argv(&base);
+                args.extend([format!("--{}", flag.name), sample(flag.name).to_string()]);
+                let parsed = parse(&args).unwrap_or_else(|e| panic!("{name} --{}: {e}", flag.name));
+                assert_ne!(parsed, defaults, "{name} ignores --{}", flag.name);
+                assert!(
+                    synopsis.contains(&format!("--{} ", flag.name)),
+                    "{name} --{}",
+                    flag.name
+                );
+            }
+        }
+        // Every placeholder got its synopsis, and the exit codes follow
+        // the command list.
+        assert!(!USAGE.lines().any(|line| line.starts_with('{')));
+        assert!(USAGE.find("  irma help").unwrap() < USAGE.find("EXIT CODES:").unwrap());
     }
 
     #[test]
@@ -1081,8 +1327,12 @@ mod tests {
                 drift_threshold,
                 cadence,
                 max_arrivals,
-                budget_itemsets,
-                deadline,
+                budget:
+                    Budget {
+                        itemsets: budget_itemsets,
+                        deadline,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(trace, None);
@@ -1130,7 +1380,11 @@ mod tests {
                 workers,
                 queue_depth,
                 cache_entries,
-                budget_itemsets,
+                budget:
+                    Budget {
+                        itemsets: budget_itemsets,
+                        ..
+                    },
                 default_deadline,
                 max_deadline,
                 threads,
@@ -1162,7 +1416,11 @@ mod tests {
                 workers,
                 queue_depth,
                 cache_entries,
-                budget_itemsets,
+                budget:
+                    Budget {
+                        itemsets: budget_itemsets,
+                        ..
+                    },
                 max_deadline,
                 ..
             } => {

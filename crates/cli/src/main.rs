@@ -1,9 +1,8 @@
 //! `irma` — the command-line front end of the IRMA workflow.
 //!
-//! See [`args::USAGE`] (or run `irma help`) for the grammar. Every
+//! See [`USAGE`] (or run `irma help`) for the grammar. Every
 //! subcommand is deterministic per `--seed`.
 
-mod args;
 mod signals;
 
 use std::path::Path;
@@ -12,22 +11,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use args::{parse, Command, MetricsFormat, USAGE};
+use irma_cli::args::{parse, Budget, Command, Telemetry, USAGE};
 use irma_core::experiments::run_all;
 use irma_core::export::export_all;
 use irma_core::insights::insight_report;
 use irma_core::{
-    failure_prediction, pai_spec, philly_spec, prepare, prepare_all, supercloud_spec,
-    try_analyze_traced, AnalysisConfig, EventSink, ExecBudget, ExperimentScale, Metrics,
-    PipelineError, Provenance,
+    failure_prediction, prepare, prepare_all, try_analyze_traced, AnalysisConfig, EventSink,
+    ExecBudget, ExperimentScale, Metrics, PipelineError, Provenance, Trace,
 };
 use irma_core::{watch_feed, Emission, WatchConfig, KW_FAILED};
+use irma_data::Frame;
 use irma_mine::{ItemCatalog, MinerConfig};
 use irma_prep::fit;
 use irma_rules::{Rule, RuleConfig};
 use irma_serve::http::{Limits, Load, Reply, RequestHead, Transport};
 use irma_serve::OPENMETRICS_CONTENT_TYPE;
-use irma_synth::{pai, philly, read_merged_csv_dir, supercloud, TraceConfig};
+use irma_synth::{read_merged_csv_dir, TraceConfig};
 
 /// How a successful subcommand finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,47 +54,85 @@ impl From<String> for Failure {
     }
 }
 
-fn spec_for(trace: &str) -> irma_prep::EncoderSpec {
-    match trace {
-        "pai" => pai_spec(),
-        "supercloud" => supercloud_spec(),
-        "philly" => philly_spec(),
-        other => unreachable!("trace validated by parser: {other}"),
-    }
-}
-
-fn generate_bundle(trace: &str, jobs: usize, seed: u64) -> irma_synth::TraceBundle {
-    let config = TraceConfig {
+/// The synthetic trace every subcommand generates: `jobs` jobs from `seed`.
+fn trace_config(jobs: usize, seed: u64) -> TraceConfig {
+    TraceConfig {
         n_jobs: jobs,
         seed,
         max_monitor_samples: 128,
-    };
-    match trace {
-        "pai" => pai(&config),
-        "supercloud" => supercloud(&config),
-        "philly" => philly(&config),
-        other => unreachable!("trace validated by parser: {other}"),
     }
 }
 
-/// Splits `"A, B => C"` into antecedent and consequent label lists.
-fn parse_rule_spec(rule: &str) -> Result<(Vec<String>, Vec<String>), String> {
-    let (lhs, rhs) = rule
-        .split_once("=>")
-        .ok_or_else(|| format!("--rule must contain `=>` (got `{rule}`)"))?;
-    let side = |s: &str| -> Vec<String> {
-        s.split(',')
-            .map(|label| label.trim().to_string())
-            .filter(|label| !label.is_empty())
-            .collect()
-    };
-    let (ante, cons) = (side(lhs), side(rhs));
-    if ante.is_empty() || cons.is_empty() {
-        return Err(format!(
-            "--rule needs labels on both sides of `=>` (got `{rule}`)"
-        ));
+/// The joined per-job frame of `trace`: read from the CSVs `generate`
+/// wrote to `dir`, or generated.
+fn merged_frame(
+    trace: Trace,
+    dir: Option<&str>,
+    jobs: usize,
+    seed: u64,
+    metrics: &Metrics,
+) -> Result<Frame, String> {
+    match dir {
+        Some(dir) => read_merged_csv_dir(Path::new(dir), trace.name(), metrics)
+            .map_err(|e| format!("reading trace CSVs: {e}")),
+        None => Ok(trace.generate(&trace_config(jobs, seed)).merged()),
     }
-    Ok((ante, cons))
+}
+
+/// The run's metrics handle: recording when `enabled` or when a
+/// `--metrics` snapshot is asked for, and streaming to `--trace-log`.
+fn telemetry_metrics(telemetry: &Telemetry, enabled: bool) -> Result<Metrics, String> {
+    let mut metrics = match enabled || telemetry.metrics.is_some() {
+        true => Metrics::enabled(),
+        false => Metrics::disabled(),
+    };
+    if let Some(path) = &telemetry.trace_log {
+        let sink = EventSink::create(Path::new(path))
+            .map_err(|e| format!("creating trace log {path}: {e}"))?;
+        metrics = metrics.with_event_sink(sink);
+        eprintln!("streaming trace events to {path}");
+    }
+    Ok(metrics)
+}
+
+fn exec_budget(budget: &Budget) -> ExecBudget {
+    ExecBudget {
+        max_itemsets: budget.itemsets,
+        max_tree_bytes: budget.tree_mb.map(|mb| mb.saturating_mul(1 << 20)),
+        deadline: budget.deadline,
+        panic_after_emits: None,
+    }
+}
+
+/// The `--threads N` pool. Without `--threads`, work runs on the global
+/// registry (one worker per core).
+#[derive(Clone)]
+struct Pool(Option<Arc<rayon::ThreadPool>>);
+
+impl Pool {
+    fn new(threads: Option<usize>) -> Result<Pool, String> {
+        let build = |n| rayon::ThreadPoolBuilder::new().num_threads(n).build();
+        let pool = threads
+            .map(|n| build(n).map_err(|e| format!("building {n}-thread mining pool: {e}")))
+            .transpose()?;
+        Ok(Pool(pool.map(Arc::new)))
+    }
+
+    fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        match &self.0 {
+            Some(pool) => pool.install(f),
+            None => f(),
+        }
+    }
+
+    /// The scheduler counters of the pool the work runs on, read from any
+    /// thread.
+    fn sched_stats(&self) -> rayon::SchedSnapshot {
+        match &self.0 {
+            Some(pool) => pool.sched_stats(),
+            None => rayon::sched_stats(),
+        }
+    }
 }
 
 /// Builds the synthetic two-regime feed for `irma watch <trace>`: a
@@ -103,12 +140,14 @@ fn parse_rule_spec(rule: &str) -> Result<(Vec<String>, Vec<String>), String> {
 /// healthy job from a second seed), both encoded with the preparation
 /// frozen on the normal regime. Returns the feed as comma-separated
 /// item-id lines plus the catalog for rendering rules.
-fn synthetic_watch_feed(trace: &str, jobs: usize, seed: u64) -> (String, ItemCatalog) {
-    let normal_frame = generate_bundle(trace, jobs, seed).merged();
-    let fitted = fit(&normal_frame, &spec_for(trace));
+fn synthetic_watch_feed(trace: Trace, jobs: usize, seed: u64) -> (String, ItemCatalog) {
+    let normal_frame = trace.generate(&trace_config(jobs, seed)).merged();
+    let fitted = fit(&normal_frame, &trace.spec());
     let normal_db = fitted.transform(&normal_frame);
 
-    let wave_frame = generate_bundle(trace, jobs.saturating_mul(2), seed.wrapping_add(1)).merged();
+    let wave_frame = trace
+        .generate(&trace_config(jobs.saturating_mul(2), seed.wrapping_add(1)))
+        .merged();
     let wave_db = fitted.transform(&wave_frame);
     let failed_item = fitted.catalog().id(KW_FAILED);
 
@@ -219,7 +258,7 @@ fn render_watch_rule(rule: &Rule, catalog: Option<&ItemCatalog>) -> String {
 fn run(command: Command) -> Result<Outcome, Failure> {
     match command {
         Command::Help => {
-            print!("{USAGE}");
+            print!("{}", *USAGE);
             Ok(Outcome::Success)
         }
         Command::Generate {
@@ -228,7 +267,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             seed,
             out,
         } => {
-            let bundle = generate_bundle(&trace, jobs, seed);
+            let bundle = trace.parse::<Trace>()?.generate(&trace_config(jobs, seed));
             let (sched, mon) = bundle
                 .write_csv_dir(Path::new(&out))
                 .map_err(|e| e.to_string())?;
@@ -244,46 +283,24 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             top,
             dir,
             insights,
-            metrics: metrics_path,
-            metrics_format,
             verbose_stages,
-            trace_log,
-            budget_itemsets,
-            budget_tree_mb,
-            deadline,
+            telemetry,
+            budget,
             threads,
         } => {
+            let profile: Trace = trace.parse()?;
             // The sink stays a no-op unless somebody asked for output.
             // It exists before the read so that ingest is attributed too.
-            let mut metrics = if metrics_path.is_some() || verbose_stages {
-                Metrics::enabled()
-            } else {
-                Metrics::disabled()
-            };
-            if let Some(path) = &trace_log {
-                let sink = EventSink::create(Path::new(path))
-                    .map_err(|e| format!("creating trace log {path}: {e}"))?;
-                metrics = metrics.with_event_sink(sink);
-                eprintln!("streaming trace events to {path}");
-            }
+            let metrics = telemetry_metrics(&telemetry, verbose_stages)?;
             let config = AnalysisConfig {
-                budget: ExecBudget {
-                    max_itemsets: budget_itemsets,
-                    max_tree_bytes: budget_tree_mb.map(|mb| mb.saturating_mul(1 << 20)),
-                    deadline,
-                    panic_after_emits: None,
-                },
+                budget: exec_budget(&budget),
                 ..AnalysisConfig::default()
             };
             let run_analysis = || -> Result<_, Failure> {
-                let merged = match &dir {
-                    Some(dir) => read_merged_csv_dir(Path::new(dir), &trace, &metrics)
-                        .map_err(|e| format!("reading trace CSVs: {e}"))?,
-                    None => generate_bundle(&trace, jobs, seed).merged(),
-                };
+                let merged = merged_frame(profile, dir.as_deref(), jobs, seed, &metrics)?;
                 let result = try_analyze_traced(
                     &merged,
-                    &spec_for(&trace),
+                    &profile.spec(),
                     &config,
                     &metrics,
                     &Provenance::disabled(),
@@ -300,16 +317,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 result.map_err(Failure::Pipeline)
             };
             // --threads pins the work-stealing pool width for the whole
-            // pass, from CSV parse to the rendered tables; otherwise the
-            // global registry (one worker per core) serves the run.
-            let (analysis, tables, insights) = match threads {
-                Some(n) => rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .map_err(|e| format!("building {n}-thread mining pool: {e}"))?
-                    .install(run_analysis),
-                None => run_analysis(),
-            }?;
+            // pass, from CSV parse to the rendered tables.
+            let (analysis, tables, insights) = Pool::new(threads)?.install(run_analysis)?;
             if let Some(degradation) = &analysis.degradation {
                 eprintln!(
                     "warning: degraded result — budget breached {} time(s) \
@@ -330,13 +339,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 if verbose_stages {
                     eprint!("{}", snapshot.render_table());
                 }
-                if let Some(path) = metrics_path {
-                    let rendered = match metrics_format {
-                        MetricsFormat::Json => snapshot.to_json(),
-                        MetricsFormat::OpenMetrics => snapshot.to_openmetrics(),
-                        MetricsFormat::Table => snapshot.render_table(),
-                    };
-                    std::fs::write(&path, rendered)
+                if let Some(path) = telemetry.metrics {
+                    std::fs::write(&path, telemetry.metrics_format.render(&snapshot))
                         .map_err(|e| format!("writing metrics to {path}: {e}"))?;
                     eprintln!("wrote metrics {path}");
                 }
@@ -358,14 +362,10 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             c_lift,
             c_supp,
         } => {
+            let profile: Trace = trace.parse()?;
             let metrics = Metrics::disabled();
-            let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &metrics)
-                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
-                None => generate_bundle(&trace, jobs, seed).merged(),
-            };
-            let (ante_labels, cons_labels) = parse_rule_spec(&rule)?;
-            let keyword = keyword.unwrap_or_else(|| cons_labels[0].clone());
+            let merged = merged_frame(profile, dir.as_deref(), jobs, seed, &metrics)?;
+            let keyword = keyword.unwrap_or_else(|| rule.consequent[0].clone());
 
             let mut config = AnalysisConfig::default();
             if let Some(c) = c_lift {
@@ -378,7 +378,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
 
             let analysis = try_analyze_traced(
                 &merged,
-                &spec_for(&trace),
+                &profile.spec(),
                 &config,
                 &metrics,
                 &Provenance::disabled(),
@@ -404,8 +404,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 ids.sort_unstable();
                 Ok(ids)
             };
-            let ante = resolve(&ante_labels)?;
-            let cons = resolve(&cons_labels)?;
+            let ante = resolve(&rule.antecedent)?;
+            let cons = resolve(&rule.consequent)?;
 
             let labeler = |id: u32| analysis.encoded.catalog.label(id).to_string();
             println!(
@@ -470,13 +470,9 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             min_lift,
             keyword,
             top,
-            metrics: metrics_path,
-            metrics_format,
+            telemetry,
             listen,
-            trace_log,
-            budget_itemsets,
-            budget_tree_mb,
-            deadline,
+            budget,
             threads,
         } => {
             // Handlers go in before feed setup: synthesizing a large
@@ -487,17 +483,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
 
             // --listen implies live metrics: the scrape endpoint serves
             // the same registry the snapshot file would.
-            let mut metrics = if metrics_path.is_some() || listen.is_some() {
-                Metrics::enabled()
-            } else {
-                Metrics::disabled()
-            };
-            if let Some(path) = &trace_log {
-                let sink = EventSink::create(Path::new(path))
-                    .map_err(|e| format!("creating trace log {path}: {e}"))?;
-                metrics = metrics.with_event_sink(sink);
-                eprintln!("streaming trace events to {path}");
-            }
+            let metrics = telemetry_metrics(&telemetry, listen.is_some())?;
 
             // Feed + (for the synthetic mode) a catalog for rendering.
             let (reader, catalog): (Box<dyn std::io::BufRead + Send>, Option<ItemCatalog>) =
@@ -511,7 +497,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                         (Box::new(std::io::BufReader::new(file)), None)
                     }
                     (None, Some(trace)) => {
-                        let (lines, catalog) = synthetic_watch_feed(trace, jobs, seed);
+                        let (lines, catalog) = synthetic_watch_feed(trace.parse()?, jobs, seed);
                         (Box::new(std::io::Cursor::new(lines)), Some(catalog))
                     }
                     (None, None) => unreachable!("parser enforces a trace or --feed"),
@@ -549,12 +535,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                     ..MinerConfig::default()
                 },
                 rules: RuleConfig::with_min_lift(min_lift),
-                budget: ExecBudget {
-                    max_itemsets: budget_itemsets,
-                    max_tree_bytes: budget_tree_mb.map(|mb| mb.saturating_mul(1 << 20)),
-                    deadline,
-                    panic_after_emits: None,
-                },
+                budget: exec_budget(&budget),
                 drift_threshold,
                 cadence,
                 max_arrivals,
@@ -564,13 +545,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             };
 
             let write_metrics = |metrics: &Metrics| {
-                if let Some(path) = &metrics_path {
-                    let snapshot = metrics.snapshot();
-                    let rendered = match metrics_format {
-                        MetricsFormat::Json => snapshot.to_json(),
-                        MetricsFormat::OpenMetrics => snapshot.to_openmetrics(),
-                        MetricsFormat::Table => snapshot.render_table(),
-                    };
+                if let Some(path) = &telemetry.metrics {
+                    let rendered = telemetry.metrics_format.render(&metrics.snapshot());
                     // Snapshot writes are best-effort, like the trace
                     // log: a full disk must not kill the daemon.
                     if let Err(e) = std::fs::write(path, rendered) {
@@ -579,19 +555,10 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 }
             };
 
-            // The pool is built up front (rather than inline at install
-            // time) so the scrape handler below — which runs on a
-            // transport worker thread, outside any pool — can still read
-            // this pool's scheduler counters.
-            let pool = threads
-                .map(|n| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(n)
-                        .build()
-                        .map(Arc::new)
-                        .map_err(|e| format!("building {n}-thread mining pool: {e}"))
-                })
-                .transpose()?;
+            // The pool is built up front so the scrape handler below —
+            // which runs on a transport worker thread, outside any pool —
+            // can still read this pool's scheduler counters.
+            let pool = Pool::new(threads)?;
 
             let health = Arc::new(WatchHealth::new());
             let _server = match &listen {
@@ -612,13 +579,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                             } else if route == "/healthz" {
                                 Reply::json(200, "OK", health.to_json(metrics.is_degraded()))
                             } else {
-                                let sched = match &pool {
-                                    Some(pool) => pool.sched_stats(),
-                                    // No --threads: the daemon mines on
-                                    // the global registry.
-                                    None => rayon::sched_stats(),
-                                };
-                                irma_core::record_sched_snapshot(&metrics, &sched);
+                                irma_core::record_sched_snapshot(&metrics, &pool.sched_stats());
                                 load.record_gauges(&metrics);
                                 metrics.gauge("watch.uptime_seconds", health.uptime_seconds());
                                 if let Some(age) = health.last_emission_age_seconds() {
@@ -672,11 +633,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 write_metrics(&metrics);
             };
 
-            let run_daemon = || watch_feed(reader, &config, &metrics, on_emit);
-            let summary = match &pool {
-                Some(pool) => pool.install(run_daemon),
-                None => run_daemon(),
-            };
+            let summary = pool.install(|| watch_feed(reader, &config, &metrics, on_emit));
 
             write_metrics(&metrics);
             if let Some(error) = &summary.last_error {
@@ -708,8 +665,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             workers,
             queue_depth,
             cache_entries,
-            budget_itemsets,
-            budget_tree_mb,
+            budget,
             default_deadline,
             max_deadline,
             threads,
@@ -723,27 +679,13 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                     ..Limits::default()
                 },
                 cache_entries,
-                default_budget: ExecBudget {
-                    max_itemsets: budget_itemsets,
-                    max_tree_bytes: budget_tree_mb.map(|mb| mb.saturating_mul(1 << 20)),
-                    deadline: None,
-                    panic_after_emits: None,
-                },
+                default_budget: exec_budget(&budget),
                 default_deadline,
                 max_deadline,
                 ..irma_serve::ServeConfig::default()
             };
-            // --threads pins the mining pool the request handlers mine
-            // on; otherwise the global registry (one worker per core)
-            // serves every request.
-            let pool = threads
-                .map(|n| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(n)
-                        .build()
-                        .map_err(|e| format!("building {n}-thread mining pool: {e}"))
-                })
-                .transpose()?;
+            // --threads pins the mining pool the request handlers mine on.
+            let pool = Pool::new(threads)?;
             let serve = || -> Result<(), String> {
                 let server = irma_serve::Server::start(listen.as_str(), config, metrics.clone())
                     .map_err(|e| format!("binding serve endpoint {listen}: {e}"))?;
@@ -757,10 +699,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 server.shutdown();
                 Ok(())
             };
-            match pool {
-                Some(pool) => pool.install(serve)?,
-                None => serve()?,
-            }
+            pool.install(serve)?;
             eprintln!("serve done");
             Ok(Outcome::Success)
         }
@@ -793,12 +732,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             seed,
         } => {
             let t = prepare(
-                &trace,
-                &TraceConfig {
-                    n_jobs: jobs,
-                    seed,
-                    max_monitor_samples: 128,
-                },
+                trace.parse()?,
+                &trace_config(jobs, seed),
                 &AnalysisConfig::default(),
             )
             .map_err(Failure::Pipeline)?;
@@ -835,7 +770,7 @@ fn main() -> ExitCode {
         },
         Err(err) => {
             eprintln!("error: {err}\n");
-            eprint!("{USAGE}");
+            eprint!("{}", *USAGE);
             ExitCode::from(2)
         }
     }

@@ -10,7 +10,8 @@
 //!   over [`AnalysisConfig`] / [`Analysis`], the single-call pipeline with
 //!   the paper's default thresholds;
 //! * [`specs`] — the per-trace §III-E feature specifications;
-//! * [`traces`] — one-call trace preparation ([`prepare`], [`prepare_all`]);
+//! * [`traces`] — the [`Trace`] profiles and one-call trace preparation
+//!   ([`prepare`], [`prepare_all`]);
 //! * [`experiments`] — one function per paper table and figure;
 //! * [`stats`] / [`report`] — CDFs, box stats, and text rendering.
 //!
@@ -57,11 +58,11 @@ pub use sched::{record_sched_snapshot, record_sched_stats, sched_stats_to_obs};
 pub use specs::{
     pai_spec, philly_spec, supercloud_spec, KW_FAILED, KW_KILLED, KW_MULTI_GPU, KW_SM_ZERO,
 };
-pub use traces::{prepare, prepare_all, ExperimentScale, TraceAnalysis};
+pub use traces::{prepare, prepare_all, ExperimentScale, Trace, TraceAnalysis};
 pub use watch::{watch_feed, AdaptiveSampler, Emission, SpscRing, WatchConfig, WatchSummary};
 pub use workflow::{Analysis, AnalysisConfig};
 
 // Budget types and observability handles, re-exported so workflow
 // callers need not depend on `irma-mine`/`irma-obs` directly.
 pub use irma_mine::{BudgetBreach, CancelToken, ExecBudget};
-pub use irma_obs::{EventSink, Metrics, Provenance};
+pub use irma_obs::{EventSink, Metrics, Provenance, Snapshot};

@@ -15,7 +15,7 @@ use irma_synth::TraceConfig;
 
 use crate::report::TextTable;
 use crate::specs::KW_FAILED;
-use crate::traces::{generate, TraceAnalysis};
+use crate::traces::{Trace, TraceAnalysis};
 
 /// Outcome of one train/evaluate run.
 #[derive(Debug, Clone)]
@@ -53,15 +53,13 @@ pub fn failure_prediction(
     // Freeze the preparation on the training frame; deterministic label
     // emission makes this catalog identical to the analysis' own. The
     // held-out trace is only encoded with it, never mined.
-    let (heldout, spec) = generate(
-        t.name,
-        &TraceConfig {
-            n_jobs: heldout_jobs,
-            seed: heldout_seed,
-            max_monitor_samples: 128,
-        },
-    );
-    let fitted = fit(&t.merged, &spec);
+    let trace: Trace = t.name.parse().expect("a prepared trace has a profile name");
+    let heldout = trace.generate(&TraceConfig {
+        n_jobs: heldout_jobs,
+        seed: heldout_seed,
+        max_monitor_samples: 128,
+    });
+    let fitted = fit(&t.merged, &trace.spec());
     debug_assert_eq!(fitted.catalog().len(), t.analysis.encoded.catalog.len());
     let heldout_db = fitted.transform(&heldout.merged());
     let eval = classifier.evaluate(&heldout_db, threshold);
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn pai_failures_predictable_by_rules() {
         let t = prepare(
-            "pai",
+            Trace::Pai,
             &TraceConfig {
                 n_jobs: 6_000,
                 seed: 0xabc,
@@ -162,7 +160,7 @@ mod tests {
     #[test]
     fn supercloud_rules_are_weaker_predictors() {
         let t = prepare(
-            "supercloud",
+            Trace::SuperCloud,
             &TraceConfig {
                 n_jobs: 6_000,
                 seed: 0xabc,
@@ -172,7 +170,7 @@ mod tests {
         )
         .unwrap();
         let pai = prepare(
-            "pai",
+            Trace::Pai,
             &TraceConfig {
                 n_jobs: 6_000,
                 seed: 0xabc,

@@ -1,5 +1,7 @@
 //! One-call preparation of a trace: generate -> merge -> analyze.
 
+use std::str::FromStr;
+
 use irma_data::Frame;
 use irma_prep::EncoderSpec;
 use irma_synth::{pai, philly, supercloud, TraceBundle, TraceConfig};
@@ -7,6 +9,60 @@ use irma_synth::{pai, philly, supercloud, TraceBundle, TraceConfig};
 use crate::fault::{try_analyze, PipelineError};
 use crate::specs::{pai_spec, philly_spec, supercloud_spec};
 use crate::workflow::{Analysis, AnalysisConfig};
+
+/// One of the paper's three trace profiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trace {
+    /// Alibaba PAI.
+    Pai,
+    /// MIT SuperCloud.
+    SuperCloud,
+    /// Microsoft Philly.
+    Philly,
+}
+
+impl Trace {
+    /// Every profile, in the paper's order.
+    pub const ALL: [Trace; 3] = [Trace::Pai, Trace::SuperCloud, Trace::Philly];
+
+    /// The profile's name (`"pai"`, `"supercloud"`, `"philly"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Trace::Pai => "pai",
+            Trace::SuperCloud => "supercloud",
+            Trace::Philly => "philly",
+        }
+    }
+
+    /// The profile's §III-E feature specification.
+    pub fn spec(self) -> EncoderSpec {
+        match self {
+            Trace::Pai => pai_spec(),
+            Trace::SuperCloud => supercloud_spec(),
+            Trace::Philly => philly_spec(),
+        }
+    }
+
+    /// Generates the profile's scheduler and monitoring files.
+    pub fn generate(self, config: &TraceConfig) -> TraceBundle {
+        match self {
+            Trace::Pai => pai(config),
+            Trace::SuperCloud => supercloud(config),
+            Trace::Philly => philly(config),
+        }
+    }
+}
+
+impl FromStr for Trace {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Trace, String> {
+        Trace::ALL
+            .into_iter()
+            .find(|trace| trace.name() == name)
+            .ok_or_else(|| format!("unknown trace `{name}` (expected pai|supercloud|philly)"))
+    }
+}
 
 /// A fully prepared trace: the generated bundle, the merged frame, and the
 /// completed workflow run.
@@ -61,25 +117,15 @@ impl ExperimentScale {
     }
 }
 
-/// Generates one trace by name, with its feature specification.
-pub(crate) fn generate(name: &str, trace_config: &TraceConfig) -> (TraceBundle, EncoderSpec) {
-    match name {
-        "pai" => (pai(trace_config), pai_spec()),
-        "supercloud" => (supercloud(trace_config), supercloud_spec()),
-        "philly" => (philly(trace_config), philly_spec()),
-        other => panic!("unknown trace `{other}`"),
-    }
-}
-
-/// Generates and analyses one trace by name.
+/// Generates and analyses one trace.
 pub fn prepare(
-    name: &str,
+    trace: Trace,
     trace_config: &TraceConfig,
     analysis_config: &AnalysisConfig,
 ) -> Result<TraceAnalysis, PipelineError> {
-    let (bundle, spec) = generate(name, trace_config);
+    let bundle = trace.generate(trace_config);
     let merged = bundle.merged();
-    let analysis = try_analyze(&merged, &spec, analysis_config)?;
+    let analysis = try_analyze(&merged, &trace.spec(), analysis_config)?;
     Ok(TraceAnalysis {
         name: bundle.name,
         bundle,
@@ -93,9 +139,9 @@ pub fn prepare_all(
     scale: &ExperimentScale,
     config: &AnalysisConfig,
 ) -> Result<[TraceAnalysis; 3], PipelineError> {
-    let make = |name: &str, n: usize| {
+    let make = |trace: Trace, n: usize| {
         prepare(
-            name,
+            trace,
             &TraceConfig {
                 n_jobs: n,
                 seed: scale.seed,
@@ -105,9 +151,9 @@ pub fn prepare_all(
         )
     };
     Ok([
-        make("pai", scale.pai_jobs)?,
-        make("supercloud", scale.supercloud_jobs)?,
-        make("philly", scale.philly_jobs)?,
+        make(Trace::Pai, scale.pai_jobs)?,
+        make(Trace::SuperCloud, scale.supercloud_jobs)?,
+        make(Trace::Philly, scale.philly_jobs)?,
     ])
 }
 
@@ -123,22 +169,24 @@ mod tests {
             max_monitor_samples: 32,
         };
         let ac = AnalysisConfig::default();
-        for name in ["pai", "supercloud", "philly"] {
-            let t = prepare(name, &tc, &ac).unwrap();
-            assert_eq!(t.name, name);
+        for trace in Trace::ALL {
+            let t = prepare(trace, &tc, &ac).unwrap();
+            assert_eq!(t.name, trace.name());
             assert_eq!(t.analysis.n_jobs(), 2_000);
-            assert!(!t.analysis.frequent.is_empty(), "{name}: no itemsets");
-            assert!(!t.analysis.rules.is_empty(), "{name}: no rules");
+            assert!(!t.analysis.frequent.is_empty(), "{trace:?}: no itemsets");
+            assert!(!t.analysis.rules.is_empty(), "{trace:?}: no rules");
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown trace")]
-    fn unknown_trace_panics() {
-        let _ = prepare(
-            "helios",
-            &TraceConfig::with_jobs(10),
-            &AnalysisConfig::default(),
+    fn trace_names_round_trip_and_unknown_names_are_rejected() {
+        for trace in Trace::ALL {
+            assert_eq!(trace.name().parse(), Ok(trace));
+        }
+        assert_eq!(
+            "helios".parse::<Trace>(),
+            Err("unknown trace `helios` (expected pai|supercloud|philly)".to_string())
         );
+        assert!("PAI".parse::<Trace>().is_err());
     }
 }

@@ -22,8 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use irma_core::{
-    config_cache_key, dataset_fingerprint, pai_spec, philly_spec, supercloud_spec,
-    try_analyze_traced, Analysis, AnalysisConfig, BudgetBreach, PipelineError, Provenance,
+    config_cache_key, dataset_fingerprint, try_analyze_traced, Analysis, AnalysisConfig,
+    BudgetBreach, PipelineError, Provenance, Trace,
 };
 use irma_data::DType;
 use irma_mine::Algorithm;
@@ -88,7 +88,7 @@ fn handle_metrics(shared: &Shared) -> Reply {
 /// Parsed analyze-request knobs (query string + headers).
 struct AnalyzeParams {
     config: AnalysisConfig,
-    trace: Option<String>,
+    trace: Option<Trace>,
     keyword: Option<String>,
     top: usize,
 }
@@ -135,17 +135,12 @@ fn parse_analyze_params(shared: &Shared, head: &RequestHead) -> Result<AnalyzePa
             .parse()
             .map_err(|_| bad(format!("min_confidence must be a number (got `{raw}`)")))?;
     }
-    let trace = match query_get(&pairs, "trace") {
-        Some(name) => {
-            if !["pai", "supercloud", "philly"].contains(&name) {
-                return Err(bad(format!(
-                    "unknown trace `{name}` (pai|supercloud|philly)"
-                )));
-            }
-            Some(name.to_string())
-        }
-        None => None,
-    };
+    let trace = query_get(&pairs, "trace")
+        .map(|name| {
+            name.parse()
+                .map_err(|_| bad(format!("unknown trace `{name}` (pai|supercloud|philly)")))
+        })
+        .transpose()?;
     let keyword = query_get(&pairs, "keyword").map(str::to_string);
     let top = match query_get(&pairs, "top") {
         Some(raw) => raw
@@ -202,15 +197,6 @@ pub(crate) fn infer_spec(frame: &irma_data::Frame) -> EncoderSpec {
         })
         .collect();
     EncoderSpec::new(features)
-}
-
-fn spec_for_trace(trace: &str) -> EncoderSpec {
-    match trace {
-        "pai" => pai_spec(),
-        "supercloud" => supercloud_spec(),
-        "philly" => philly_spec(),
-        other => unreachable!("trace validated at parse time: {other}"),
-    }
 }
 
 /// Maps a typed pipeline failure to its documented status.
@@ -403,8 +389,8 @@ fn run_analysis(
             return status_for(&PipelineError::Parse(error.to_string()));
         }
     };
-    let spec = match &params.trace {
-        Some(trace) => spec_for_trace(trace),
+    let spec = match params.trace {
+        Some(trace) => trace.spec(),
         None => infer_spec(&frame),
     };
     let provenance = Provenance::enabled();

@@ -529,6 +529,12 @@ mod tests {
         // Unknown algorithm is caught before any work happens.
         let bad_alg = post_analyze(addr, "?algorithm=magic", "", CSV);
         assert_eq!(status_of(&bad_alg), 400);
+        let bad_trace = post_analyze(addr, "?trace=helios", "", CSV);
+        assert_eq!(status_of(&bad_trace), 400);
+        assert!(
+            bad_trace.contains("unknown trace `helios` (pai|supercloud|philly)"),
+            "got: {bad_trace}"
+        );
         // Unknown route and wrong method are typed too.
         let lost = send_request(addr, "GET /nope HTTP/1.1\r\nhost: t\r\n\r\n");
         assert_eq!(status_of(&lost), 404);

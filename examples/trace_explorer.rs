@@ -14,11 +14,9 @@
 
 use std::path::PathBuf;
 
-use irma::core::{
-    pai_spec, philly_spec, supercloud_spec, try_analyze, AnalysisConfig, Metrics, PipelineError,
-};
+use irma::core::{try_analyze, AnalysisConfig, Metrics, PipelineError, Trace};
 use irma::data::{inner_join, read_csv_path, write_csv_path};
-use irma::synth::{pai, philly, supercloud, TraceConfig};
+use irma::synth::TraceConfig;
 
 fn main() -> Result<(), PipelineError> {
     let mut args = std::env::args().skip(1);
@@ -33,16 +31,11 @@ fn main() -> Result<(), PipelineError> {
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
 
-    let config = TraceConfig::with_jobs(n_jobs);
-    let (bundle, spec) = match trace.as_str() {
-        "pai" => (pai(&config), pai_spec()),
-        "supercloud" => (supercloud(&config), supercloud_spec()),
-        "philly" => (philly(&config), philly_spec()),
-        other => {
-            eprintln!("unknown trace `{other}` (expected pai|supercloud|philly)");
-            std::process::exit(2);
-        }
-    };
+    let profile: Trace = trace.parse().unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    let bundle = profile.generate(&TraceConfig::with_jobs(n_jobs));
 
     // Persist the two collection-level files, exactly how production
     // monitoring hands them to an operator...
@@ -57,7 +50,7 @@ fn main() -> Result<(), PipelineError> {
     let scheduler = read_csv_path(&sched_path).expect("read scheduler csv");
     let monitoring = read_csv_path(&mon_path).expect("read monitoring csv");
     let merged = inner_join(&scheduler, &monitoring, "job_id").expect("join on job_id");
-    let analysis = try_analyze(&merged, &spec, &AnalysisConfig::default())?;
+    let analysis = try_analyze(&merged, &profile.spec(), &AnalysisConfig::default())?;
 
     eprintln!(
         "{} jobs, {} items, {} frequent itemsets, {} rules",
