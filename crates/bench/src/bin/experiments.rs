@@ -52,7 +52,7 @@ fn main() {
     for t in &traces {
         eprintln!(
             "  {}: {} jobs, {} items, {} frequent itemsets, {} rules",
-            t.name,
+            t.trace.name(),
             t.analysis.n_jobs(),
             t.analysis.encoded.catalog.len(),
             t.analysis.frequent.len(),

@@ -5,11 +5,15 @@ use proptest::prelude::*;
 
 use irma_check::generators::{arb_exact_threshold_case, arb_miner_config, arb_transaction_db};
 use irma_check::oracle;
+use irma_core::Trace;
 use irma_mine::{
     Algorithm, BudgetGuard, FrequentItemsets, Itemset, MinerConfig, SlidingWindowMiner,
     TransactionDb,
 };
 use irma_obs::Metrics;
+use irma_prep::encode;
+use irma_synth::TraceConfig;
+use rayon::ThreadPoolBuilder;
 
 /// Runs `algorithm` unbudgeted and unobserved.
 fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
@@ -120,4 +124,39 @@ fn counts_survive_universe_padding() {
     let frequent = mine(Algorithm::FpGrowth, &db, &config);
     let reference = oracle::frequent_itemsets(&db, &config);
     assert_eq!(frequent.as_slice(), reference.as_slice());
+}
+
+/// The default miner against the paper's, at the widths and sizes the
+/// pipeline runs: Eclat ≡ FP-Growth on the encoded 20k-job PAI,
+/// SuperCloud and Philly databases (the `serve_mix` body size), at pool
+/// widths 1, 2 and 8 and every `max_len` from 1 to 5, so Eclat's
+/// count-only last level runs at every depth.
+#[test]
+fn eclat_matches_fpgrowth_on_encoded_traces_at_every_width() {
+    for trace in Trace::ALL {
+        let bundle = trace.generate(&TraceConfig::with_jobs(20_000));
+        let db = encode(&bundle.merged(), &trace.spec(), &Metrics::disabled()).db;
+        for max_len in 1..=5 {
+            let config = MinerConfig {
+                max_len,
+                parallel: true,
+                ..MinerConfig::default()
+            };
+            let reference = mine(Algorithm::FpGrowth, &db, &config);
+            assert!(reference.iter().any(|(set, _)| set.len() == max_len));
+            for width in [1, 2, 8] {
+                let pool = ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .expect("pool builds");
+                let eclat = pool.install(|| mine(Algorithm::Eclat, &db, &config));
+                assert_eq!(
+                    eclat.as_slice(),
+                    reference.as_slice(),
+                    "{} at max_len {max_len}, width {width}",
+                    trace.name()
+                );
+            }
+        }
+    }
 }

@@ -12,14 +12,16 @@
 //!   every width (the trip predicate depends only on width-independent
 //!   emit counts, not on which worker emitted);
 //! * an injected worker panic surfaces as `Err(MineError::WorkerPanic)`
-//!   at every width — contained per rank, never unwinding through the
-//!   pool or poisoning sibling subtrees;
+//!   at every width in FP-Growth and Eclat — contained per rank or per
+//!   top-level item, never unwinding through the pool or poisoning
+//!   sibling subtrees;
 //! * the lock-free Chase-Lev deque under the pool never loses or
 //!   duplicates a task under fuzzed concurrent push/pop/steal
 //!   interleavings at widths up to 8 (one owner + up to 7 thieves);
 //! * the SIMD-chunked AND+popcount kernel Eclat's dense path uses is
-//!   byte-identical to the scalar word loop on fuzzed bitsets, including
-//!   tail lengths not divisible by the 4-word chunk.
+//!   byte-identical to the scalar word loop on fuzzed bitsets, and the
+//!   store-free count kernel of its last level returns the same count,
+//!   including tail lengths not divisible by the 4-word chunk.
 //!
 //! Case count and seeding follow the harness defaults (256 cases,
 //! `PROPTEST_CASES` / `PROPTEST_SEED` overridable, corpus replay on).
@@ -145,21 +147,25 @@ proptest! {
     ) {
         config.parallel = true;
         let unlimited = ExecBudget::unlimited();
-        let reference = mine_on(Algorithm::FpGrowth, &db, &config, &unlimited, 1, 0)
-            .expect("sequential mine succeeds");
-        // Several independent jitter streams on the widest pool: victim
-        // choice and steal timing differ per seed, output must not.
         let mut rng = FaultRng::new(fuzz_seed);
-        for _ in 0..4 {
-            let jitter = rng.next_u64();
-            let fuzzed = mine_on(Algorithm::FpGrowth, &db, &config, &unlimited, 8, jitter)
-                .expect("parallel mine succeeds");
-            prop_assert_eq!(
-                fuzzed.as_slice(),
-                reference.as_slice(),
-                "steal order leaked (jitter seed {:#x})",
-                jitter
-            );
+        for algorithm in Algorithm::all() {
+            let reference = mine_on(algorithm, &db, &config, &unlimited, 1, 0)
+                .expect("sequential mine succeeds");
+            // Several independent jitter streams on the widest pool:
+            // victim choice and steal timing differ per seed, output
+            // must not.
+            for _ in 0..4 {
+                let jitter = rng.next_u64();
+                let fuzzed = mine_on(algorithm, &db, &config, &unlimited, 8, jitter)
+                    .expect("parallel mine succeeds");
+                prop_assert_eq!(
+                    fuzzed.as_slice(),
+                    reference.as_slice(),
+                    "{} steal order leaked (jitter seed {:#x})",
+                    algorithm.name(),
+                    jitter
+                );
+            }
         }
     }
 
@@ -209,43 +215,36 @@ proptest! {
             panic_after_emits: Some(1),
             ..ExecBudget::unlimited()
         };
-        let baseline = mine_on(
-            Algorithm::FpGrowth,
-            &db,
-            &config,
-            &ExecBudget::unlimited(),
-            1,
-            0,
-        )
-        .expect("unlimited mine succeeds");
         let mut rng = FaultRng::new(jitter_seed);
-        for width in [1usize, 2, 8] {
-            let _region = ContainedRegion::enter();
-            let result = mine_on(
-                Algorithm::FpGrowth,
-                &db,
-                &config,
-                &poisoned,
-                width,
-                rng.next_u64(),
-            );
-            if baseline.as_slice().is_empty() {
-                // Nothing is ever emitted, so the injection never fires.
-                prop_assert!(result.is_ok(), "no emits, yet width {} failed", width);
-            } else {
-                match &result {
-                    Err(MineError::WorkerPanic { message }) => prop_assert!(
-                        message.contains("injected"),
-                        "panic payload lost at width {}: {}",
-                        width,
-                        message
-                    ),
-                    other => prop_assert!(
-                        false,
-                        "width {}: expected WorkerPanic, got {:?}",
-                        width,
-                        other
-                    ),
+        // Apriori has no fan-out to contain a panic in; the pipeline
+        // contains it per stage instead.
+        for algorithm in [Algorithm::FpGrowth, Algorithm::Eclat] {
+            let baseline = mine_on(algorithm, &db, &config, &ExecBudget::unlimited(), 1, 0)
+                .expect("unlimited mine succeeds");
+            for width in [1usize, 2, 8] {
+                let _region = ContainedRegion::enter();
+                let result = mine_on(algorithm, &db, &config, &poisoned, width, rng.next_u64());
+                let name = algorithm.name();
+                if baseline.as_slice().is_empty() {
+                    // Nothing is ever emitted, so the injection never fires.
+                    prop_assert!(result.is_ok(), "{}: no emits, yet width {} failed", name, width);
+                } else {
+                    match &result {
+                        Err(MineError::WorkerPanic { message }) => prop_assert!(
+                            message.contains("injected"),
+                            "{}: panic payload lost at width {}: {}",
+                            name,
+                            width,
+                            message
+                        ),
+                        other => prop_assert!(
+                            false,
+                            "{}, width {}: expected WorkerPanic, got {:?}",
+                            name,
+                            width,
+                            other
+                        ),
+                    }
                 }
             }
         }
@@ -330,8 +329,23 @@ proptest! {
         a in proptest::collection::vec(any::<u64>(), 0..67),
         b in proptest::collection::vec(any::<u64>(), 0..67),
     ) {
-        let chunked = irma_mine::simd::and_popcount(&a, &b);
+        let mut words = vec![0u64; a.len().min(b.len())];
+        let count = irma_mine::simd::and_popcount(&a, &b, &mut words);
         let scalar = irma_mine::simd::and_popcount_scalar(&a, &b);
-        prop_assert_eq!(chunked, scalar);
+        prop_assert_eq!((words, count), scalar);
+    }
+
+    /// The last level's store-free kernel: `and_count` must return the
+    /// count `and_popcount` computes while storing, at every length in
+    /// 0..67 (every tail of 1–3 words past the 4-word chunks) and on
+    /// mismatched operand lengths.
+    #[test]
+    fn simd_and_count_matches_and_popcount(
+        a in proptest::collection::vec(any::<u64>(), 0..67),
+        b in proptest::collection::vec(any::<u64>(), 0..67),
+    ) {
+        let mut words = vec![0u64; a.len().min(b.len())];
+        let stored = irma_mine::simd::and_popcount(&a, &b, &mut words);
+        prop_assert_eq!(irma_mine::simd::and_count(&a, &b), stored);
     }
 }

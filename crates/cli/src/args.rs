@@ -65,7 +65,8 @@ pub struct Telemetry {
 pub struct Budget {
     /// Cap on mined itemsets per run before the degradation ladder kicks in.
     pub itemsets: Option<u64>,
-    /// Cap on estimated FP-tree memory per run, in MiB.
+    /// Cap on the miner's index memory per run (FP-tree arenas or
+    /// tid-sets), in MiB.
     pub tree_mb: Option<u64>,
     /// Wall-clock deadline per mining run (e.g. `250ms`).
     pub deadline: Option<Duration>,
@@ -447,19 +448,20 @@ impl<'a> Args<'a> {
         })
     }
 
-    /// The first positional, which must name a trace profile.
+    /// The only positional, which must name a trace profile.
     fn trace(&self) -> Result<String, ParseError> {
         let name = self
             .positional
             .first()
             .ok_or_else(|| ParseError("missing trace name (pai|supercloud|philly)".to_string()))?;
         name.parse::<Trace>().map_err(ParseError)?;
+        self.at_most(1)?;
         Ok(name.to_string())
     }
 
-    /// Rejects positionals, for subcommands that take none.
-    fn no_positional(&self) -> Result<(), ParseError> {
-        match self.positional.first() {
+    /// Rejects positionals past the first `n`.
+    fn at_most(&self, n: usize) -> Result<(), ParseError> {
+        match self.positional.get(n) {
             Some(extra) => Err(ParseError(format!("unexpected argument `{extra}`"))),
             None => Ok(()),
         }
@@ -641,7 +643,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "experiments" => {
-            a.no_positional()?;
+            a.at_most(0)?;
             Ok(Command::Experiments {
                 pai: a.get(PAI, 40_000)?,
                 supercloud: a.get(SUPERCLOUD, 8_000)?,
@@ -682,7 +684,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "serve" => {
-            a.no_positional()?;
+            a.at_most(0)?;
             Ok(Command::Serve {
                 listen: a
                     .address(LISTEN)?
@@ -701,17 +703,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "trace" => {
-            let input = match a.positional.as_slice() {
-                [input] => input.to_string(),
-                [] => {
-                    return Err(ParseError(
-                        "trace needs an input JSONL log (or - for stdin)".to_string(),
-                    ))
-                }
-                [_, extra, ..] => return Err(ParseError(format!("unexpected argument `{extra}`"))),
-            };
+            a.at_most(1)?;
+            let input = a.positional.first().ok_or_else(|| {
+                ParseError("trace needs an input JSONL log (or - for stdin)".to_string())
+            })?;
             Ok(Command::Trace {
-                input,
+                input: input.to_string(),
                 out: a.opt(OUT_FILE)?,
             })
         }
@@ -742,11 +739,13 @@ USAGE:
       --verbose-stages prints the stage table on stderr; --trace-log
       streams span_open/span_close/counter events as JSONL while the run
       executes (tail -f friendly).
-      --budget-itemsets / --budget-tree-mb / --deadline bound the run
-      (DUR like 500us, 250ms, 2s, 5m). On a breach the workflow retries
-      with raised min-support and lowered max itemset length and flags
-      the result as degraded (exit code 4); if the ladder runs out, the
-      run fails with a typed error (exit code 5) instead of aborting.
+      --budget-itemsets / --budget-tree-mb / --deadline bound the run:
+      mined itemsets, miner index memory in MiB (FP-tree arenas or
+      tid-sets) and wall time (DUR like 500us, 250ms, 2s, 5m). On a
+      breach the workflow retries with raised min-support and lowered
+      max itemset length and flags the result as degraded (exit code
+      4); if the ladder runs out, the run fails with a typed error
+      (exit code 5) instead of aborting.
       --threads pins the work-stealing pool to N workers for the whole
       pass, from CSV parse to the rendered tables (default: one per
       core); --threads 1 runs it fully sequentially, useful for timing
@@ -1133,6 +1132,11 @@ mod tests {
             ("experiments stray", "unexpected argument `stray`"),
             ("trace", "trace needs an input JSONL log (or - for stdin)"),
             ("trace a.jsonl b.jsonl", "unexpected argument `b.jsonl`"),
+            ("generate pai supercloud", "unexpected argument `supercloud`"),
+            ("analyze pai extra", "unexpected argument `extra`"),
+            ("explain pai extra --rule A=>B", "unexpected argument `extra`"),
+            ("predict philly pai", "unexpected argument `pai`"),
+            ("watch pai extra", "unexpected argument `extra`"),
             (
                 "predict pai --threshold high",
                 "invalid value for --threshold: `high`: invalid float literal",

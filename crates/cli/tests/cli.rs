@@ -40,8 +40,9 @@ fn a_runtime_error_exits_one() {
 #[test]
 fn every_rejected_command_line_exits_two_with_error_then_usage() {
     let usage = usage();
-    let rejected: [&[&str]; 10] = [
+    let rejected: [&[&str]; 11] = [
         &["frobnicate"],
+        &["generate", "pai", "supercloud"],
         &["generate", "pai", "--bogus", "1"],
         &["generate", "pai", "--jobs"],
         &["analyze", "helios"],

@@ -14,7 +14,12 @@ use crate::fault::{try_analyze, PipelineError};
 use crate::report::{bar_chart, box_line, cdf_sketch, TextTable};
 use crate::specs::{pai_spec, KW_FAILED, KW_KILLED, KW_MULTI_GPU, KW_SM_ZERO};
 use crate::stats::{BoxStats, Cdf};
-use crate::traces::TraceAnalysis;
+use crate::traces::{Trace, TraceAnalysis};
+
+/// The prepared `trace`, if `traces` holds it.
+fn find(traces: &[TraceAnalysis], trace: Trace) -> Option<&TraceAnalysis> {
+    traces.iter().find(|t| t.trace == trace)
+}
 
 /// Table I: overview of the (generated) traces.
 #[derive(Debug, Clone)]
@@ -35,7 +40,7 @@ pub fn table1(traces: &[TraceAnalysis]) -> Table1 {
                 .and_then(|c| c.as_strs().map(|s| s.cardinality()))
                 .unwrap_or(0);
             (
-                t.name.to_string(),
+                t.trace.name().to_string(),
                 t.bundle.n_jobs(),
                 users,
                 zero_sm_share(t),
@@ -120,7 +125,7 @@ pub fn fig1(traces: &[TraceAnalysis], supports: &[f64]) -> Fig1 {
                     .len()
                 })
                 .collect();
-            (t.name.to_string(), counts)
+            (t.trace.name().to_string(), counts)
         })
         .collect();
     Fig1 {
@@ -170,7 +175,7 @@ pub fn fig2(traces: &[TraceAnalysis]) -> Fig2 {
                 }
                 None => (None, None),
             };
-            (t.name.to_string(), conf, lift)
+            (t.trace.name().to_string(), conf, lift)
         })
         .collect();
     Fig2 { rows }
@@ -215,12 +220,9 @@ pub struct Fig3 {
     pub bands: Vec<(String, usize, usize)>,
 }
 
-/// Builds Fig. 3 from the PAI trace (first element with name "pai").
+/// Builds Fig. 3 from the PAI trace.
 pub fn fig3(traces: &[TraceAnalysis]) -> Fig3 {
-    let pai = traces
-        .iter()
-        .find(|t| t.name == "pai")
-        .expect("fig3 needs the pai trace");
+    let pai = find(traces, Trace::Pai).expect("fig3 needs the pai trace");
     let kw = pai
         .analysis
         .keyword(KW_SM_ZERO)
@@ -282,7 +284,11 @@ pub fn fig4(traces: &[TraceAnalysis]) -> Fig4 {
             let values: Vec<f64> = (0..t.merged.n_rows())
                 .filter_map(|i| col.numeric(i))
                 .collect();
-            (t.name.to_string(), zero_sm_share(t), Cdf::new(&values))
+            (
+                t.trace.name().to_string(),
+                zero_sm_share(t),
+                Cdf::new(&values),
+            )
         })
         .collect();
     Fig4 { rows }
@@ -318,7 +324,7 @@ pub fn fig5(traces: &[TraceAnalysis]) -> Fig5 {
                 .into_iter()
                 .map(|(status, c)| (status, c as f64 / total.max(1) as f64))
                 .collect();
-            (t.name.to_string(), shares)
+            (t.trace.name().to_string(), shares)
         })
         .collect();
     Fig5 { rows }
@@ -407,20 +413,20 @@ impl RuleTable {
 /// Tables II / III / IV: GPU-underutilization rules per trace.
 pub fn underutilization_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
     let titles = [
-        ("pai", "Table II: GPU underutilization rules (PAI)"),
+        (Trace::Pai, "Table II: GPU underutilization rules (PAI)"),
         (
-            "supercloud",
+            Trace::SuperCloud,
             "Table III: GPU underutilization rules (SuperCloud)",
         ),
-        ("philly", "Table IV: GPU underutilization rules (Philly)"),
+        (
+            Trace::Philly,
+            "Table IV: GPU underutilization rules (Philly)",
+        ),
     ];
     titles
         .iter()
-        .filter_map(|(name, title)| {
-            traces
-                .iter()
-                .find(|t| t.name == *name)
-                .map(|t| rule_table(t, title, KW_SM_ZERO, 5))
+        .filter_map(|(trace, title)| {
+            find(traces, *trace).map(|t| rule_table(t, title, KW_SM_ZERO, 5))
         })
         .collect()
 }
@@ -428,17 +434,17 @@ pub fn underutilization_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
 /// Tables V / VI / VII: job-failure rules per trace.
 pub fn failure_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
     let titles = [
-        ("pai", "Table V: job failure rules (PAI)"),
-        ("supercloud", "Table VI: job failure rules (SuperCloud)"),
-        ("philly", "Table VII: job failure rules (Philly)"),
+        (Trace::Pai, "Table V: job failure rules (PAI)"),
+        (
+            Trace::SuperCloud,
+            "Table VI: job failure rules (SuperCloud)",
+        ),
+        (Trace::Philly, "Table VII: job failure rules (Philly)"),
     ];
     titles
         .iter()
-        .filter_map(|(name, title)| {
-            traces
-                .iter()
-                .find(|t| t.name == *name)
-                .map(|t| rule_table(t, title, KW_FAILED, 6))
+        .filter_map(|(trace, title)| {
+            find(traces, *trace).map(|t| rule_table(t, title, KW_FAILED, 6))
         })
         .collect()
 }
@@ -447,7 +453,7 @@ pub fn failure_tables(traces: &[TraceAnalysis]) -> Vec<RuleTable> {
 /// the model-labelled subset, which can fail like any analysis.
 pub fn misc_tables(traces: &[TraceAnalysis]) -> Result<Vec<RuleTable>, PipelineError> {
     let mut out = Vec::new();
-    if let Some(pai_t) = traces.iter().find(|t| t.name == "pai") {
+    if let Some(pai_t) = find(traces, Trace::Pai) {
         out.push(rule_table(
             pai_t,
             "Table VIII (PAI1/PAI2): queue wait by GPU type",
@@ -466,7 +472,7 @@ pub fn misc_tables(traces: &[TraceAnalysis]) -> Result<Vec<RuleTable>, PipelineE
         let labelled = pai_t.merged.filter(|i| !model_col.get(i).is_null());
         let model_analysis = try_analyze(&labelled, &pai_spec(), &pai_t.analysis.config)?;
         let fake = TraceAnalysis {
-            name: "pai",
+            trace: Trace::Pai,
             bundle: pai_t.bundle.clone(),
             merged: labelled,
             analysis: model_analysis,
@@ -484,7 +490,7 @@ pub fn misc_tables(traces: &[TraceAnalysis]) -> Result<Vec<RuleTable>, PipelineE
             3,
         ));
     }
-    if let Some(sc) = traces.iter().find(|t| t.name == "supercloud") {
+    if let Some(sc) = find(traces, Trace::SuperCloud) {
         out.push(rule_table(
             sc,
             "Table VIII (CIR1): killed jobs (SuperCloud)",
@@ -492,7 +498,7 @@ pub fn misc_tables(traces: &[TraceAnalysis]) -> Result<Vec<RuleTable>, PipelineE
             3,
         ));
     }
-    if let Some(ph) = traces.iter().find(|t| t.name == "philly") {
+    if let Some(ph) = find(traces, Trace::Philly) {
         out.push(rule_table(
             ph,
             "Table VIII (PHI1): multi-GPU jobs (Philly)",
@@ -512,10 +518,7 @@ pub struct BinningAblation {
 
 /// Runs the binning ablation on the PAI trace.
 pub fn ablation_binning(traces: &[TraceAnalysis]) -> Result<BinningAblation, PipelineError> {
-    let pai_t = traces
-        .iter()
-        .find(|t| t.name == "pai")
-        .expect("binning ablation needs pai");
+    let pai_t = find(traces, Trace::Pai).expect("binning ablation needs pai");
     let mut rows = Vec::new();
     for (label, scheme) in [
         ("equal-frequency", BinningScheme::EqualFrequency),
@@ -572,10 +575,7 @@ pub struct BinCountAblation {
 
 /// Runs the bin-count sweep on the PAI trace.
 pub fn ablation_bin_count(traces: &[TraceAnalysis]) -> Result<BinCountAblation, PipelineError> {
-    let pai_t = traces
-        .iter()
-        .find(|t| t.name == "pai")
-        .expect("bin-count ablation needs pai");
+    let pai_t = find(traces, Trace::Pai).expect("bin-count ablation needs pai");
     let mut rows = Vec::new();
     for n_bins in [2usize, 4, 8, 16] {
         let mut spec = pai_spec();
@@ -656,7 +656,11 @@ pub fn cross_trace_overlap(traces: &[TraceAnalysis]) -> CrossTraceOverlap {
                 .keyword(KW_SM_ZERO)
                 .map(|k| k.outcome.kept)
                 .unwrap_or_default();
-            (t.name.to_string(), rules, &t.analysis.encoded.catalog)
+            (
+                t.trace.name().to_string(),
+                rules,
+                &t.analysis.encoded.catalog,
+            )
         })
         .collect();
     let mut pairs = Vec::new();
@@ -742,10 +746,7 @@ pub struct PruningAblation {
 
 /// Runs the pruning ablation on the PAI trace.
 pub fn ablation_pruning(traces: &[TraceAnalysis]) -> PruningAblation {
-    let pai_t = traces
-        .iter()
-        .find(|t| t.name == "pai")
-        .expect("pruning ablation needs pai");
+    let pai_t = find(traces, Trace::Pai).expect("pruning ablation needs pai");
     let analysis = &pai_t.analysis;
     let kw_for = |label: &str, c: f64| {
         let id = analysis.item(label).expect("keyword present");
@@ -834,7 +835,7 @@ pub fn run_all(traces: &[TraceAnalysis]) -> Result<String, PipelineError> {
     out.push('\n');
     out.push_str("== Operator insights (top rules, rendered) ==\n");
     for t in traces {
-        out.push_str(&format!("-- {} --\n", t.name));
+        out.push_str(&format!("-- {} --\n", t.trace.name()));
         out.push_str(&crate::insights::insight_report(&t.analysis, KW_SM_ZERO, 3));
         out.push_str(&crate::insights::insight_report(&t.analysis, KW_FAILED, 3));
     }

@@ -6,7 +6,7 @@
 //!   as a stage-tagged [`PipelineError`] instead of unwinding the caller;
 //! * an execution budget ([`irma_mine::ExecBudget`], carried on
 //!   [`AnalysisConfig::budget`]) bounding mined itemsets, estimated
-//!   FP-tree memory, and wall-clock time via a cooperative
+//!   miner index memory, and wall-clock time via a cooperative
 //!   [`irma_mine::CancelToken`] checked inside all three miners'
 //!   recursions;
 //! * a **degradation ladder**: when mining breaches the budget the

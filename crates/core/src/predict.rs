@@ -15,7 +15,7 @@ use irma_synth::TraceConfig;
 
 use crate::report::TextTable;
 use crate::specs::KW_FAILED;
-use crate::traces::{Trace, TraceAnalysis};
+use crate::traces::TraceAnalysis;
 
 /// Outcome of one train/evaluate run.
 #[derive(Debug, Clone)]
@@ -53,18 +53,17 @@ pub fn failure_prediction(
     // Freeze the preparation on the training frame; deterministic label
     // emission makes this catalog identical to the analysis' own. The
     // held-out trace is only encoded with it, never mined.
-    let trace: Trace = t.name.parse().expect("a prepared trace has a profile name");
-    let heldout = trace.generate(&TraceConfig {
+    let heldout = t.trace.generate(&TraceConfig {
         n_jobs: heldout_jobs,
         seed: heldout_seed,
         max_monitor_samples: 128,
     });
-    let fitted = fit(&t.merged, &trace.spec());
+    let fitted = fit(&t.merged, &t.trace.spec());
     debug_assert_eq!(fitted.catalog().len(), t.analysis.encoded.catalog.len());
     let heldout_db = fitted.transform(&heldout.merged());
     let eval = classifier.evaluate(&heldout_db, threshold);
     PredictionResult {
-        trace: t.name.to_string(),
+        trace: t.trace.name().to_string(),
         n_rules: classifier.rules().len(),
         threshold,
         eval,
@@ -127,7 +126,7 @@ impl PredictionExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traces::prepare;
+    use crate::traces::{prepare, Trace};
     use crate::workflow::AnalysisConfig;
 
     #[test]

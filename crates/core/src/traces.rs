@@ -68,8 +68,8 @@ impl FromStr for Trace {
 /// completed workflow run.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
-    /// Trace name (`"pai"`, `"supercloud"`, `"philly"`).
-    pub name: &'static str,
+    /// The trace profile.
+    pub trace: Trace,
     /// The generated scheduler + monitoring files.
     pub bundle: TraceBundle,
     /// The joined per-job frame.
@@ -127,7 +127,7 @@ pub fn prepare(
     let merged = bundle.merged();
     let analysis = try_analyze(&merged, &trace.spec(), analysis_config)?;
     Ok(TraceAnalysis {
-        name: bundle.name,
+        trace,
         bundle,
         merged,
         analysis,
@@ -171,7 +171,7 @@ mod tests {
         let ac = AnalysisConfig::default();
         for trace in Trace::ALL {
             let t = prepare(trace, &tc, &ac).unwrap();
-            assert_eq!(t.name, trace.name());
+            assert_eq!(t.trace, trace);
             assert_eq!(t.analysis.n_jobs(), 2_000);
             assert!(!t.analysis.frequent.is_empty(), "{trace:?}: no itemsets");
             assert!(!t.analysis.rules.is_empty(), "{trace:?}: no rules");

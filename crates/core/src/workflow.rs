@@ -15,7 +15,8 @@ use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleCo
 /// Every knob of the paper's workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisConfig {
-    /// Which frequent-itemset miner to run (FP-Growth by default).
+    /// Which frequent-itemset miner to run (Eclat by default; every exact
+    /// miner yields the same itemsets).
     pub algorithm: Algorithm,
     /// Support threshold and itemset-length cap.
     pub miner: MinerConfig,

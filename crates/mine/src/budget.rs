@@ -7,8 +7,8 @@
 //! exactly this reason). This module provides the primitives the
 //! fault-tolerant pipeline entry points build on:
 //!
-//! * [`ExecBudget`] — declarative caps: mined itemsets, estimated FP-tree
-//!   arena bytes, and a wall-clock deadline;
+//! * [`ExecBudget`] — declarative caps: mined itemsets, estimated miner
+//!   index bytes (FP-tree arenas or tid-sets), and a wall-clock deadline;
 //! * [`CancelToken`] — a shared flag + deadline the miner recursions poll
 //!   cooperatively (an expired deadline and an explicit [`CancelToken::cancel`]
 //!   look the same to the mining loop);
@@ -40,8 +40,9 @@ const CHECK_STRIDE: u64 = 64;
 pub struct ExecBudget {
     /// Maximum number of itemsets a miner may emit before tripping.
     pub max_itemsets: Option<u64>,
-    /// Maximum estimated FP-tree arena bytes (cumulative over all trees
-    /// built during the attempt — an upper bound on peak tree memory).
+    /// Maximum estimated miner index bytes — FP-tree arenas, Eclat
+    /// tid-sets or Apriori's candidate trie — cumulative over everything
+    /// built during the attempt (an upper bound on peak index memory).
     pub max_tree_bytes: Option<u64>,
     /// Wall-clock deadline for the whole run (all ladder attempts share
     /// it: retrying never wins back time already spent).
@@ -77,7 +78,7 @@ pub enum BudgetBreach {
         /// The configured cap.
         cap: u64,
     },
-    /// The estimated FP-tree memory cap tripped.
+    /// The estimated index-memory cap (FP-tree arenas or tid-sets) tripped.
     TreeMemory {
         /// Estimated cumulative tree bytes when the cap tripped.
         estimated: u64,
@@ -346,7 +347,8 @@ impl BudgetGuard {
         Ok(())
     }
 
-    /// Charges an FP-tree's estimated arena footprint against the cap.
+    /// Charges an index structure's estimated footprint (an FP-tree
+    /// arena, a set of tid-sets, a candidate trie) against the cap.
     pub fn charge_tree_bytes(&self, bytes: u64) -> Result<(), BudgetBreach> {
         let Some(cap) = self.max_tree_bytes else {
             return Ok(());

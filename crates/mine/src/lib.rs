@@ -3,12 +3,13 @@
 //! Hand-rolled implementations of the three classic frequent-itemset
 //! miners for the IRMA reproduction:
 //!
-//! * [`fpgrowth`] — the paper's miner of choice (§III-C): FP-tree with
+//! * [`eclat`] — the default miner: vertical bitset tid-sets intersected
+//!   depth-first, which suits the narrow, dense encoded traces;
+//! * [`fpgrowth`] — the paper's miner (§III-C): FP-tree with
 //!   conditional-pattern-base recursion, single-prefix-path shortcut, and
-//!   optional rayon fan-out over the header table;
-//! * [`apriori`] — the level-wise baseline FP-Growth is compared against;
-//! * [`eclat`] — a vertical (tid-list) miner used as a third independent
-//!   oracle in the equivalence property tests.
+//!   optional rayon fan-out over the header table. It also mines the
+//!   sliding window's weighted paths ([`fpgrowth_paths`]);
+//! * [`apriori`] — the level-wise baseline both are compared against.
 //!
 //! All three take a [`TransactionDb`], a [`MinerConfig`] and a
 //! [`BudgetGuard`] and return the identical [`FrequentItemsets`] family
@@ -16,7 +17,7 @@
 //! generation is miner-agnostic.
 //!
 //! ```
-//! use irma_mine::{fpgrowth, BudgetGuard, Itemset, MinerConfig, TransactionDb};
+//! use irma_mine::{eclat, BudgetGuard, Itemset, MinerConfig, TransactionDb};
 //! use irma_obs::Metrics;
 //!
 //! let db = TransactionDb::from_transactions(vec![
@@ -25,7 +26,7 @@
 //!     vec![0, 2],
 //! ]);
 //! let config = MinerConfig::with_min_support(0.6);
-//! let frequent = fpgrowth(&db, &config, &Metrics::disabled(), &BudgetGuard::unlimited())?;
+//! let frequent = eclat(&db, &config, &Metrics::disabled(), &BudgetGuard::unlimited())?;
 //! assert_eq!(frequent.count(&Itemset::from_items([0, 1])), Some(2));
 //! # Ok::<(), irma_mine::MineError>(())
 //! ```
@@ -58,22 +59,23 @@ pub use stream::SlidingWindowMiner;
 /// Which mining algorithm a pipeline should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
-    /// FP-Growth (default; the paper's choice).
-    #[default]
+    /// FP-Growth (the paper's choice).
     FpGrowth,
     /// Apriori baseline.
     Apriori,
-    /// Eclat baseline.
+    /// Eclat over bitset tid-sets (default; same output, faster on the
+    /// encoded traces).
+    #[default]
     Eclat,
 }
 
 impl Algorithm {
     /// Runs the selected miner under `guard`, so budget breaches, invalid
-    /// configs, and (for FP-Growth's fan-out) contained worker panics come
-    /// back as a typed [`MineError`] instead of unwinding. FP-Growth
-    /// reports its tree-build/mine split into `metrics`; the baselines emit
-    /// a single `mine.mine` stage event with the input/output
-    /// cardinalities.
+    /// configs, and (for the FP-Growth and Eclat fan-outs) contained
+    /// worker panics come back as a typed [`MineError`] instead of
+    /// unwinding. FP-Growth and Eclat report their tree-build/mine split
+    /// into `metrics`; Apriori emits a single `mine.mine` stage event with
+    /// the input/output cardinalities.
     pub fn mine(
         self,
         db: &TransactionDb,
@@ -83,12 +85,10 @@ impl Algorithm {
     ) -> Result<FrequentItemsets, MineError> {
         match self {
             Algorithm::FpGrowth => fpgrowth(db, config, metrics, guard),
-            Algorithm::Apriori | Algorithm::Eclat => {
+            Algorithm::Eclat => eclat(db, config, metrics, guard),
+            Algorithm::Apriori => {
                 let mut span = metrics.span("mine.mine");
-                let frequent = match self {
-                    Algorithm::Apriori => apriori(db, config, guard)?,
-                    _ => eclat(db, config, guard)?,
-                };
+                let frequent = apriori(db, config, guard)?;
                 span.field("transactions_in", db.len() as u64);
                 span.field("itemsets_out", frequent.len() as u64);
                 Ok(frequent)

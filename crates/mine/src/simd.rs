@@ -8,6 +8,8 @@
 //! compiler turns into wide vector ANDs and keeps the popcount chains
 //! independent — the same unroll-by-register-width trick explicit
 //! `std::simd` code would express, without the nightly dependency.
+//! [`and_count`] is the same loop without the store, for intersections
+//! that are only ever counted.
 //!
 //! [`and_popcount_scalar`] is the obviously-correct reference the
 //! differential property in `crates/check/tests/scheduler.rs` compares
@@ -33,19 +35,21 @@ pub fn and_popcount_scalar(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
     (words, count)
 }
 
-/// Chunked AND + popcount: u64×4 unrolled with independent accumulators.
+/// Chunked AND + popcount into `out`: writes `a[i] & b[i]` for every
+/// `i < out.len()` and returns the number of set bits written. u64×4
+/// unrolled with independent accumulators.
 ///
-/// Byte-identical output to [`and_popcount_scalar`] on every input —
-/// property-tested, including tails of 1–3 words.
-pub fn and_popcount(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
-    let n = a.len().min(b.len());
+/// Byte-identical to [`and_popcount_scalar`] on every input —
+/// property-tested, including tails of 1–3 words. Panics if an operand
+/// is shorter than `out`.
+pub fn and_popcount(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
+    let n = out.len();
     let (a, b) = (&a[..n], &b[..n]);
-    let mut words = vec![0u64; n];
     let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-    let mut out = words.chunks_exact_mut(CHUNK);
+    let mut outs = out.chunks_exact_mut(CHUNK);
     let mut xs = a.chunks_exact(CHUNK);
     let mut ys = b.chunks_exact(CHUNK);
-    for ((o, x), y) in (&mut out).zip(&mut xs).zip(&mut ys) {
+    for ((o, x), y) in (&mut outs).zip(&mut xs).zip(&mut ys) {
         let w0 = x[0] & y[0];
         let w1 = x[1] & y[1];
         let w2 = x[2] & y[2];
@@ -59,7 +63,7 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
         c2 += u64::from(w2.count_ones());
         c3 += u64::from(w3.count_ones());
     }
-    for ((o, x), y) in out
+    for ((o, x), y) in outs
         .into_remainder()
         .iter_mut()
         .zip(xs.remainder())
@@ -69,7 +73,30 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
         *o = w;
         c0 += u64::from(w.count_ones());
     }
-    (words, c0 + c1 + c2 + c3)
+    c0 + c1 + c2 + c3
+}
+
+/// Popcount of `a & b` over the common prefix, writing nothing: the
+/// count-only kernel for intersections that are never stored.
+///
+/// Equal to the count [`and_popcount`] returns on the same operands —
+/// property-tested, including tails of 1–3 words.
+pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
+    let mut xs = a.chunks_exact(CHUNK);
+    let mut ys = b.chunks_exact(CHUNK);
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        c0 += u64::from((x[0] & y[0]).count_ones());
+        c1 += u64::from((x[1] & y[1]).count_ones());
+        c2 += u64::from((x[2] & y[2]).count_ones());
+        c3 += u64::from((x[3] & y[3]).count_ones());
+    }
+    for (x, y) in xs.remainder().iter().zip(ys.remainder()) {
+        c0 += u64::from((x & y).count_ones());
+    }
+    c0 + c1 + c2 + c3
 }
 
 #[cfg(test)]
@@ -86,16 +113,20 @@ mod tests {
             .collect()
     }
 
+    /// The chunked kernels over the common prefix, as one tuple.
+    fn chunked(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
+        let mut words = vec![0u64; a.len().min(b.len())];
+        let count = and_popcount(a, b, &mut words);
+        assert_eq!(and_count(a, b), count);
+        (words, count)
+    }
+
     #[test]
     fn chunked_matches_scalar_at_every_tail_length() {
         for len in 0..=19 {
             let a = pattern(len, 0xa5a5);
             let b = pattern(len, 0x5a5a);
-            assert_eq!(
-                and_popcount(&a, &b),
-                and_popcount_scalar(&a, &b),
-                "len {len}"
-            );
+            assert_eq!(chunked(&a, &b), and_popcount_scalar(&a, &b), "len {len}");
         }
     }
 
@@ -103,14 +134,14 @@ mod tests {
     fn mismatched_lengths_truncate_to_common_prefix() {
         let a = pattern(13, 1);
         let b = pattern(7, 2);
-        let (words, count) = and_popcount(&a, &b);
+        let (words, count) = chunked(&a, &b);
         assert_eq!(words.len(), 7);
         assert_eq!((words, count), and_popcount_scalar(&a, &b));
     }
 
     #[test]
     fn empty_inputs_yield_empty() {
-        assert_eq!(and_popcount(&[], &[]), (Vec::new(), 0));
-        assert_eq!(and_popcount(&[1, 2, 3], &[]), (Vec::new(), 0));
+        assert_eq!(chunked(&[], &[]), (Vec::new(), 0));
+        assert_eq!(chunked(&[1, 2, 3], &[]), (Vec::new(), 0));
     }
 }

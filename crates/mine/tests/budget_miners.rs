@@ -1,8 +1,9 @@
 //! Budget integration tests: all three miners honour the same
 //! `ExecBudget` contract — unlimited guards agree bit-for-bit across
-//! miners and through the `Algorithm` dispatch, itemset caps and zero deadlines surface as typed
-//! breaches, and an injected worker panic in FP-Growth's parallel
-//! fan-out is contained into `MineError::WorkerPanic`.
+//! miners and through the `Algorithm` dispatch, itemset, tree-memory and
+//! zero-deadline caps surface as typed breaches, and an injected worker
+//! panic in FP-Growth's or Eclat's parallel fan-out is contained into
+//! `MineError::WorkerPanic`.
 
 use std::time::Duration;
 
@@ -44,7 +45,7 @@ fn unlimited_guard_miners_agree() {
         let f = fpgrowth(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
         let a = apriori(&db, &cfg, &guard).unwrap();
         assert_eq!(f.as_slice(), a.as_slice());
-        let e = eclat(&db, &cfg, &guard).unwrap();
+        let e = eclat(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
         assert_eq!(f.as_slice(), e.as_slice());
         for algorithm in Algorithm::all() {
             let dispatched = algorithm
@@ -97,40 +98,50 @@ fn zero_deadline_trips_every_miner() {
 }
 
 #[test]
-fn tiny_tree_memory_cap_trips_fpgrowth() {
+fn tiny_tree_memory_cap_trips_every_miner() {
     let db = textbook_db();
     let budget = ExecBudget {
         max_tree_bytes: Some(1),
         ..ExecBudget::default()
     };
-    let guard = BudgetGuard::new(&budget);
-    let err = fpgrowth(&db, &config(false), &Metrics::disabled(), &guard).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            MineError::Budget(BudgetBreach::TreeMemory { cap: 1, .. })
-        ),
-        "expected tree-memory breach, got {err}"
-    );
+    for algorithm in Algorithm::all() {
+        for parallel in [false, true] {
+            let guard = BudgetGuard::new(&budget);
+            let err = algorithm
+                .mine(&db, &config(parallel), &Metrics::disabled(), &guard)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MineError::Budget(BudgetBreach::TreeMemory { cap: 1, .. })
+                ),
+                "{}: expected tree-memory breach, got {err}",
+                algorithm.name()
+            );
+        }
+    }
 }
 
 #[test]
-fn injected_worker_panic_is_contained_in_parallel_fpgrowth() {
+fn injected_worker_panic_is_contained_in_parallel_miners() {
     let db = textbook_db();
     let budget = ExecBudget {
         panic_after_emits: Some(2),
         ..ExecBudget::default()
     };
-    let guard = BudgetGuard::new(&budget);
-    let err = fpgrowth(&db, &config(true), &Metrics::disabled(), &guard).unwrap_err();
-    match err {
-        MineError::WorkerPanic { message } => {
-            assert!(
+    for algorithm in [Algorithm::FpGrowth, Algorithm::Eclat] {
+        let guard = BudgetGuard::new(&budget);
+        let err = algorithm
+            .mine(&db, &config(true), &Metrics::disabled(), &guard)
+            .unwrap_err();
+        match err {
+            MineError::WorkerPanic { message } => assert!(
                 message.contains("injected"),
-                "unexpected payload: {message}"
-            )
+                "{}: unexpected payload: {message}",
+                algorithm.name()
+            ),
+            other => panic!("{}: expected WorkerPanic, got {other}", algorithm.name()),
         }
-        other => panic!("expected WorkerPanic, got {other}"),
     }
 }
 

@@ -42,7 +42,7 @@ fn main() -> Result<(), PipelineError> {
             let e = &result.eval;
             println!(
                 "{:<11} thresh={th:.1} rules={:<3} precision={:.2} recall={:.2} f1={:.2} (base failure rate {:.2})",
-                t.name,
+                t.trace.name(),
                 result.n_rules,
                 e.precision(),
                 e.recall(),

@@ -22,7 +22,10 @@ fn traces() -> [TraceAnalysis; 3] {
 }
 
 fn by_name<'a>(traces: &'a [TraceAnalysis], name: &str) -> &'a TraceAnalysis {
-    traces.iter().find(|t| t.name == name).expect("trace")
+    traces
+        .iter()
+        .find(|t| t.trace.name() == name)
+        .expect("trace")
 }
 
 #[test]
@@ -48,7 +51,7 @@ fn fig5_failure_exceeds_13pct_everywhere_pai_highest() {
     let traces = traces();
     let shares: Vec<(String, f64)> = traces
         .iter()
-        .map(|t| (t.name.to_string(), failed_share(t)))
+        .map(|t| (t.trace.name().to_string(), failed_share(t)))
         .collect();
     for (name, share) in &shares {
         assert!(*share > 0.13, "{name} failed share {share}");
