@@ -1,6 +1,7 @@
 //! Streaming and condensation benches: sliding-window push throughput,
-//! drift evaluation, on-demand window re-mining, top-k dynamic-support
-//! mining, and closed/maximal condensation cost.
+//! drift evaluation, on-demand window re-mining (Eclat over the window's
+//! snapshot), the daemon's per-arrival re-mine at its default window,
+//! top-k dynamic-support mining, and closed/maximal condensation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -55,33 +56,17 @@ fn window_ops(c: &mut Criterion) {
     });
 
     // The `irma watch` hot path at the daemon's default window: one
-    // arrival, then a re-mine. The incremental side mines the maintained
-    // prefix tree directly (weighted compressed paths); the rebuild side
-    // materializes the window and runs batch FP-Growth from scratch —
-    // what every emission used to cost before the tree went incremental.
-    let fill = |n: usize| {
-        let mut miner = SlidingWindowMiner::new(2_000, MinerConfig::with_min_support(0.05));
-        for txn in txns.iter().take(n) {
-            miner.push(txn.iter().copied());
-        }
-        miner
-    };
-    let mut incremental = fill(4_000);
+    // arrival, then a re-mine (snapshot plus Eclat).
+    let mut window = SlidingWindowMiner::new(2_000, config.clone());
+    for txn in txns.iter().take(4_000) {
+        window.push(txn.iter().copied());
+    }
     let mut next = 0usize;
-    group.bench_function("arrival_mine_incremental_2k", |b| {
+    group.bench_function("arrival_mine_2k", |b| {
         b.iter(|| {
-            incremental.push(txns[next % txns.len()].iter().copied());
+            window.push(txns[next % txns.len()].iter().copied());
             next += 1;
-            black_box(mine(&mut incremental))
-        })
-    });
-    let mut rebuilt = fill(4_000);
-    group.bench_function("arrival_mine_rebuild_2k", |b| {
-        b.iter(|| {
-            rebuilt.push(txns[next % txns.len()].iter().copied());
-            next += 1;
-            let db = rebuilt.snapshot();
-            black_box(batch(&db, &config).len())
+            black_box(mine(&mut window))
         })
     });
     group.finish();

@@ -1,15 +1,17 @@
-//! Windowed differential suite: the incrementally-maintained prefix
-//! tree inside `SlidingWindowMiner` against batch FP-Growth on the
-//! materialized window, under fuzzed arrival/eviction/mine schedules.
+//! Windowed differential suite: `SlidingWindowMiner`, which keeps its
+//! window as a deque with incremental item counts and mines it with
+//! Eclat, against batch FP-Growth on the materialized window, under
+//! fuzzed arrival/eviction/mine schedules.
 //!
 //! Three contracts:
 //!
-//! * mining the incremental tree is **byte-identical** to batch
-//!   FP-Growth over the same window, at mining-pool widths 1, 2, and 8,
-//!   with re-mines interleaved anywhere in the schedule;
-//! * the tree's weighted paths always re-expand to exactly the window
-//!   multiset, and eviction counting stays exact under fuzzed
-//!   capacities (`evictions = pushes - capacity` once the window fills);
+//! * mining the window is **byte-identical** to batch FP-Growth over the
+//!   same window — a cross-miner check — at mining-pool widths 1, 2, and
+//!   8, with re-mines interleaved anywhere in the schedule;
+//! * the window's snapshot always holds exactly the last `capacity`
+//!   canonical transactions in arrival order, empty ones included, and
+//!   eviction counting stays exact under fuzzed capacities
+//!   (`evictions = pushes - capacity` once the window fills);
 //! * the incrementally-cached drift equals a from-scratch recomputation
 //!   after any push/evict/mine interleaving.
 
@@ -18,10 +20,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use irma_check::generators::arb_miner_config;
-use irma_mine::{
-    fpgrowth, BudgetGuard, FrequentItemsets, IncrementalFpTree, ItemId, MinerConfig,
-    SlidingWindowMiner,
-};
+use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, ItemId, MinerConfig, SlidingWindowMiner};
 use irma_obs::Metrics;
 
 /// Re-mines the window unbudgeted; returns it with the batch mine of the
@@ -104,8 +103,9 @@ proptest! {
                 for (i, txn) in txns.iter().enumerate() {
                     miner.push(txn.iter().copied());
                     // Interleave re-mines mid-schedule: every mine commits
-                    // a drift baseline and must leave the incremental tree
-                    // consistent for the pushes and evictions that follow.
+                    // a drift baseline and must leave the window and its
+                    // counts consistent for the pushes and evictions that
+                    // follow.
                     if i % mine_every == 0 {
                         let (streamed, batch) = mine_both(&mut miner, &config);
                         prop_assert_eq!(
@@ -130,37 +130,34 @@ proptest! {
     }
 
     #[test]
-    fn tree_multiset_and_eviction_counts_stay_exact(
+    fn window_multiset_and_eviction_counts_stay_exact(
         txns in proptest::collection::vec(
             proptest::collection::vec(0u32..8, 0..6),
             1..80,
         ),
         capacity in 1usize..20,
     ) {
-        // Reference window + standalone incremental tree, maintained by
-        // the same push/evict schedule the miner runs internally.
+        // Reference window, maintained by the same push/evict schedule
+        // the miner runs internally.
         let mut reference: VecDeque<Vec<ItemId>> = VecDeque::new();
-        let mut tree = IncrementalFpTree::new();
         let metrics = Metrics::enabled();
         let mut miner =
             SlidingWindowMiner::new(capacity, irma_mine::MinerConfig::with_min_support(0.5))
                 .with_metrics(metrics.clone());
         for txn in &txns {
-            let canon = canonical(txn);
             if reference.len() == capacity {
-                let evicted = reference.pop_front().unwrap();
-                tree.remove(&evicted);
+                reference.pop_front();
             }
-            tree.insert(&canon);
-            reference.push_back(canon);
+            reference.push_back(canonical(txn));
             miner.push(txn.iter().copied());
         }
-        // The tree re-expands to exactly the window multiset.
-        let mut expanded = tree.to_transactions();
-        expanded.sort();
-        let mut expected: Vec<Vec<ItemId>> = reference.iter().cloned().collect();
-        expected.sort();
-        prop_assert_eq!(expanded, expected);
+        // The snapshot holds exactly the window, in arrival order, with
+        // empty transactions kept (they count toward the support
+        // denominator).
+        let snapshot = miner.snapshot();
+        let window: Vec<Vec<ItemId>> = snapshot.iter().map(<[ItemId]>::to_vec).collect();
+        let expected: Vec<Vec<ItemId>> = reference.iter().cloned().collect();
+        prop_assert_eq!(window, expected);
         // Every transaction beyond capacity evicted exactly one.
         let expected_evictions = txns.len().saturating_sub(capacity) as u64;
         let evictions = metrics

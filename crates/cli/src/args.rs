@@ -760,10 +760,11 @@ USAGE:
       Regenerate every paper table and figure (optionally exporting the
       underlying data as CSVs).
 {watch}
-      Run the streaming daemon: ingest trace records continuously, keep
-      the FP-tree of the last --window transactions incrementally
-      up to date, and re-emit the keyword's failure rules whenever window
-      drift crosses --drift-threshold or --cadence arrivals elapse.
+      Run the streaming daemon: ingest trace records continuously into a
+      window of the last --window transactions, and whenever window
+      drift crosses --drift-threshold or --cadence arrivals elapse, mine
+      the window (Eclat, as in `analyze`) and re-emit the keyword's
+      failure rules.
       Without --feed, a synthetic two-regime feed (normal load, then a
       failure wave) is generated from <trace>; with --feed, records are
       read as comma-separated item-id lines from FILE (or stdin with -).

@@ -8,12 +8,17 @@
 //!   16-hex-digit handle a client can replay (`fp:<hex>` bodies) instead
 //!   of re-uploading the dataset.
 //! * [`config_cache_key`] renders the analysis knobs that *change the
-//!   output* into a canonical string. Knobs that provably do not —
-//!   `MinerConfig::parallel` (byte-identical output at any width, pinned
-//!   by the differential harness) and the whole [`irma_mine::ExecBudget`] (cached
-//!   entries are full-fidelity, never degraded, so the budget that
-//!   produced them is irrelevant) — are deliberately excluded, so a
-//!   client retrying with a longer deadline still hits the cache.
+//!   output* into a canonical string. Knobs that provably do not are
+//!   deliberately excluded, so a client retrying with a longer deadline
+//!   or another miner still hits the cache:
+//!   - the miner (`AnalysisConfig::algorithm`): every exact miner returns
+//!     the same itemsets, pinned by the differential harness, and the
+//!     response does not echo it;
+//!   - `MinerConfig::parallel`: byte-identical output at any width, also
+//!     pinned by the differential harness;
+//!   - the whole [`irma_mine::ExecBudget`]: cached entries are
+//!     full-fidelity, never degraded, so the budget that produced them is
+//!     irrelevant.
 //!
 //! Floats are keyed by their exact bit pattern ([`f64::to_bits`]): no
 //! formatting round-trip, no false sharing between configs that differ
@@ -40,8 +45,7 @@ pub fn dataset_fingerprint(bytes: &[u8]) -> String {
 /// *included* because it changes the response body.
 pub fn config_cache_key(config: &AnalysisConfig, keyword: Option<&str>, top: usize) -> String {
     format!(
-        "alg={};ms={:016x};ml={};rl={:016x};rc={:016x};rs={:016x};cl={:016x};cs={:016x};kw={};top={}",
-        config.algorithm.name(),
+        "ms={:016x};ml={};rl={:016x};rc={:016x};rs={:016x};cl={:016x};cs={:016x};kw={};top={}",
         config.miner.min_support.to_bits(),
         config.miner.max_len,
         config.rules.min_lift.to_bits(),
@@ -57,7 +61,7 @@ pub fn config_cache_key(config: &AnalysisConfig, keyword: Option<&str>, top: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irma_mine::ExecBudget;
+    use irma_mine::{Algorithm, ExecBudget};
 
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
@@ -82,6 +86,11 @@ mod tests {
         let key = config_cache_key(&base, None, 10);
         assert_eq!(key, config_cache_key(&parallel_off, None, 10));
         assert_eq!(key, config_cache_key(&budgeted, None, 10));
+        for algorithm in Algorithm::all() {
+            let mut mined_by = base.clone();
+            mined_by.algorithm = algorithm;
+            assert_eq!(key, config_cache_key(&mined_by, None, 10));
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! [`watch_feed`] wires the whole streaming story together: a producer
 //! thread parses trace records from any [`BufRead`] feed and hands them
 //! through a bounded lock-free [`SpscRing`] to the mining loop, which
-//! maintains a [`SlidingWindowMiner`] incrementally (O(|txn|) per
-//! arrival, no rebuild-from-scratch) and re-emits failure rules plus an
-//! OpenMetrics-ready snapshot whenever window drift crosses a threshold
-//! or a cadence of arrivals elapses.
+//! keeps a [`SlidingWindowMiner`]'s item counts and drift current
+//! (O(|txn|) per arrival) and, whenever window drift crosses a threshold
+//! or a cadence of arrivals elapses, mines the window with Eclat and
+//! re-emits failure rules plus an OpenMetrics-ready snapshot.
 //!
 //! Two mechanisms keep the daemon healthy when reality misbehaves:
 //!
@@ -46,7 +46,7 @@ use irma_rules::{
     generate_rules, InvalidPruneParams, KeywordAnalysis, PruneParams, Rule, RuleConfig,
 };
 
-use crate::fault::MAX_DEGRADATION_RETRIES;
+use crate::fault::{panic_message, MAX_DEGRADATION_RETRIES};
 
 /// Arrivals the mining loop waits after a failed emission before
 /// re-arming the triggers, so a window that keeps tripping the ladder
@@ -359,15 +359,24 @@ fn laddered_mine(
     let mut steps = 0usize;
     loop {
         let guard = run_guard.renew(budget);
-        let outcome = catch_unwind(AssertUnwindSafe(|| miner.mine(&knobs, &guard)));
+        // Eclat returns a panic in its per-item work as `WorkerPanic`;
+        // the outer `catch_unwind` guards the rest of the re-mine (the
+        // window snapshot, the span bookkeeping) and reports the same way.
+        let outcome = catch_unwind(AssertUnwindSafe(|| miner.mine(&knobs, &guard))).unwrap_or_else(
+            |payload| {
+                Err(MineError::WorkerPanic {
+                    message: panic_message(payload),
+                })
+            },
+        );
         match outcome {
-            Ok(Ok(frequent)) => {
+            Ok(frequent) => {
                 if steps > 0 {
                     metrics.mark_degraded();
                 }
                 return Ok((frequent, steps));
             }
-            Ok(Err(MineError::Budget(breach))) => {
+            Err(MineError::Budget(breach)) => {
                 steps += 1;
                 metrics.incr("core.degradation_steps", 1);
                 let next_support = (knobs.min_support * 2.0).min(1.0);
@@ -381,15 +390,10 @@ fn laddered_mine(
                 knobs.min_support = next_support;
                 knobs.max_len = next_len;
             }
-            Ok(Err(err)) => return Err(format!("mining failed: {err:?}")),
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
+            Err(MineError::WorkerPanic { message }) => {
                 return Err(format!("mining worker panicked: {message}"));
             }
+            Err(err) => return Err(format!("mining failed: {err:?}")),
         }
     }
 }

@@ -380,7 +380,7 @@ fn emit_single_path(
 }
 
 /// Per-run mining statistics, accumulated locally (no synchronization in
-/// the hot recursion) and merged in rank order by [`fpgrowth_paths`].
+/// the hot recursion) and merged in rank order by [`fpgrowth`].
 #[derive(Debug, Clone, Copy, Default)]
 struct MineStats {
     /// Conditional FP-trees built during the recursion.
@@ -622,45 +622,13 @@ pub fn fpgrowth(
     metrics: &Metrics,
     guard: &BudgetGuard,
 ) -> Result<FrequentItemsets, MineError> {
-    fpgrowth_paths(
-        db.iter().map(|t| (t, 1)),
-        db.len(),
-        db.n_items(),
-        config,
-        metrics,
-        guard,
-    )
-}
-
-/// [`fpgrowth`] over *weighted paths* instead of a materialized
-/// [`TransactionDb`]: the entry point for callers that already hold the
-/// window in compressed form (the incrementally-maintained prefix tree in
-/// [`crate::SlidingWindowMiner`]), so re-mining skips the
-/// per-transaction copy into a database.
-///
-/// `n_transactions` is the support denominator — the number of window
-/// transactions the paths encode (path weights need not sum to it when
-/// empty transactions are in the window; they contribute to the
-/// denominator but to no path). The output is identical to mining the
-/// materialized window: the tree builder recounts and re-ranks from the
-/// weighted multiset, which insertion order cannot affect.
-pub fn fpgrowth_paths<'a, I>(
-    paths: I,
-    n_transactions: usize,
-    n_items: usize,
-    config: &MinerConfig,
-    metrics: &Metrics,
-    guard: &BudgetGuard,
-) -> Result<FrequentItemsets, MineError>
-where
-    I: IntoIterator<Item = (&'a [ItemId], u64)>,
-{
     config.validate().map_err(MineError::InvalidConfig)?;
+    let n_transactions = db.len();
     let min_count = config.min_count(n_transactions);
     guard.checkpoint_now()?;
 
     let mut span = metrics.span("mine.tree_build");
-    let tree = FpTree::build(paths, n_items, min_count);
+    let tree = FpTree::build(db.iter().map(|t| (t, 1)), db.n_items(), min_count);
     span.field("transactions_in", n_transactions as u64);
     span.field("frequent_items", tree.n_ranks() as u64);
     span.field("tree_nodes", tree.nodes.len() as u64);

@@ -4,11 +4,11 @@
 //! miners for the IRMA reproduction:
 //!
 //! * [`eclat`] — the default miner: vertical bitset tid-sets intersected
-//!   depth-first, which suits the narrow, dense encoded traces;
+//!   depth-first, which suits the narrow, dense encoded traces. It mines
+//!   both the batch pipeline and the [`SlidingWindowMiner`]'s window;
 //! * [`fpgrowth`] — the paper's miner (§III-C): FP-tree with
 //!   conditional-pattern-base recursion, single-prefix-path shortcut, and
-//!   optional rayon fan-out over the header table. It also mines the
-//!   sliding window's weighted paths ([`fpgrowth_paths`]);
+//!   optional rayon fan-out over the header table;
 //! * [`apriori`] — the level-wise baseline both are compared against.
 //!
 //! All three take a [`TransactionDb`], a [`MinerConfig`] and a
@@ -40,7 +40,6 @@ mod counts;
 mod db;
 mod eclat;
 mod fpgrowth;
-mod incremental;
 mod item;
 pub mod simd;
 mod stream;
@@ -51,8 +50,7 @@ pub use condense::{closed_itemsets, maximal_itemsets, support_from_closed};
 pub use counts::{mine_top_k, FrequentItemsets, MinerConfig};
 pub use db::TransactionDb;
 pub use eclat::eclat;
-pub use fpgrowth::{fpgrowth, fpgrowth_paths};
-pub use incremental::IncrementalFpTree;
+pub use fpgrowth::fpgrowth;
 pub use item::{is_sorted_subset, ItemCatalog, ItemId, Itemset};
 pub use stream::SlidingWindowMiner;
 

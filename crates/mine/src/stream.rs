@@ -6,19 +6,16 @@
 //! bounded sliding window over arriving transactions with cheap
 //! always-current single-item counts, an item-frequency *drift* signal to
 //! decide when re-mining is worthwhile, and on-demand full mining of the
-//! current window via FP-Growth.
+//! current window with [`eclat`], the batch pipeline's miner.
 //!
-//! Two structures are maintained incrementally so the per-arrival cost is
-//! O(|txn|) regardless of window size:
-//!
-//! * an [`IncrementalFpTree`] mirroring the window's transaction multiset
-//!   (insert on push, decrement/unlink on evict), so
-//!   [`SlidingWindowMiner::mine`] feeds FP-Growth weighted paths instead
-//!   of re-copying the whole window into a [`TransactionDb`];
-//! * the L1 drift against the last-mine baseline, updated term-wise over
-//!   the arriving∪evicted item union, so monitors polling
-//!   [`SlidingWindowMiner::drift`] per arrival no longer pay a full
-//!   item-universe rescan per call.
+//! A push costs O(|txn|) regardless of window size: it updates the item
+//! counts and the L1 drift against the last-mine baseline term-wise over
+//! the arriving∪evicted item union, so monitors polling
+//! [`SlidingWindowMiner::drift`] per arrival never pay a full
+//! item-universe rescan. A re-mine lays the window out as a
+//! [`TransactionDb`] and runs Eclat over it: at the daemon's window sizes
+//! that is cheaper than keeping any mining structure current per push
+//! (DESIGN.md §10 has the measurements).
 
 use std::collections::VecDeque;
 
@@ -27,8 +24,7 @@ use irma_obs::Metrics;
 use crate::budget::{BudgetGuard, MineError};
 use crate::counts::{FrequentItemsets, MinerConfig};
 use crate::db::TransactionDb;
-use crate::fpgrowth::fpgrowth_paths;
-use crate::incremental::IncrementalFpTree;
+use crate::eclat::eclat;
 use crate::item::ItemId;
 
 /// A bounded sliding window of transactions with incremental item counts.
@@ -37,9 +33,6 @@ pub struct SlidingWindowMiner {
     capacity: usize,
     window: VecDeque<Vec<ItemId>>,
     item_counts: Vec<u64>,
-    /// The window's transaction multiset as a removable prefix tree,
-    /// kept in lockstep with `window` by `push`.
-    tree: IncrementalFpTree,
     /// Item counts at the time of the last successful mine (drift
     /// baseline).
     baseline: Option<(usize, Vec<u64>)>,
@@ -51,9 +44,6 @@ pub struct SlidingWindowMiner {
     drift_dirty: bool,
     config: MinerConfig,
     metrics: Metrics,
-    /// Flat scratch for path extraction, reused across mines.
-    path_items: Vec<ItemId>,
-    path_spans: Vec<(u32, u32, u64)>,
 }
 
 impl SlidingWindowMiner {
@@ -65,14 +55,11 @@ impl SlidingWindowMiner {
             capacity,
             window: VecDeque::with_capacity(capacity),
             item_counts: Vec::new(),
-            tree: IncrementalFpTree::new(),
             baseline: None,
             drift_cache: 0.0,
             drift_dirty: false,
             config,
             metrics: Metrics::disabled(),
-            path_items: Vec::new(),
-            path_spans: Vec::new(),
         }
     }
 
@@ -118,13 +105,11 @@ impl SlidingWindowMiner {
         for &item in &t {
             self.item_counts[item as usize] += 1;
         }
-        self.tree.insert(&t);
         let evicted = if evicting {
             let old = self.window.pop_front().expect("window full");
             for &item in &old {
                 self.item_counts[item as usize] -= 1;
             }
-            self.tree.remove(&old);
             self.metrics.incr("stream.evictions", 1);
             Some(old)
         } else {
@@ -194,7 +179,7 @@ impl SlidingWindowMiner {
             .sum()
     }
 
-    /// Mines the current window with FP-Growth under `config` and `guard`
+    /// Mines the current window with Eclat under `config` and `guard`
     /// and resets the drift baseline. `config` overrides the miner's own
     /// (the degradation ladder relaxes the knobs without mutating the
     /// miner). A breach comes back as [`MineError::Budget`] with the drift
@@ -208,21 +193,7 @@ impl SlidingWindowMiner {
     ) -> Result<FrequentItemsets, MineError> {
         let drift = self.drift();
         let mut span = self.metrics.span("stream.remine");
-        self.tree
-            .collect_paths(&mut self.path_items, &mut self.path_spans);
-        let items = &self.path_items;
-        let paths = self
-            .path_spans
-            .iter()
-            .map(|&(start, end, weight)| (&items[start as usize..end as usize], weight));
-        let result = fpgrowth_paths(
-            paths,
-            self.window.len(),
-            self.item_counts.len().max(1),
-            config,
-            &self.metrics,
-            guard,
-        );
+        let result = eclat(&self.snapshot(), config, &self.metrics, guard);
         span.field("window", self.window.len() as u64);
         match &result {
             Ok(frequent) => {
@@ -250,9 +221,10 @@ impl SlidingWindowMiner {
         result
     }
 
-    /// The current window as a [`TransactionDb`] without mining.
+    /// The current window as a [`TransactionDb`], in arrival order: what
+    /// [`SlidingWindowMiner::mine`] mines.
     pub fn snapshot(&self) -> TransactionDb {
-        TransactionDb::from_transactions(self.window.iter().cloned())
+        TransactionDb::from_transactions(self.window.iter().map(|t| t.iter().copied()))
             .with_universe(self.item_counts.len().max(1))
     }
 }

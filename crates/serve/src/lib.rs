@@ -301,6 +301,36 @@ mod tests {
     }
 
     #[test]
+    fn every_miner_shares_one_cache_entry() {
+        let metrics = Metrics::enabled();
+        let server = Server::start("127.0.0.1:0", ServeConfig::default(), metrics.clone())
+            .expect("bind test server");
+        let addr = server.local_addr();
+        let cached: Vec<bool> = ["eclat", "fpgrowth", "apriori"]
+            .iter()
+            .map(|algorithm| {
+                let query = format!("?min_support=0.2&algorithm={algorithm}");
+                let response = post_analyze(addr, &query, "", CSV);
+                assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
+                response.contains("\"cached\":true")
+            })
+            .collect();
+        assert_eq!(cached, [false, true, true]);
+        assert_eq!(server.cache_entries(), 1);
+        let counter = |name: &str| {
+            metrics
+                .snapshot()
+                .counters
+                .iter()
+                .find(|(counter, _)| counter == name)
+                .map_or(0, |&(_, value)| value)
+        };
+        assert_eq!(counter("serve.cache_misses"), 1);
+        assert_eq!(counter("serve.cache_hits"), 2);
+        server.shutdown();
+    }
+
+    #[test]
     fn fingerprint_replay_and_explain_work_from_cache() {
         let server = start_test_server(ServeConfig::default());
         let addr = server.local_addr();

@@ -13,10 +13,11 @@
 //! regime (a bad node draining jobs) and the monitor picks up the new
 //! rules within a window's worth of arrivals.
 //!
-//! Both the drift signal and the window's prefix tree are maintained
+//! The window's item counts and drift signal are maintained
 //! incrementally (O(|txn|) per arrival, no full-window rescans), and the
-//! re-mine runs under an execution budget, so a pathological
-//! window degrades an emission instead of killing the monitor. The
+//! re-mine (Eclat over the window) runs under an execution budget, so a
+//! pathological window degrades an emission instead of killing the
+//! monitor. The
 //! productionized version of this loop — bounded ring ingest, adaptive
 //! sampling, OpenMetrics deltas — is `irma watch` (see DESIGN.md §10).
 
