@@ -378,11 +378,7 @@ fn watch_daemon_survives_garbled_feed_budget_trips_and_broken_sink() {
     drop(region);
     let summary = outcome.expect("watch daemon must not panic under combined faults");
     assert_eq!(summary.garbled_lines, 23 + 12, "every bad line counted");
-    assert_eq!(
-        summary.arrivals + summary.sampled_out,
-        200,
-        "every valid line admitted or counted as sampled out"
-    );
+    assert_eq!(summary.arrivals, 200, "every valid line admitted");
     assert!(summary.emissions >= 1, "daemon kept emitting: {summary:?}");
     assert!(
         summary.degraded_emissions >= 1 || summary.failed_emissions >= 1,

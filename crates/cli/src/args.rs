@@ -768,14 +768,15 @@ USAGE:
       Without --feed, a synthetic two-regime feed (normal load, then a
       failure wave) is generated from <trace>; with --feed, records are
       read as comma-separated item-id lines from FILE (or stdin with -).
-      Ingestion runs through a bounded ring buffer: if the feed outruns
-      mining, the producer first waits (backpressure) and then an
-      adaptive sampler thins admissions — both are counted and exposed
+      Every line is admitted, in order, through a bounded channel: if
+      the feed outruns mining, the reader waits (counted as backpressure
       in the metrics snapshot, which --metrics rewrites on every
-      emission. Budgets behave as in `analyze`, per emission: breaches
-      climb the degradation ladder, and an exhausted ladder (or a worker
-      panic) fails that emission only — the daemon itself keeps running
-      (exit code 4 flags any degraded or failed emission at shutdown).
+      emission), so output depends only on the feed and the flags.
+      Budgets behave as in `analyze`, per emission: --deadline bounds
+      each emission, breaches climb the degradation ladder, and an
+      exhausted ladder (or a worker panic) fails that emission only —
+      the daemon itself keeps running (exit code 4 flags any degraded
+      or failed emission at shutdown).
       --listen HOST:PORT (port 0 picks an ephemeral one, printed on
       stderr) embeds a scrape endpoint for the lifetime of the daemon:
       GET /metrics serves the live snapshot as OpenMetrics — counters,

@@ -641,13 +641,12 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             }
             eprintln!(
                 "watch done: {} arrivals, {} emission(s) ({} degraded, {} failed), \
-                 {} garbled line(s), {} sampled out, {} backpressure wait(s), final window {}",
+                 {} garbled line(s), {} backpressure wait(s), final window {}",
                 summary.arrivals,
                 summary.emissions,
                 summary.degraded_emissions,
                 summary.failed_emissions,
                 summary.garbled_lines,
-                summary.sampled_out,
                 summary.backpressure_waits,
                 summary.final_window,
             );

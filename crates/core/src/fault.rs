@@ -16,10 +16,12 @@
 //!   flagged in the obs snapshot via [`irma_obs::Metrics::mark_degraded`])
 //!   so a best-effort answer can never masquerade as a complete one.
 //!
-//! The deadline is **run-wide**: ladder retries share the original
-//! attempt's [`irma_mine::CancelToken`], so retrying never wins back
-//! already-spent wall-clock time and a tiny `--deadline` exhausts the
-//! ladder deterministically instead of looping.
+//! The deadline covers **one climb of the ladder**: retries share the
+//! first attempt's [`irma_mine::CancelToken`], so retrying never wins
+//! back already-spent wall-clock time and a tiny `--deadline` exhausts
+//! the ladder deterministically instead of looping. A batch run climbs
+//! the ladder once; `irma watch` climbs it once per emission, so each
+//! emission gets the whole deadline.
 //!
 //! [`StageHooks`] exists for the fault-injection harness in
 //! `irma-check`: it fires a callback at each stage entry *inside* that
@@ -30,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use irma_data::Frame;
-use irma_mine::{BudgetBreach, BudgetGuard, MineError, MinerConfig};
+use irma_mine::{BudgetBreach, BudgetGuard, ExecBudget, FrequentItemsets, MineError, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::{encode, EncoderSpec};
 use irma_rules::generate_rules;
@@ -174,22 +176,17 @@ impl StageHooks {
     }
 }
 
-/// Renders a `catch_unwind` payload into a human-readable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// Maps a contained stage panic to its typed error. A payload from the
+/// thread-pool join ("parallel worker panicked") means the panic started
+/// on a worker thread, which gets the dedicated variant.
+fn panic_to_error(stage: &'static str, payload: Box<dyn std::any::Any + Send>) -> PipelineError {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Maps a contained stage panic to its typed error. A payload from the
-/// thread-pool join ("parallel worker panicked") means the panic started
-/// on a worker thread, which gets the dedicated variant.
-fn panic_to_error(stage: &'static str, payload: Box<dyn std::any::Any + Send>) -> PipelineError {
-    let message = panic_message(payload);
+    };
     if message.contains("parallel worker panicked") {
         return PipelineError::WorkerPanic { stage, message };
     }
@@ -197,6 +194,84 @@ fn panic_to_error(stage: &'static str, payload: Box<dyn std::any::Any + Send>) -
         "encode" => PipelineError::Encode(message),
         "mine" => PipelineError::Mine(message),
         _ => PipelineError::Rules(message),
+    }
+}
+
+/// A successful climb of the degradation ladder.
+pub(crate) struct Climbed {
+    /// What the successful attempt mined.
+    pub frequent: FrequentItemsets,
+    /// The knobs the successful attempt ran with.
+    pub knobs: MinerConfig,
+    /// Failed attempts, in order (empty when the first attempt fit).
+    pub steps: Vec<DegradationStep>,
+}
+
+/// The degradation ladder, shared by the batch pipeline and every `irma
+/// watch` emission: mines with `attempt` from `base`'s knobs under a fresh
+/// [`BudgetGuard`] per rung, and on a budget breach retries with the
+/// paper's own knobs turned the cheap way — min-support doubled, max
+/// itemset length decremented — at most [`MAX_DEGRADATION_RETRIES`]
+/// times. The guards share one token minted here, so `budget.deadline`
+/// bounds the whole climb. A panic inside an attempt is contained and
+/// typed as a mine-stage failure. Each failed rung counts one
+/// `core.degradation_steps`; a success after one marks `metrics`
+/// degraded.
+pub(crate) fn climb_ladder(
+    base: &MinerConfig,
+    budget: &ExecBudget,
+    metrics: &Metrics,
+    mut attempt: impl FnMut(&MinerConfig, &BudgetGuard) -> Result<FrequentItemsets, MineError>,
+) -> Result<Climbed, PipelineError> {
+    let climb = BudgetGuard::new(budget);
+    let mut knobs = base.clone();
+    let mut steps: Vec<DegradationStep> = Vec::new();
+    loop {
+        let guard = climb.renew(budget);
+        let outcome = catch_unwind(AssertUnwindSafe(|| attempt(&knobs, &guard)))
+            .map_err(|payload| panic_to_error("mine", payload))?;
+        match outcome {
+            Ok(frequent) => {
+                if !steps.is_empty() {
+                    metrics.mark_degraded();
+                }
+                return Ok(Climbed {
+                    frequent,
+                    knobs,
+                    steps,
+                });
+            }
+            Err(MineError::InvalidConfig(msg)) => {
+                return Err(PipelineError::Mine(format!("invalid miner config: {msg}")));
+            }
+            Err(MineError::WorkerPanic { message }) => {
+                return Err(PipelineError::WorkerPanic {
+                    stage: "mine",
+                    message,
+                });
+            }
+            Err(MineError::Budget(breach)) => {
+                steps.push(DegradationStep {
+                    breach: breach.clone(),
+                    failed_min_support: knobs.min_support,
+                    failed_max_len: knobs.max_len,
+                });
+                metrics.incr("core.degradation_steps", 1);
+                // Doubling min-support shrinks the frequent family
+                // geometrically; dropping max_len caps enumeration depth.
+                let next_support = (knobs.min_support * 2.0).min(1.0);
+                let next_len = knobs.max_len.saturating_sub(1).max(1);
+                let knobs_changed = next_support > knobs.min_support || next_len < knobs.max_len;
+                if !knobs_changed || steps.len() > MAX_DEGRADATION_RETRIES {
+                    return Err(PipelineError::BudgetExceeded {
+                        breach,
+                        attempts: steps.len() as u32,
+                    });
+                }
+                knobs.min_support = next_support;
+                knobs.max_len = next_len;
+            }
+        }
     }
 }
 
@@ -265,76 +340,25 @@ pub fn try_analyze_traced_hooked(
     }))
     .map_err(|payload| panic_to_error("encode", payload))?;
 
-    // One guard per attempt, all sharing one token: itemset/tree-byte
-    // counters reset per rung, the wall-clock deadline never does.
-    let first_guard = BudgetGuard::new(&config.budget);
-    let mut miner: MinerConfig = config.miner.clone();
-    let mut steps: Vec<DegradationStep> = Vec::new();
-    let (frequent, rules) = loop {
-        let guard = if steps.is_empty() {
-            BudgetGuard::with_token(&config.budget, first_guard.token().clone())
-        } else {
-            first_guard.renew(&config.budget)
-        };
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            hooks.fire("mine");
-            config.algorithm.mine(&encoded.db, &miner, metrics, &guard)
-        }))
-        .map_err(|payload| panic_to_error("mine", payload))?;
+    let Climbed {
+        frequent,
+        knobs: miner,
+        steps,
+    } = climb_ladder(&config.miner, &config.budget, metrics, |knobs, guard| {
+        hooks.fire("mine");
+        config.algorithm.mine(&encoded.db, knobs, metrics, guard)
+    })?;
+    let rules = catch_unwind(AssertUnwindSafe(|| {
+        hooks.fire("rules");
+        generate_rules(&frequent, &config.rules, metrics)
+    }))
+    .map_err(|payload| panic_to_error("rules", payload))?;
 
-        match attempt {
-            Ok(frequent) => {
-                let rules = catch_unwind(AssertUnwindSafe(|| {
-                    hooks.fire("rules");
-                    generate_rules(&frequent, &config.rules, metrics)
-                }))
-                .map_err(|payload| panic_to_error("rules", payload))?;
-                break (frequent, rules);
-            }
-            Err(MineError::InvalidConfig(msg)) => {
-                return Err(PipelineError::Mine(format!("invalid miner config: {msg}")));
-            }
-            Err(MineError::WorkerPanic { message }) => {
-                return Err(PipelineError::WorkerPanic {
-                    stage: "mine",
-                    message,
-                });
-            }
-            Err(MineError::Budget(breach)) => {
-                steps.push(DegradationStep {
-                    breach: breach.clone(),
-                    failed_min_support: miner.min_support,
-                    failed_max_len: miner.max_len,
-                });
-                metrics.incr("core.degradation_steps", 1);
-                // The paper's own knobs, turned the cheap way: doubling
-                // min-support shrinks the frequent family geometrically,
-                // dropping max_len caps enumeration depth.
-                let next_support = (miner.min_support * 2.0).min(1.0);
-                let next_len = miner.max_len.saturating_sub(1).max(1);
-                let knobs_changed = next_support > miner.min_support || next_len < miner.max_len;
-                if !knobs_changed || steps.len() > MAX_DEGRADATION_RETRIES {
-                    return Err(PipelineError::BudgetExceeded {
-                        breach,
-                        attempts: steps.len() as u32,
-                    });
-                }
-                miner.min_support = next_support;
-                miner.max_len = next_len;
-            }
-        }
-    };
-
-    let degradation = if steps.is_empty() {
-        None
-    } else {
-        metrics.mark_degraded();
-        Some(Degradation {
-            steps,
-            final_min_support: miner.min_support,
-            final_max_len: miner.max_len,
-        })
-    };
+    let degradation = (!steps.is_empty()).then_some(Degradation {
+        steps,
+        final_min_support: miner.min_support,
+        final_max_len: miner.max_len,
+    });
 
     root.field("jobs", encoded.db.len() as u64);
     root.field("rules", rules.len() as u64);

@@ -13,7 +13,10 @@
 //! * [`traces`] — the [`Trace`] profiles and one-call trace preparation
 //!   ([`prepare`], [`prepare_all`]);
 //! * [`experiments`] — one function per paper table and figure;
-//! * [`stats`] / [`report`] — CDFs, box stats, and text rendering.
+//! * [`stats`] / [`report`] — CDFs, box stats, and text rendering;
+//! * [`watch`] — [`watch_feed`], the `irma watch` daemon: every feed
+//!   line reaches a sliding window over a bounded blocking channel, and
+//!   each emission climbs the same budget ladder as [`try_analyze`].
 //!
 //! ```no_run
 //! use irma_core::{pai_spec, try_analyze, AnalysisConfig, Metrics};
@@ -59,7 +62,7 @@ pub use specs::{
     pai_spec, philly_spec, supercloud_spec, KW_FAILED, KW_KILLED, KW_MULTI_GPU, KW_SM_ZERO,
 };
 pub use traces::{prepare, prepare_all, ExperimentScale, Trace, TraceAnalysis};
-pub use watch::{watch_feed, AdaptiveSampler, Emission, SpscRing, WatchConfig, WatchSummary};
+pub use watch::{watch_feed, Emission, WatchConfig, WatchSummary};
 pub use workflow::{Analysis, AnalysisConfig};
 
 // Budget types and observability handles, re-exported so workflow

@@ -1,232 +1,57 @@
 //! `irma watch` — the long-running streaming analysis daemon.
 //!
-//! [`watch_feed`] wires the whole streaming story together: a producer
-//! thread parses trace records from any [`BufRead`] feed and hands them
-//! through a bounded lock-free [`SpscRing`] to the mining loop, which
-//! keeps a [`SlidingWindowMiner`]'s item counts and drift current
+//! [`watch_feed`] wires the whole streaming story together: a reader
+//! thread parses trace records from any [`BufRead`] feed and hands every
+//! one, in order, through a bounded blocking channel to the mining loop,
+//! which keeps a [`SlidingWindowMiner`]'s item counts and drift current
 //! (O(|txn|) per arrival) and, whenever window drift crosses a threshold
 //! or a cadence of arrivals elapses, mines the window with Eclat and
 //! re-emits failure rules plus an OpenMetrics-ready snapshot.
 //!
-//! Two mechanisms keep the daemon healthy when reality misbehaves:
-//!
-//! * **Backpressure + adaptive sampling.** The ring is bounded; when the
-//!   producer outruns the miner it first spins (counted as
-//!   `watch.backpressure_waits`), and the [`AdaptiveSampler`] degrades
-//!   the admission rate (keep every k-th record, k doubling while ring
-//!   occupancy stays above its high watermark) so a sustained burst
-//!   costs bounded staleness instead of unbounded memory. Every dropped
-//!   record is counted (`watch.sampled_out`) — degradation is always
-//!   visible, never silent.
-//! * **Budgeted mining with the degradation ladder.** Every re-mine runs
-//!   under an [`ExecBudget`] through [`SlidingWindowMiner::mine`],
-//!   wrapped in the same relax-and-retry ladder the batch pipeline uses
-//!   (double `min_support`, shrink `max_len`, at most
-//!   [`MAX_DEGRADATION_RETRIES`] rungs). A poisoned window — budget
-//!   breach, even a worker panic — costs one failed emission
+//! * **Backpressure, never sampling.** The channel holds 1,024 records;
+//!   when the reader outruns the miner it counts one
+//!   `watch.backpressure_waits` and blocks until a slot frees. Every
+//!   parsed line is admitted, so the emissions depend only on the feed
+//!   and the configuration, never on thread timing. Both sides block
+//!   while the feed is quiet; neither spins.
+//! * **Budgeted mining through the batch ladder.** Every emission climbs
+//!   the same relax-and-retry ladder as `irma analyze` (double
+//!   `min_support`, shrink `max_len`, at most
+//!   [`crate::MAX_DEGRADATION_RETRIES`] rungs) under a budget of its own,
+//!   so [`ExecBudget::deadline`] bounds each emission. A poisoned window
+//!   — budget breach, even a worker panic — costs one failed emission
 //!   (`watch.emission_failures`), never the process.
 //!
 //! Garbled feed lines are counted (`watch.garbled_lines`) and skipped;
 //! trace-log write failures are already absorbed and counted by the
 //! metrics registry. The daemon's only unrecoverable input is EOF.
 
-use std::cell::{Cell, UnsafeCell};
 use std::io::BufRead;
-use std::mem::MaybeUninit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use irma_mine::{
-    BudgetGuard, ExecBudget, FrequentItemsets, ItemId, MineError, MinerConfig, SlidingWindowMiner,
-};
+use irma_mine::{ExecBudget, ItemId, MinerConfig, SlidingWindowMiner};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{
     generate_rules, InvalidPruneParams, KeywordAnalysis, PruneParams, Rule, RuleConfig,
 };
 
-use crate::fault::{panic_message, MAX_DEGRADATION_RETRIES};
+use crate::fault::{climb_ladder, PipelineError};
+
+/// Parsed feed records the channel between the feed reader and the
+/// mining loop holds before the reader blocks.
+const FEED_CAPACITY: usize = 1_024;
+
+/// How long the mining loop waits for a record before it re-checks
+/// [`WatchConfig::shutdown`].
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Arrivals the mining loop waits after a failed emission before
 /// re-arming the triggers, so a window that keeps tripping the ladder
 /// does not re-run it on every arrival.
 const FAILURE_COOLDOWN: usize = 64;
-
-// ---------------------------------------------------------------------
-// SPSC ring buffer
-// ---------------------------------------------------------------------
-
-/// A cache-line-aligned atomic so the producer's tail and the consumer's
-/// head never share a line (classic false-sharing hazard in SPSC rings).
-#[repr(align(64))]
-struct PaddedAtomicUsize(AtomicUsize);
-
-/// A bounded single-producer single-consumer ring buffer.
-///
-/// Indices grow monotonically (wrapping `usize` arithmetic) and are
-/// masked into the power-of-two slot array, so `tail - head` is always
-/// the live element count. The producer owns `tail` (stores with
-/// `Release` after writing the slot), the consumer owns `head` (stores
-/// with `Release` after reading the slot out); each side `Acquire`-loads
-/// the other's index, which is exactly the synchronizes-with edge that
-/// publishes slot contents across the threads.
-pub struct SpscRing<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-    /// Next index to pop (consumer-owned).
-    head: PaddedAtomicUsize,
-    /// Next index to push (producer-owned).
-    tail: PaddedAtomicUsize,
-}
-
-// SAFETY: the ring hands each value from exactly one thread to exactly
-// one other thread (the head/tail protocol above guarantees a slot is
-// never read and written concurrently), so sharing the ring is sound
-// whenever moving `T` between threads is.
-unsafe impl<T: Send> Send for SpscRing<T> {}
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-
-impl<T> SpscRing<T> {
-    /// A ring holding at least `capacity` elements (rounded up to the
-    /// next power of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> SpscRing<T> {
-        let capacity = capacity.max(2).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SpscRing {
-            slots,
-            mask: capacity - 1,
-            head: PaddedAtomicUsize(AtomicUsize::new(0)),
-            tail: PaddedAtomicUsize(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current element count (racy by nature; exact when called from
-    /// either endpoint thread between its own operations).
-    pub fn len(&self) -> usize {
-        self.tail
-            .0
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.0.load(Ordering::Acquire))
-    }
-
-    /// Whether the ring is currently empty (racy, like [`SpscRing::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Producer side: appends `value`, or returns it back when the ring
-    /// is full. Must only be called from one thread at a time.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) == self.slots.len() {
-            return Err(value);
-        }
-        // SAFETY: `tail - head < capacity`, so this slot is not live and
-        // the consumer will not touch it until the Release store below.
-        unsafe { (*self.slots[tail & self.mask].get()).write(value) };
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Consumer side: removes the oldest element, if any. Must only be
-    /// called from one thread at a time.
-    pub fn pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head < tail` means this slot holds an initialized
-        // value the producer published with its Release store, and the
-        // producer will not overwrite it until the Release store below.
-        let value = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
-        self.head.0.store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        // Undrained elements still own resources; pop them so they drop.
-        while self.pop().is_some() {}
-    }
-}
-
-// ---------------------------------------------------------------------
-// Adaptive sampler
-// ---------------------------------------------------------------------
-
-/// Deterministic keep-every-k admission control for the feed producer.
-///
-/// While ring occupancy sits above the high watermark the keep interval
-/// doubles (admit 1 in 2, 1 in 4, ...); once occupancy falls below the
-/// low watermark it halves back toward admitting everything. Watermarks
-/// are only consulted every [`AdaptiveSampler::ADJUST_STRIDE`] arrivals
-/// so a single occupancy spike cannot slam the rate to the floor.
-/// Admission is `tick % keep_every == 0` — deterministic, so tests and
-/// replays see identical drop schedules for identical load patterns.
-#[derive(Debug)]
-pub struct AdaptiveSampler {
-    keep_every: u32,
-    tick: u64,
-}
-
-impl AdaptiveSampler {
-    /// Arrivals between watermark checks.
-    pub const ADJUST_STRIDE: u64 = 32;
-    /// Ceiling on the keep interval (1 in 65536 records).
-    pub const MAX_KEEP_EVERY: u32 = 1 << 16;
-    /// Occupancy above which the sampler degrades.
-    pub const HIGH_WATERMARK: f64 = 0.75;
-    /// Occupancy below which the sampler recovers.
-    pub const LOW_WATERMARK: f64 = 0.25;
-
-    /// A sampler that starts by admitting everything.
-    pub fn new() -> AdaptiveSampler {
-        AdaptiveSampler {
-            keep_every: 1,
-            tick: 0,
-        }
-    }
-
-    /// Current keep interval (1 = no sampling).
-    pub fn keep_every(&self) -> u32 {
-        self.keep_every
-    }
-
-    /// Decides whether the next record is admitted, given current ring
-    /// occupancy in `[0, 1]`.
-    pub fn admit(&mut self, occupancy: f64) -> bool {
-        if self.tick.is_multiple_of(AdaptiveSampler::ADJUST_STRIDE) {
-            if occupancy > AdaptiveSampler::HIGH_WATERMARK
-                && self.keep_every < AdaptiveSampler::MAX_KEEP_EVERY
-            {
-                self.keep_every <<= 1;
-            } else if occupancy < AdaptiveSampler::LOW_WATERMARK && self.keep_every > 1 {
-                self.keep_every >>= 1;
-            }
-        }
-        let admitted = self.tick.is_multiple_of(u64::from(self.keep_every));
-        self.tick = self.tick.wrapping_add(1);
-        admitted
-    }
-}
-
-impl Default for AdaptiveSampler {
-    fn default() -> AdaptiveSampler {
-        AdaptiveSampler::new()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Configuration and outputs
@@ -244,7 +69,7 @@ pub struct WatchConfig {
     pub rules: RuleConfig,
     /// Keyword-pruning parameters (used when [`WatchConfig::keyword`] is set).
     pub prune: PruneParams,
-    /// Execution budget each mining attempt runs under.
+    /// Execution budget of each emission's ladder climb.
     pub budget: ExecBudget,
     /// Window L1 drift (vs. the last mined baseline) that triggers a
     /// re-emission.
@@ -262,11 +87,9 @@ pub struct WatchConfig {
     pub keyword: Option<ItemId>,
     /// Rules carried per emission.
     pub top: usize,
-    /// Feed ring capacity (rounded up to a power of two).
-    pub ring_capacity: usize,
     /// Cooperative shutdown flag (e.g. set from a SIGTERM handler). When
     /// it flips to `true` the mining loop stops admitting arrivals,
-    /// flushes a final emission, and returns — even if the feed producer
+    /// flushes a final emission, and returns — even if the feed reader
     /// is still blocked reading a quiet source.
     pub shutdown: Option<Arc<AtomicBool>>,
 }
@@ -285,7 +108,6 @@ impl Default for WatchConfig {
             max_arrivals: None,
             keyword: None,
             top: 5,
-            ring_capacity: 1_024,
             shutdown: None,
         }
     }
@@ -324,13 +146,11 @@ pub struct WatchSummary {
     pub degraded_emissions: u64,
     /// Feed lines that failed to parse and were skipped.
     pub garbled_lines: u64,
-    /// Records dropped by the adaptive sampler under load.
-    pub sampled_out: u64,
-    /// Producer spins while the ring was full.
+    /// Times the feed reader found the channel full and had to block.
     pub backpressure_waits: u64,
     /// Window length when the feed ended.
     pub final_window: usize,
-    /// Human-readable reason for the most recent failed emission.
+    /// The [`PipelineError`] text of the most recent failed emission.
     pub last_error: Option<String>,
 }
 
@@ -342,60 +162,6 @@ fn parse_line(line: &str) -> Option<Vec<ItemId>> {
         txn.push(token.trim().parse::<ItemId>().ok()?);
     }
     Some(txn)
-}
-
-/// One budgeted mine through the degradation ladder: retry with relaxed
-/// thresholds on budget breaches, contain worker panics, give up after
-/// [`MAX_DEGRADATION_RETRIES`] rungs. Returns the itemsets plus the
-/// number of rungs taken, or a description of why mining was abandoned.
-fn laddered_mine(
-    miner: &mut SlidingWindowMiner,
-    base: &MinerConfig,
-    budget: &ExecBudget,
-    run_guard: &BudgetGuard,
-    metrics: &Metrics,
-) -> Result<(FrequentItemsets, usize), String> {
-    let mut knobs = base.clone();
-    let mut steps = 0usize;
-    loop {
-        let guard = run_guard.renew(budget);
-        // Eclat returns a panic in its per-item work as `WorkerPanic`;
-        // the outer `catch_unwind` guards the rest of the re-mine (the
-        // window snapshot, the span bookkeeping) and reports the same way.
-        let outcome = catch_unwind(AssertUnwindSafe(|| miner.mine(&knobs, &guard))).unwrap_or_else(
-            |payload| {
-                Err(MineError::WorkerPanic {
-                    message: panic_message(payload),
-                })
-            },
-        );
-        match outcome {
-            Ok(frequent) => {
-                if steps > 0 {
-                    metrics.mark_degraded();
-                }
-                return Ok((frequent, steps));
-            }
-            Err(MineError::Budget(breach)) => {
-                steps += 1;
-                metrics.incr("core.degradation_steps", 1);
-                let next_support = (knobs.min_support * 2.0).min(1.0);
-                let next_len = knobs.max_len.saturating_sub(1).max(1);
-                let knobs_changed = next_support > knobs.min_support || next_len < knobs.max_len;
-                if !knobs_changed || steps > MAX_DEGRADATION_RETRIES {
-                    return Err(format!(
-                        "budget exhausted after {steps} degradation step(s): {breach:?}"
-                    ));
-                }
-                knobs.min_support = next_support;
-                knobs.max_len = next_len;
-            }
-            Err(MineError::WorkerPanic { message }) => {
-                return Err(format!("mining worker panicked: {message}"));
-            }
-            Err(err) => return Err(format!("mining failed: {err:?}")),
-        }
-    }
 }
 
 /// Keyword causes when a keyword is configured, otherwise the top rules
@@ -412,29 +178,53 @@ fn select_rules(
         }
         None => rules,
     };
-    kept.sort_by(|a, b| {
-        b.lift
-            .total_cmp(&a.lift)
-            .then_with(|| a.antecedent.items().cmp(b.antecedent.items()))
-            .then_with(|| a.consequent.items().cmp(b.consequent.items()))
-    });
+    kept.sort_by(Rule::cmp_by_lift);
     kept.truncate(config.top);
     Ok(kept)
 }
 
-/// Feed-side state shared between the producer thread and the mining
-/// loop. `Arc`-held (not scope-borrowed) so the mining loop can return
-/// on a shutdown request even while the producer is still blocked
-/// reading a quiet feed — the straggler exits on its next line (or EOF)
-/// when it observes `consumer_stopped`, and the `Arc` keeps this state
-/// alive until then.
-struct FeedShared {
-    ring: SpscRing<Vec<ItemId>>,
-    producer_done: AtomicBool,
-    consumer_stopped: AtomicBool,
+/// The feed reader's counters. `Arc`-held because the mining loop may
+/// return on a shutdown request while the reader is still blocked on a
+/// quiet feed; the straggler exits on its next line (or EOF), when its
+/// send finds the channel closed.
+#[derive(Default)]
+struct FeedCounters {
     garbled: AtomicU64,
-    sampled_out: AtomicU64,
     backpressure_waits: AtomicU64,
+}
+
+/// The feed reader: parses `feed` line by line and sends every record
+/// to the mining loop, in order. Returns at EOF, on a read error
+/// (counted as one garbled line), or once the mining loop has dropped
+/// its end of the channel.
+fn read_feed(feed: impl BufRead, records: SyncSender<Vec<ItemId>>, counters: &FeedCounters) {
+    for line in feed.lines() {
+        let Ok(line) = line else {
+            // An I/O error mid-feed is indistinguishable from a
+            // truncated record: count it, stop reading.
+            counters.garbled.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let Some(txn) = parse_line(line) else {
+            counters.garbled.fetch_add(1, Ordering::Relaxed);
+            continue;
+        };
+        let sent = match records.try_send(txn) {
+            Ok(()) => true,
+            Err(TrySendError::Full(txn)) => {
+                counters.backpressure_waits.fetch_add(1, Ordering::Relaxed);
+                records.send(txn).is_ok()
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        };
+        if !sent {
+            return;
+        }
+    }
 }
 
 /// Runs the streaming daemon over `feed` until EOF (or
@@ -454,16 +244,8 @@ where
     F: FnMut(&Emission),
 {
     let started = Instant::now();
-    let last_emission: Cell<Option<Instant>> = Cell::new(None);
+    let mut last_emission: Option<Instant> = None;
     let warmup = config.warmup.clamp(1, config.window);
-    let shared = Arc::new(FeedShared {
-        ring: SpscRing::with_capacity(config.ring_capacity),
-        producer_done: AtomicBool::new(false),
-        consumer_stopped: AtomicBool::new(false),
-        garbled: AtomicU64::new(0),
-        sampled_out: AtomicU64::new(0),
-        backpressure_waits: AtomicU64::new(0),
-    });
     let shutdown_requested = || {
         config
             .shutdown
@@ -471,222 +253,134 @@ where
             .is_some_and(|f| f.load(Ordering::Relaxed))
     };
 
-    let mut summary = WatchSummary::default();
-
-    let producer = {
-        let shared = Arc::clone(&shared);
-        let metrics = metrics.clone();
+    let (sender, records) = sync_channel(FEED_CAPACITY);
+    let counters = Arc::new(FeedCounters::default());
+    let reader = {
+        let counters = Arc::clone(&counters);
         std::thread::Builder::new()
             .name("irma-watch-feed".to_string())
-            .spawn(move || {
-                let mut sampler = AdaptiveSampler::new();
-                let mut last_keep_every = sampler.keep_every();
-                'feed: for line in feed.lines() {
-                    if shared.consumer_stopped.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(line) = line else {
-                        // An I/O error mid-feed is indistinguishable from
-                        // a truncated record: count it, stop reading.
-                        shared.garbled.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let Some(txn) = parse_line(line) else {
-                        shared.garbled.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    };
-                    let occupancy = shared.ring.len() as f64 / shared.ring.capacity() as f64;
-                    if !sampler.admit(occupancy) {
-                        shared.sampled_out.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if sampler.keep_every() != last_keep_every {
-                        last_keep_every = sampler.keep_every();
-                        metrics.gauge("watch.sample_keep_every", f64::from(last_keep_every));
-                    }
-                    let mut pending = txn;
-                    loop {
-                        match shared.ring.push(pending) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                if shared.consumer_stopped.load(Ordering::Relaxed) {
-                                    break 'feed;
-                                }
-                                pending = back;
-                                shared.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-                shared.producer_done.store(true, Ordering::Release);
-            })
-            .expect("spawning watch feed producer")
+            .spawn(move || read_feed(feed, sender, &counters))
+            .expect("spawning watch feed reader")
     };
 
-    {
-        let mut miner = SlidingWindowMiner::new(config.window, config.miner.clone())
-            .with_metrics(metrics.clone());
-        let first_guard = BudgetGuard::new(&config.budget);
-        let mut since_emit = 0usize;
-        let mut cooldown = 0usize;
+    let mut summary = WatchSummary::default();
+    let mut miner =
+        SlidingWindowMiner::new(config.window, config.miner.clone()).with_metrics(metrics.clone());
 
-        let mut emit = |miner: &mut SlidingWindowMiner,
-                        summary: &mut WatchSummary,
-                        since_emit: &mut usize,
-                        cooldown: &mut usize,
-                        drift: f64| {
-            let selected =
-                laddered_mine(miner, &config.miner, &config.budget, &first_guard, metrics)
-                    .and_then(|(frequent, steps)| {
-                        let rules = generate_rules(&frequent, &config.rules, metrics);
-                        let rules = select_rules(rules, config, metrics)
-                            .map_err(|error| format!("invalid prune params: {error}"))?;
-                        Ok((rules, steps))
-                    });
-            match selected {
-                Ok((rules, steps)) => {
-                    summary.emissions += 1;
-                    if steps > 0 {
-                        summary.degraded_emissions += 1;
-                    }
-                    *since_emit = 0;
-                    last_emission.set(Some(Instant::now()));
-                    metrics.incr("watch.emissions", 1);
-                    metrics.gauge(
-                        "watch.window_fill",
-                        miner.len() as f64 / config.window as f64,
-                    );
-                    metrics.gauge("watch.uptime_seconds", started.elapsed().as_secs_f64());
-                    metrics.gauge("watch.last_emission_age_seconds", 0.0);
-                    // Scheduler counters from whichever pool serves this
-                    // loop (the installed one under `install`, the global
-                    // registry otherwise).
-                    crate::sched::record_sched_stats(metrics);
-                    on_emit(&Emission {
-                        seq: summary.emissions,
-                        arrivals: summary.arrivals,
-                        window: miner.len(),
-                        drift,
-                        degradation_steps: steps,
-                        rules,
-                    });
+    // Mines the window and reports one emission; returns whether it
+    // succeeded.
+    let mut emit = |miner: &mut SlidingWindowMiner, summary: &mut WatchSummary, drift: f64| {
+        let selected = climb_ladder(&config.miner, &config.budget, metrics, |knobs, guard| {
+            miner.mine(knobs, guard)
+        })
+        .and_then(|climbed| {
+            let rules = generate_rules(&climbed.frequent, &config.rules, metrics);
+            let rules = select_rules(rules, config, metrics)
+                .map_err(|error| PipelineError::Rules(format!("invalid prune params: {error}")))?;
+            Ok((rules, climbed.steps.len()))
+        });
+        metrics.gauge("watch.uptime_seconds", started.elapsed().as_secs_f64());
+        match selected {
+            Ok((rules, steps)) => {
+                summary.emissions += 1;
+                if steps > 0 {
+                    summary.degraded_emissions += 1;
                 }
-                Err(reason) => {
-                    summary.failed_emissions += 1;
-                    summary.last_error = Some(reason);
-                    *since_emit = 0;
-                    *cooldown = FAILURE_COOLDOWN;
-                    metrics.incr("watch.emission_failures", 1);
-                    metrics.gauge("watch.uptime_seconds", started.elapsed().as_secs_f64());
-                }
-            }
-        };
-
-        'mine: loop {
-            let txn = loop {
-                if let Some(txn) = shared.ring.pop() {
-                    break txn;
-                }
-                if shutdown_requested() {
-                    shared.consumer_stopped.store(true, Ordering::Relaxed);
-                    break 'mine;
-                }
-                if shared.producer_done.load(Ordering::Acquire) {
-                    // `producer_done` is stored after the final push, so
-                    // one more pop after observing it drains stragglers.
-                    match shared.ring.pop() {
-                        Some(txn) => break txn,
-                        None => break 'mine,
-                    }
-                }
-                std::thread::yield_now();
-            };
-            miner.push(txn);
-            summary.arrivals += 1;
-            since_emit += 1;
-            cooldown = cooldown.saturating_sub(1);
-            if shutdown_requested() {
-                shared.consumer_stopped.store(true, Ordering::Relaxed);
-                break;
-            }
-            if let Some(max) = config.max_arrivals {
-                if summary.arrivals >= max {
-                    shared.consumer_stopped.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            if miner.len() < warmup || cooldown > 0 {
-                continue;
-            }
-            let drift = miner.drift();
-            let cadence_due = config.cadence > 0 && since_emit >= config.cadence;
-            if drift >= config.drift_threshold || cadence_due {
-                emit(
-                    &mut miner,
-                    &mut summary,
-                    &mut since_emit,
-                    &mut cooldown,
-                    drift,
+                last_emission = Some(Instant::now());
+                metrics.incr("watch.emissions", 1);
+                metrics.gauge(
+                    "watch.window_fill",
+                    miner.len() as f64 / config.window as f64,
                 );
+                metrics.gauge("watch.last_emission_age_seconds", 0.0);
+                // Scheduler counters from whichever pool serves this
+                // loop (the installed one under `install`, the global
+                // registry otherwise).
+                crate::sched::record_sched_stats(metrics);
+                on_emit(&Emission {
+                    seq: summary.emissions,
+                    arrivals: summary.arrivals,
+                    window: miner.len(),
+                    drift,
+                    degradation_steps: steps,
+                    rules,
+                });
+                true
+            }
+            Err(error) => {
+                summary.failed_emissions += 1;
+                summary.last_error = Some(error.to_string());
+                metrics.incr("watch.emission_failures", 1);
+                false
             }
         }
-        // Final flush: whatever arrived since the last emission still
-        // deserves one report before the daemon exits.
-        if since_emit > 0 && !miner.is_empty() {
-            let drift = miner.drift();
-            emit(
-                &mut miner,
-                &mut summary,
-                &mut since_emit,
-                &mut cooldown,
-                drift,
-            );
+    };
+
+    let mut since_emit = 0usize;
+    let mut cooldown = 0usize;
+    let fed_to_eof = loop {
+        let txn = match records.recv_timeout(SHUTDOWN_POLL) {
+            Ok(txn) => txn,
+            Err(RecvTimeoutError::Disconnected) => break true,
+            Err(RecvTimeoutError::Timeout) if shutdown_requested() => break false,
+            Err(RecvTimeoutError::Timeout) => continue,
+        };
+        miner.push(txn);
+        summary.arrivals += 1;
+        since_emit += 1;
+        cooldown = cooldown.saturating_sub(1);
+        if shutdown_requested()
+            || config
+                .max_arrivals
+                .is_some_and(|max| summary.arrivals >= max)
+        {
+            break false;
         }
-        summary.final_window = miner.len();
+        if miner.len() < warmup || cooldown > 0 {
+            continue;
+        }
+        let drift = miner.drift();
+        let cadence_due = config.cadence > 0 && since_emit >= config.cadence;
+        if drift >= config.drift_threshold || cadence_due {
+            if !emit(&mut miner, &mut summary, drift) {
+                cooldown = FAILURE_COOLDOWN;
+            }
+            since_emit = 0;
+        }
+    };
+    // Closing the channel stops a reader that is still sending; one
+    // blocked on a quiet feed stays detached until its next line or EOF.
+    drop(records);
+    if fed_to_eof {
+        let _ = reader.join();
     }
 
-    // Join the producer when it has finished (the common EOF path, where
-    // the counters below are then exact). After a shutdown request it
-    // gets a short grace period to notice `consumer_stopped`; a producer
-    // still blocked on a quiet feed is left detached — it exits on its
-    // next line or EOF, and the `Arc` keeps the shared state alive.
-    let grace = Instant::now();
-    while !shared.producer_done.load(Ordering::Acquire)
-        && grace.elapsed() < Duration::from_millis(200)
-    {
-        std::thread::yield_now();
+    // Final flush: whatever arrived since the last emission still
+    // deserves one report before the daemon exits.
+    if since_emit > 0 && !miner.is_empty() {
+        let drift = miner.drift();
+        emit(&mut miner, &mut summary, drift);
     }
-    if shared.producer_done.load(Ordering::Acquire) {
-        let _ = producer.join();
-    }
+    summary.final_window = miner.len();
 
     // Final health gauges: how long the daemon ran and how stale its
     // last report was at shutdown (a live scrape endpoint recomputes
     // these from wall clocks; the snapshot file keeps the exit values).
     metrics.gauge("watch.uptime_seconds", started.elapsed().as_secs_f64());
-    if let Some(at) = last_emission.get() {
+    if let Some(at) = last_emission {
         metrics.gauge(
             "watch.last_emission_age_seconds",
             at.elapsed().as_secs_f64(),
         );
     }
 
-    summary.garbled_lines = shared.garbled.load(Ordering::Relaxed);
-    summary.sampled_out = shared.sampled_out.load(Ordering::Relaxed);
-    summary.backpressure_waits = shared.backpressure_waits.load(Ordering::Relaxed);
+    summary.garbled_lines = counters.garbled.load(Ordering::Relaxed);
+    summary.backpressure_waits = counters.backpressure_waits.load(Ordering::Relaxed);
     if summary.arrivals > 0 {
         metrics.incr("watch.arrivals", summary.arrivals);
     }
     if summary.garbled_lines > 0 {
         metrics.incr("watch.garbled_lines", summary.garbled_lines);
-    }
-    if summary.sampled_out > 0 {
-        metrics.incr("watch.sampled_out", summary.sampled_out);
     }
     if summary.backpressure_waits > 0 {
         metrics.incr("watch.backpressure_waits", summary.backpressure_waits);
@@ -757,90 +451,82 @@ mod tests {
         feed_of(&txns)
     }
 
-    #[test]
-    fn ring_roundtrips_in_order() {
-        let ring = SpscRing::with_capacity(4);
-        assert!(ring.is_empty());
-        for i in 0..4 {
-            ring.push(i).unwrap();
-        }
-        assert_eq!(ring.push(99), Err(99), "full ring must reject");
-        for i in 0..4 {
-            assert_eq!(ring.pop(), Some(i));
-        }
-        assert_eq!(ring.pop(), None);
+    /// A reader that serves one line per `read` call, sleeping `pace`
+    /// before each: the shape of a live feed trickling in.
+    struct PacedFeed {
+        lines: std::vec::IntoIter<String>,
+        pace: Duration,
     }
 
-    #[test]
-    fn ring_transfers_every_element_across_threads() {
-        let ring: SpscRing<u64> = SpscRing::with_capacity(8);
-        let n = 10_000u64;
-        let received = std::thread::scope(|scope| {
-            let producer = {
-                let ring = &ring;
-                scope.spawn(move || {
-                    for i in 0..n {
-                        let mut v = i;
-                        while let Err(back) = ring.push(v) {
-                            v = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                })
+    impl std::io::Read for PacedFeed {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(line) = self.lines.next() else {
+                return Ok(0);
             };
-            let mut received = Vec::with_capacity(n as usize);
-            while received.len() < n as usize {
-                match ring.pop() {
-                    Some(v) => received.push(v),
-                    None => std::thread::yield_now(),
-                }
-            }
-            producer.join().unwrap();
-            received
-        });
-        assert_eq!(received, (0..n).collect::<Vec<_>>());
+            std::thread::sleep(self.pace);
+            assert!(line.len() <= buf.len(), "feed line longer than the buffer");
+            buf[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
+        }
     }
 
     #[test]
-    fn ring_drop_releases_undrained_elements() {
-        let token = std::sync::Arc::new(());
-        {
-            let ring = SpscRing::with_capacity(8);
-            for _ in 0..5 {
-                ring.push(std::sync::Arc::clone(&token)).unwrap();
-            }
-            assert_eq!(std::sync::Arc::strong_count(&token), 6);
-        }
-        assert_eq!(std::sync::Arc::strong_count(&token), 1);
-    }
-
-    #[test]
-    fn sampler_admits_everything_when_idle() {
-        let mut sampler = AdaptiveSampler::new();
-        for _ in 0..1_000 {
-            assert!(sampler.admit(0.0));
-        }
-        assert_eq!(sampler.keep_every(), 1);
-    }
-
-    #[test]
-    fn sampler_degrades_under_pressure_and_recovers() {
-        let mut sampler = AdaptiveSampler::new();
-        let mut admitted = 0usize;
-        for _ in 0..4 * AdaptiveSampler::ADJUST_STRIDE as usize {
-            if sampler.admit(0.95) {
-                admitted += 1;
-            }
-        }
-        assert!(sampler.keep_every() >= 8, "sustained pressure must degrade");
-        assert!(
-            admitted < 3 * AdaptiveSampler::ADJUST_STRIDE as usize,
-            "degraded sampler must drop records"
+    fn a_slow_consumer_blocks_the_reader_instead_of_dropping_lines() {
+        let lines = 20 * FEED_CAPACITY;
+        let config = WatchConfig {
+            window: 64,
+            warmup: 16,
+            cadence: 2 * FEED_CAPACITY,
+            drift_threshold: f64::INFINITY,
+            ..WatchConfig::default()
+        };
+        let mut emissions = 0u64;
+        let summary = watch_feed(
+            two_regime_feed(lines),
+            &config,
+            &Metrics::disabled(),
+            |_: &Emission| {
+                emissions += 1;
+                std::thread::sleep(Duration::from_millis(20));
+            },
         );
-        for _ in 0..20 * AdaptiveSampler::ADJUST_STRIDE as usize {
-            sampler.admit(0.0);
-        }
-        assert_eq!(sampler.keep_every(), 1, "idle ring must recover");
+        assert_eq!(summary.arrivals, lines as u64, "summary: {summary:?}");
+        assert_eq!(summary.emissions, emissions);
+    }
+
+    #[test]
+    fn the_deadline_bounds_each_emission_not_the_daemon() {
+        // 200 lines at ~1 ms each outlast the 50 ms deadline several
+        // times over; each emission mines a 32-record window in far less.
+        let config = WatchConfig {
+            window: 32,
+            warmup: 8,
+            cadence: 16,
+            drift_threshold: f64::INFINITY,
+            budget: ExecBudget {
+                deadline: Some(Duration::from_millis(50)),
+                ..ExecBudget::default()
+            },
+            ..WatchConfig::default()
+        };
+        let feed = PacedFeed {
+            lines: (0..200)
+                .map(|i| if i % 2 == 0 { "0,1\n" } else { "2,3\n" }.to_string())
+                .collect::<Vec<_>>()
+                .into_iter(),
+            pace: Duration::from_millis(1),
+        };
+        let started = Instant::now();
+        let summary = watch_feed(
+            std::io::BufReader::new(feed),
+            &config,
+            &Metrics::disabled(),
+            |_| {},
+        );
+        assert!(started.elapsed() > Duration::from_millis(100));
+        assert_eq!(summary.arrivals, 200);
+        assert_eq!(summary.failed_emissions, 0, "summary: {summary:?}");
+        assert_eq!(summary.emissions, 13, "summary: {summary:?}");
     }
 
     #[test]
@@ -1084,10 +770,8 @@ mod tests {
         });
         assert_eq!(summary.emissions, 0);
         assert!(summary.failed_emissions >= 1, "summary: {summary:?}");
-        assert!(summary
-            .last_error
-            .as_deref()
-            .is_some_and(|e| e.contains("budget exhausted")));
+        let error = summary.last_error.expect("failure recorded");
+        assert!(error.starts_with("budget exceeded after "), "{error}");
         assert!(counter(&metrics, "watch.emission_failures") > 0);
     }
 
@@ -1112,10 +796,11 @@ mod tests {
         let summary = watch_feed(two_regime_feed(16), &config, &Metrics::disabled(), |_| {});
         assert_eq!(summary.emissions, 0);
         assert!(summary.failed_emissions >= 1, "summary: {summary:?}");
-        assert!(summary
-            .last_error
-            .as_deref()
-            .is_some_and(|e| e.contains("panicked")));
+        let error = summary.last_error.expect("failure recorded");
+        assert!(
+            error.starts_with("worker panicked in mine stage: "),
+            "{error}"
+        );
     }
 
     #[test]
@@ -1193,6 +878,9 @@ mod tests {
         assert_eq!(summary.emissions, 0);
         assert!(summary.failed_emissions >= 1);
         let error = summary.last_error.expect("failure recorded");
-        assert!(error.contains("invalid prune params"), "{error}");
+        assert!(
+            error.starts_with("rules stage failed: invalid prune params"),
+            "{error}"
+        );
     }
 }

@@ -175,11 +175,6 @@ impl Column {
         Column::Str(st)
     }
 
-    /// Builds a bool column from an iterator.
-    pub fn from_bools<I: IntoIterator<Item = bool>>(values: I) -> Column {
-        Column::Bool(values.into_iter().map(Some).collect())
-    }
-
     /// Builds an int column with nulls.
     pub fn from_opt_ints<I: IntoIterator<Item = Option<i64>>>(values: I) -> Column {
         Column::Int(values.into_iter().collect())
@@ -313,14 +308,6 @@ impl Column {
     pub fn as_strs(&self) -> Option<&StrStorage> {
         match self {
             Column::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Typed view of a bool column.
-    pub fn as_bools(&self) -> Option<&[Option<bool>]> {
-        match self {
-            Column::Bool(v) => Some(v),
             _ => None,
         }
     }

@@ -71,12 +71,6 @@ impl Frame {
         Ok(&self.columns[self.column_index(name)?])
     }
 
-    /// Borrow a column mutably by name.
-    pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
-        let idx = self.column_index(name)?;
-        Ok(&mut self.columns[idx])
-    }
-
     /// All columns, parallel to [`Frame::names`].
     pub fn columns(&self) -> &[Column] {
         &self.columns

@@ -48,14 +48,8 @@ impl KeywordAnalysis {
                 RuleRole::Unrelated => unreachable!("prune_rules drops unrelated rules"),
             }
         }
-        let by_strength = |a: &Rule, b: &Rule| {
-            b.confidence
-                .total_cmp(&a.confidence)
-                .then_with(|| b.lift.total_cmp(&a.lift))
-                .then_with(|| a.key().cmp(&b.key()))
-        };
-        causes.sort_by(by_strength);
-        characteristics.sort_by(by_strength);
+        causes.sort_by(Rule::cmp_by_strength);
+        characteristics.sort_by(Rule::cmp_by_strength);
         Ok(KeywordAnalysis {
             causes,
             characteristics,

@@ -33,12 +33,7 @@ impl RuleClassifier {
             .filter(|r| r.role(keyword) == RuleRole::Cause && r.confidence >= min_confidence)
             .cloned()
             .collect();
-        selected.sort_by(|a, b| {
-            b.confidence
-                .total_cmp(&a.confidence)
-                .then_with(|| b.lift.total_cmp(&a.lift))
-                .then_with(|| a.key().cmp(&b.key()))
-        });
+        selected.sort_by(Rule::cmp_by_strength);
         RuleClassifier {
             keyword,
             rules: selected,

@@ -1,5 +1,6 @@
 //! Association rules and their quality metrics.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use irma_mine::{ItemCatalog, ItemId, Itemset};
@@ -147,6 +148,31 @@ impl Rule {
     /// Canonical ordering key: by antecedent, then consequent.
     pub fn key(&self) -> (Itemset, Itemset) {
         (self.antecedent.clone(), self.consequent.clone())
+    }
+
+    /// Descending lift, ties in [`Rule::key`] order: the order of every
+    /// "top rules by lift" listing.
+    pub fn cmp_by_lift(&self, other: &Rule) -> Ordering {
+        other
+            .lift
+            .total_cmp(&self.lift)
+            .then_with(|| self.cmp_key(other))
+    }
+
+    /// Descending confidence, then descending lift, ties in
+    /// [`Rule::key`] order: the order of the paper's keyword tables.
+    pub fn cmp_by_strength(&self, other: &Rule) -> Ordering {
+        other
+            .confidence
+            .total_cmp(&self.confidence)
+            .then_with(|| self.cmp_by_lift(other))
+    }
+
+    /// [`Rule::key`] order without cloning either side.
+    fn cmp_key(&self, other: &Rule) -> Ordering {
+        self.antecedent
+            .cmp(&other.antecedent)
+            .then_with(|| self.consequent.cmp(&other.consequent))
     }
 }
 

@@ -65,11 +65,6 @@ impl RuleTrie {
         RuleTrie::from_sides(rules.iter().map(|r| r.antecedent.items()))
     }
 
-    /// Builds a trie keyed by each rule's **consequent**.
-    pub fn over_consequents(rules: &[Rule]) -> RuleTrie {
-        RuleTrie::from_sides(rules.iter().map(|r| r.consequent.items()))
-    }
-
     /// Builds a trie from raw sorted item slices; entry `k` of the
     /// iterator is indexed as rule `k`.
     pub fn from_sides<'a>(sides: impl Iterator<Item = &'a [ItemId]>) -> RuleTrie {

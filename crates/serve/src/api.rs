@@ -468,12 +468,7 @@ fn render_rule(rule: &Rule, catalog: &irma_mine::ItemCatalog) -> String {
 
 fn top_rules(rules: &[Rule], top: usize) -> Vec<&Rule> {
     let mut sorted: Vec<&Rule> = rules.iter().collect();
-    sorted.sort_by(|a, b| {
-        b.lift
-            .total_cmp(&a.lift)
-            .then_with(|| a.antecedent.items().cmp(b.antecedent.items()))
-            .then_with(|| a.consequent.items().cmp(b.consequent.items()))
-    });
+    sorted.sort_by(|a, b| a.cmp_by_lift(b));
     sorted.truncate(top);
     sorted
 }
