@@ -7,18 +7,30 @@
 //! support with Apriori degrading sharply as support drops (more and
 //! longer candidates), with the crossover visible at high support where
 //! Apriori's simple counting wins on tiny candidate sets.
+//!
+//! Every miner runs on a 1-wide pool, so these sweeps time the miners
+//! sequentially; `mining.rs` has the width grid.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::OnceLock;
 
 use irma_bench::bench_db;
 use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
 use irma_obs::Metrics;
+use rayon::{ThreadPool, ThreadPoolBuilder};
 
-/// Runs `algorithm` unbudgeted and unobserved; returns the itemset count.
+/// Runs `algorithm` unbudgeted and unobserved on a 1-wide pool; returns
+/// the itemset count.
 fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> usize {
-    algorithm
-        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
+    static SEQUENTIAL: OnceLock<ThreadPool> = OnceLock::new();
+    let pool = SEQUENTIAL.get_or_init(|| {
+        ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("build rayon pool")
+    });
+    pool.install(|| algorithm.mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()))
         .expect("valid config")
         .len()
 }
@@ -31,7 +43,6 @@ fn support_sweep(c: &mut Criterion) {
         let config = MinerConfig {
             min_support,
             max_len: 5,
-            parallel: false,
         };
         group.bench_with_input(
             BenchmarkId::new("fpgrowth", min_support),
@@ -58,7 +69,6 @@ fn size_sweep(c: &mut Criterion) {
         let config = MinerConfig {
             min_support: 0.05,
             max_len: 5,
-            parallel: false,
         };
         group.bench_with_input(BenchmarkId::new("fpgrowth", n_jobs), &db, |b, db| {
             b.iter(|| black_box(mine(Algorithm::FpGrowth, db, &config)))
@@ -83,7 +93,6 @@ fn max_len_sweep(c: &mut Criterion) {
         let config = MinerConfig {
             min_support: 0.05,
             max_len,
-            parallel: false,
         };
         group.bench_with_input(BenchmarkId::new("fpgrowth", max_len), &config, |b, cfg| {
             b.iter(|| black_box(mine(Algorithm::FpGrowth, &db, cfg)))

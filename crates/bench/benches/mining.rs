@@ -86,7 +86,6 @@ fn measure(db: &TransactionDb, algorithm: Algorithm, threads: usize) -> (f64, u6
     let config = MinerConfig {
         min_support: 0.02,
         max_len: 5,
-        parallel: true,
     };
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

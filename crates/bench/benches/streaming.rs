@@ -1,23 +1,13 @@
-//! Streaming and condensation benches: sliding-window push throughput,
-//! drift evaluation, on-demand window re-mining (Eclat over the window's
-//! snapshot), the daemon's per-arrival re-mine at its default window,
-//! top-k dynamic-support mining, and closed/maximal condensation cost.
+//! Streaming benches: sliding-window push throughput, drift evaluation,
+//! on-demand window re-mining (Eclat over the window's snapshot) and the
+//! daemon's per-arrival re-mine at its default window.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use irma_bench::bench_encoded;
 use irma_core::Trace;
-use irma_mine::{
-    closed_itemsets, fpgrowth, maximal_itemsets, mine_top_k, BudgetGuard, FrequentItemsets,
-    MinerConfig, SlidingWindowMiner, TransactionDb,
-};
-use irma_obs::Metrics;
-
-/// Batch FP-Growth, unbudgeted and unobserved.
-fn batch(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    fpgrowth(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()).expect("valid config")
-}
+use irma_mine::{BudgetGuard, MinerConfig, SlidingWindowMiner};
 
 fn window_ops(c: &mut Criterion) {
     let encoded = bench_encoded(Trace::SuperCloud, 20_000);
@@ -72,24 +62,5 @@ fn window_ops(c: &mut Criterion) {
     group.finish();
 }
 
-fn top_k_and_condense(c: &mut Criterion) {
-    let db = irma_bench::bench_db(30_000);
-    let mut group = c.benchmark_group("condense");
-    group.sample_size(10);
-    for &k in &[10usize, 100, 1_000] {
-        group.bench_with_input(BenchmarkId::new("mine_top_k", k), &k, |b, &k| {
-            b.iter(|| black_box(mine_top_k(&db, k, 5, batch)).len())
-        });
-    }
-    let frequent = batch(&db, &MinerConfig::with_min_support(0.05));
-    group.bench_function("closed_itemsets", |b| {
-        b.iter(|| black_box(closed_itemsets(&frequent)).len())
-    });
-    group.bench_function("maximal_itemsets", |b| {
-        b.iter(|| black_box(maximal_itemsets(&frequent)).len())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, window_ops, top_k_and_condense);
+criterion_group!(benches, window_ops);
 criterion_main!(benches);

@@ -16,6 +16,7 @@
 //! always say so).
 
 use std::io::{self, Write};
+use std::sync::OnceLock;
 
 use irma_core::{ExecBudget, StageHooks};
 use irma_obs::EventSink;
@@ -99,8 +100,18 @@ pub struct FaultPlan {
     pub budget: Option<BudgetFault>,
     /// Whether the trace-log sink's writer fails after a few bytes.
     pub failing_sink: bool,
-    /// Whether the mining stage runs its parallel path.
-    pub parallel: bool,
+    /// Width of the pool the pipeline runs on: 1 or 2 (see
+    /// [`FaultPlan::pool`]).
+    pub width: usize,
+}
+
+/// A pool width of 1 or 2, drawn as one 50% chance.
+fn draw_width(rng: &mut FaultRng) -> usize {
+    if rng.chance(50) {
+        2
+    } else {
+        1
+    }
 }
 
 impl FaultPlan {
@@ -108,7 +119,7 @@ impl FaultPlan {
     pub fn clean(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            parallel: FaultRng::new(seed).chance(50),
+            width: draw_width(&mut FaultRng::new(seed)),
             ..FaultPlan::default()
         }
     }
@@ -119,7 +130,7 @@ impl FaultPlan {
     /// failures, not just isolated ones.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut rng = FaultRng::new(seed);
-        let parallel = rng.chance(50);
+        let width = draw_width(&mut rng);
         let input = if rng.chance(40) {
             Some(match rng.below(3) {
                 0 => InputFault::Truncate,
@@ -155,8 +166,23 @@ impl FaultPlan {
             stage_panic,
             budget,
             failing_sink,
-            parallel,
+            width,
         }
+    }
+
+    /// The pool of [`FaultPlan::width`] workers to run the plan on. The
+    /// 1- and 2-wide pools are built once and shared by every plan.
+    pub fn pool(&self) -> &'static rayon::ThreadPool {
+        static POOLS: OnceLock<[rayon::ThreadPool; 2]> = OnceLock::new();
+        let pools = POOLS.get_or_init(|| {
+            [1, 2].map(|width| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .expect("chaos pool")
+            })
+        });
+        &pools[usize::from(self.width > 1)]
     }
 
     /// Whether this plan injects nothing at all.

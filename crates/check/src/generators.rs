@@ -21,12 +21,11 @@ pub fn arb_transaction_db(max_items: u32, max_txns: usize) -> impl Strategy<Valu
 
 /// Miner config over the full parameter space the workspace uses:
 /// percentage-grid support thresholds (what the paper writes: 5%, 7%, …),
-/// itemset length caps 1–5, and both execution modes.
+/// and itemset length caps 1–5.
 pub fn arb_miner_config() -> impl Strategy<Value = MinerConfig> {
-    (1..=100u64, 1usize..=5, any::<bool>()).prop_map(|(pct, max_len, parallel)| MinerConfig {
+    (1..=100u64, 1usize..=5).prop_map(|(pct, max_len)| MinerConfig {
         min_support: pct as f64 / 100.0,
         max_len,
-        parallel,
     })
 }
 
@@ -51,7 +50,6 @@ pub fn arb_exact_threshold_case() -> impl Strategy<Value = (TransactionDb, Miner
         let config = MinerConfig {
             min_support: pct as f64 / 100.0,
             max_len: 2,
-            parallel: false,
         };
         (
             TransactionDb::from_transactions(txns),

@@ -81,7 +81,6 @@ fn base_seed() -> u64 {
 
 fn chaos_config(plan: &FaultPlan) -> AnalysisConfig {
     let mut config = AnalysisConfig::default();
-    config.miner.parallel = plan.parallel;
     config.rules.min_lift = 1.2;
     config.budget = plan.exec_budget();
     config
@@ -101,9 +100,9 @@ fn run_plan(plan: &FaultPlan) -> (Result<Analysis, PipelineError>, Snapshot) {
     let _region = ContainedRegion::enter();
     let result = match read_csv_str(&csv) {
         Err(e) => Err(PipelineError::Parse(e.to_string())),
-        Ok(frame) => {
+        Ok(frame) => plan.pool().install(|| {
             try_analyze_traced_hooked(&frame, &base_spec(), &config, &metrics, &plan.stage_hooks())
-        }
+        }),
     };
     let snapshot = metrics.snapshot();
     (result, snapshot)
@@ -287,7 +286,7 @@ fn poisoned_workers_are_contained_per_rank() {
     quiet_panics();
     let plan = FaultPlan {
         budget: Some(BudgetFault::WorkerPanic(1)),
-        parallel: true,
+        width: 2,
         ..FaultPlan::clean(base_seed())
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| run_plan(&plan)));

@@ -68,18 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_equals_sequential(
-        db in arb_transaction_db(10, 60),
-        mut config in arb_miner_config(),
-    ) {
-        config.parallel = false;
-        let sequential = mine(Algorithm::FpGrowth, &db, &config);
-        config.parallel = true;
-        let parallel = mine(Algorithm::FpGrowth, &db, &config);
-        prop_assert_eq!(sequential.as_slice(), parallel.as_slice());
-    }
-
-    #[test]
     fn exact_threshold_item_is_frequent(
         (db, config, expected_count) in arb_exact_threshold_case(),
     ) {
@@ -126,7 +114,7 @@ fn counts_survive_universe_padding() {
     assert_eq!(frequent.as_slice(), reference.as_slice());
 }
 
-/// The default miner against the paper's, at the widths and sizes the
+/// The pipeline's miner against the paper's, at the widths and sizes the
 /// pipeline runs: Eclat ≡ FP-Growth on the encoded 20k-job PAI,
 /// SuperCloud and Philly databases (the `serve_mix` body size), at pool
 /// widths 1, 2 and 8 and every `max_len` from 1 to 5, so Eclat's
@@ -139,7 +127,6 @@ fn eclat_matches_fpgrowth_on_encoded_traces_at_every_width() {
         for max_len in 1..=5 {
             let config = MinerConfig {
                 max_len,
-                parallel: true,
                 ..MinerConfig::default()
             };
             let reference = mine(Algorithm::FpGrowth, &db, &config);

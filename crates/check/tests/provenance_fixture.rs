@@ -112,7 +112,6 @@ fn run_at(c_lift: f64) -> Run {
             &MinerConfig {
                 min_support: 0.05,
                 max_len: 3,
-                parallel: false,
             },
             &metrics,
             &BudgetGuard::unlimited(),

@@ -516,7 +516,6 @@ fn mine(db: &irma_mine::TransactionDb) -> FrequentItemsets {
     let config = MinerConfig {
         min_support: 0.05,
         max_len: 4,
-        parallel: false,
     };
     fpgrowth(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited()).expect("valid config")
 }

@@ -21,7 +21,6 @@ fn rules_from(db: &irma_mine::TransactionDb) -> Vec<Rule> {
     let config = MinerConfig {
         min_support: 0.05,
         max_len: 4,
-        parallel: false,
     };
     let metrics = Metrics::disabled();
     let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();

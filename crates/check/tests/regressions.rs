@@ -15,7 +15,6 @@ fn threshold_sitting_items_survive_the_float_ceil() {
     let config = MinerConfig {
         min_support: 0.07,
         max_len: 2,
-        parallel: false,
     };
     let txns: Vec<Vec<u32>> = (0..100)
         .map(|i| if i < 7 { vec![0, 1] } else { vec![1] })

@@ -24,7 +24,6 @@ fn mine_config() -> MinerConfig {
     MinerConfig {
         min_support: 0.05,
         max_len: 4,
-        parallel: false,
     }
 }
 

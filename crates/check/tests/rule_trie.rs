@@ -91,7 +91,6 @@ fn rules_from(db: &TransactionDb) -> Vec<Rule> {
     let config = MinerConfig {
         min_support: 0.05,
         max_len: 4,
-        parallel: false,
     };
     mine_rules(db, &config, &RuleConfig::with_min_lift(0.0))
 }
@@ -199,7 +198,6 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
         &MinerConfig {
             min_support: 0.05,
             max_len: 3,
-            parallel: false,
         },
         &RuleConfig {
             min_lift: 1.0,

@@ -32,7 +32,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use irma_data::Frame;
-use irma_mine::{BudgetBreach, BudgetGuard, ExecBudget, FrequentItemsets, MineError, MinerConfig};
+use irma_mine::{
+    eclat, BudgetBreach, BudgetGuard, ExecBudget, FrequentItemsets, MineError, MinerConfig,
+};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::{encode, EncoderSpec};
 use irma_rules::generate_rules;
@@ -346,7 +348,7 @@ pub fn try_analyze_traced_hooked(
         steps,
     } = climb_ladder(&config.miner, &config.budget, metrics, |knobs, guard| {
         hooks.fire("mine");
-        config.algorithm.mine(&encoded.db, knobs, metrics, guard)
+        eclat(&encoded.db, knobs, metrics, guard)
     })?;
     let rules = catch_unwind(AssertUnwindSafe(|| {
         hooks.fire("rules");
@@ -519,7 +521,6 @@ mod tests {
         quiet_panics();
         let (frame, spec) = tiny_frame();
         let mut config = base_config();
-        config.miner.parallel = true;
         config.budget = ExecBudget {
             panic_after_emits: Some(1),
             ..ExecBudget::default()
@@ -556,10 +557,7 @@ mod tests {
     #[test]
     fn error_display_is_informative() {
         let err = PipelineError::BudgetExceeded {
-            breach: BudgetBreach::Itemsets {
-                emitted: 11,
-                cap: 10,
-            },
+            breach: BudgetBreach::Itemsets { cap: 10 },
             attempts: 4,
         };
         let text = err.to_string();

@@ -8,17 +8,11 @@
 //!   16-hex-digit handle a client can replay (`fp:<hex>` bodies) instead
 //!   of re-uploading the dataset.
 //! * [`config_cache_key`] renders the analysis knobs that *change the
-//!   output* into a canonical string. Knobs that provably do not are
-//!   deliberately excluded, so a client retrying with a longer deadline
-//!   or another miner still hits the cache:
-//!   - the miner (`AnalysisConfig::algorithm`): every exact miner returns
-//!     the same itemsets, pinned by the differential harness, and the
-//!     response does not echo it;
-//!   - `MinerConfig::parallel`: byte-identical output at any width, also
-//!     pinned by the differential harness;
-//!   - the whole [`irma_mine::ExecBudget`]: cached entries are
-//!     full-fidelity, never degraded, so the budget that produced them is
-//!     irrelevant.
+//!   output* into a canonical string. The one knob that does not, the
+//!   whole [`irma_mine::ExecBudget`], is deliberately excluded, so a
+//!   client retrying with a longer deadline still hits the cache: cached
+//!   entries are full-fidelity, never degraded, so the budget that
+//!   produced them is irrelevant.
 //!
 //! Floats are keyed by their exact bit pattern ([`f64::to_bits`]): no
 //! formatting round-trip, no false sharing between configs that differ
@@ -61,7 +55,7 @@ pub fn config_cache_key(config: &AnalysisConfig, keyword: Option<&str>, top: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irma_mine::{Algorithm, ExecBudget};
+    use irma_mine::ExecBudget;
 
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
@@ -74,23 +68,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_parallel_and_budget() {
+    fn cache_key_ignores_budget() {
         let base = AnalysisConfig::default();
-        let mut parallel_off = base.clone();
-        parallel_off.miner.parallel = !base.miner.parallel;
         let mut budgeted = base.clone();
         budgeted.budget = ExecBudget {
             max_itemsets: Some(10),
             ..ExecBudget::default()
         };
-        let key = config_cache_key(&base, None, 10);
-        assert_eq!(key, config_cache_key(&parallel_off, None, 10));
-        assert_eq!(key, config_cache_key(&budgeted, None, 10));
-        for algorithm in Algorithm::all() {
-            let mut mined_by = base.clone();
-            mined_by.algorithm = algorithm;
-            assert_eq!(key, config_cache_key(&mined_by, None, 10));
-        }
+        assert_eq!(
+            config_cache_key(&base, None, 10),
+            config_cache_key(&budgeted, None, 10)
+        );
     }
 
     #[test]

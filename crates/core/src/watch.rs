@@ -783,10 +783,6 @@ mod tests {
             warmup: 4,
             cadence: 4,
             drift_threshold: f64::INFINITY,
-            miner: MinerConfig {
-                parallel: false,
-                ..MinerConfig::default()
-            },
             budget: ExecBudget {
                 panic_after_emits: Some(1),
                 ..ExecBudget::default()

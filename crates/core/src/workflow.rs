@@ -7,7 +7,7 @@
 //! against the shared rule set, exactly the "all high-quality rules in a
 //! single execution" design §V highlights.
 
-use irma_mine::{Algorithm, ExecBudget, FrequentItemsets, ItemId, MinerConfig};
+use irma_mine::{ExecBudget, FrequentItemsets, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::Encoded;
 use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleConfig, RuleTrie};
@@ -15,10 +15,8 @@ use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleCo
 /// Every knob of the paper's workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisConfig {
-    /// Which frequent-itemset miner to run (Eclat by default; every exact
-    /// miner yields the same itemsets).
-    pub algorithm: Algorithm,
-    /// Support threshold and itemset-length cap.
+    /// Support threshold and itemset-length cap for the miner
+    /// ([`irma_mine::eclat`]).
     pub miner: MinerConfig,
     /// Lift (and optional confidence/support) floors for rule generation.
     pub rules: RuleConfig,
@@ -405,21 +403,5 @@ mod tests {
         // Candidate rules below the lift floor are explained as filtered.
         let jsonl = explainer.to_jsonl(&labeler);
         assert!(jsonl.contains("\"filtered\":{") || jsonl.contains("\"kept\":false"));
-    }
-
-    #[test]
-    fn algorithms_agree_end_to_end() {
-        let frame = read_csv_str("a\n1\n2\n3\n4\n1\n2\n1\n").unwrap();
-        let spec = irma_prep::EncoderSpec::new(vec![FeatureSpec::numeric("a", "A")]);
-        let mut rules_by_algo = Vec::new();
-        for algorithm in Algorithm::all() {
-            let config = AnalysisConfig {
-                algorithm,
-                ..AnalysisConfig::default()
-            };
-            rules_by_algo.push(try_analyze(&frame, &spec, &config).unwrap().rules);
-        }
-        assert_eq!(rules_by_algo[0], rules_by_algo[1]);
-        assert_eq!(rules_by_algo[0], rules_by_algo[2]);
     }
 }

@@ -221,10 +221,10 @@ fn join_run(frequent_k: &[Itemset], start: usize, end: usize) -> Vec<Itemset> {
 
 /// Generates length-(k+1) candidates from frequent length-k itemsets using
 /// the prefix join, then prunes candidates with an infrequent k-subset.
-/// `frequent_k` must be sorted. With `parallel`, runs are joined
-/// concurrently and concatenated in run order, so the candidate list is
-/// identical to the sequential one.
-fn generate_candidates(frequent_k: &[Itemset], parallel: bool) -> Vec<Itemset> {
+/// `frequent_k` must be sorted. Runs are joined on the pool and
+/// concatenated in run order, so the candidate list is the same at any
+/// width.
+fn generate_candidates(frequent_k: &[Itemset]) -> Vec<Itemset> {
     // frequent_k is sorted lexicographically, so joinable prefixes are
     // adjacent runs.
     let mut runs: Vec<(usize, usize)> = Vec::new();
@@ -239,17 +239,11 @@ fn generate_candidates(frequent_k: &[Itemset], parallel: bool) -> Vec<Itemset> {
         runs.push((start, end));
         start = end;
     }
-    if parallel && runs.len() > 1 {
-        let per_run: Vec<Vec<Itemset>> = (0..runs.len())
-            .into_par_iter()
-            .map(|r| join_run(frequent_k, runs[r].0, runs[r].1))
-            .collect();
-        per_run.into_iter().flatten().collect()
-    } else {
-        runs.iter()
-            .flat_map(|&(s, e)| join_run(frequent_k, s, e))
-            .collect()
-    }
+    let per_run: Vec<Vec<Itemset>> = (0..runs.len())
+        .into_par_iter()
+        .map(|r| join_run(frequent_k, runs[r].0, runs[r].1))
+        .collect();
+    per_run.into_iter().flatten().collect()
 }
 
 /// Collapses the database to unique transactions with multiplicity
@@ -313,7 +307,7 @@ pub fn apriori(
     while !frequent_k.is_empty() && k < config.max_len {
         guard.checkpoint_now()?;
         frequent_k.sort_unstable();
-        let candidates = generate_candidates(&frequent_k, config.parallel);
+        let candidates = generate_candidates(&frequent_k);
         if candidates.is_empty() {
             break;
         }
@@ -393,7 +387,6 @@ mod tests {
             let config = MinerConfig {
                 min_support,
                 max_len: 5,
-                parallel: false,
             };
             let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
             let f = fpgrowth(
@@ -430,7 +423,7 @@ mod tests {
             Itemset::from_items([1, 2]),
             Itemset::from_items([1, 3]),
         ];
-        let candidates = generate_candidates(&frequent, false);
+        let candidates = generate_candidates(&frequent);
         assert_eq!(candidates, vec![Itemset::from_items([0, 1, 2])]);
     }
 
@@ -438,7 +431,7 @@ mod tests {
     fn candidate_pruning_drops_unsupported_subsets() {
         // {0,1} and {0,2} join to {0,1,2} but {1,2} is not frequent.
         let frequent = vec![Itemset::from_items([0, 1]), Itemset::from_items([0, 2])];
-        let candidates = generate_candidates(&frequent, false);
+        let candidates = generate_candidates(&frequent);
         assert!(candidates.is_empty());
     }
 
@@ -448,7 +441,6 @@ mod tests {
         let config = MinerConfig {
             min_support: 0.1,
             max_len: 2,
-            parallel: false,
         };
         let fi = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
@@ -464,22 +456,6 @@ mod tests {
         let mut counts = vec![0u64; 3];
         trie.count_into(&[1, 2, 3], 2, &mut counts);
         assert_eq!(counts, vec![2, 0, 2]);
-    }
-
-    #[test]
-    fn parallel_candidate_generation_matches_sequential() {
-        // Several disjoint prefix runs at k = 2.
-        let mut frequent: Vec<Itemset> = Vec::new();
-        for a in 0..8u32 {
-            for b in (a + 1)..8 {
-                frequent.push(Itemset::from_items([a, b]));
-            }
-        }
-        frequent.sort_unstable();
-        let sequential = generate_candidates(&frequent, false);
-        let parallel = generate_candidates(&frequent, true);
-        assert!(!sequential.is_empty());
-        assert_eq!(sequential, parallel);
     }
 
     #[test]

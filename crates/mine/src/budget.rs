@@ -68,20 +68,19 @@ impl ExecBudget {
     }
 }
 
-/// Which budget cap a mining attempt ran into.
+/// Which budget cap a mining attempt ran into. A breach records only the
+/// configured cap, not the running total that crossed it: pool workers
+/// charge the shared counters concurrently, so that total depends on
+/// scheduling, while the cap does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BudgetBreach {
     /// The itemset cap tripped.
     Itemsets {
-        /// Itemsets emitted when the cap tripped.
-        emitted: u64,
         /// The configured cap.
         cap: u64,
     },
     /// The estimated index-memory cap (FP-tree arenas or tid-sets) tripped.
     TreeMemory {
-        /// Estimated cumulative tree bytes when the cap tripped.
-        estimated: u64,
         /// The configured cap.
         cap: u64,
     },
@@ -97,13 +96,12 @@ pub enum BudgetBreach {
 impl std::fmt::Display for BudgetBreach {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BudgetBreach::Itemsets { emitted, cap } => {
-                write!(f, "itemset budget exceeded ({emitted} emitted, cap {cap})")
+            BudgetBreach::Itemsets { cap } => {
+                write!(f, "itemset budget exceeded (cap {cap})")
             }
-            BudgetBreach::TreeMemory { estimated, cap } => write!(
-                f,
-                "estimated tree memory exceeded ({estimated} bytes, cap {cap})"
-            ),
+            BudgetBreach::TreeMemory { cap } => {
+                write!(f, "estimated tree memory exceeded (cap {cap} bytes)")
+            }
             BudgetBreach::Deadline { budget } => {
                 write!(f, "deadline exceeded ({budget:?} wall-clock budget)")
             }
@@ -288,11 +286,6 @@ impl BudgetGuard {
         &self.token
     }
 
-    /// Itemsets emitted so far in this attempt.
-    pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
-    }
-
     /// Cooperative poll: cancellation flag always, wall clock every 64
     /// calls. Call once per recursion step.
     pub fn checkpoint(&self) -> Result<(), BudgetBreach> {
@@ -341,7 +334,7 @@ impl BudgetGuard {
         }
         if let Some(cap) = self.max_itemsets {
             if emitted > cap {
-                return Err(BudgetBreach::Itemsets { emitted, cap });
+                return Err(BudgetBreach::Itemsets { cap });
             }
         }
         Ok(())
@@ -355,7 +348,7 @@ impl BudgetGuard {
         };
         let estimated = self.tree_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         if estimated > cap {
-            return Err(BudgetBreach::TreeMemory { estimated, cap });
+            return Err(BudgetBreach::TreeMemory { cap });
         }
         Ok(())
     }
@@ -374,7 +367,7 @@ mod tests {
             guard.charge_tree_bytes(u64::MAX / 4).unwrap();
         }
         // The itemset counter is not even maintained without a cap.
-        assert_eq!(guard.emitted(), 0);
+        assert_eq!(guard.emitted.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -386,13 +379,7 @@ mod tests {
         let guard = BudgetGuard::new(&budget);
         guard.charge_itemsets(10).unwrap();
         let err = guard.charge_itemsets(1).unwrap_err();
-        assert_eq!(
-            err,
-            BudgetBreach::Itemsets {
-                emitted: 11,
-                cap: 10
-            }
-        );
+        assert_eq!(err, BudgetBreach::Itemsets { cap: 10 });
     }
 
     #[test]
@@ -403,13 +390,10 @@ mod tests {
         };
         let guard = BudgetGuard::new(&budget);
         guard.charge_tree_bytes(60).unwrap();
-        assert!(matches!(
+        assert_eq!(
             guard.charge_tree_bytes(60),
-            Err(BudgetBreach::TreeMemory {
-                estimated: 120,
-                cap: 100
-            })
-        ));
+            Err(BudgetBreach::TreeMemory { cap: 100 })
+        );
     }
 
     #[test]
@@ -458,7 +442,6 @@ mod tests {
         let first = BudgetGuard::new(&budget);
         first.charge_itemsets(6).unwrap_err();
         let second = first.renew(&budget);
-        assert_eq!(second.emitted(), 0);
         second.charge_itemsets(5).unwrap();
         // Cancellation crosses renewals: the token is shared.
         first.token().cancel();
@@ -485,21 +468,15 @@ mod tests {
     fn breach_messages_render() {
         let text = format!(
             "{} | {} | {} | {}",
-            BudgetBreach::Itemsets {
-                emitted: 11,
-                cap: 10
-            },
-            BudgetBreach::TreeMemory {
-                estimated: 200,
-                cap: 100
-            },
+            BudgetBreach::Itemsets { cap: 10 },
+            BudgetBreach::TreeMemory { cap: 100 },
             BudgetBreach::Deadline {
                 budget: Duration::from_millis(1)
             },
             BudgetBreach::Cancelled,
         );
-        assert!(text.contains("itemset budget exceeded (11 emitted, cap 10)"));
-        assert!(text.contains("estimated tree memory exceeded (200 bytes, cap 100)"));
+        assert!(text.contains("itemset budget exceeded (cap 10)"));
+        assert!(text.contains("estimated tree memory exceeded (cap 100 bytes)"));
         assert!(text.contains("deadline exceeded"));
         assert!(text.contains("cancelled"));
         let err: MineError = BudgetBreach::Cancelled.into();

@@ -14,8 +14,6 @@ pub struct MinerConfig {
     /// Maximum itemset length. The paper caps this at 5 to keep generated
     /// rules from becoming over-specific (§III-D).
     pub max_len: usize,
-    /// Whether FP-Growth partitions the header table across rayon workers.
-    pub parallel: bool,
 }
 
 impl Default for MinerConfig {
@@ -23,13 +21,12 @@ impl Default for MinerConfig {
         MinerConfig {
             min_support: 0.05,
             max_len: 5,
-            parallel: true,
         }
     }
 }
 
 impl MinerConfig {
-    /// A sequential config with the given support threshold.
+    /// The default config with the given support threshold.
     pub fn with_min_support(min_support: f64) -> MinerConfig {
         MinerConfig {
             min_support,
@@ -146,48 +143,6 @@ impl FrequentItemsets {
     pub fn as_slice(&self) -> &[(Itemset, u64)] {
         &self.sets
     }
-
-    /// The `k` most frequent itemsets (count-descending, canonical order
-    /// as tie-break). Returns fewer when the family is smaller.
-    pub fn top_k(&self, k: usize) -> Vec<(Itemset, u64)> {
-        let mut ranked: Vec<(Itemset, u64)> = self.sets.clone();
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.len().cmp(&b.0.len()))
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        ranked.truncate(k);
-        ranked
-    }
-}
-
-/// Mines the `k` most frequent itemsets by dynamic support raising:
-/// start from a high threshold and halve it until at least `k` itemsets
-/// qualify (or the floor of one transaction is reached), then keep the
-/// top `k`. Avoids low-support blowup when only the head is wanted.
-pub fn mine_top_k(
-    db: &crate::db::TransactionDb,
-    k: usize,
-    max_len: usize,
-    mine: impl Fn(&crate::db::TransactionDb, &MinerConfig) -> FrequentItemsets,
-) -> Vec<(Itemset, u64)> {
-    if db.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let mut min_support = 0.5f64;
-    loop {
-        let config = MinerConfig {
-            min_support,
-            max_len,
-            parallel: true,
-        };
-        let frequent = mine(db, &config);
-        let floor_reached = config.min_count(db.len()) <= 1;
-        if frequent.len() >= k || floor_reached {
-            return frequent.top_k(k);
-        }
-        min_support /= 2.0;
-    }
 }
 
 #[cfg(test)]
@@ -243,61 +198,6 @@ mod tests {
             ..MinerConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn top_k_orders_by_count() {
-        let sets = vec![
-            (Itemset::from_items([0]), 7),
-            (Itemset::from_items([1]), 9),
-            (Itemset::from_items([0, 1]), 5),
-        ];
-        let fi = FrequentItemsets::new(sets, 10);
-        let top = fi.top_k(2);
-        assert_eq!(top[0].1, 9);
-        assert_eq!(top[1].1, 7);
-        assert_eq!(fi.top_k(10).len(), 3);
-        assert!(fi.top_k(0).is_empty());
-    }
-
-    #[test]
-    fn mine_top_k_raises_support_dynamically() {
-        use crate::budget::BudgetGuard;
-        use crate::fpgrowth::fpgrowth;
-        let fpgrowth = |db: &crate::db::TransactionDb, config: &MinerConfig| {
-            fpgrowth(
-                db,
-                config,
-                &irma_obs::Metrics::disabled(),
-                &BudgetGuard::unlimited(),
-            )
-            .unwrap()
-        };
-        // 0 in every txn; 1 in half; 2 rare.
-        let txns: Vec<Vec<u32>> = (0..64)
-            .map(|i| {
-                let mut t = vec![0u32];
-                if i % 2 == 0 {
-                    t.push(1);
-                }
-                if i % 16 == 0 {
-                    t.push(2);
-                }
-                t
-            })
-            .collect();
-        let db = crate::db::TransactionDb::from_transactions(txns);
-        let top = mine_top_k(&db, 3, 5, fpgrowth);
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0], (Itemset::from_items([0]), 64));
-        assert_eq!(top[1].1, 32);
-        // Asking for more than exists returns the full family.
-        let all = mine_top_k(&db, 1000, 5, fpgrowth);
-        assert!(all.len() >= 5 && all.len() < 1000);
-        // Degenerate inputs.
-        assert!(mine_top_k(&db, 0, 5, fpgrowth).is_empty());
-        let empty = crate::db::TransactionDb::from_transactions(Vec::<Vec<u32>>::new());
-        assert!(mine_top_k(&empty, 3, 5, fpgrowth).is_empty());
     }
 
     #[test]

@@ -114,15 +114,6 @@ impl TransactionDb {
     pub fn total_items(&self) -> usize {
         self.items.len()
     }
-
-    /// Mean transaction length.
-    pub fn mean_transaction_len(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.items.len() as f64 / self.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +159,6 @@ mod tests {
         let d = TransactionDb::from_transactions(Vec::<Vec<ItemId>>::new());
         assert!(d.is_empty());
         assert_eq!(d.support(&Itemset::singleton(0)), 0.0);
-        assert_eq!(d.mean_transaction_len(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Eclat frequent-itemset mining (Zaki, IEEE TKDE 2000) — the pipeline's
-//! default miner.
+//! miner.
 //!
 //! Vertical layout (one transaction-id set per frequent item), depth-first
 //! prefix extension by tid-set intersection. The encoded traces are narrow
@@ -21,7 +21,7 @@
 //! * Every conditional tail comes from a per-worker, per-depth [`Tail`]
 //!   pool, like FP-Growth's frame pool, so steady-state mining allocates
 //!   nothing beyond the emitted itemsets.
-//! * Under `config.parallel` each top-level item is one task, and fat
+//! * On a pool wider than one worker each top-level item is one task, and fat
 //!   prefix ranges keep splitting through [`rayon::join`] at every depth.
 //!   Results merge in item order, so the output is identical at any
 //!   width. A panic is contained per top-level item and comes back as
@@ -112,7 +112,7 @@ struct Ctx<'a> {
     n_words: usize,
     min_count: u64,
     max_len: usize,
-    /// Fork at all: `config.parallel` on a pool wider than one worker.
+    /// Fork at all: the pool is wider than one worker.
     parallel: bool,
     guard: &'a BudgetGuard,
 }
@@ -280,13 +280,14 @@ type Chunk = Vec<(Itemset, u64)>;
 /// `lo..hi` of `tail`, appending to `out` and counting intersections in
 /// `joins`.
 ///
-/// In parallel mode a range of [`PAR_SPLIT_MIN`] or more positions splits
-/// in two via [`rayon::join`] — at every depth, so one fat prefix subtree
-/// keeps forking stealable halves instead of serializing a worker. The
-/// whole `tail` travels to both halves: position `p` joins with
-/// `tail[p + 1..]`, which crosses the split point. Halves emit into their
-/// own buffers, merged left then right, so the output order is the
-/// sequential one; on concurrent failures the left error wins.
+/// On a pool wider than one worker, a range of [`PAR_SPLIT_MIN`] or more
+/// positions splits in two via [`rayon::join`] — at every depth, so one
+/// fat prefix subtree keeps forking stealable halves instead of
+/// serializing a worker. The whole `tail` travels to both halves:
+/// position `p` joins with `tail[p + 1..]`, which crosses the split
+/// point. Halves emit into their own buffers, merged left then right, so
+/// the output order is the 1-wide one; on concurrent failures the left
+/// error wins.
 ///
 /// Checkpoints the guard once per call, charges one itemset per emission
 /// and each stored tail's bytes.
@@ -384,7 +385,7 @@ pub fn eclat(
         n_words: n_txns.div_ceil(64),
         min_count: config.min_count(n_txns),
         max_len: config.max_len,
-        parallel: config.parallel && rayon::current_num_threads() > 1,
+        parallel: rayon::current_num_threads() > 1,
         guard,
     };
 
@@ -410,21 +411,13 @@ pub fn eclat(
             })
         })
     };
+    let results: Vec<_> = (0..layout.len()).into_par_iter().map(mine_item).collect();
     let mut out: Chunk = Vec::new();
     let mut joins = 0;
-    let mut merge_item = |result: Result<(Chunk, u64), MineError>| {
+    for result in results {
         let (chunk, n) = result?;
         out.extend(chunk);
         joins += n;
-        Ok::<(), MineError>(())
-    };
-    if ctx.parallel {
-        let results: Vec<_> = (0..layout.len()).into_par_iter().map(mine_item).collect();
-        results.into_iter().try_for_each(&mut merge_item)?;
-    } else {
-        (0..layout.len())
-            .map(mine_item)
-            .try_for_each(&mut merge_item)?;
     }
     span.field("itemsets_out", out.len() as u64);
     span.field("intersections", joins);
@@ -578,24 +571,21 @@ mod tests {
         let db = textbook_db();
         for min_support in [0.1, 0.2, 0.4, 0.7] {
             for max_len in 1..=5 {
-                for parallel in [false, true] {
-                    let config = MinerConfig {
-                        min_support,
-                        max_len,
-                        parallel,
-                    };
-                    let e = unbudgeted(&db, &config);
-                    let f = fpgrowth(
-                        &db,
-                        &config,
-                        &Metrics::disabled(),
-                        &BudgetGuard::unlimited(),
-                    )
-                    .unwrap();
-                    let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
-                    assert_eq!(e.as_slice(), f.as_slice());
-                    assert_eq!(e.as_slice(), a.as_slice());
-                }
+                let config = MinerConfig {
+                    min_support,
+                    max_len,
+                };
+                let e = unbudgeted(&db, &config);
+                let f = fpgrowth(
+                    &db,
+                    &config,
+                    &Metrics::disabled(),
+                    &BudgetGuard::unlimited(),
+                )
+                .unwrap();
+                let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
+                assert_eq!(e.as_slice(), f.as_slice());
+                assert_eq!(e.as_slice(), a.as_slice());
             }
         }
     }
@@ -618,7 +608,6 @@ mod tests {
         let config = MinerConfig {
             min_support: 0.1,
             max_len: 2,
-            parallel: false,
         };
         let layout_bytes = 5 * 8;
         let capped = |cap: u64| {
@@ -665,20 +654,23 @@ mod tests {
             panic_after_emits: Some(2),
             ..ExecBudget::default()
         };
-        for parallel in [false, true] {
-            let config = MinerConfig {
-                parallel,
-                ..MinerConfig::with_min_support(0.1)
-            };
-            let err = eclat(
-                &db,
-                &config,
-                &Metrics::disabled(),
-                &BudgetGuard::new(&budget),
-            );
+        let config = MinerConfig::with_min_support(0.1);
+        for width in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let err = pool.install(|| {
+                eclat(
+                    &db,
+                    &config,
+                    &Metrics::disabled(),
+                    &BudgetGuard::new(&budget),
+                )
+            });
             assert!(
                 matches!(&err, Err(MineError::WorkerPanic { message }) if message.contains("injected")),
-                "parallel={parallel}: {err:?}"
+                "width {width}: {err:?}"
             );
         }
     }

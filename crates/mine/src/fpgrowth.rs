@@ -15,7 +15,7 @@
 //!   scratch, conditional tree, path buffer) comes from a per-worker
 //!   [`Frame`] pool, so steady-state mining performs zero heap
 //!   allocation beyond the emitted itemsets themselves;
-//! * under `config.parallel`, the recursion fans out through
+//! * on a pool wider than one worker, the recursion fans out through
 //!   [`rayon::join`]: rank ranges split in two at *every* depth (above a
 //!   node-count threshold), so skewed conditional subtrees become
 //!   stealable tasks instead of serializing behind a static per-rank
@@ -411,60 +411,14 @@ struct MineCtx<'a> {
 /// A batch of emitted itemsets from one subtree, merged in rank order.
 type Chunk = Vec<(Itemset, u64)>;
 
-/// Sequential recursive FP-Growth over a (conditional) tree. The budget
-/// guard is polled once per call and charged per emitted itemset / built
-/// tree, so a breach surfaces within one conditional subtree of work.
-fn mine_tree(
-    tree: &FpTree,
-    suffix: &mut Vec<ItemId>,
-    ctx: &MineCtx<'_>,
-    out: &mut Chunk,
-    stats: &mut MineStats,
-) -> Result<(), BudgetBreach> {
-    if suffix.len() >= ctx.max_len {
-        return Ok(());
-    }
-    ctx.guard.checkpoint()?;
-    with_frame(|frame| {
-        // Single-prefix-path shortcut: subset enumeration replaces
-        // recursion. Paths wider than the u32 subset mask fall through
-        // to the general case.
-        if tree.single_path_into(&mut frame.path) && frame.path.len() <= 31 {
-            stats.single_path_hits += 1;
-            return emit_single_path(&frame.path, suffix, ctx.max_len, out, ctx.guard);
-        }
-        for rank in (0..tree.n_ranks() as u32).rev() {
-            let count = tree.rank_counts[rank as usize];
-            let item = tree.rank_to_item[rank as usize];
-            suffix.push(item);
-            ctx.guard.charge_itemsets(1)?;
-            out.push((Itemset::from_items(suffix.iter().copied()), count));
-            if suffix.len() < ctx.max_len {
-                tree.pattern_base_into(rank, &mut frame.base);
-                if !frame.base.is_empty() {
-                    frame
-                        .tree
-                        .rebuild(&frame.base, ctx.min_count, &mut frame.build);
-                    ctx.guard.charge_tree_bytes(frame.tree.estimated_bytes())?;
-                    stats.conditional_trees += 1;
-                    if frame.tree.n_ranks() > 0 {
-                        mine_tree(&frame.tree, suffix, ctx, out, stats)?;
-                    }
-                }
-            }
-            suffix.pop();
-        }
-        Ok(())
-    })
-}
-
-/// Parallel recursive FP-Growth over the rank range `[lo, hi)` of
-/// `tree`. Ranges of two or more ranks split in half through
-/// [`rayon::join`], making the right half stealable — at *every*
+/// Recursive FP-Growth over the rank range `[lo, hi)` of `tree`. On a
+/// pool wider than one worker, ranges of two or more ranks split in half
+/// through [`rayon::join`], making the right half stealable — at *every*
 /// recursion depth once the tree clears [`FORK_NODE_THRESHOLD`] (the top
-/// level always splits). Chunks come back in rank order regardless of
-/// steal order; when several ranks fail, the lowest rank's error wins
-/// (left results are preferred), so errors are deterministic too.
+/// level always splits); a 1-wide pool walks the ranks in order. Chunks
+/// come back in rank order regardless of steal order; when several ranks
+/// fail, the lowest rank's error wins (left results are preferred), so
+/// errors are deterministic too.
 ///
 /// `span` is the enclosing `mine.mine` span; it is threaded to top-level
 /// leaves only, which open one `mine.conditional_tree` child each —
@@ -637,12 +591,10 @@ pub fn fpgrowth(
     guard.checkpoint_now()?;
 
     let mut span = metrics.span("mine.mine");
-    let mut out: Chunk = Vec::new();
-    let mut stats = MineStats::default();
     if tree.n_ranks() == 0 {
         span.field("itemsets_out", 0);
         drop(span);
-        return Ok(FrequentItemsets::new(out, n_transactions));
+        return Ok(FrequentItemsets::new(Vec::new(), n_transactions));
     }
 
     let ctx = MineCtx {
@@ -651,17 +603,8 @@ pub fn fpgrowth(
         width: rayon::current_num_threads(),
         guard,
     };
-    if config.parallel {
-        let (chunks, par_stats) =
-            mine_ranks_par(&tree, 0, tree.n_ranks() as u32, &[], &ctx, Some(&span))?;
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        stats.merge(par_stats);
-    } else {
-        let mut suffix: Vec<ItemId> = Vec::new();
-        mine_tree(&tree, &mut suffix, &ctx, &mut out, &mut stats)?;
-    }
+    let (chunks, stats) = mine_ranks_par(&tree, 0, tree.n_ranks() as u32, &[], &ctx, Some(&span))?;
+    let out: Chunk = chunks.into_iter().flatten().collect();
 
     span.field("itemsets_out", out.len() as u64);
     span.field("conditional_trees", stats.conditional_trees);
@@ -691,13 +634,8 @@ mod tests {
         ])
     }
 
-    fn mine_db(db: &TransactionDb, min_support: f64, parallel: bool) -> FrequentItemsets {
-        let config = MinerConfig {
-            min_support,
-            max_len: 5,
-            parallel,
-        };
-        unbudgeted(db, &config)
+    fn mine_db(db: &TransactionDb, min_support: f64) -> FrequentItemsets {
+        unbudgeted(db, &MinerConfig::with_min_support(min_support))
     }
 
     fn unbudgeted(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
@@ -707,7 +645,7 @@ mod tests {
     #[test]
     fn counts_match_brute_force() {
         let db = textbook_db();
-        let fi = mine_db(&db, 0.2, false);
+        let fi = mine_db(&db, 0.2);
         assert!(!fi.is_empty());
         for (set, count) in fi.iter() {
             assert_eq!(*count, db.support_count(set), "wrong count for {set}");
@@ -717,7 +655,7 @@ mod tests {
     #[test]
     fn finds_all_frequent_itemsets() {
         let db = textbook_db();
-        let fi = mine_db(&db, 0.2, false);
+        let fi = mine_db(&db, 0.2);
         // Brute-force enumeration over the 5-item universe.
         let mut expected = 0usize;
         for mask in 1u32..(1 << 5) {
@@ -734,39 +672,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let db = textbook_db();
-        let seq = mine_db(&db, 0.2, false);
-        let par = mine_db(&db, 0.2, true);
-        assert_eq!(seq.as_slice(), par.as_slice());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_multithread_pool() {
-        let db = textbook_db();
-        let seq = mine_db(&db, 0.2, false);
-        for width in [2usize, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .unwrap();
-            let par = pool.install(|| mine_db(&db, 0.2, true));
-            assert_eq!(seq.as_slice(), par.as_slice(), "width {width}");
-        }
-    }
-
-    #[test]
     fn max_len_caps_itemsets() {
         let db = textbook_db();
         let config = MinerConfig {
             min_support: 0.1,
             max_len: 2,
-            parallel: false,
         };
         let fi = unbudgeted(&db, &config);
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
         // And the capped family equals the full family filtered to len<=2.
-        let full = mine_db(&db, 0.1, false);
+        let full = mine_db(&db, 0.1);
         let expected: Vec<_> = full.iter().filter(|(s, _)| s.len() <= 2).cloned().collect();
         assert_eq!(fi.as_slice(), expected.as_slice());
     }
@@ -774,7 +689,7 @@ mod tests {
     #[test]
     fn high_support_returns_only_heavy_hitters() {
         let db = textbook_db();
-        let fi = mine_db(&db, 0.8, false);
+        let fi = mine_db(&db, 0.8);
         assert_eq!(fi.len(), 1);
         assert_eq!(fi.count(&Itemset::singleton(0)), Some(8));
     }
@@ -782,14 +697,14 @@ mod tests {
     #[test]
     fn empty_db_yields_nothing() {
         let db = TransactionDb::from_transactions(Vec::<Vec<ItemId>>::new());
-        let fi = mine_db(&db, 0.5, false);
+        let fi = mine_db(&db, 0.5);
         assert!(fi.is_empty());
     }
 
     #[test]
     fn single_transaction() {
         let db = TransactionDb::from_transactions(vec![vec![0, 1, 2]]);
-        let fi = mine_db(&db, 1.0, false);
+        let fi = mine_db(&db, 1.0);
         assert_eq!(fi.len(), 7); // 2^3 - 1 subsets
         assert_eq!(fi.count(&Itemset::from_items([0, 1, 2])), Some(1));
     }
@@ -892,7 +807,7 @@ mod tests {
             vec![0, 1, 2],
             vec![0, 1, 2],
         ]);
-        let fi = mine_db(&db, 0.25, false);
+        let fi = mine_db(&db, 0.25);
         assert_eq!(fi.count(&Itemset::from_items([0])), Some(4));
         assert_eq!(fi.count(&Itemset::from_items([0, 1])), Some(3));
         assert_eq!(fi.count(&Itemset::from_items([1, 2])), Some(2));

@@ -3,18 +3,21 @@
 //! Hand-rolled implementations of the three classic frequent-itemset
 //! miners for the IRMA reproduction:
 //!
-//! * [`eclat`] — the default miner: vertical bitset tid-sets intersected
-//!   depth-first, which suits the narrow, dense encoded traces. It mines
-//!   both the batch pipeline and the [`SlidingWindowMiner`]'s window;
+//! * [`eclat`] — the pipeline's miner: vertical bitset tid-sets
+//!   intersected depth-first, which suits the narrow, dense encoded
+//!   traces. It mines both the batch pipeline and the
+//!   [`SlidingWindowMiner`]'s window;
 //! * [`fpgrowth`] — the paper's miner (§III-C): FP-tree with
 //!   conditional-pattern-base recursion, single-prefix-path shortcut, and
-//!   optional rayon fan-out over the header table;
+//!   rayon fan-out over the header table;
 //! * [`apriori`] — the level-wise baseline both are compared against.
 //!
 //! All three take a [`TransactionDb`], a [`MinerConfig`] and a
 //! [`BudgetGuard`] and return the identical [`FrequentItemsets`] family
 //! (property-tested) or a typed [`MineError`], so downstream rule
-//! generation is miner-agnostic.
+//! generation is miner-agnostic. Each miner forks only on a rayon pool
+//! wider than one worker, so the pool width is the one parallelism
+//! switch.
 //!
 //! ```
 //! use irma_mine::{eclat, BudgetGuard, Itemset, MinerConfig, TransactionDb};
@@ -35,7 +38,6 @@
 
 mod apriori;
 mod budget;
-mod condense;
 mod counts;
 mod db;
 mod eclat;
@@ -46,24 +48,22 @@ mod stream;
 
 pub use apriori::apriori;
 pub use budget::{BudgetBreach, BudgetGuard, CancelToken, ExecBudget, MineError};
-pub use condense::{closed_itemsets, maximal_itemsets, support_from_closed};
-pub use counts::{mine_top_k, FrequentItemsets, MinerConfig};
+pub use counts::{FrequentItemsets, MinerConfig};
 pub use db::TransactionDb;
 pub use eclat::eclat;
 pub use fpgrowth::fpgrowth;
 pub use item::{is_sorted_subset, ItemCatalog, ItemId, Itemset};
 pub use stream::SlidingWindowMiner;
 
-/// Which mining algorithm a pipeline should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The three exact miners, for the suites and benches that run each of
+/// them on the same input. The pipeline itself always runs [`eclat`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// FP-Growth (the paper's choice).
     FpGrowth,
     /// Apriori baseline.
     Apriori,
-    /// Eclat over bitset tid-sets (default; same output, faster on the
-    /// encoded traces).
-    #[default]
+    /// Eclat over bitset tid-sets (the pipeline's miner).
     Eclat,
 }
 

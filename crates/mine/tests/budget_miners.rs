@@ -1,9 +1,9 @@
 //! Budget integration tests: all three miners honour the same
 //! `ExecBudget` contract — unlimited guards agree bit-for-bit across
 //! miners and through the `Algorithm` dispatch, itemset, tree-memory and
-//! zero-deadline caps surface as typed breaches, and an injected worker
-//! panic in FP-Growth's or Eclat's parallel fan-out is contained into
-//! `MineError::WorkerPanic`.
+//! zero-deadline caps surface as typed breaches at pool widths 1 and 2,
+//! and an injected worker panic in FP-Growth's or Eclat's recursion is
+//! contained into `MineError::WorkerPanic`.
 
 use std::time::Duration;
 
@@ -28,31 +28,34 @@ fn textbook_db() -> TransactionDb {
     ])
 }
 
-fn config(parallel: bool) -> MinerConfig {
-    MinerConfig {
-        min_support: 0.1,
-        max_len: 5,
-        parallel,
-    }
+fn config() -> MinerConfig {
+    MinerConfig::with_min_support(0.1)
+}
+
+/// Runs `f` on a fresh pool of `width` workers.
+fn on_pool<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .unwrap()
+        .install(f)
 }
 
 #[test]
 fn unlimited_guard_miners_agree() {
     let db = textbook_db();
-    for parallel in [false, true] {
-        let cfg = config(parallel);
-        let guard = BudgetGuard::unlimited();
-        let f = fpgrowth(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
-        let a = apriori(&db, &cfg, &guard).unwrap();
-        assert_eq!(f.as_slice(), a.as_slice());
-        let e = eclat(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
-        assert_eq!(f.as_slice(), e.as_slice());
-        for algorithm in Algorithm::all() {
-            let dispatched = algorithm
-                .mine(&db, &cfg, &Metrics::disabled(), &guard)
-                .unwrap();
-            assert_eq!(f.as_slice(), dispatched.as_slice(), "{}", algorithm.name());
-        }
+    let cfg = config();
+    let guard = BudgetGuard::unlimited();
+    let f = fpgrowth(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
+    let a = apriori(&db, &cfg, &guard).unwrap();
+    assert_eq!(f.as_slice(), a.as_slice());
+    let e = eclat(&db, &cfg, &Metrics::disabled(), &guard).unwrap();
+    assert_eq!(f.as_slice(), e.as_slice());
+    for algorithm in Algorithm::all() {
+        let dispatched = algorithm
+            .mine(&db, &cfg, &Metrics::disabled(), &guard)
+            .unwrap();
+        assert_eq!(f.as_slice(), dispatched.as_slice(), "{}", algorithm.name());
     }
 }
 
@@ -64,13 +67,14 @@ fn itemset_cap_trips_every_miner() {
         ..ExecBudget::default()
     };
     for algorithm in Algorithm::all() {
-        for parallel in [false, true] {
+        for width in [1, 2] {
             let guard = BudgetGuard::new(&budget);
-            let err = algorithm
-                .mine(&db, &config(parallel), &Metrics::disabled(), &guard)
-                .unwrap_err();
+            let err = on_pool(width, || {
+                algorithm.mine(&db, &config(), &Metrics::disabled(), &guard)
+            })
+            .unwrap_err();
             match err {
-                MineError::Budget(BudgetBreach::Itemsets { cap: 3, .. }) => {}
+                MineError::Budget(BudgetBreach::Itemsets { cap: 3 }) => {}
                 other => panic!("{}: expected itemset breach, got {other}", algorithm.name()),
             }
         }
@@ -87,7 +91,7 @@ fn zero_deadline_trips_every_miner() {
     for algorithm in Algorithm::all() {
         let guard = BudgetGuard::new(&budget);
         let err = algorithm
-            .mine(&db, &config(true), &Metrics::disabled(), &guard)
+            .mine(&db, &config(), &Metrics::disabled(), &guard)
             .unwrap_err();
         assert!(
             matches!(err, MineError::Budget(BudgetBreach::Deadline { .. })),
@@ -105,16 +109,14 @@ fn tiny_tree_memory_cap_trips_every_miner() {
         ..ExecBudget::default()
     };
     for algorithm in Algorithm::all() {
-        for parallel in [false, true] {
+        for width in [1, 2] {
             let guard = BudgetGuard::new(&budget);
-            let err = algorithm
-                .mine(&db, &config(parallel), &Metrics::disabled(), &guard)
-                .unwrap_err();
+            let err = on_pool(width, || {
+                algorithm.mine(&db, &config(), &Metrics::disabled(), &guard)
+            })
+            .unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    MineError::Budget(BudgetBreach::TreeMemory { cap: 1, .. })
-                ),
+                matches!(err, MineError::Budget(BudgetBreach::TreeMemory { cap: 1 })),
                 "{}: expected tree-memory breach, got {err}",
                 algorithm.name()
             );
@@ -132,7 +134,7 @@ fn injected_worker_panic_is_contained_in_parallel_miners() {
     for algorithm in [Algorithm::FpGrowth, Algorithm::Eclat] {
         let guard = BudgetGuard::new(&budget);
         let err = algorithm
-            .mine(&db, &config(true), &Metrics::disabled(), &guard)
+            .mine(&db, &config(), &Metrics::disabled(), &guard)
             .unwrap_err();
         match err {
             MineError::WorkerPanic { message } => assert!(
@@ -154,7 +156,7 @@ fn cancelled_token_stops_all_miners() {
         let guard = BudgetGuard::with_token(&ExecBudget::default(), guard.token().clone());
         guard.token().cancel();
         let err = algorithm
-            .mine(&db, &config(false), &Metrics::disabled(), &guard)
+            .mine(&db, &config(), &Metrics::disabled(), &guard)
             .unwrap_err();
         assert!(
             matches!(err, MineError::Budget(BudgetBreach::Cancelled)),
@@ -176,12 +178,12 @@ fn generous_budget_changes_nothing() {
     for algorithm in Algorithm::all() {
         let guard = BudgetGuard::new(&budget);
         let bounded = algorithm
-            .mine(&db, &config(true), &Metrics::disabled(), &guard)
+            .mine(&db, &config(), &Metrics::disabled(), &guard)
             .unwrap();
         let free = algorithm
             .mine(
                 &db,
-                &config(true),
+                &config(),
                 &Metrics::disabled(),
                 &BudgetGuard::unlimited(),
             )

@@ -23,12 +23,9 @@ fn arb_db(max_items: u32, max_txns: usize) -> impl Strategy<Value = TransactionD
 }
 
 fn arb_config() -> impl Strategy<Value = MinerConfig> {
-    (0.05f64..=1.0, 1usize..=5, any::<bool>()).prop_map(|(min_support, max_len, parallel)| {
-        MinerConfig {
-            min_support,
-            max_len,
-            parallel,
-        }
+    (0.05f64..=1.0, 1usize..=5).prop_map(|(min_support, max_len)| MinerConfig {
+        min_support,
+        max_len,
     })
 }
 
@@ -69,15 +66,6 @@ proptest! {
         let e = mine(Algorithm::Eclat, &db, &config);
         prop_assert_eq!(f.as_slice(), a.as_slice());
         prop_assert_eq!(f.as_slice(), e.as_slice());
-    }
-
-    #[test]
-    fn parallel_equals_sequential(db in arb_db(10, 60), mut config in arb_config()) {
-        config.parallel = false;
-        let seq = mine(Algorithm::FpGrowth, &db, &config);
-        config.parallel = true;
-        let par = mine(Algorithm::FpGrowth, &db, &config);
-        prop_assert_eq!(seq.as_slice(), par.as_slice());
     }
 
     #[test]

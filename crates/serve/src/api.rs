@@ -26,7 +26,6 @@ use irma_core::{
     BudgetBreach, PipelineError, Provenance, Trace,
 };
 use irma_data::DType;
-use irma_mine::Algorithm;
 use irma_prep::{EncoderSpec, FeatureSpec};
 use irma_rules::{PruneLog, Rule};
 
@@ -97,16 +96,6 @@ fn parse_analyze_params(shared: &Shared, head: &RequestHead) -> Result<AnalyzePa
     let bad = |message: String| Reply::error(400, "Bad Request", &message, "serve");
     let pairs = parse_query(head.query().unwrap_or(""));
     let mut config = AnalysisConfig::default();
-    if let Some(name) = query_get(&pairs, "algorithm") {
-        config.algorithm = Algorithm::all()
-            .into_iter()
-            .find(|a| a.name() == name)
-            .ok_or_else(|| {
-                bad(format!(
-                    "unknown algorithm `{name}` (fpgrowth|apriori|eclat)"
-                ))
-            })?;
-    }
     if let Some(raw) = query_get(&pairs, "min_support") {
         let value: f64 = raw
             .parse()

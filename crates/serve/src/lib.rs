@@ -301,36 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn every_miner_shares_one_cache_entry() {
-        let metrics = Metrics::enabled();
-        let server = Server::start("127.0.0.1:0", ServeConfig::default(), metrics.clone())
-            .expect("bind test server");
-        let addr = server.local_addr();
-        let cached: Vec<bool> = ["eclat", "fpgrowth", "apriori"]
-            .iter()
-            .map(|algorithm| {
-                let query = format!("?min_support=0.2&algorithm={algorithm}");
-                let response = post_analyze(addr, &query, "", CSV);
-                assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
-                response.contains("\"cached\":true")
-            })
-            .collect();
-        assert_eq!(cached, [false, true, true]);
-        assert_eq!(server.cache_entries(), 1);
-        let counter = |name: &str| {
-            metrics
-                .snapshot()
-                .counters
-                .iter()
-                .find(|(counter, _)| counter == name)
-                .map_or(0, |&(_, value)| value)
-        };
-        assert_eq!(counter("serve.cache_misses"), 1);
-        assert_eq!(counter("serve.cache_hits"), 2);
-        server.shutdown();
-    }
-
-    #[test]
     fn fingerprint_replay_and_explain_work_from_cache() {
         let server = start_test_server(ServeConfig::default());
         let addr = server.local_addr();
@@ -556,9 +526,13 @@ mod tests {
         let garbage = post_analyze(addr, "", "", "a,b\n1\n2,3,4\n");
         assert_eq!(status_of(&garbage), 400, "got: {garbage}");
         assert!(garbage.contains("\"stage\":"));
-        // Unknown algorithm is caught before any work happens.
-        let bad_alg = post_analyze(addr, "?algorithm=magic", "", CSV);
-        assert_eq!(status_of(&bad_alg), 400);
+        // A malformed knob is caught before any work happens.
+        let bad_support = post_analyze(addr, "?min_support=bogus", "", CSV);
+        assert_eq!(status_of(&bad_support), 400);
+        assert!(
+            bad_support.contains("\"stage\":\"serve\""),
+            "got: {bad_support}"
+        );
         let bad_trace = post_analyze(addr, "?trace=helios", "", CSV);
         assert_eq!(status_of(&bad_trace), 400);
         assert!(

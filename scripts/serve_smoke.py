@@ -12,7 +12,8 @@ the documented contract at every step:
 3. a `fp:<fingerprint>` body replays the dataset without re-uploading;
 4. `GET /v1/explain/{rule}?fp=` recomputes the explanation from the
    cached analysis (200 with an `explanation`);
-5. a malformed request (unknown algorithm) gets a typed 400, not a 5xx;
+5. a malformed request (a non-numeric `min_support`) gets a typed 400
+   from the `serve` stage, not a 5xx;
 6. an over-budget request (`x-irma-timeout-ms: 0`) gets the documented
    504 deadline answer;
 7. a concurrent burst of analyzes (cold + cache-hit mix) all succeed —
@@ -96,9 +97,11 @@ def main() -> int:
     print(f"ok: explain `{rule}`")
 
     # 5. Malformed request: typed 400.
-    status, text = analyze(base, CSV, query="?algorithm=bogus")
+    status, text = analyze(base, CSV, query="?min_support=bogus")
     if status != 400:
-        fail(f"bad algorithm: want 400, got {status}: {text}")
+        fail(f"bad min_support: want 400, got {status}: {text}")
+    if json.loads(text).get("stage") != "serve":
+        fail(f"bad min_support: want stage `serve`, got {text}")
     print("ok: malformed request is a typed 400")
 
     # 6. Over-budget request: the documented 504 deadline answer. The

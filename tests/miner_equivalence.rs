@@ -27,7 +27,6 @@ fn miners_agree_on_supercloud_trace() {
         let config = MinerConfig {
             min_support,
             max_len: 5,
-            parallel: true,
         };
         let f = mine(Algorithm::FpGrowth, &encoded.db, &config);
         let a = mine(Algorithm::Apriori, &encoded.db, &config);
@@ -50,7 +49,6 @@ fn miners_agree_on_philly_trace_with_length_caps() {
         let config = MinerConfig {
             min_support: 0.05,
             max_len,
-            parallel: false,
         };
         let f = mine(Algorithm::FpGrowth, &encoded.db, &config);
         let a = mine(Algorithm::Apriori, &encoded.db, &config);

@@ -1,12 +1,10 @@
-//! Property tests for the substrates: scheduler simulator invariants,
-//! sliding-window/batch mining agreement, and closed-itemset losslessness
-//! on random databases.
+//! Property tests for the substrates: scheduler simulator invariants and
+//! sliding-window/batch mining agreement on random databases.
 
 use proptest::prelude::*;
 
 use irma::mine::{
-    closed_itemsets, fpgrowth, maximal_itemsets, support_from_closed, BudgetGuard,
-    FrequentItemsets, MinerConfig, SlidingWindowMiner, TransactionDb,
+    fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig, SlidingWindowMiner, TransactionDb,
 };
 use irma::obs::Metrics;
 use irma::synth::sched::{simulate_queue, GpuPool, SchedRequest};
@@ -105,24 +103,5 @@ proptest! {
             .with_universe(miner.snapshot().n_items());
         let batch = mine(&batch_db, 0.3);
         prop_assert_eq!(streamed.as_slice(), batch.as_slice());
-    }
-
-    #[test]
-    fn closure_is_lossless_on_random_dbs(
-        txns in prop::collection::vec(prop::collection::vec(0u32..7, 0..6), 1..40),
-        min_support in 0.1f64..0.9,
-    ) {
-        let db = TransactionDb::from_transactions(txns);
-        let frequent = mine(&db, min_support);
-        let closed = closed_itemsets(&frequent);
-        let maximal = maximal_itemsets(&frequent);
-        prop_assert!(maximal.len() <= closed.len());
-        prop_assert!(closed.len() <= frequent.len());
-        for m in &maximal {
-            prop_assert!(closed.contains(m));
-        }
-        for (set, count) in frequent.iter() {
-            prop_assert_eq!(support_from_closed(&closed, set), Some(*count));
-        }
     }
 }
