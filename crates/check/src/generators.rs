@@ -112,37 +112,3 @@ pub fn arb_frame() -> impl Strategy<Value = Frame> {
             })
     })
 }
-
-/// A sacct-shaped frame: job ids, a duration column (whole seconds — the
-/// sacct text format has one-second resolution), a memory column in GiB,
-/// and a state column over an alphabet that can't be mistaken for a
-/// number, bool, or null by the reader's type inference.
-pub fn arb_sacct_frame() -> impl Strategy<Value = Frame> {
-    (1..25usize).prop_flat_map(|n| {
-        (
-            vec(0i64..1_000_000, n),
-            vec(option::of((0u64..10_000_000).prop_map(|s| s as f64)), n),
-            vec(option::of(0.000_001f64..4096.0), n),
-            vec(string_regex("[QWXZ]{1,10}").expect("valid regex"), n),
-        )
-            .prop_map(|(ids, elapsed, mem, states)| {
-                let mut frame = Frame::new();
-                frame
-                    .add_column("JobID", Column::from_opt_ints(ids.into_iter().map(Some)))
-                    .unwrap();
-                frame
-                    .add_column("Elapsed", Column::from_opt_floats(elapsed))
-                    .unwrap();
-                frame
-                    .add_column("ReqMem", Column::from_opt_floats(mem))
-                    .unwrap();
-                frame
-                    .add_column(
-                        "State",
-                        Column::from_opt_strs(states.iter().map(|s| Some(s.as_str()))),
-                    )
-                    .unwrap();
-                frame
-            })
-    })
-}

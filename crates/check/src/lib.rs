@@ -4,13 +4,13 @@
 //! the fast implementations (FP-Growth, Apriori, Eclat, the sliding-window
 //! miner) against brute-force reference oracles on thousands of random
 //! inputs, and checks the algebraic invariants of rule metrics, pruning,
-//! binning, and the CSV/sacct parsers.
+//! binning, and the CSV reader and writer.
 //!
 //! The harness is organized as:
 //!
 //! * [`generators`] — shrinkable random-input strategies (transaction
-//!   databases, miner configs, exact-threshold boundary cases, frames,
-//!   sacct-shaped frames) shared by all suites;
+//!   databases, miner configs, exact-threshold boundary cases, frames)
+//!   shared by all suites;
 //! * [`oracle`] — brute-force reference implementations, deliberately
 //!   written in the most obvious way possible (enumerate every itemset
 //!   mask, count by scanning);
@@ -22,7 +22,7 @@
 //! * `tests/` — the property suites themselves: `differential` (miners vs
 //!   oracle vs each other), `rule_invariants`, `prune_invariants`,
 //!   `rule_trie` (trie-driven prune vs the flat oracle, byte-identical),
-//!   `binning_invariants`, `roundtrip` (CSV + sacct), `regressions`
+//!   `binning_invariants`, `roundtrip` (CSV), `regressions`
 //!   (deterministic locks on previously found bugs), and `chaos` (the
 //!   fault-tolerance contract of `irma_core::try_analyze`).
 //!

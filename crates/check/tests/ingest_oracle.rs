@@ -14,8 +14,7 @@ use proptest::string::string_regex;
 
 use irma_check::generators::arb_frame;
 use irma_data::{
-    inner_join, left_join, parse_records, read_csv_str, write_csv_string, Column, DType, Frame,
-    Value,
+    inner_join, parse_records, read_csv_str, write_csv_string, Column, DType, Frame, Value,
 };
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
@@ -226,20 +225,18 @@ mod oracle {
     }
 
     /// Re-pushes every cell, so a string column re-interns in row order.
-    pub fn take_column(col: &Column, rows: &[Option<usize>]) -> Column {
+    pub fn take_column(col: &Column, rows: &[usize]) -> Column {
         let mut out = Column::with_capacity(col.dtype(), rows.len());
-        for r in rows {
-            let v = r.map_or(Value::Null, |r| col.get(r));
-            out.push_value("", v).expect("same dtype");
+        for &r in rows {
+            out.push_value("", col.get(r)).expect("same dtype");
         }
         out
     }
 
     pub fn take(frame: &Frame, indices: &[usize]) -> Frame {
-        let rows: Vec<Option<usize>> = indices.iter().map(|&i| Some(i)).collect();
         let mut out = Frame::new();
         for (name, col) in frame.names().iter().zip(frame.columns()) {
-            out.add_column(name, take_column(col, &rows))
+            out.add_column(name, take_column(col, indices))
                 .expect("unique names, equal lengths");
         }
         out
@@ -263,7 +260,7 @@ mod oracle {
         })
     }
 
-    pub fn join(left: &Frame, right: &Frame, key: &str, keep_unmatched: bool) -> Result<Frame> {
+    pub fn join(left: &Frame, right: &Frame, key: &str) -> Result<Frame> {
         let right_key = right.column(key)?;
         let mut index: HashMap<Key, Vec<usize>> = HashMap::new();
         for row in 0..right.n_rows() {
@@ -275,18 +272,11 @@ mod oracle {
         let mut left_rows = Vec::new();
         let mut right_rows = Vec::new();
         for row in 0..left.n_rows() {
-            match key_at(left_key, row)?.and_then(|k| index.get(&k)) {
-                Some(matches) => {
-                    for &r in matches {
-                        left_rows.push(row);
-                        right_rows.push(Some(r));
-                    }
-                }
-                None if keep_unmatched => {
+            if let Some(matches) = key_at(left_key, row)?.and_then(|k| index.get(&k)) {
+                for &r in matches {
                     left_rows.push(row);
-                    right_rows.push(None);
+                    right_rows.push(r);
                 }
-                None => {}
             }
         }
         let mut out = take(left, &left_rows);
@@ -512,14 +502,7 @@ proptest! {
     ) {
         let left = keyed_frame(kind, &left, "l");
         let right = keyed_frame(kind % 3, &right, "r");
-        for keep in [false, true] {
-            let fast = if keep {
-                left_join(&left, &right, "k")
-            } else {
-                inner_join(&left, &right, "k")
-            };
-            same(fast, oracle::join(&left, &right, "k", keep), frames_eq)?;
-        }
+        same(inner_join(&left, &right, "k"), oracle::join(&left, &right, "k"), frames_eq)?;
     }
 
     #[test]
@@ -597,27 +580,22 @@ fn string_keys_one_to_many_keep_right_order() {
         "left order, then right order within a key"
     );
     assert_eq!(strs(&joined, "user"), ["bob", "alice"]);
-    assert_eq!(joined, oracle::join(&left, &right, "user", false).unwrap());
+    assert_eq!(joined, oracle::join(&left, &right, "user").unwrap());
 }
 
 #[test]
-fn null_keys_never_match_and_left_join_keeps_unmatched() {
+fn null_keys_never_match_and_collisions_get_the_suffix() {
     let left = csv("k,a\n,1\n2,2\n3,3\n");
     let right = csv("k,b,a\n,n0,x\n2,n2,y\n2,n2b,z\n");
     let inner = inner_join(&left, &right, "k").unwrap();
     assert_eq!(inner.n_rows(), 2);
-    let left_out = left_join(&left, &right, "k").unwrap();
-    assert_eq!(left_out.n_rows(), 4);
-    assert_eq!(left_out.get(0, "b").unwrap(), Value::Null);
-    assert_eq!(left_out.get(3, "b").unwrap(), Value::Null);
-    assert_eq!(strs(&left_out, "b"), ["n2", "n2b"]);
+    assert_eq!(strs(&inner, "b"), ["n2", "n2b"]);
     assert!(
-        left_out.has_column("a_right"),
+        inner.has_column("a_right"),
         "a collides and gets the suffix"
     );
-    assert_eq!(left_out.get(1, "a_right").unwrap(), Value::Str("y".into()));
-    assert_eq!(left_out, oracle::join(&left, &right, "k", true).unwrap());
-    assert_eq!(inner, oracle::join(&left, &right, "k", false).unwrap());
+    assert_eq!(inner.get(0, "a_right").unwrap(), Value::Str("y".into()));
+    assert_eq!(inner, oracle::join(&left, &right, "k").unwrap());
 }
 
 #[test]
@@ -625,7 +603,7 @@ fn suffix_collision_is_reported_like_the_oracle() {
     let left = csv("k,a,a_right\n1,x,y\n");
     let right = csv("k,a\n1,z\n");
     let fast = inner_join(&left, &right, "k").unwrap_err();
-    let slow = oracle::join(&left, &right, "k", false).unwrap_err();
+    let slow = oracle::join(&left, &right, "k").unwrap_err();
     assert_eq!(fast.to_string(), slow.to_string());
 }
 
@@ -633,11 +611,9 @@ fn suffix_collision_is_reported_like_the_oracle() {
 fn mismatched_key_types_match_nothing() {
     let left = csv("k,a\n1,x\n");
     let right = csv("k,b\nz,1\n");
-    assert_eq!(inner_join(&left, &right, "k").unwrap().n_rows(), 0);
-    assert_eq!(
-        left_join(&left, &right, "k").unwrap(),
-        oracle::join(&left, &right, "k", true).unwrap()
-    );
+    let joined = inner_join(&left, &right, "k").unwrap();
+    assert_eq!(joined.n_rows(), 0);
+    assert_eq!(joined, oracle::join(&left, &right, "k").unwrap());
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! public cross-crate surfaces (the per-crate unit suites hold the
 //! narrower versions). Each test here failed on the pre-fix code.
 
-use irma_data::{parse_records, parse_size_gb, read_sacct_str};
+use irma_data::parse_records;
 use irma_mine::{fpgrowth, BudgetGuard, Itemset, MinerConfig, SlidingWindowMiner};
 use irma_obs::Metrics;
 use irma_prep::{BinEdges, BinningScheme};
@@ -37,19 +37,6 @@ fn threshold_sitting_items_survive_the_float_ceil() {
     assert!(miner.hot_items().contains(&0), "hot_items dropped item 0");
     let windowed = miner.mine(&config, &BudgetGuard::unlimited()).unwrap();
     assert_eq!(windowed.count(&Itemset::singleton(0)), Some(7));
-}
-
-/// Slurm sizes are 1024-based; the pre-fix parser used decimal factors
-/// (512M came back as 0.512 GB) and accepted `-5G`.
-#[test]
-fn sacct_sizes_are_binary_and_non_negative() {
-    assert_eq!(parse_size_gb("512M"), Some(0.5));
-    assert_eq!(parse_size_gb("1048576K"), Some(1.0));
-    assert_eq!(parse_size_gb("1.5T"), Some(1536.0));
-    assert_eq!(parse_size_gb("-5G"), None);
-
-    let frame = read_sacct_str("JobID|ReqMem\n1|512M\n").unwrap();
-    assert_eq!(frame.get(0, "ReqMem").unwrap().as_float(), Some(0.5));
 }
 
 /// A quoted CRLF kept its stray `\r` pre-fix; and a final record whose

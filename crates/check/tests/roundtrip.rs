@@ -1,12 +1,9 @@
-//! Round-trip properties for the CSV and sacct text formats.
+//! Round-trip properties for the CSV text format.
 
 use proptest::prelude::*;
 
-use irma_check::generators::{arb_frame, arb_sacct_frame};
-use irma_data::{
-    format_sacct_duration, format_size_gb, parse_records, parse_sacct_duration, parse_size_gb,
-    read_csv_str, read_sacct_str, write_csv_string, write_sacct_string, DataError, Frame, Value,
-};
+use irma_check::generators::arb_frame;
+use irma_data::{parse_records, read_csv_str, write_csv_string, DataError, Frame};
 
 /// Cell-wise frame comparison tolerant of the re-typing a text round trip
 /// legitimately performs (all-null columns become Str, integral floats
@@ -109,75 +106,5 @@ proptest! {
         let with = parse_records(&text).expect("writer output parses");
         let without = parse_records(trimmed).expect("trailing newline optional");
         prop_assert_eq!(with, without);
-    }
-
-    #[test]
-    fn sacct_write_read_round_trips(frame in arb_sacct_frame()) {
-        let text = write_sacct_string(&frame);
-        let reread = read_sacct_str(&text).expect("own output must parse");
-        assert_frames_equivalent(&frame, &reread)?;
-        // And the round trip is a fixpoint: writing the reread frame
-        // reproduces the text byte for byte.
-        prop_assert_eq!(write_sacct_string(&reread), text);
-    }
-
-    #[test]
-    fn size_gb_round_trips_exactly(gb in 0.000_001f64..1.0e9) {
-        // `G` is the identity unit and Rust float formatting is
-        // shortest-round-trip, so the cycle must be exact, not approximate.
-        let text = format_size_gb(gb).expect("finite non-negative");
-        prop_assert_eq!(parse_size_gb(&text), Some(gb), "{}", text);
-    }
-
-    #[test]
-    fn negative_sizes_are_rejected(gb in 0.000_001f64..1.0e9, unit in "[BKMGT]") {
-        // A size can't be negative: the formatter refuses to produce one
-        // and the parser refuses to accept one in any unit.
-        prop_assert_eq!(format_size_gb(-gb), None);
-        let text = format!("-{gb}{unit}");
-        prop_assert_eq!(parse_size_gb(&text), None, "{}", text);
-    }
-
-    #[test]
-    fn size_suffixes_use_binary_factors(kib in 1u64..4_194_304) {
-        // Slurm sizes are 1024-based: the same byte quantity written in
-        // K, M, or bare bytes must parse to the same GiB value.
-        let from_k = parse_size_gb(&format!("{kib}K")).expect("valid size");
-        prop_assert_eq!(from_k, kib as f64 / (1u64 << 20) as f64);
-        if kib % 1024 == 0 {
-            let from_m = parse_size_gb(&format!("{}M", kib / 1024)).expect("valid size");
-            prop_assert_eq!(from_k, from_m);
-        }
-        let from_b = parse_size_gb(&format!("{}", kib * 1024)).expect("valid size");
-        prop_assert_eq!(from_k, from_b);
-    }
-
-    #[test]
-    fn duration_round_trips_on_whole_seconds(secs in 0u64..100_000_000) {
-        let text = format_sacct_duration(secs as f64);
-        prop_assert_eq!(parse_sacct_duration(&text), Some(secs as f64), "{}", text);
-    }
-
-    #[test]
-    fn sacct_null_cells_stay_null(row_count in 1usize..20) {
-        // Empty fields must read back as nulls, not zeros, through a
-        // write/read cycle.
-        let mut frame = Frame::new();
-        frame
-            .add_column(
-                "JobID",
-                irma_data::Column::from_opt_ints((0..row_count).map(|i| Some(i as i64))),
-            )
-            .unwrap();
-        frame
-            .add_column(
-                "ReqMem",
-                irma_data::Column::from_opt_floats((0..row_count).map(|_| None)),
-            )
-            .unwrap();
-        let reread = read_sacct_str(&write_sacct_string(&frame)).expect("parses");
-        for row in 0..row_count {
-            prop_assert_eq!(reread.get(row, "ReqMem").unwrap(), Value::Null);
-        }
     }
 }

@@ -789,10 +789,11 @@ USAGE:
       127.0.0.1:9185; port 0 picks an ephemeral one, printed on stderr).
       POST /v1/analyze takes a CSV body (or `fp:<fingerprint>` to replay
       a cached dataset) plus query parameters (trace=, min_support=,
-      max_len=, min_lift=, min_confidence=, keyword=, top=) and returns
-      mined rules as JSON; GET /v1/explain/{rule}?fp=F
-      explains one rule from the cached analysis; GET /metrics and
-      GET /healthz expose the runtime counters. Tenants identify with
+      max_len=, min_lift=, min_confidence=, keyword=, top=; any other
+      key is a 400) and returns mined rules as JSON; GET
+      /v1/explain/{rule}?fp=F explains one rule from the cached
+      analysis; GET /metrics and GET /healthz expose the runtime
+      counters. Tenants identify with
       the x-irma-tenant header (default `anonymous`): each gets a
       token-bucket rate limit and a failure circuit breaker (429 +
       Retry-After when over). Analyses run under the same budgets as

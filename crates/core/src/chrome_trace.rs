@@ -22,6 +22,8 @@
 
 use std::fmt::Write as _;
 
+use irma_obs::json_escape;
+
 // ---------------------------------------------------------------------
 // Minimal JSON value parser
 // ---------------------------------------------------------------------
@@ -254,25 +256,6 @@ fn parse_json(text: &str) -> Result<Json, String> {
 // Conversion
 // ---------------------------------------------------------------------
 
-/// Escapes a string for embedding in the generated JSON.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `tid` assigned to events that carry no `worker` field: the run's
 /// coordinating thread. Worker `w` gets lane `w + 1`.
 const MAIN_LANE: u64 = 0;
@@ -369,13 +352,13 @@ pub fn chrome_trace(jsonl: &str) -> Result<String, String> {
                 let mut args = format!("\"span\":{span}");
                 for (key, value) in fields {
                     if let Some(n) = value.as_u64() {
-                        let _ = write!(args, ",\"{}\":{n}", escape(key));
+                        let _ = write!(args, ",\"{}\":{n}", json_escape(key));
                     }
                 }
                 events.push(format!(
                     "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{wall_us},\
                      \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                    escape(stage),
+                    json_escape(stage),
                     offset_us.saturating_sub(wall_us),
                 ));
             }
@@ -392,7 +375,7 @@ pub fn chrome_trace(jsonl: &str) -> Result<String, String> {
                 events.push(format!(
                     "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{offset_us},\
                      \"pid\":{pid},\"tid\":{MAIN_LANE},\"args\":{{\"value\":{total}}}}}",
-                    escape(name),
+                    json_escape(name),
                 ));
             }
             other => return Err(fail(&format!("unknown event kind `{other}`"))),
@@ -407,7 +390,7 @@ pub fn chrome_trace(jsonl: &str) -> Result<String, String> {
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\
              \"args\":{{\"name\":\"run {}\"}}}}",
             i as u64 + 1,
-            escape(run)
+            json_escape(run)
         ));
     }
     lanes.sort_unstable();

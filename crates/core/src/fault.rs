@@ -296,8 +296,8 @@ pub fn try_analyze(
 }
 
 /// [`try_analyze`] with observability: every pipeline stage (`prep.fit`,
-/// `prep.transform`, `mine.tree_build`/`mine.mine`, `rules.generate`,
-/// `rules.trie_build`) emits a [`irma_obs::StageEvent`] into `metrics`
+/// `prep.transform`, `mine.tree_build`/`mine.mine`, `rules.generate`)
+/// emits a [`irma_obs::StageEvent`] into `metrics`
 /// under one `core.analyze` root span. A degraded success marks the
 /// metrics registry ([`Metrics::mark_degraded`]) and counts ladder steps
 /// under `core.degradation_steps`.
@@ -367,16 +367,10 @@ pub fn try_analyze_traced_hooked(
     if let Some(d) = &degradation {
         root.field("degradation_steps", d.steps.len() as u64);
     }
-    let rule_trie = {
-        let mut span = metrics.span("rules.trie_build");
-        span.field("rules_in", rules.len() as u64);
-        irma_rules::RuleTrie::over_antecedents(&rules)
-    };
     Ok(Analysis {
         encoded,
         frequent,
         rules,
-        rule_trie,
         config: AnalysisConfig {
             miner,
             ..config.clone()

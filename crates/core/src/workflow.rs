@@ -10,7 +10,7 @@
 use irma_mine::{ExecBudget, FrequentItemsets, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::Encoded;
-use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleConfig, RuleTrie};
+use irma_rules::{Explainer, KeywordAnalysis, PruneLog, PruneParams, Rule, RuleConfig};
 
 /// Every knob of the paper's workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,12 +36,9 @@ pub struct Analysis {
     pub encoded: Encoded,
     /// Mined frequent-itemset family.
     pub frequent: FrequentItemsets,
-    /// All rules passing the generation thresholds (pre-pruning).
+    /// All rules passing the generation thresholds (pre-pruning), sorted
+    /// by `(antecedent, consequent)`.
     pub rules: Vec<Rule>,
-    /// Shared-prefix index over `rules` (keyed by sorted antecedent):
-    /// resolves `(antecedent, consequent)` lookups for explain-style
-    /// queries without scanning the flat export.
-    pub rule_trie: RuleTrie,
     /// The configuration that produced this analysis (with the miner
     /// knobs actually used — relaxed ones if the degradation ladder ran).
     pub config: AnalysisConfig,
@@ -111,13 +108,11 @@ impl Analysis {
         self.encoded.db.len()
     }
 
-    /// Resolves one rule by exact `(antecedent, consequent)` item ids via
-    /// a [`RuleTrie`] walk instead of a linear scan. Both sides must be
-    /// sorted ascending (the canonical [`irma_mine::Itemset`] order).
+    /// Resolves one rule by exact `(antecedent, consequent)` item ids
+    /// (see [`irma_rules::find_rule`]). Both sides must be sorted
+    /// ascending (the canonical [`irma_mine::Itemset`] order).
     pub fn find_rule(&self, antecedent: &[ItemId], consequent: &[ItemId]) -> Option<&Rule> {
-        self.rule_trie
-            .find(&self.rules, antecedent, consequent)
-            .map(|idx| &self.rules[idx])
+        irma_rules::find_rule(&self.rules, antecedent, consequent)
     }
 
     /// Suggests analysis keywords: items ranked by the strongest rule
@@ -327,7 +322,6 @@ mod tests {
             "mine.tree_build",
             "mine.mine",
             "rules.generate",
-            "rules.trie_build",
             "rules.prune",
         ] {
             assert!(snap.stage(stage).is_some(), "missing stage event {stage}");
@@ -335,12 +329,7 @@ mod tests {
         // Pipeline stages nest under the core.analyze root span.
         let root = snap.stage("core.analyze").unwrap();
         assert_eq!(root.parent, None);
-        for stage in [
-            "prep.fit",
-            "mine.mine",
-            "rules.generate",
-            "rules.trie_build",
-        ] {
+        for stage in ["prep.fit", "mine.mine", "rules.generate"] {
             assert_eq!(
                 snap.stage(stage).unwrap().parent,
                 Some(root.id),

@@ -328,38 +328,29 @@ impl Column {
         matches!(self, Column::Int(_) | Column::Float(_))
     }
 
-    /// Materializes the subset of rows given by `indices` into a new column.
-    pub fn take(&self, indices: &[usize]) -> Column {
-        self.gather(indices.iter().map(|&i| Some(i)))
-    }
-
-    /// Materializes `rows` into a new column, `None` giving a null cell.
+    /// Materializes the rows given by `indices` (allowing repeats and
+    /// reorders) into a new column.
     ///
     /// A string column remaps its codes through a dense table instead of
     /// re-interning every cell, so each distinct value is copied once and
     /// the new dictionary keeps first-appearance order in the output.
-    pub(crate) fn gather<I>(&self, rows: I) -> Column
-    where
-        I: ExactSizeIterator<Item = Option<usize>>,
-    {
+    pub fn take(&self, indices: &[usize]) -> Column {
         match self {
-            Column::Int(v) => Column::Int(rows.map(|r| r.and_then(|i| v[i])).collect()),
-            Column::Float(v) => Column::Float(rows.map(|r| r.and_then(|i| v[i])).collect()),
-            Column::Bool(v) => Column::Bool(rows.map(|r| r.and_then(|i| v[i])).collect()),
+            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
+            Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
+            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
             Column::Str(v) => {
-                let mut out = StrStorage::with_capacity(rows.len());
+                let mut out = StrStorage::with_capacity(indices.len());
                 let mut remap = vec![STR_NULL; v.dict.len()];
-                for r in rows {
-                    let code = match r.map(|i| v.codes[i]) {
-                        Some(code) if code != STR_NULL => {
-                            let new = &mut remap[code as usize];
-                            if *new == STR_NULL {
-                                *new = out.intern(&v.dict[code as usize]);
-                            }
-                            *new
+                for &i in indices {
+                    let mut code = v.codes[i];
+                    if code != STR_NULL {
+                        let new = &mut remap[code as usize];
+                        if *new == STR_NULL {
+                            *new = out.intern(&v.dict[code as usize]);
                         }
-                        _ => STR_NULL,
-                    };
+                        code = *new;
+                    }
                     out.codes.push(code);
                 }
                 Column::Str(out)

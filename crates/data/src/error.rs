@@ -36,8 +36,6 @@ pub enum DataError {
     },
     /// An I/O error occurred while reading or writing CSV.
     Io(String),
-    /// A schema validation failure.
-    Schema(String),
     /// A join key was invalid (missing column, unjoinable type, ...).
     Join(String),
 }
@@ -67,7 +65,6 @@ impl fmt::Display for DataError {
                 write!(f, "csv parse error at line {line}: {message}")
             }
             DataError::Io(msg) => write!(f, "io error: {msg}"),
-            DataError::Schema(msg) => write!(f, "schema error: {msg}"),
             DataError::Join(msg) => write!(f, "join error: {msg}"),
         }
     }

@@ -4,7 +4,7 @@
 //! node monitoring reductions, ...) and a merged frame after the join step.
 //! This is deliberately a small fraction of a dataframe library: exactly the
 //! operations the paper's preprocessing needs (row append, column append,
-//! selection, filtering, derivation, joins) and nothing speculative.
+//! filtering, sorting, joins) and nothing speculative.
 
 use std::collections::HashMap;
 
@@ -148,15 +148,6 @@ impl Frame {
         Ok(self.column(column)?.get(row))
     }
 
-    /// A new frame holding only the named columns, in the given order.
-    pub fn select<'a, I: IntoIterator<Item = &'a str>>(&self, names: I) -> Result<Frame> {
-        let mut out = Frame::new();
-        for name in names {
-            out.add_column(name, self.column(name)?.clone())?;
-        }
-        Ok(out)
-    }
-
     /// A new frame holding only rows where `predicate` returns true.
     pub fn filter<F: FnMut(usize) -> bool>(&self, mut predicate: F) -> Frame {
         let indices: Vec<usize> = (0..self.n_rows()).filter(|&i| predicate(i)).collect();
@@ -173,19 +164,6 @@ impl Frame {
             columns: self.columns.iter().map(|col| col.take(indices)).collect(),
             index: self.index.clone(),
         }
-    }
-
-    /// Adds a column computed row-by-row from the existing frame.
-    pub fn derive<F>(&mut self, name: &str, dtype: DType, mut f: F) -> Result<()>
-    where
-        F: FnMut(&Frame, usize) -> Value,
-    {
-        let mut col = Column::with_capacity(dtype, self.n_rows());
-        for row in 0..self.n_rows() {
-            let v = f(self, row);
-            col.push_value(name, v)?;
-        }
-        self.add_column(name, col)
     }
 
     /// Counts occurrences of each distinct non-null value of a string column.
@@ -226,61 +204,6 @@ impl Frame {
             }
         });
         Ok(self.take(&indices))
-    }
-
-    /// Mean of a numeric column grouped by a string column: one
-    /// `(group, mean, count)` row per distinct non-null group value,
-    /// sorted by group. Null numeric cells are skipped.
-    pub fn group_mean(&self, group: &str, value: &str) -> Result<Vec<(String, f64, usize)>> {
-        let group_col = self.column(group)?;
-        let groups = group_col.as_strs().ok_or_else(|| DataError::TypeMismatch {
-            column: group.to_string(),
-            expected: "str",
-            actual: group_col.dtype().name().to_string(),
-        })?;
-        let values = self.column(value)?;
-        if !values.is_numeric() {
-            return Err(DataError::TypeMismatch {
-                column: value.to_string(),
-                expected: "numeric",
-                actual: values.dtype().name().to_string(),
-            });
-        }
-        let mut sums = vec![(0.0f64, 0usize); groups.cardinality()];
-        for row in 0..self.n_rows() {
-            let code = groups.codes()[row];
-            if code == u32::MAX {
-                continue;
-            }
-            if let Some(v) = values.numeric(row) {
-                sums[code as usize].0 += v;
-                sums[code as usize].1 += 1;
-            }
-        }
-        let mut out: Vec<(String, f64, usize)> = groups
-            .dict()
-            .iter()
-            .zip(sums)
-            .filter(|(_, (_, n))| *n > 0)
-            .map(|(g, (sum, n))| (g.clone(), sum / n as f64, n))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// Vertically concatenates another frame with an identical schema.
-    pub fn extend(&mut self, other: &Frame) -> Result<()> {
-        if self.names != other.names {
-            return Err(DataError::Schema(format!(
-                "extend schema mismatch: {:?} vs {:?}",
-                self.names, other.names
-            )));
-        }
-        for row in 0..other.n_rows() {
-            let values: Vec<Value> = other.columns.iter().map(|c| c.get(row)).collect();
-            self.push_row(values)?;
-        }
-        Ok(())
     }
 }
 
@@ -344,21 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn derive_adds_column() {
-        let mut f = sample();
-        f.derive("is_idle", DType::Bool, |fr, i| {
-            match fr.get(i, "sm_util").unwrap().as_float() {
-                Some(v) => Value::Bool(v == 0.0),
-                None => Value::Null,
-            }
-        })
-        .unwrap();
-        assert_eq!(f.get(0, "is_idle").unwrap(), Value::Bool(true));
-        assert_eq!(f.get(1, "is_idle").unwrap(), Value::Bool(false));
-        assert_eq!(f.get(2, "is_idle").unwrap(), Value::Null);
-    }
-
-    #[test]
     fn value_counts_sorted_desc() {
         let f = sample();
         let counts = f.value_counts("user").unwrap();
@@ -396,41 +304,5 @@ mod tests {
         let desc = f.sort_by("job_id", false).unwrap();
         assert_eq!(desc.get(0, "job_id").unwrap(), Value::Int(3));
         assert!(f.sort_by("missing", true).is_err());
-    }
-
-    #[test]
-    fn group_mean_aggregates() {
-        let mut f = sample();
-        f.push_row(vec![Value::Int(4), "bob".into(), Value::Float(44.5)])
-            .unwrap();
-        let means = f.group_mean("user", "sm_util").unwrap();
-        // alice: only 0.0 counts (null skipped); bob: (55.5 + 44.5)/2.
-        assert_eq!(means.len(), 2);
-        assert_eq!(means[0].0, "alice");
-        assert_eq!(means[0], ("alice".to_string(), 0.0, 1));
-        assert_eq!(means[1], ("bob".to_string(), 50.0, 2));
-    }
-
-    #[test]
-    fn group_mean_rejects_bad_types() {
-        let f = sample();
-        assert!(f.group_mean("sm_util", "job_id").is_err());
-        assert!(f.group_mean("user", "user").is_err());
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut f = sample();
-        let g = sample();
-        f.extend(&g).unwrap();
-        assert_eq!(f.n_rows(), 6);
-        assert_eq!(f.get(4, "user").unwrap(), Value::Str("bob".into()));
-    }
-
-    #[test]
-    fn extend_rejects_schema_mismatch() {
-        let mut f = sample();
-        let g = f.select(["job_id"]).unwrap();
-        assert!(f.extend(&g).is_err());
     }
 }

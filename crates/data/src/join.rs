@@ -2,8 +2,7 @@
 //!
 //! The paper's first preprocessing step merges features collected at
 //! different levels (scheduler log, node-level GPU reductions) into a single
-//! per-job table; [`inner_join`] / [`left_join`] implement that merge keyed
-//! on the job id.
+//! per-job table; [`inner_join`] implements that merge keyed on the job id.
 
 use std::collections::HashMap;
 
@@ -80,7 +79,9 @@ fn key_slots(left: &Column, right: &Column) -> Result<(Vec<usize>, Vec<usize>, u
     })
 }
 
-fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) -> Result<Frame> {
+/// Inner join: keeps left rows with at least one key match in `right`;
+/// multiple matches multiply rows (needed for one-to-many log merges).
+pub fn inner_join(left: &Frame, right: &Frame, key: &str) -> Result<Frame> {
     let right_key = right.column(key)?;
     let (left_slots, right_slots, n_slots) = key_slots(left.column(key)?, right_key)?;
 
@@ -96,16 +97,12 @@ fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) 
     }
 
     let mut left_rows: Vec<usize> = Vec::with_capacity(left_slots.len());
-    let mut right_rows: Vec<Option<usize>> = Vec::with_capacity(left_slots.len());
+    let mut right_rows: Vec<usize> = Vec::with_capacity(left_slots.len());
     for (row, &slot) in left_slots.iter().enumerate() {
         let mut r = head.get(slot).copied().unwrap_or(NONE);
-        if r == NONE && keep_unmatched_left {
-            left_rows.push(row);
-            right_rows.push(None);
-        }
         while r != NONE {
             left_rows.push(row);
-            right_rows.push(Some(r));
+            right_rows.push(r);
             r = next[r];
         }
     }
@@ -120,21 +117,9 @@ fn join_impl(left: &Frame, right: &Frame, key: &str, keep_unmatched_left: bool) 
         } else {
             name.clone()
         };
-        out.add_column(&out_name, col.gather(right_rows.iter().copied()))?;
+        out.add_column(&out_name, col.take(&right_rows))?;
     }
     Ok(out)
-}
-
-/// Inner join: keeps left rows with at least one key match in `right`;
-/// multiple matches multiply rows (needed for one-to-many log merges).
-pub fn inner_join(left: &Frame, right: &Frame, key: &str) -> Result<Frame> {
-    join_impl(left, right, key, false)
-}
-
-/// Left join: like [`inner_join`] but unmatched left rows survive with
-/// nulls in the right-hand columns.
-pub fn left_join(left: &Frame, right: &Frame, key: &str) -> Result<Frame> {
-    join_impl(left, right, key, true)
 }
 
 #[cfg(test)]
@@ -158,14 +143,6 @@ mod tests {
         assert_eq!(j.get(0, "user").unwrap(), Value::Str("alice".into()));
         assert_eq!(j.get(0, "sm_util").unwrap(), Value::Float(0.0));
         assert_eq!(j.get(1, "sm_util").unwrap(), Value::Float(87.5));
-    }
-
-    #[test]
-    fn left_join_keeps_unmatched_with_nulls() {
-        let j = left_join(&sched(), &gpu(), "job_id").unwrap();
-        assert_eq!(j.n_rows(), 3);
-        assert_eq!(j.get(2, "user").unwrap(), Value::Str("carol".into()));
-        assert_eq!(j.get(2, "sm_util").unwrap(), Value::Null);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! # irma-data — trace data model
 //!
-//! Column-oriented tables, hand-rolled CSV I/O, schemas, and key joins for
+//! Column-oriented tables, hand-rolled CSV I/O, and key joins for
 //! the IRMA reproduction of *Interpretable Analysis of Production GPU
 //! Clusters Monitoring Data via Association Rule Mining* (IPPS'24).
 //!
 //! Production GPU-cluster traces arrive as several CSV files per system —
 //! a scheduler-level job log plus node-level monitoring reductions. This
 //! crate provides exactly the substrate the paper's preprocessing step
-//! needs: parse each file ([`read_csv_path`]), validate it ([`Schema`]),
-//! and merge everything into one per-job [`Frame`] ([`inner_join`]).
+//! needs: parse each file ([`read_csv_path`]) and merge everything into
+//! one per-job [`Frame`] ([`inner_join`]).
 //!
 //! ```
 //! use irma_data::{read_csv_str, inner_join};
@@ -21,7 +21,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// The parse path is fed raw production CSV/sacct text: every failure
+// The parse path is fed raw production CSV text: every failure
 // must come back as a typed `DataError`, never a panic. Tests are
 // exempt — an `unwrap` there is an assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -31,9 +31,6 @@ mod csv;
 mod error;
 mod frame;
 mod join;
-mod reduce;
-mod schema;
-mod slurm;
 mod value;
 
 pub use column::{Column, DType, StrStorage};
@@ -43,11 +40,5 @@ pub use csv::{
 };
 pub use error::{DataError, Result};
 pub use frame::Frame;
-pub use join::{inner_join, left_join};
-pub use reduce::{group_stats, reduce_by_key, GroupStats, Reduction};
-pub use schema::{Field, Schema};
-pub use slurm::{
-    format_sacct_duration, format_size_gb, parse_sacct_duration, parse_size_gb, read_sacct_str,
-    write_sacct_string,
-};
+pub use join::inner_join;
 pub use value::Value;

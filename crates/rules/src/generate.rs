@@ -7,7 +7,7 @@
 //! mined family; no database rescans. Itemsets are processed in parallel
 //! with rayon (each is independent).
 
-use irma_mine::{FrequentItemsets, Itemset};
+use irma_mine::{FrequentItemsets, ItemId, Itemset};
 use irma_obs::Metrics;
 use rayon::prelude::*;
 
@@ -85,6 +85,23 @@ pub fn generate_rules(
     );
     span.field("rules_out", rules.len() as u64);
     rules
+}
+
+/// Resolves the rule with exactly this `(antecedent, consequent)` in a
+/// rule set ordered as [`generate_rules`] returns it, by binary search on
+/// that key. Both sides must be sorted ascending (the canonical
+/// [`Itemset`] order).
+pub fn find_rule<'r>(
+    rules: &'r [Rule],
+    antecedent: &[ItemId],
+    consequent: &[ItemId],
+) -> Option<&'r Rule> {
+    let first = rules.partition_point(|rule| {
+        (rule.antecedent.items(), rule.consequent.items()) < (antecedent, consequent)
+    });
+    rules.get(first).filter(|rule| {
+        rule.antecedent.items() == antecedent && rule.consequent.items() == consequent
+    })
 }
 
 /// Why a candidate rule was dropped at generation time.

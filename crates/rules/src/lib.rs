@@ -50,7 +50,7 @@ pub use analysis::KeywordAnalysis;
 pub use classify::{Evaluation, RuleClassifier};
 pub use compare::{compare_rules, label_rules, LabeledRule, RuleComparison};
 pub use explain::{Explainer, PruneEdge, PruneLog};
-pub use generate::{generate_rules, GenFilter, RuleConfig};
+pub use generate::{find_rule, generate_rules, GenFilter, RuleConfig};
 pub use prune::{
     prune_rules, InvalidPruneParams, PruneCondition, PruneOutcome, PruneParams, PruneRecord,
 };

@@ -15,7 +15,7 @@
 //! the indices of the rules that terminate there. Walks touch only
 //! `Vec`-contiguous memory and never hash.
 //!
-//! Three walks:
+//! Two walks:
 //!
 //! * [`RuleTrie::proper_subsets_of`] — descend only edges labelled with
 //!   query items; every visited node holds subsets of the query, and a
@@ -26,14 +26,13 @@
 //!   subtree's max item can still reach `q[next]`, see `subtree_max`);
 //!   an edge `== q[next]` advances the query. Once the query is
 //!   exhausted, the whole remaining subtree is supersets.
-//! * [`RuleTrie::find`] — exact-path descent plus a scan of the terminal
-//!   node's entry slice, the sub-linear rule lookup behind
-//!   `Analysis::find_rule`, `irma explain`, and `GET /v1/explain`.
+//!
+//! The trie is prune's nested-pair index only: an exact
+//! `(antecedent, consequent)` lookup is a binary search over the
+//! generated rule order ([`crate::find_rule`]).
 
 use irma_mine::ItemId;
 use std::collections::HashMap;
-
-use crate::rule::Rule;
 
 /// A frozen shared-prefix trie over one side of a rule set.
 ///
@@ -43,7 +42,7 @@ use crate::rule::Rule;
 /// `entry_start[n]..entry_start[n + 1]` delimits the indices (into the
 /// rule slice the trie was built from) of rules whose keyed side is
 /// exactly the path to `n`, in ascending index order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleTrie {
     child_start: Vec<u32>,
     child_items: Vec<ItemId>,
@@ -54,17 +53,9 @@ pub struct RuleTrie {
     /// of `n`'s own incoming edge included); lets the superset walk skip
     /// subtrees that cannot contain the next query item.
     subtree_max: Vec<ItemId>,
-    len: usize,
 }
 
 impl RuleTrie {
-    /// Builds a trie keyed by each rule's **antecedent** (the layout
-    /// `Analysis` keeps for exact rule lookup: per-node entries list the
-    /// rules — hence the consequents — sharing that antecedent path).
-    pub fn over_antecedents(rules: &[Rule]) -> RuleTrie {
-        RuleTrie::from_sides(rules.iter().map(|r| r.antecedent.items()))
-    }
-
     /// Builds a trie from raw sorted item slices; entry `k` of the
     /// iterator is indexed as rule `k`.
     pub fn from_sides<'a>(sides: impl Iterator<Item = &'a [ItemId]>) -> RuleTrie {
@@ -83,7 +74,6 @@ impl RuleTrie {
             }
             terminals.push((node, idx as u32));
         }
-        let len = terminals.len();
         let n_nodes = item_of.len();
 
         // Freeze: sorting by (node, item) yields per-node child slices
@@ -130,24 +120,7 @@ impl RuleTrie {
             entry_start,
             entry_rules,
             subtree_max,
-            len,
         }
-    }
-
-    /// Number of rules indexed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the trie indexes no rules.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of trie nodes (root included) — the shared-prefix
-    /// compression the CSR layout stores.
-    pub fn node_count(&self) -> usize {
-        self.child_start.len() - 1
     }
 
     fn children(&self, node: u32) -> (&[ItemId], &[u32]) {
@@ -160,33 +133,6 @@ impl RuleTrie {
         let start = self.entry_start[node as usize] as usize;
         let end = self.entry_start[node as usize + 1] as usize;
         &self.entry_rules[start..end]
-    }
-
-    /// The node reached by descending `path` exactly, if every edge
-    /// exists (binary search per step — children are sorted by item).
-    fn node_for(&self, path: &[ItemId]) -> Option<u32> {
-        let mut node = 0u32;
-        for &item in path {
-            let (items, nodes) = self.children(node);
-            let pos = items.binary_search(&item).ok()?;
-            node = nodes[pos];
-        }
-        Some(node)
-    }
-
-    /// Resolves the rule with exactly this (antecedent, consequent) via
-    /// trie walk: exact-path descent on the keyed side, then a scan of
-    /// the terminal entry slice for the matching other side.
-    ///
-    /// `rules` must be the slice the trie was built from (for a trie
-    /// from [`RuleTrie::over_antecedents`], `ante` is the keyed side).
-    /// Both sides must be sorted ascending.
-    pub fn find(&self, rules: &[Rule], ante: &[ItemId], cons: &[ItemId]) -> Option<usize> {
-        let node = self.node_for(ante)?;
-        self.entries(node)
-            .iter()
-            .map(|&idx| idx as usize)
-            .find(|&idx| rules[idx].consequent.items() == cons)
     }
 
     /// Appends the indices of all rules whose keyed side is a **proper
@@ -278,18 +224,7 @@ impl RuleTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irma_mine::{is_sorted_subset, Itemset};
-
-    fn mk(ante: &[ItemId], cons: &[ItemId]) -> Rule {
-        Rule {
-            antecedent: Itemset::from_items(ante.iter().copied()),
-            consequent: Itemset::from_items(cons.iter().copied()),
-            support_count: 1,
-            support: 0.1,
-            confidence: 0.5,
-            lift: 2.0,
-        }
-    }
+    use irma_mine::is_sorted_subset;
 
     fn sides() -> Vec<Vec<ItemId>> {
         vec![
@@ -386,41 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sharing_compresses_nodes() {
-        let sides = sides();
-        let trie = build(&sides);
-        // Distinct prefixes: {}, 1, 12, 123, 13, 2, 23, 4 -> 8 nodes for
-        // 8 rules (15 items stored flat).
-        assert_eq!(trie.node_count(), 8);
-        assert_eq!(trie.len(), 8);
-    }
-
-    #[test]
-    fn find_resolves_exact_rule_via_trie_walk() {
-        let rules = vec![
-            mk(&[1, 2], &[9]),
-            mk(&[1, 2], &[8, 9]),
-            mk(&[1], &[9]),
-            mk(&[3], &[7]),
-        ];
-        let trie = RuleTrie::over_antecedents(&rules);
-        assert_eq!(trie.find(&rules, &[1, 2], &[9]), Some(0));
-        assert_eq!(trie.find(&rules, &[1, 2], &[8, 9]), Some(1));
-        assert_eq!(trie.find(&rules, &[1], &[9]), Some(2));
-        assert_eq!(trie.find(&rules, &[3], &[7]), Some(3));
-        assert_eq!(trie.find(&rules, &[1, 2], &[7]), None);
-        assert_eq!(trie.find(&rules, &[2], &[9]), None);
-    }
-
-    #[test]
     fn empty_trie_walks_are_empty() {
         let trie = RuleTrie::from_sides(std::iter::empty());
         let mut out = Vec::new();
         trie.proper_subsets_of(&[1, 2], &mut out);
         trie.proper_supersets_of(&[1], &mut out);
         assert!(out.is_empty());
-        assert!(trie.is_empty());
-        assert_eq!(trie.node_count(), 1);
     }
 
     #[test]

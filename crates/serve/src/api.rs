@@ -92,9 +92,32 @@ struct AnalyzeParams {
     top: usize,
 }
 
+/// Every query key `/v1/analyze` reads. `panic_after` is honoured only
+/// when the server allows fault injection, but is never an unknown key.
+const ANALYZE_KEYS: [&str; 8] = [
+    "min_support",
+    "max_len",
+    "min_lift",
+    "min_confidence",
+    "trace",
+    "keyword",
+    "top",
+    "panic_after",
+];
+
 fn parse_analyze_params(shared: &Shared, head: &RequestHead) -> Result<AnalyzeParams, Reply> {
     let bad = |message: String| Reply::error(400, "Bad Request", &message, "serve");
     let pairs = parse_query(head.query().unwrap_or(""));
+    // A misspelt knob must not silently fall back to its default.
+    if let Some((key, _)) = pairs
+        .iter()
+        .find(|(key, _)| !ANALYZE_KEYS.contains(&key.as_str()))
+    {
+        return Err(bad(format!(
+            "unknown query parameter `{key}` (known: {})",
+            ANALYZE_KEYS.join(", ")
+        )));
+    }
     let mut config = AnalysisConfig::default();
     if let Some(raw) = query_get(&pairs, "min_support") {
         let value: f64 = raw
@@ -411,7 +434,6 @@ fn run_analysis(
             frequent: analysis.frequent,
             rule_config: analysis.config.rules,
             rules: analysis.rules,
-            trie: analysis.rule_trie,
             prune_log,
         };
         if let Ok(mut cache) = shared.cache.lock() {
@@ -602,8 +624,8 @@ fn handle_explain(shared: &Shared, head: &RequestHead) -> Reply {
         }
     };
     let labeler = |id: u32| entry.catalog.label(id).to_string();
-    // Rule metrics resolve via the cached trie index (no linear scan of
-    // the flat rule export). A candidate that the generation thresholds
+    // Rule metrics resolve by binary search over the cached rules, which
+    // keep their generated order. A candidate that the generation thresholds
     // dropped is still explainable, so this is `null`able.
     let metrics_json = match entry.find_rule(&ante, &cons) {
         Some(rule) => render_rule(rule, &entry.catalog),

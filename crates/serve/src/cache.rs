@@ -3,7 +3,7 @@
 //! Entries hold the pre-rendered analyze payload plus what
 //! `GET /v1/explain/{rule}` recomputes an explanation from: the catalog,
 //! the mined itemset family and the rule thresholds (generation
-//! verdicts), the rule set with its trie index, and the keyword run's
+//! verdicts), the rule set in its generated order, and the keyword run's
 //! index-keyed prune log. All of it is moved out of the finished
 //! analysis, never cloned, and nothing is rendered until someone asks —
 //! the explain endpoint only works over cached analyses, which is exactly
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use irma_mine::{FrequentItemsets, ItemCatalog};
-use irma_rules::{Explainer, PruneLog, Rule, RuleConfig, RuleTrie};
+use irma_rules::{Explainer, PruneLog, Rule, RuleConfig};
 
 /// One cached analysis.
 #[derive(Debug)]
@@ -38,11 +38,9 @@ pub struct CacheEntry {
     pub frequent: FrequentItemsets,
     /// The generation thresholds the analysis ran with.
     pub rule_config: RuleConfig,
-    /// The generated rules (pre-pruning), for explain metric lookups.
+    /// The generated rules (pre-pruning) in `generate_rules` order, for
+    /// explain metric lookups.
     pub rules: Vec<Rule>,
-    /// Shared-prefix index over `rules`; explain resolves exact
-    /// `(antecedent, consequent)` rules via trie walk, not linear scan.
-    pub trie: RuleTrie,
     /// The keyword run's decisions over `rules`; `None` when the analyze
     /// request named no keyword.
     pub prune_log: Option<PruneLog>,
@@ -61,9 +59,7 @@ impl CacheEntry {
 
     /// Resolves a rule by exact sorted `(antecedent, consequent)` ids.
     pub fn find_rule(&self, antecedent: &[u32], consequent: &[u32]) -> Option<&Rule> {
-        self.trie
-            .find(&self.rules, antecedent, consequent)
-            .map(|idx| &self.rules[idx])
+        irma_rules::find_rule(&self.rules, antecedent, consequent)
     }
 }
 
@@ -172,7 +168,6 @@ mod tests {
             frequent: FrequentItemsets::default(),
             rule_config: RuleConfig::default(),
             rules: Vec::new(),
-            trie: RuleTrie::default(),
             prune_log: None,
         }
     }
@@ -237,29 +232,34 @@ mod tests {
     }
 
     #[test]
-    fn find_rule_resolves_via_trie() {
+    fn find_rule_resolves_by_key() {
         use irma_mine::Itemset;
-        let rule = Rule {
-            antecedent: Itemset::from_items([1, 3]),
-            consequent: Itemset::from_items([2]),
+        let rule = |ante: &[u32], cons: &[u32]| Rule {
+            antecedent: Itemset::from_items(ante.iter().copied()),
+            consequent: Itemset::from_items(cons.iter().copied()),
             support_count: 10,
             support: 0.1,
             confidence: 0.5,
             lift: 2.0,
         };
-        let rules = vec![rule.clone()];
-        let trie = RuleTrie::over_antecedents(&rules);
+        // Sorted by (antecedent, consequent), as `generate_rules` emits.
+        let rules = vec![
+            rule(&[1], &[2]),
+            rule(&[1, 3], &[2]),
+            rule(&[1, 3], &[2, 4]),
+            rule(&[2], &[1]),
+        ];
         let entry = CacheEntry {
-            payload: String::new(),
-            catalog: ItemCatalog::new(),
-            frequent: FrequentItemsets::default(),
-            rule_config: RuleConfig::default(),
-            rules,
-            trie,
-            prune_log: None,
+            rules: rules.clone(),
+            ..entry("")
         };
-        assert_eq!(entry.find_rule(&[1, 3], &[2]), Some(&rule));
-        assert!(entry.find_rule(&[1], &[2]).is_none());
+        for expected in &rules {
+            let found = entry.find_rule(expected.antecedent.items(), expected.consequent.items());
+            assert_eq!(found, Some(expected));
+        }
         assert!(entry.find_rule(&[1, 3], &[4]).is_none());
+        assert!(entry.find_rule(&[3], &[2]).is_none());
+        assert!(entry.find_rule(&[0], &[1]).is_none());
+        assert!(entry.find_rule(&[3], &[9]).is_none());
     }
 }

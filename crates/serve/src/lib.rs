@@ -533,6 +533,19 @@ mod tests {
             bad_support.contains("\"stage\":\"serve\""),
             "got: {bad_support}"
         );
+        // So is a key no analyze knob answers to, misspelt or retired.
+        for (query, key) in [
+            ("?min_suport=0.5", "min_suport"),
+            ("?algorithm=fpgrowth", "algorithm"),
+        ] {
+            let unknown = post_analyze(addr, query, "", CSV);
+            assert_eq!(status_of(&unknown), 400, "got: {unknown}");
+            assert!(unknown.contains("\"stage\":\"serve\""), "got: {unknown}");
+            assert!(
+                unknown.contains(&format!("unknown query parameter `{key}`")),
+                "got: {unknown}"
+            );
+        }
         let bad_trace = post_analyze(addr, "?trace=helios", "", CSV);
         assert_eq!(status_of(&bad_trace), 400);
         assert!(

@@ -104,14 +104,6 @@ impl TraceBundle {
         self.scheduler.n_rows()
     }
 
-    /// Fraction of jobs whose ground-truth archetype is `label`.
-    pub fn truth_share(&self, label: &str) -> f64 {
-        if self.truth.is_empty() {
-            return 0.0;
-        }
-        self.truth.iter().filter(|&&t| t == label).count() as f64 / self.truth.len() as f64
-    }
-
     /// Writes the two collection-level files as
     /// `<dir>/<name>_scheduler.csv` and `<dir>/<name>_monitoring.csv`,
     /// returning both paths. Ground-truth labels are deliberately *not*
@@ -182,17 +174,5 @@ mod tests {
         assert_eq!(join.field("rows"), Some(bundle.n_jobs() as u64));
         assert_eq!(merged.n_cols(), bundle.merged().n_cols());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truth_shares_sum_to_one() {
-        let bundle = supercloud(&TraceConfig {
-            n_jobs: 500,
-            seed: 4,
-            max_monitor_samples: 16,
-        });
-        let labels: std::collections::HashSet<&str> = bundle.truth.iter().copied().collect();
-        let total: f64 = labels.iter().map(|l| bundle.truth_share(l)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 }

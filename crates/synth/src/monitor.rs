@@ -206,81 +206,6 @@ impl GpuSeries {
     }
 }
 
-/// Lays out per-job series as one raw sample log: columns
-/// `job_id, t_s, sm_util, mem_bw_util, mem_used_gb, power_w` — the shape a
-/// node-level collector (e.g. 100 ms `nvidia-smi` polling) actually
-/// writes, before any reduction.
-pub fn series_to_raw_frame(jobs: &[(i64, &GpuSeries)], interval_s: f64) -> irma_data::Frame {
-    let total: usize = jobs.iter().map(|(_, s)| s.len()).sum();
-    let mut job_id = Vec::with_capacity(total);
-    let mut t_s = Vec::with_capacity(total);
-    let mut sm = Vec::with_capacity(total);
-    let mut bw = Vec::with_capacity(total);
-    let mut mem = Vec::with_capacity(total);
-    let mut power = Vec::with_capacity(total);
-    for (id, series) in jobs {
-        for i in 0..series.len() {
-            job_id.push(*id);
-            t_s.push(i as f64 * interval_s);
-            sm.push(series.sm_util[i]);
-            bw.push(series.mem_bw_util[i]);
-            mem.push(series.mem_used_gb[i]);
-            power.push(series.power_w[i]);
-        }
-    }
-    let mut frame = irma_data::Frame::new();
-    frame
-        .add_column("job_id", irma_data::Column::from_ints(job_id))
-        .expect("fresh frame");
-    frame
-        .add_column("t_s", irma_data::Column::from_floats(t_s))
-        .expect("fresh frame");
-    frame
-        .add_column("sm_util", irma_data::Column::from_floats(sm))
-        .expect("fresh frame");
-    frame
-        .add_column("mem_bw_util", irma_data::Column::from_floats(bw))
-        .expect("fresh frame");
-    frame
-        .add_column("mem_used_gb", irma_data::Column::from_floats(mem))
-        .expect("fresh frame");
-    frame
-        .add_column("power_w", irma_data::Column::from_floats(power))
-        .expect("fresh frame");
-    frame
-}
-
-/// Reduces a raw sample log (as produced by [`series_to_raw_frame`]) into
-/// the per-job feature frame the paper mines: mean/variance of SM and
-/// memory-bandwidth utilization, mean memory used, mean power — the same
-/// reductions [`GpuSeries::stats`] computes in memory, but run through
-/// the generic grouped-reduction kernel so on-disk raw logs take the
-/// exact same path.
-pub fn reduce_raw_monitoring(raw: &irma_data::Frame) -> irma_data::Result<irma_data::Frame> {
-    use irma_data::Reduction::{Max, Mean, Min, Var};
-    let mut reduced = irma_data::reduce_by_key(
-        raw,
-        "job_id",
-        &[
-            ("sm_util", &[Mean, Min, Max, Var] as &[_]),
-            ("mem_bw_util", &[Mean, Var]),
-            ("mem_used_gb", &[Mean]),
-            ("power_w", &[Mean]),
-        ],
-    )?;
-    // Rename to the SuperCloud monitoring schema.
-    for (from, to) in [
-        ("mem_bw_util", "gmem_util"),
-        ("mem_bw_util_var", "gmem_util_var"),
-        ("mem_used_gb", "gmem_used_gb"),
-        ("power_w", "gpu_power_w"),
-    ] {
-        let col = reduced.drop_column(from)?;
-        reduced.add_column(to, col)?;
-    }
-    Ok(reduced)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,59 +272,6 @@ mod tests {
         assert_eq!(long.len(), MAX_SAMPLES);
         let tiny = simulate_gpu(&mut rng, GpuBehavior::Idle, &V100, 0.01, 60.0);
         assert_eq!(tiny.len(), 1);
-    }
-
-    #[test]
-    fn raw_frame_reduction_matches_in_memory_stats() {
-        let mut rng = seeded_rng(9);
-        let behaviors = [
-            GpuBehavior::Idle,
-            GpuBehavior::SteadyTraining {
-                level: 70.0,
-                jitter: 6.0,
-                mem_gb: 12.0,
-            },
-            GpuBehavior::BurstyInference {
-                duty: 0.1,
-                burst_level: 50.0,
-                mem_gb: 8.0,
-            },
-        ];
-        let series: Vec<GpuSeries> = behaviors
-            .iter()
-            .map(|&b| simulate_gpu(&mut rng, b, &V100, 60.0, 0.1))
-            .collect();
-        let jobs: Vec<(i64, &GpuSeries)> = series
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as i64, s))
-            .collect();
-        let raw = series_to_raw_frame(&jobs, 0.1);
-        assert_eq!(raw.n_rows(), series.iter().map(GpuSeries::len).sum());
-        let reduced = reduce_raw_monitoring(&raw).unwrap();
-        assert_eq!(reduced.n_rows(), 3);
-        for (i, s) in series.iter().enumerate() {
-            let stats = s.stats();
-            let get = |col: &str| reduced.get(i, col).unwrap().as_float().unwrap();
-            assert!((get("sm_util") - stats.sm_mean).abs() < 1e-9, "job {i}");
-            assert!((get("sm_util_min") - stats.sm_min).abs() < 1e-9);
-            assert!((get("sm_util_max") - stats.sm_max).abs() < 1e-9);
-            assert!((get("sm_util_var") - stats.sm_var).abs() < 1e-6);
-            assert!((get("gmem_util") - stats.mem_bw_mean).abs() < 1e-9);
-            assert!((get("gmem_util_var") - stats.mem_bw_var).abs() < 1e-6);
-            assert!((get("gmem_used_gb") - stats.mem_used_mean_gb).abs() < 1e-9);
-            assert!((get("gpu_power_w") - stats.power_mean_w).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn raw_frame_timestamps_step_by_interval() {
-        let mut rng = seeded_rng(10);
-        let s = simulate_gpu(&mut rng, GpuBehavior::Idle, &V100, 1.0, 0.1);
-        let raw = series_to_raw_frame(&[(5, &s)], 0.1);
-        assert_eq!(raw.get(0, "t_s").unwrap().as_float(), Some(0.0));
-        assert!((raw.get(1, "t_s").unwrap().as_float().unwrap() - 0.1).abs() < 1e-12);
-        assert_eq!(raw.get(0, "job_id").unwrap().as_int(), Some(5));
     }
 
     #[test]

@@ -12,8 +12,9 @@ the documented contract at every step:
 3. a `fp:<fingerprint>` body replays the dataset without re-uploading;
 4. `GET /v1/explain/{rule}?fp=` recomputes the explanation from the
    cached analysis (200 with an `explanation`);
-5. a malformed request (a non-numeric `min_support`) gets a typed 400
-   from the `serve` stage, not a 5xx;
+5. a malformed request (a non-numeric `min_support`, or a query key no
+   knob answers to such as `min_suport`) gets a typed 400 from the
+   `serve` stage, not a 5xx;
 6. an over-budget request (`x-irma-timeout-ms: 0`) gets the documented
    504 deadline answer;
 7. a concurrent burst of analyzes (cold + cache-hit mix) all succeed —
@@ -102,7 +103,13 @@ def main() -> int:
         fail(f"bad min_support: want 400, got {status}: {text}")
     if json.loads(text).get("stage") != "serve":
         fail(f"bad min_support: want stage `serve`, got {text}")
-    print("ok: malformed request is a typed 400")
+    status, text = analyze(base, CSV, query="?min_suport=0.5")
+    if status != 400:
+        fail(f"unknown key min_suport: want 400, got {status}: {text}")
+    doc = json.loads(text)
+    if doc.get("stage") != "serve" or "min_suport" not in doc.get("error", ""):
+        fail(f"unknown key min_suport: want a `serve` 400 naming the key, got {text}")
+    print("ok: malformed request and unknown query key are typed 400s")
 
     # 6. Over-budget request: the documented 504 deadline answer. The
     # config is unique to this step — the cache key ignores the budget,
