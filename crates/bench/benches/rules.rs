@@ -1,5 +1,6 @@
 //! Tracked rules-stage baseline: keyword pruning wall time for the
-//! trie-driven implementation vs the flat all-pairs oracle, per
+//! production implementation (`subset`: nested pairs found by subset
+//! lookup) vs the flat all-pairs oracle, per
 //! (scale × impl × pool width), emitted as machine-readable JSON.
 //!
 //! Like `mining.rs` (schema v2), this produces the *committed* baseline
@@ -7,7 +8,7 @@
 //! the `irma-bench/rules/v1` schema: kept/pruned counts must match
 //! exactly (machine-independent correctness — the synthetic rule set is
 //! a deterministic function of scale), wall times within a tolerance on
-//! same-core-count hosts, and the trie must beat the flat path by the
+//! same-core-count hosts, and `subset` must beat the flat path by the
 //! speedup floor *within the same document* (both cells measured on one
 //! host, so the gate is machine-independent too).
 //!
@@ -16,11 +17,11 @@
 //! * `IRMA_BENCH_RULES_SCALES`   — comma-separated rule counts
 //!   (default `10000,100000,500000`);
 //! * `IRMA_BENCH_RULES_THREADS`  — comma-separated pool widths
-//!   (default `1,4`; only the trie path parallelizes);
+//!   (default `1,4`; only the subset path parallelizes);
 //! * `IRMA_BENCH_RULES_OUT`      — output path (default `BENCH_10.json`);
 //! * `IRMA_BENCH_RULES_FLAT_CAP` — largest scale the flat oracle runs at
 //!   (default `100000`): all-pairs at 500k rules is the quadratic blowup
-//!   this PR removes, so those reps are declared-skipped, not burned.
+//!   subset lookup avoids, so those reps are declared-skipped, not burned.
 //!
 //! Run with `cargo bench -p irma-bench --bench rules`.
 
@@ -92,7 +93,7 @@ fn measure(rules: &[Rule], implementation: &'static str, threads: usize) -> (f64
             "flat" => {
                 flat_prune_rules(rules, BENCH_RULES_KEYWORD, &params, &Provenance::disabled())
             }
-            "trie" => pool
+            "subset" => pool
                 .install(|| {
                     prune_rules(
                         rules,
@@ -142,7 +143,7 @@ fn render_json(
     let _ = writeln!(out, "  \"keyword\": {BENCH_RULES_KEYWORD},");
     out.push_str("  \"prune_params\": { \"c_lift\": 1.5, \"c_supp\": 1.5 },\n");
     let _ = writeln!(out, "  \"scales\": [{}],", list(scales));
-    out.push_str("  \"impls\": [\"flat\", \"trie\"],\n");
+    out.push_str("  \"impls\": [\"flat\", \"subset\"],\n");
     let _ = writeln!(out, "  \"threads\": [{}],", list(threads));
     out.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -155,10 +156,10 @@ fn render_json(
             );
         } else {
             let rules_per_s = row.scale as f64 / row.best_wall_s;
-            // Trie speedup vs this scale's 1-thread flat best, when
+            // Subset speedup vs this scale's 1-thread flat best, when
             // measured: the within-document number the checker's floor
             // gates on.
-            let speedup_vs_flat = if row.implementation == "trie" {
+            let speedup_vs_flat = if row.implementation == "subset" {
                 rows.iter()
                     .find(|r| {
                         r.scale == row.scale
@@ -214,14 +215,14 @@ fn main() {
     for &scale in &scales {
         eprintln!("generating synthetic rule set at {scale} rules...");
         let rules = bench_rules(scale);
-        for implementation in ["flat", "trie"] {
+        for implementation in ["flat", "subset"] {
             for &width in &threads {
                 let skip_reason = if implementation == "flat" && width != 1 {
                     Some("flat path is single-threaded".to_string())
                 } else if implementation == "flat" && scale > flat_cap {
                     Some(format!(
                         "scale {scale} exceeds IRMA_BENCH_RULES_FLAT_CAP {flat_cap} \
-                         (all-pairs baseline; the quadratic blowup is this PR's point)"
+                         (all-pairs baseline; the quadratic blowup is what subset lookup avoids)"
                     ))
                 } else {
                     None

@@ -64,7 +64,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///   antecedent (cause) or consequent (characteristic) from one of
 ///   `n / 256` disjoint 12-item blocks, a shared base item plus up to 3
 ///   extensions — so proper nesting is dense *within* a family and
-///   impossible across families, the regime where trie walks stay
+///   impossible across families, the regime where subset lookups stay
 ///   localized while all-pairs comparison does not.
 ///
 /// Metrics are quantized draws, so kept/pruned counts are exact,

@@ -1,8 +1,9 @@
 //! The flat all-pairs pruning oracle.
 //!
-//! This is the pre-trie `prune_rules_inner` implementation, preserved
-//! verbatim (modulo using `irma_rules`' public types) as the differential
-//! oracle for the trie-driven prune: same keyword filter, same canonical
+//! This is the original all-pairs `prune_rules_inner` implementation,
+//! preserved verbatim (modulo using `irma_rules`' public types) as the
+//! differential oracle for the production prune, which finds nested
+//! pairs by subset lookup: same keyword filter, same canonical
 //! sort, same per-group `(i asc, j > i asc)` pair enumeration with inline
 //! proper-subset tests, same marking semantics, and the same decisions
 //! logged when provenance is enabled. The `rule_trie` suite asserts

@@ -14,14 +14,17 @@
 //! * [`oracle`] — brute-force reference implementations, deliberately
 //!   written in the most obvious way possible (enumerate every itemset
 //!   mask, count by scanning);
-//! * [`flat_prune`] — the pre-trie all-pairs pruning implementation,
-//!   preserved as the byte-identical oracle for the trie-driven prune;
+//! * [`flat_prune`] — the original all-pairs pruning implementation,
+//!   preserved as the byte-identical oracle for the production prune
+//!   (`irma_rules::prune_rules`, which finds nested pairs by subset
+//!   lookup);
 //! * [`fault`] — seeded fault-injection plans ([`fault::FaultPlan`]) for
 //!   the chaos suite: corrupted CSV text, injected stage panics, forced
 //!   budget trips, and failing trace-log writers;
 //! * `tests/` — the property suites themselves: `differential` (miners vs
 //!   oracle vs each other), `rule_invariants`, `prune_invariants`,
-//!   `rule_trie` (trie-driven prune vs the flat oracle, byte-identical),
+//!   `rule_trie` (the production prune vs the flat oracle,
+//!   byte-identical),
 //!   `binning_invariants`, `roundtrip` (CSV), `regressions`
 //!   (deterministic locks on previously found bugs), and `chaos` (the
 //!   fault-tolerance contract of `irma_core::try_analyze`).

@@ -120,7 +120,6 @@ fn run_at(c_lift: f64) -> Run {
     let config = RuleConfig {
         min_lift: 1.0,
         min_confidence: 0.0,
-        min_support: 0.0,
     };
     let rules = generate_rules(&frequent, &config, &metrics);
     let analysis = KeywordAnalysis::run(

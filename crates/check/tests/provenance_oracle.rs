@@ -130,12 +130,6 @@ mod oracle {
                 value: rule.confidence,
                 threshold: config.min_confidence,
             })
-        } else if rule.support < config.min_support {
-            Some(GenFilter {
-                metric: "support",
-                value: rule.support,
-                threshold: config.min_support,
-            })
         } else {
             None
         }
@@ -536,10 +530,9 @@ fn oracle_for(
 }
 
 fn arb_rule_config() -> impl Strategy<Value = RuleConfig> {
-    (0.5f64..2.0, 0u32..=4, 0u32..=3).prop_map(|(min_lift, conf_q, supp_q)| RuleConfig {
+    (0.5f64..2.0, 0u32..=4).prop_map(|(min_lift, conf_q)| RuleConfig {
         min_lift,
         min_confidence: f64::from(conf_q) * 0.2,
-        min_support: f64::from(supp_q) * 0.1,
     })
 }
 

@@ -17,12 +17,9 @@ use irma_prep::{EncoderSpec, FeatureSpec};
 use irma_rules::{generate_rules, Rule, RuleConfig};
 
 fn arb_rule_config() -> impl Strategy<Value = RuleConfig> {
-    (0.0f64..3.0, 0.0f64..1.0, 0.0f64..0.2).prop_map(|(min_lift, min_confidence, min_support)| {
-        RuleConfig {
-            min_lift,
-            min_confidence,
-            min_support,
-        }
+    (0.0f64..3.0, 0.0f64..1.0).prop_map(|(min_lift, min_confidence)| RuleConfig {
+        min_lift,
+        min_confidence,
     })
 }
 
@@ -137,13 +134,15 @@ proptest! {
         config in arb_rule_config(),
     ) {
         let frequent = mined(&db);
+        // A rule's support is its itemset's: the miner's floor bounds it.
+        let min_count = mine_config().min_count(db.len());
         for rule in generate(&frequent, &config) {
             prop_assert!(!rule.antecedent.is_empty());
             prop_assert!(!rule.consequent.is_empty());
             prop_assert!(rule.antecedent.is_disjoint_from(&rule.consequent));
             prop_assert!(rule.lift >= config.min_lift);
             prop_assert!(rule.confidence >= config.min_confidence);
-            prop_assert!(rule.support >= config.min_support);
+            prop_assert!(rule.support_count >= min_count);
         }
     }
 

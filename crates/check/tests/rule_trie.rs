@@ -1,13 +1,15 @@
-//! Trie-vs-flat pruning differential suite.
+//! Production-vs-flat pruning differential suite.
 //!
-//! The trie-driven `prune_rules` promises a *byte-identical*
-//! output contract to the flat all-pairs implementation it replaced —
-//! same kept rules, same `PruneRecord` sequence, same decision log (edges,
-//! undecided counts, verdicts) — at any rayon pool width. This suite pits it against the preserved
-//! oracle ([`irma_check::flat_prune`]) on mined and synthetic rule sets
-//! at widths 1/2/8, checks the raw trie walks against brute-force subset
-//! scans, and pins the non-monotone `C_lift` counterexample from the
-//! `provenance_fixture` suite at both margins.
+//! The production `prune_rules` (nested pairs found by subset lookup)
+//! promises a *byte-identical* output contract to the flat all-pairs
+//! implementation it replaced — same kept rules, same `PruneRecord`
+//! sequence, same decision log (edges, undecided counts, verdicts) — at
+//! any rayon pool width. This suite pits it against the preserved oracle
+//! ([`irma_check::flat_prune`]) on mined and synthetic rule sets at
+//! widths 1/2/8, and pins the non-monotone `C_lift` counterexample from
+//! the `provenance_fixture` suite at both margins. (The pair discovery
+//! itself is checked against a brute-force nested scan by a property in
+//! `irma_rules`' prune module.)
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -15,11 +17,10 @@ use rayon::ThreadPoolBuilder;
 use irma_check::flat_prune::flat_prune_rules;
 use irma_check::generators::arb_transaction_db;
 use irma_mine::{
-    fpgrowth, is_sorted_subset, BudgetGuard, FrequentItemsets, ItemId, Itemset, MinerConfig,
-    TransactionDb,
+    fpgrowth, BudgetGuard, FrequentItemsets, ItemId, Itemset, MinerConfig, TransactionDb,
 };
 use irma_obs::{Metrics, Provenance};
-use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig, RuleTrie};
+use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig};
 
 /// The pool widths every equivalence case runs at (the determinism claim:
 /// group parallelism must not leak into the output).
@@ -29,7 +30,7 @@ fn arb_prune_params() -> impl Strategy<Value = PruneParams> {
     (1.0f64..3.0, 1.0f64..3.0).prop_map(|(c_lift, c_supp)| PruneParams { c_lift, c_supp })
 }
 
-/// Asserts trie prune ≡ flat prune byte-identically at every width.
+/// Asserts production prune ≡ flat prune byte-identically at every width.
 fn assert_equivalent(
     rules: &[Rule],
     keyword: ItemId,
@@ -143,47 +144,12 @@ proptest! {
     ) {
         assert_equivalent(&rules, keyword as ItemId, &params)?;
     }
-
-    #[test]
-    fn trie_walks_match_brute_force_subset_scans(
-        masks in proptest::collection::vec(1u32..4096, 1..40),
-        query_mask in 1u32..4096,
-    ) {
-        let side = |mask: u32| -> Vec<ItemId> {
-            (0..12).filter(|bit| mask & (1 << bit) != 0).collect()
-        };
-        let sides: Vec<Vec<ItemId>> = masks.iter().map(|&m| side(m)).collect();
-        let trie = RuleTrie::from_sides(sides.iter().map(|s| s.as_slice()));
-        let query = side(query_mask);
-
-        let mut subs = Vec::new();
-        let mut sups = Vec::new();
-        trie.proper_subsets_of(&query, &mut subs);
-        trie.proper_supersets_of(&query, &mut sups);
-        subs.sort_unstable();
-        sups.sort_unstable();
-
-        let expect = |keep: &dyn Fn(&[ItemId]) -> bool| -> Vec<u32> {
-            sides
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| keep(s))
-                .map(|(i, _)| i as u32)
-                .collect()
-        };
-        let expected_subs =
-            expect(&|s| s.len() < query.len() && is_sorted_subset(s, &query));
-        let expected_sups =
-            expect(&|s| s.len() > query.len() && is_sorted_subset(&query, s));
-        prop_assert_eq!(subs, expected_subs);
-        prop_assert_eq!(sups, expected_sups);
-    }
 }
 
 /// The `provenance_fixture` counterexample: pruning is not monotone in
 /// `C_lift` — raising the margin from 1.0 to 1.5 flips which rule wins a
 /// condition-1 comparison and *changes* (not merely grows) the kept set.
-/// Both margins must still be byte-identical between trie and flat.
+/// Both margins must still be byte-identical between production and flat.
 #[test]
 fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
     const A: u32 = 0;
@@ -202,7 +168,6 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
         &RuleConfig {
             min_lift: 1.0,
             min_confidence: 0.0,
-            min_support: 0.0,
         },
     );
 
@@ -214,7 +179,7 @@ fn pinned_c_lift_counterexample_is_identical_at_both_margins() {
         assert_equivalent(&rules, K, &params).unwrap();
     }
 
-    // And the flip itself still happens through the trie path: at the
+    // And the flip itself still happens through the production path: at the
     // tight margin only R3 `{b} => {K}` survives as a cause; relaxing the
     // margin resurrects R1 `{a} => {K}`.
     let kept_antecedents = |c_lift: f64| -> Vec<Vec<u32>> {

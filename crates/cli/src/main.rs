@@ -412,8 +412,8 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 "trace: {trace}  keyword: {keyword}  C_lift={:.2}  C_supp={:.2}",
                 config.prune.c_lift, config.prune.c_supp
             );
-            // Resolve the generated rule (if any) via a trie walk rather
-            // than scanning the flat export.
+            // Resolve the generated rule (if any) by binary search over
+            // the generated rule order rather than scanning the export.
             if let Some(rule) = analysis.find_rule(&ante, &cons) {
                 println!(
                     "rule: supp={:.4}  conf={:.4}  lift={:.4}",

@@ -18,6 +18,7 @@
 //! formatting round-trip, no false sharing between configs that differ
 //! in a late decimal.
 
+use crate::traces::Trace;
 use crate::workflow::AnalysisConfig;
 
 /// Fingerprints a dataset's raw bytes: FNV-1a 64, rendered as 16 lowercase
@@ -34,17 +35,24 @@ pub fn dataset_fingerprint(bytes: &[u8]) -> String {
 }
 
 /// Renders the output-affecting analysis knobs into a canonical cache-key
-/// string. `keyword` is the optional keyword-analysis target (a column
-/// label); `top` caps how many rules/causes the caller renders and is
-/// *included* because it changes the response body.
-pub fn config_cache_key(config: &AnalysisConfig, keyword: Option<&str>, top: usize) -> String {
+/// string. `trace` is the profile whose encoder spec the analysis uses
+/// (`None`: the spec is inferred from the data); `keyword` is the
+/// optional keyword-analysis target (a column label); `top` caps how many
+/// rules/causes the caller renders and is *included* because it changes
+/// the response body.
+pub fn config_cache_key(
+    config: &AnalysisConfig,
+    trace: Option<Trace>,
+    keyword: Option<&str>,
+    top: usize,
+) -> String {
     format!(
-        "ms={:016x};ml={};rl={:016x};rc={:016x};rs={:016x};cl={:016x};cs={:016x};kw={};top={}",
+        "spec={};ms={:016x};ml={};rl={:016x};rc={:016x};cl={:016x};cs={:016x};kw={};top={}",
+        trace.map_or("inferred", Trace::name),
         config.miner.min_support.to_bits(),
         config.miner.max_len,
         config.rules.min_lift.to_bits(),
         config.rules.min_confidence.to_bits(),
-        config.rules.min_support.to_bits(),
         config.prune.c_lift.to_bits(),
         config.prune.c_supp.to_bits(),
         keyword.unwrap_or(""),
@@ -76,22 +84,26 @@ mod tests {
             ..ExecBudget::default()
         };
         assert_eq!(
-            config_cache_key(&base, None, 10),
-            config_cache_key(&budgeted, None, 10)
+            config_cache_key(&base, None, None, 10),
+            config_cache_key(&budgeted, None, None, 10)
         );
     }
 
     #[test]
     fn cache_key_sees_output_affecting_knobs() {
         let base = AnalysisConfig::default();
-        let key = config_cache_key(&base, None, 10);
+        let key = config_cache_key(&base, None, None, 10);
         let mut support = base.clone();
         support.miner.min_support += 1e-9;
-        assert_ne!(key, config_cache_key(&support, None, 10));
+        assert_ne!(key, config_cache_key(&support, None, None, 10));
         let mut lift = base.clone();
         lift.rules.min_lift = 2.0;
-        assert_ne!(key, config_cache_key(&lift, None, 10));
-        assert_ne!(key, config_cache_key(&base, Some("State=Failed"), 10));
-        assert_ne!(key, config_cache_key(&base, None, 5));
+        assert_ne!(key, config_cache_key(&lift, None, None, 10));
+        assert_ne!(key, config_cache_key(&base, None, Some("State=Failed"), 10));
+        assert_ne!(key, config_cache_key(&base, None, None, 5));
+        // The encoder spec changes the items, so every trace keys apart.
+        let pai = config_cache_key(&base, Some(Trace::Pai), None, 10);
+        assert_ne!(key, pai);
+        assert_ne!(pai, config_cache_key(&base, Some(Trace::Philly), None, 10));
     }
 }

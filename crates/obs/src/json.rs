@@ -17,9 +17,13 @@
 //!                              "max_ms": <f64> }, ... },
 //!   "stages":   [ { "id": <u64>, "parent": <u64|null>,
 //!                   "stage": "<name>", "wall_ms": <f64>,
-//!                   "fields": { "<name>": <u64>, ... } }, ... ]
+//!                   "fields": { "<name>": <u64>, ... } }, ... ],
+//!   "stages_dropped": <u64>
 //! }
 //! ```
+//!
+//! `stages` holds the most recent `MAX_STAGE_EVENTS` spans;
+//! `stages_dropped` counts the older ones and appears only when nonzero.
 //!
 //! `timers.p50_ms` / `timers.p95_ms` are bucket-boundary estimates from
 //! the bounded log2 histogram (count/total/max stay exact).
@@ -163,8 +167,14 @@ pub(crate) fn snapshot_to_json(snapshot: &Snapshot) -> String {
     } else {
         format!("[\n{}\n  ]", stages.join(",\n"))
     };
+    // Only a run past the stage cap carries the key, so a bounded run's
+    // document keeps its shape.
+    let dropped = match snapshot.stages_dropped {
+        0 => String::new(),
+        n => format!(",\n  \"stages_dropped\": {n}"),
+    };
     format!(
-        "{{\n  \"run_id\": \"{}\",\n  \"degraded\": {},\n  \"counters\": {counters},\n  \"gauges\": {gauges},\n  \"sched\": {sched},\n  \"timers\": {timers},\n  \"stages\": {stages}\n}}\n",
+        "{{\n  \"run_id\": \"{}\",\n  \"degraded\": {},\n  \"counters\": {counters},\n  \"gauges\": {gauges},\n  \"sched\": {sched},\n  \"timers\": {timers},\n  \"stages\": {stages}{dropped}\n}}\n",
         escape(&snapshot.run_id),
         snapshot.degraded
     )

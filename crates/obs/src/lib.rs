@@ -68,7 +68,7 @@ pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use json::{escape as json_escape, f64_value as json_f64};
 pub use provenance::Provenance;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -98,6 +98,12 @@ impl StageEvent {
     }
 }
 
+/// How many closed-span events a registry keeps for [`Snapshot::stages`]:
+/// the most recent ones, so a long-running server or watch daemon holds
+/// (and snapshots) a bounded trace. The JSONL sink and the per-stage
+/// timers still see every span.
+pub const MAX_STAGE_EVENTS: usize = 4096;
+
 /// Everything a recording sink accumulates.
 #[derive(Debug)]
 struct Registry {
@@ -107,7 +113,10 @@ struct Registry {
     /// Last scheduler-counter snapshot pushed via [`Metrics::set_sched`]
     /// (last-write-wins, like a gauge).
     sched: Option<SchedStats>,
-    stages: Vec<StageEvent>,
+    /// The most recent [`MAX_STAGE_EVENTS`] closed spans.
+    stages: VecDeque<StageEvent>,
+    /// Closed spans evicted from `stages` to respect the cap.
+    stages_dropped: u64,
     /// Last span id handed out (ids are 1-based so `parent: 0` never
     /// appears in a trace).
     next_span: u64,
@@ -139,7 +148,8 @@ impl Default for Registry {
             gauges: BTreeMap::new(),
             timers: BTreeMap::new(),
             sched: None,
-            stages: Vec::new(),
+            stages: VecDeque::new(),
+            stages_dropped: 0,
             next_span: 0,
             open_spans: Vec::new(),
             seq: 0,
@@ -367,7 +377,8 @@ impl Metrics {
                 .map(|(name, hist)| TimerStats::from_histogram(name.clone(), hist))
                 .collect(),
             sched: reg.sched.clone(),
-            stages: reg.stages.clone(),
+            stages: reg.stages.iter().cloned().collect(),
+            stages_dropped: reg.stages_dropped,
             run_id: reg.run_id.clone(),
             degraded: reg.degraded || reg.write_errors > 0,
         }
@@ -453,7 +464,11 @@ impl Drop for StageSpan {
             ),
         );
         reg.timers.entry(stage.clone()).or_default().record(wall);
-        reg.stages.push(StageEvent {
+        if reg.stages.len() == MAX_STAGE_EVENTS {
+            reg.stages.pop_front();
+            reg.stages_dropped += 1;
+        }
+        reg.stages.push_back(StageEvent {
             id,
             parent,
             stage,
@@ -560,8 +575,11 @@ pub struct Snapshot {
     /// [`Metrics::set_sched`] (`None` otherwise).
     pub sched: Option<SchedStats>,
     /// Pipeline trace: one [`StageEvent`] per completed span, in
-    /// completion order.
+    /// completion order — the most recent [`MAX_STAGE_EVENTS`] of them.
     pub stages: Vec<StageEvent>,
+    /// Completed spans older than the kept `stages`, dropped to bound
+    /// the registry.
+    pub stages_dropped: u64,
     /// The registry's run id (ties the snapshot to its JSONL trace);
     /// empty for a default/disabled snapshot.
     pub run_id: String,
@@ -826,6 +844,38 @@ mod tests {
         assert_eq!(outer.parent, None);
         assert_eq!(inner.parent, Some(outer.id));
         assert!(inner.id > outer.id);
+    }
+
+    #[test]
+    fn stage_trace_keeps_the_most_recent_events_and_counts_the_rest() {
+        let (sink, buffer) = EventSink::shared_buffer();
+        let metrics = Metrics::enabled().with_event_sink(sink);
+        let extra = 10;
+        for i in 0..MAX_STAGE_EVENTS + extra {
+            let mut span = metrics.span("round");
+            span.field("i", i as u64);
+        }
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.stages.len(), MAX_STAGE_EVENTS);
+        assert_eq!(snapshot.stages_dropped, extra as u64);
+        // The oldest events went; the rest stay in completion order.
+        let kept: Vec<u64> = snapshot
+            .stages
+            .iter()
+            .map(|e| e.field("i").unwrap())
+            .collect();
+        let expected: Vec<u64> = (extra..MAX_STAGE_EVENTS + extra)
+            .map(|i| i as u64)
+            .collect();
+        assert_eq!(kept, expected);
+        assert!(snapshot
+            .to_json()
+            .contains(&format!("\"stages_dropped\": {extra}")));
+        // The timers and the JSONL log still see every span.
+        assert_eq!(snapshot.timers[0].count, MAX_STAGE_EVENTS + extra);
+        let log = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+        let closes = log.matches("\"event\":\"span_close\"").count();
+        assert_eq!(closes, MAX_STAGE_EVENTS + extra);
     }
 
     #[test]

@@ -22,8 +22,6 @@ pub struct RuleConfig {
     /// Optional minimum confidence (the paper relies on lift alone; case
     /// studies report confidence but do not threshold it).
     pub min_confidence: f64,
-    /// Optional minimum support for the whole rule.
-    pub min_support: f64,
 }
 
 impl Default for RuleConfig {
@@ -31,7 +29,6 @@ impl Default for RuleConfig {
         RuleConfig {
             min_lift: 1.5,
             min_confidence: 0.0,
-            min_support: 0.0,
         }
     }
 }
@@ -107,7 +104,7 @@ pub fn find_rule<'r>(
 /// Why a candidate rule was dropped at generation time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenFilter {
-    /// Which threshold fired: `"lift"`, `"confidence"`, or `"support"`.
+    /// Which threshold fired: `"lift"` or `"confidence"`.
     pub metric: &'static str,
     /// The rule's value of that metric.
     pub value: f64,
@@ -129,12 +126,6 @@ pub(crate) fn gen_filter(rule: &Rule, config: &RuleConfig) -> Option<GenFilter> 
             metric: "confidence",
             value: rule.confidence,
             threshold: config.min_confidence,
-        })
-    } else if rule.support < config.min_support {
-        Some(GenFilter {
-            metric: "support",
-            value: rule.support,
-            threshold: config.min_support,
         })
     } else {
         None
@@ -239,7 +230,6 @@ mod tests {
         let config = RuleConfig {
             min_lift: 0.0,
             min_confidence: 0.7,
-            min_support: 0.0,
         };
         let rules = generate(&mined(), &config);
         assert!(rules.iter().all(|r| r.confidence >= 0.7));

@@ -44,7 +44,6 @@ mod explain;
 mod generate;
 mod prune;
 mod rule;
-mod trie;
 
 pub use analysis::KeywordAnalysis;
 pub use classify::{Evaluation, RuleClassifier};
@@ -55,4 +54,3 @@ pub use prune::{
     prune_rules, InvalidPruneParams, PruneCondition, PruneOutcome, PruneParams, PruneRecord,
 };
 pub use rule::{Rule, RuleRole};
-pub use trie::RuleTrie;

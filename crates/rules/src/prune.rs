@@ -18,17 +18,23 @@
 //! Conditions 1/4 compare rules sharing a consequent, 2/3 rules sharing
 //! an antecedent — and within a group only *properly nested* varying
 //! sides ever interact. Instead of testing all `O(g²)` pairs per group,
-//! each grouping builds one [`RuleTrie`] per group over the varying side
-//! and discovers exactly the nested pairs with subset/superset walks
-//! ([`GroupPlan`]); the two conditions of a grouping then reuse the same
-//! pair list. Groups partition the rules, so they are evaluated in
-//! parallel through the rayon shim; each group's verdicts are buffered
-//! ([`PairEvent`]) and replayed sequentially in canonical group order,
-//! which keeps the kept set, the `PruneRecord` sequence, and the
-//! decision log ([`PruneLog`]) byte-identical to the flat all-pairs
-//! implementation (retained in `irma-check` as the differential oracle) at
-//! any pool width. With provenance enabled, the replayed decisions *are*
-//! the log: index-keyed edges, no rule keys cloned, no text rendered.
+//! each grouping finds exactly the nested pairs by subset lookup
+//! ([`group_pairs`]): per group, a map from each varying side to the
+//! members holding it, then, per member, one lookup of each proper subset
+//! of its varying side — sets the itemset lattice already produced, so
+//! `generate_rules` enumerated the same `2^k` subsets per rule. Each hit
+//! is one (short, long) pair, found once, from the longer rule. The two
+//! conditions of a grouping reuse the same pair list. Groups partition
+//! the rules, so they are evaluated in parallel through the rayon shim;
+//! each group's verdicts are buffered ([`PairEvent`]) and replayed
+//! sequentially in canonical group order, which keeps the kept set, the
+//! `PruneRecord` sequence, and the decision log ([`PruneLog`])
+//! byte-identical to the flat all-pairs implementation (retained in
+//! `irma-check` as the differential oracle) at any pool width. The
+//! keyword-relevant rules are borrowed, never cloned: only kept rules
+//! and `PruneRecord`s own copies. With provenance enabled, the replayed
+//! decisions *are* the log: index-keyed edges, no rule keys cloned, no
+//! text rendered.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -39,7 +45,6 @@ use rayon::prelude::*;
 
 use crate::explain::{PruneEdge, PruneLog};
 use crate::rule::{Rule, RuleRole};
-use crate::trie::RuleTrie;
 
 /// Relaxation parameters for the four pruning conditions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,14 +239,14 @@ fn prune_rules_inner(
     record: bool,
 ) -> PruneOutcome {
     let order = relevant_order(rules, keyword);
-    let relevant: Vec<Rule> = order.iter().map(|&i| rules[i as usize].clone()).collect();
+    let relevant: Vec<&Rule> = order.iter().map(|&i| &rules[i as usize]).collect();
 
     // Nested-pair discovery depends only on the grouping, not on the
     // condition, so each plan is built once and shared by its two
     // conditions (1/4 share the consequent grouping, 2/3 the antecedent
     // grouping).
-    let by_consequent = GroupPlan::build(&relevant, Grouping::ByConsequent);
-    let by_antecedent = GroupPlan::build(&relevant, Grouping::ByAntecedent);
+    let by_consequent = group_pairs(&relevant, true);
+    let by_antecedent = group_pairs(&relevant, false);
 
     let mut alive = vec![true; relevant.len()];
     let mut pruned: Vec<PruneRecord> = Vec::new();
@@ -254,7 +259,6 @@ fn prune_rules_inner(
             PruneCondition::Condition2 | PruneCondition::Condition3 => &by_antecedent,
         };
         let outcomes: Vec<Vec<PairEvent>> = plan
-            .groups
             .par_iter()
             .map(|pairs| {
                 evaluate_group(condition, &relevant, keyword, params, pairs, &alive, record)
@@ -283,14 +287,11 @@ fn prune_rules_inner(
 
     let log = record.then(|| PruneLog::new(*params, order, edges, undecided, alive.clone()));
 
-    // Move the survivors out of `relevant` instead of cloning them a
-    // second time: each kept rule is cloned exactly once, when the
-    // keyword filter built `relevant`.
     let kept: Vec<Rule> = relevant
         .into_iter()
         .zip(alive)
         .filter(|&(_, is_alive)| is_alive)
-        .map(|(rule, _)| rule)
+        .map(|(rule, _)| rule.clone())
         .collect();
     PruneOutcome { kept, pruned, log }
 }
@@ -310,28 +311,14 @@ fn relevant_order(rules: &[Rule], keyword: ItemId) -> Vec<u32> {
     order
 }
 
-/// Which side two rules of a group share (the other side varies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Grouping {
-    /// Equal consequents, nested antecedents (conditions 1 and 4).
-    ByConsequent,
-    /// Equal antecedents, nested consequents (conditions 2 and 3).
-    ByAntecedent,
-}
-
-impl Grouping {
-    fn key(self, rule: &Rule) -> &Itemset {
-        match self {
-            Grouping::ByConsequent => &rule.consequent,
-            Grouping::ByAntecedent => &rule.antecedent,
-        }
-    }
-
-    fn varying(self, rule: &Rule) -> &Itemset {
-        match self {
-            Grouping::ByConsequent => &rule.antecedent,
-            Grouping::ByAntecedent => &rule.consequent,
-        }
+/// Splits a rule into (shared key, varying side) for one grouping:
+/// conditions 1/4 compare rules with equal consequents and nested
+/// antecedents, conditions 2/3 the mirror image.
+fn split(rule: &Rule, by_consequent: bool) -> (&Itemset, &Itemset) {
+    if by_consequent {
+        (&rule.consequent, &rule.antecedent)
+    } else {
+        (&rule.antecedent, &rule.consequent)
     }
 }
 
@@ -343,71 +330,75 @@ struct NestedPair {
     long: u32,
 }
 
-/// The pre-computed comparison schedule for one grouping: per group (in
-/// canonical key order), exactly the nested pairs a condition can
-/// compare, in the flat oracle's `(i asc, j > i asc)` enumeration order.
-#[derive(Debug)]
-struct GroupPlan {
-    groups: Vec<Vec<NestedPair>>,
-}
-
-impl GroupPlan {
-    fn build(rules: &[Rule], grouping: Grouping) -> GroupPlan {
-        let mut by_key: HashMap<&Itemset, Vec<u32>> = HashMap::new();
-        for (i, rule) in rules.iter().enumerate() {
-            by_key.entry(grouping.key(rule)).or_default().push(i as u32);
-        }
-        let mut ordered: Vec<(&Itemset, Vec<u32>)> = by_key.into_iter().collect();
-        ordered.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let members: Vec<Vec<u32>> = ordered.into_iter().map(|(_, m)| m).collect();
-        let groups: Vec<Vec<NestedPair>> = members
-            .par_iter()
-            .map(|members| nested_pairs(rules, members, grouping))
-            .collect();
-        GroupPlan { groups }
+/// The comparison schedule for one grouping: per group (in canonical
+/// key order), exactly the nested pairs a condition can compare, in the
+/// flat oracle's `(i asc, j > i asc)` enumeration order.
+fn group_pairs(rules: &[&Rule], by_consequent: bool) -> Vec<Vec<NestedPair>> {
+    let mut by_key: HashMap<&Itemset, Vec<u32>> = HashMap::new();
+    for (i, rule) in rules.iter().enumerate() {
+        by_key
+            .entry(split(rule, by_consequent).0)
+            .or_default()
+            .push(i as u32);
     }
+    let mut ordered: Vec<(&Itemset, Vec<u32>)> = by_key.into_iter().collect();
+    ordered.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    ordered
+        .par_iter()
+        .map(|(_, members)| {
+            let sides: Vec<(u32, &[ItemId])> = members
+                .iter()
+                .map(|&i| (i, split(rules[i as usize], by_consequent).1.items()))
+                .collect();
+            nested_pairs(&sides)
+        })
+        .collect()
 }
 
-/// Discovers a group's nested pairs via trie walks instead of all-pairs
-/// subset tests: one shared-prefix trie over the members' varying sides,
-/// then per anchor one subset walk + one superset walk, keeping only
-/// later members so each unordered pair surfaces exactly once, at the
-/// anchor position the flat oracle would visit it.
-fn nested_pairs(rules: &[Rule], members: &[u32], grouping: Grouping) -> Vec<NestedPair> {
+/// Finds a group's nested pairs by subset lookup. `members` holds each
+/// member's index with its varying side, in ascending index order. Every
+/// proper subset of a member's side (the empty one included, which only a
+/// hand-built rule can hold) is looked up among the members' sides; each
+/// hit pairs that shorter member with the longer one. Equal sides are not
+/// proper subsets, so duplicates never pair.
+///
+/// # Panics
+///
+/// On a varying side of 64 or more items: its subsets cannot be counted
+/// in a 64-bit mask. The lattice never produces one (`generate_rules`
+/// enumerates the same subsets); only rules built by hand can.
+fn nested_pairs(members: &[(u32, &[ItemId])]) -> Vec<NestedPair> {
     if members.len() < 2 {
         return Vec::new();
     }
-    let trie = RuleTrie::from_sides(
-        members
-            .iter()
-            .map(|&i| grouping.varying(&rules[i as usize]).items()),
-    );
+    let mut by_side: HashMap<&[ItemId], Vec<u32>> = HashMap::new();
+    for &(i, side) in members {
+        by_side.entry(side).or_default().push(i);
+    }
     let mut pairs = Vec::new();
-    let mut subs: Vec<u32> = Vec::new();
-    let mut sups: Vec<u32> = Vec::new();
-    // (position, partner-is-superset) — sorted so partners come in the
-    // oracle's ascending-j order.
-    let mut partners: Vec<(u32, bool)> = Vec::new();
-    for (pos, &i) in members.iter().enumerate() {
-        let query = grouping.varying(&rules[i as usize]).items();
-        subs.clear();
-        sups.clear();
-        partners.clear();
-        trie.proper_subsets_of(query, &mut subs);
-        trie.proper_supersets_of(query, &mut sups);
-        let pos = pos as u32;
-        partners.extend(subs.iter().filter(|&&p| p > pos).map(|&p| (p, false)));
-        partners.extend(sups.iter().filter(|&&p| p > pos).map(|&p| (p, true)));
-        partners.sort_unstable();
-        for &(p, partner_is_superset) in &partners {
-            let j = members[p as usize];
-            pairs.push(if partner_is_superset {
-                NestedPair { short: i, long: j }
-            } else {
-                NestedPair { short: j, long: i }
-            });
+    let mut subset: Vec<ItemId> = Vec::new();
+    for &(long, side) in members {
+        assert!(
+            side.len() < 64,
+            "prune_rules: a varying rule side of {} items is too long for subset lookup (max 63)",
+            side.len()
+        );
+        let full = (1u64 << side.len()) - 1;
+        for mask in 0..full {
+            subset.clear();
+            subset.extend(
+                side.iter()
+                    .enumerate()
+                    .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                    .map(|(_, &item)| item),
+            );
+            if let Some(shorts) = by_side.get(subset.as_slice()) {
+                pairs.extend(shorts.iter().map(|&short| NestedPair { short, long }));
+            }
         }
     }
+    // The flat oracle visits each unordered pair once, lower index first.
+    pairs.sort_unstable_by_key(|pair| (pair.short.min(pair.long), pair.short.max(pair.long)));
     pairs
 }
 
@@ -430,7 +421,7 @@ enum PairEvent {
 /// reproduces the flat oracle's in-place `alive` mutations exactly.
 fn evaluate_group(
     condition: PruneCondition,
-    rules: &[Rule],
+    rules: &[&Rule],
     keyword: ItemId,
     params: &PruneParams,
     pairs: &[NestedPair],
@@ -442,8 +433,8 @@ fn evaluate_group(
     for &NestedPair { short, long } in pairs {
         match decide(
             condition,
-            &rules[short as usize],
-            &rules[long as usize],
+            rules[short as usize],
+            rules[long as usize],
             keyword,
             params,
         ) {
@@ -744,6 +735,49 @@ mod tests {
         let out = prune(&[r1.clone(), r1.clone()], &PruneParams::default());
         assert_eq!(out.kept, vec![r1.clone(), r1]);
         assert!(out.pruned.is_empty());
+    }
+
+    /// The side a 12-bit mask names: item `b` is in it iff bit `b` is set.
+    fn side_of(mask: u32) -> Vec<ItemId> {
+        (0..12).filter(|bit| mask & (1 << bit) != 0).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn subset_lookup_matches_all_pairs_nested_scan(
+            masks in proptest::collection::vec(0u32..4096, 0..40),
+        ) {
+            let sides: Vec<Vec<ItemId>> = masks.iter().map(|&m| side_of(m)).collect();
+            let members: Vec<(u32, &[ItemId])> = sides
+                .iter()
+                .enumerate()
+                .map(|(i, side)| (i as u32, side.as_slice()))
+                .collect();
+            let proper = |a: &[ItemId], b: &[ItemId]| {
+                a.len() < b.len() && irma_mine::is_sorted_subset(a, b)
+            };
+            let mut expected = Vec::new();
+            for i in 0..sides.len() {
+                for j in i + 1..sides.len() {
+                    let (i, j) = (i as u32, j as u32);
+                    if proper(&sides[i as usize], &sides[j as usize]) {
+                        expected.push(NestedPair { short: i, long: j });
+                    } else if proper(&sides[j as usize], &sides[i as usize]) {
+                        expected.push(NestedPair { short: j, long: i });
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(nested_pairs(&members), expected);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too long for subset lookup")]
+    fn a_64_item_varying_side_panics_instead_of_skipping_pairs() {
+        let long: Vec<ItemId> = (0..64).collect();
+        let short = mk(&long[..1], &[KW], 0.2, 3.0);
+        let long = mk(&long, &[KW], 0.1, 3.5);
+        prune(&[short, long], &PruneParams::default());
     }
 
     #[test]

@@ -337,7 +337,12 @@ fn handle_analyze(shared: &Shared, head: &RequestHead, reader: &mut dyn BufRead)
         Ok(params) => params,
         Err(reply) => return Some(reply),
     };
-    let config_key = config_cache_key(&params.config, params.keyword.as_deref(), params.top);
+    let config_key = config_cache_key(
+        &params.config,
+        params.trace,
+        params.keyword.as_deref(),
+        params.top,
+    );
 
     // `fp:<hex>` body: replay a cached dataset without re-uploading.
     let trimmed = text.trim();

@@ -63,16 +63,14 @@ impl CacheEntry {
     }
 }
 
-/// Bounded LRU over `(fingerprint, config_key)`, with a secondary
-/// fingerprint index pointing at the most recently inserted entry for
-/// each dataset (what `explain?fp=...` resolves against).
+/// Bounded LRU over `(fingerprint, config_key)`. `explain?fp=...`
+/// resolves to the dataset's most recently used entry under any config.
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
     map: HashMap<(String, String), Slot>,
     /// Monotone access clock; higher stamp = more recently used.
     clock: u64,
-    by_fp: HashMap<String, (String, String)>,
 }
 
 #[derive(Debug)]
@@ -88,7 +86,6 @@ impl ResultCache {
             cap: cap.max(1),
             map: HashMap::new(),
             clock: 0,
-            by_fp: HashMap::new(),
         }
     }
 
@@ -117,13 +114,17 @@ impl ResultCache {
         Some(slot.entry.clone())
     }
 
-    /// The most recent entry for a fingerprint under any config (the
-    /// explain path — what the explanation is recomputed from matters
-    /// there, not the config).
+    /// The most recently used entry for a fingerprint under any config
+    /// (the explain path: the entry a client was last served for that
+    /// dataset), refreshing its LRU position. Scans the at most `cap`
+    /// slots.
     pub fn latest_for_fp(&mut self, fingerprint: &str) -> Option<Arc<CacheEntry>> {
-        let key = self.by_fp.get(fingerprint)?.clone();
         let stamp = self.next_stamp();
-        let slot = self.map.get_mut(&key)?;
+        let (_, slot) = self
+            .map
+            .iter_mut()
+            .filter(|((fp, _), _)| fp == fingerprint)
+            .max_by_key(|(_, slot)| slot.stamp)?;
         slot.stamp = stamp;
         Some(slot.entry.clone())
     }
@@ -133,13 +134,12 @@ impl ResultCache {
         let key = (fingerprint.to_string(), config_key.to_string());
         let stamp = self.next_stamp();
         self.map.insert(
-            key.clone(),
+            key,
             Slot {
                 entry: Arc::new(entry),
                 stamp,
             },
         );
-        self.by_fp.insert(fingerprint.to_string(), key);
         while self.map.len() > self.cap {
             let Some(victim) = self
                 .map
@@ -150,9 +150,6 @@ impl ResultCache {
                 break;
             };
             self.map.remove(&victim);
-            if self.by_fp.get(&victim.0) == Some(&victim) {
-                self.by_fp.remove(&victim.0);
-            }
         }
     }
 }
@@ -184,7 +181,7 @@ mod tests {
         assert!(cache.get("fp2", "a").is_none(), "LRU entry must be gone");
         assert!(cache.get("fp1", "a").is_some());
         assert!(cache.get("fp3", "a").is_some());
-        // The fingerprint index follows the eviction.
+        // The fingerprint lookup follows the eviction.
         assert!(cache.latest_for_fp("fp2").is_none());
     }
 
@@ -196,6 +193,18 @@ mod tests {
         assert_eq!(cache.latest_for_fp("fp1").unwrap().payload, "new");
         // Exact lookups still reach both configs.
         assert_eq!(cache.get("fp1", "a").unwrap().payload, "old");
+    }
+
+    #[test]
+    fn fingerprint_lookup_follows_the_entry_last_served() {
+        // Analyze under config a, then b, then hit a again: explain must
+        // resolve to a, the entry the client was just served.
+        let mut cache = ResultCache::new(4);
+        cache.insert("fp1", "a", entry("a"));
+        cache.insert("fp1", "b", entry("b"));
+        assert_eq!(cache.get("fp1", "a").unwrap().payload, "a");
+        assert_eq!(cache.latest_for_fp("fp1").unwrap().payload, "a");
+        assert!(cache.latest_for_fp("fp2").is_none());
     }
 
     #[test]

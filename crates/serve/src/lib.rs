@@ -351,6 +351,78 @@ mod tests {
         server.shutdown();
     }
 
+    /// A merged PAI trace as one CSV body.
+    fn pai_csv(jobs: usize) -> String {
+        let bundle = irma_core::Trace::Pai.generate(&irma_synth::TraceConfig::with_jobs(jobs));
+        irma_data::write_csv_string(&bundle.merged())
+    }
+
+    /// The `"key":<number>` value of a JSON response.
+    fn json_count(response: &str, key: &str) -> usize {
+        response
+            .split(&format!("\"{key}\":"))
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse().ok())
+            .unwrap_or_else(|| panic!("`{key}` in response: {response}"))
+    }
+
+    #[test]
+    fn trace_spec_is_part_of_the_cache_key() {
+        let csv = pai_csv(2_000);
+        let frame = irma_data::read_csv_str(&csv).unwrap();
+        let pai_items = irma_prep::encode(&frame, &irma_core::pai_spec(), &Metrics::disabled())
+            .catalog
+            .len();
+        let server = start_test_server(ServeConfig::default());
+        let addr = server.local_addr();
+        let inferred = post_analyze(addr, "?min_support=0.1&top=5", "", &csv);
+        assert!(inferred.contains("\"cached\":false"), "got: {inferred}");
+        assert_ne!(json_count(&inferred, "items"), pai_items);
+        // Only `trace=` differs: a different encoder spec, so a miss.
+        let pai = post_analyze(addr, "?min_support=0.1&top=5&trace=pai", "", &csv);
+        assert!(pai.contains("\"cached\":false"), "got: {pai}");
+        assert_eq!(json_count(&pai, "items"), pai_items);
+        assert_eq!(server.cache_entries(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn explain_resolves_to_the_entry_last_served() {
+        let csv = pai_csv(2_000);
+        let server = start_test_server(ServeConfig::default());
+        let addr = server.local_addr();
+        let pai_query = format!("?trace=pai&keyword={}", encode_spec(irma_core::KW_FAILED));
+        let cold = post_analyze(addr, &pai_query, "", &csv);
+        assert!(cold.contains("\"cached\":false"), "got: {cold}");
+        let inferred = post_analyze(addr, "", "", &csv);
+        assert!(inferred.contains("\"cached\":false"), "got: {inferred}");
+        let hit = post_analyze(addr, &pai_query, "", &csv);
+        assert!(hit.contains("\"cached\":true"), "got: {hit}");
+        let fp = hit
+            .split("\"fingerprint\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("fingerprint in response");
+        let specs: Vec<&str> = hit
+            .split("\"spec\":\"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        assert!(!specs.is_empty(), "got: {hit}");
+        for spec in specs {
+            let explain = send_request(
+                addr,
+                &format!(
+                    "GET /v1/explain/{}?fp={fp} HTTP/1.1\r\nhost: t\r\n\r\n",
+                    encode_spec(spec)
+                ),
+            );
+            assert_eq!(status_of(&explain), 200, "{spec}: {explain}");
+        }
+        server.shutdown();
+    }
+
     /// Percent-encodes a rule spec for the explain route.
     fn encode_spec(spec: &str) -> String {
         spec.bytes()

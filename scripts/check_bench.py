@@ -71,14 +71,15 @@ Rules checks:
 
 * **Wall time is bounded, same-host only** (as for mining).
 
-* **Flat-vs-trie speedup floor, within-document.** Any document — the
-  baseline included — that measures both `flat` and `trie` at width 1
-  for a scale >= 100000 must show trie at least 10x faster. Both cells
+* **Flat-vs-subset speedup floor, within-document.** Any document — the
+  baseline included — that measures both `flat` and `subset` (the
+  production prune, nested pairs found by subset lookup) at width 1 for
+  a scale >= 100000 must show subset at least 10x faster. Both cells
   come from one host, so this gate never depends on who runs it; the
   committed BENCH_10.json always carries the qualifying pair.
 
-* **Width-4 trie speedup floor, >=4-core hosts only.** When the fresh
-  host reports >= 4 cores and measured trie widths 1 and 4, the largest
+* **Width-4 subset speedup floor, >=4-core hosts only.** When the fresh
+  host reports >= 4 cores and measured subset widths 1 and 4, the largest
   such scale must show >= 1.5x (independent prune groups parallelize).
   On narrower hosts the gate is skipped with a loud notice.
 
@@ -103,11 +104,11 @@ SPEEDUP_FLOORS = {"fpgrowth": 2.5, "eclat": 2.5, "apriori": 1.5}
 SPEEDUP_MIN_CORES = 4
 SPEEDUP_WIDTH = 4
 
-# Trie prune must beat the flat oracle by this factor at qualifying
-# scales (within one document, so host-independent).
+# The subset-lookup prune must beat the flat oracle by this factor at
+# qualifying scales (within one document, so host-independent).
 RULES_FLAT_FLOOR = 10.0
 RULES_FLAT_MIN_SCALE = 100_000
-# Width-4 trie prune speedup floor (vs width 1), >=4-core hosts only.
+# Width-4 subset prune speedup floor (vs width 1), >=4-core hosts only.
 RULES_WIDTH_FLOOR = 1.5
 
 
@@ -287,35 +288,35 @@ def compare_rules(
 
 
 def check_rules_flat_speedup(name: str, doc: dict, measured: dict, failures: list) -> None:
-    """Within-document flat-vs-trie floor: both cells share one host, so
+    """Within-document flat-vs-subset floor: both cells share one host, so
     the gate is machine-independent and applies to the baseline too."""
     gated = False
     for scale in sorted(doc["scales"]):
         if scale < RULES_FLAT_MIN_SCALE:
             continue
         flat = measured.get((scale, "flat", 1))
-        trie = measured.get((scale, "trie", 1))
-        if flat is None or trie is None:
+        subset = measured.get((scale, "subset", 1))
+        if flat is None or subset is None:
             continue
         gated = True
         speedup = (
-            flat["best_wall_s"] / trie["best_wall_s"]
-            if trie["best_wall_s"] > 0
+            flat["best_wall_s"] / subset["best_wall_s"]
+            if subset["best_wall_s"] > 0
             else float("inf")
         )
         verdict = "ok" if speedup >= RULES_FLAT_FLOOR else "FAIL"
         print(
-            f"{verdict}: {name}: flat-vs-trie @ {scale} rules: "
+            f"{verdict}: {name}: flat-vs-subset @ {scale} rules: "
             f"{speedup:.2f}x (floor {RULES_FLAT_FLOOR}x)"
         )
         if speedup < RULES_FLAT_FLOOR:
             failures.append(
-                f"{name}: trie prune only {speedup:.2f}x faster than flat at "
+                f"{name}: subset prune only {speedup:.2f}x faster than flat at "
                 f"{scale} rules (floor {RULES_FLAT_FLOOR}x)"
             )
     if not gated:
         print(
-            f"NOTICE: {name}: flat-vs-trie gate not armed — no scale >= "
+            f"NOTICE: {name}: flat-vs-subset gate not armed — no scale >= "
             f"{RULES_FLAT_MIN_SCALE} with both width-1 impls measured."
         )
 
@@ -324,40 +325,40 @@ def check_rules_width_speedup(doc: dict, measured: dict, failures: list) -> None
     cores = doc["host_cores"]
     if cores < SPEEDUP_MIN_CORES:
         print(
-            f"NOTICE: width-{SPEEDUP_WIDTH} trie gate SKIPPED — fresh host reports "
+            f"NOTICE: width-{SPEEDUP_WIDTH} subset gate SKIPPED — fresh host reports "
             f"{cores} core(s), needs >= {SPEEDUP_MIN_CORES}. Width response cannot "
             "be demonstrated here; rerun on a wider host to arm this gate."
         )
         return
     if SPEEDUP_WIDTH not in doc["threads"] or 1 not in doc["threads"]:
         print(
-            f"NOTICE: width-{SPEEDUP_WIDTH} trie gate SKIPPED — fresh run lacks "
+            f"NOTICE: width-{SPEEDUP_WIDTH} subset gate SKIPPED — fresh run lacks "
             f"widths 1 and {SPEEDUP_WIDTH} (threads = {doc['threads']})."
         )
         return
     scales = [
         s
         for s in doc["scales"]
-        if (s, "trie", 1) in measured and (s, "trie", SPEEDUP_WIDTH) in measured
+        if (s, "subset", 1) in measured and (s, "subset", SPEEDUP_WIDTH) in measured
     ]
     if not scales:
         print(
-            f"NOTICE: width-{SPEEDUP_WIDTH} trie gate: no measured "
-            f"width-1/width-{SPEEDUP_WIDTH} trie pair"
+            f"NOTICE: width-{SPEEDUP_WIDTH} subset gate: no measured "
+            f"width-1/width-{SPEEDUP_WIDTH} subset pair"
         )
         return
     scale = max(scales)
-    base = measured[(scale, "trie", 1)]["best_wall_s"]
-    wide = measured[(scale, "trie", SPEEDUP_WIDTH)]["best_wall_s"]
+    base = measured[(scale, "subset", 1)]["best_wall_s"]
+    wide = measured[(scale, "subset", SPEEDUP_WIDTH)]["best_wall_s"]
     speedup = base / wide if wide > 0 else float("inf")
     verdict = "ok" if speedup >= RULES_WIDTH_FLOOR else "FAIL"
     print(
-        f"{verdict}: width gate: trie @ {scale} rules: "
+        f"{verdict}: width gate: subset @ {scale} rules: "
         f"{speedup:.2f}x at width {SPEEDUP_WIDTH} (floor {RULES_WIDTH_FLOOR}x)"
     )
     if speedup < RULES_WIDTH_FLOOR:
         failures.append(
-            f"trie @ {scale} rules: width-{SPEEDUP_WIDTH} speedup {speedup:.2f}x "
+            f"subset @ {scale} rules: width-{SPEEDUP_WIDTH} speedup {speedup:.2f}x "
             f"below required {RULES_WIDTH_FLOOR}x on a {cores}-core host"
         )
 
