@@ -16,8 +16,7 @@ use std::hint::black_box;
 use std::sync::OnceLock;
 
 use irma_bench::bench_db;
-use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
-use irma_obs::Metrics;
+use irma_mine::{Algorithm, MinerConfig, TransactionDb};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// Runs `algorithm` unbudgeted and unobserved on a 1-wide pool; returns
@@ -30,7 +29,7 @@ fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> usize
             .build()
             .expect("build rayon pool")
     });
-    pool.install(|| algorithm.mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()))
+    pool.install(|| algorithm.mine(db, config))
         .expect("valid config")
         .len()
 }

@@ -32,8 +32,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use irma_bench::{bench_db, BENCH_SEED};
-use irma_mine::{Algorithm, BudgetGuard, MinerConfig, TransactionDb};
-use irma_obs::Metrics;
+use irma_mine::{Algorithm, MinerConfig, TransactionDb};
 
 struct Measurement {
     scale: usize,
@@ -94,9 +93,7 @@ fn measure(db: &TransactionDb, algorithm: Algorithm, threads: usize) -> (f64, u6
     let time_one = || {
         let t0 = Instant::now();
         let frequent = pool
-            .install(|| {
-                algorithm.mine(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited())
-            })
+            .install(|| algorithm.mine(db, &config))
             .expect("valid config");
         (t0.elapsed().as_secs_f64(), frequent.len() as u64)
     };

@@ -8,14 +8,14 @@ use std::hint::black_box;
 
 use irma_bench::bench_encoded;
 use irma_core::Trace;
-use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig};
+use irma_mine::{fpgrowth, FrequentItemsets, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig};
 
 /// The 5%-support FP-Growth family, unbudgeted and unobserved.
 fn mined(db: &irma_mine::TransactionDb) -> FrequentItemsets {
     let config = MinerConfig::with_min_support(0.05);
-    fpgrowth(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited()).expect("valid config")
+    fpgrowth(db, &config).expect("valid config")
 }
 
 fn generate(frequent: &FrequentItemsets, min_lift: f64) -> Vec<Rule> {

@@ -187,8 +187,10 @@ fn run_pass(
                     barrier.wait();
                     for _ in 0..requests {
                         let body = if path == "cold" {
+                            // `k / 100` shifts the second column on each wrap
+                            // of the first, so 10,000 stamps stay distinct.
                             let k = UNIQUE.fetch_add(1, Ordering::Relaxed);
-                            format!("{base}{},{},Succeeded\n", k % 100, (k * 7) % 100)
+                            format!("{base}{},{},Succeeded\n", k % 100, (k * 7 + k / 100) % 100)
                         } else {
                             base.to_string()
                         };

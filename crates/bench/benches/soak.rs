@@ -23,8 +23,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use irma_check::generators::{arb_miner_config, arb_transaction_db};
-use irma_mine::{Algorithm, BudgetGuard};
-use irma_obs::Metrics;
+use irma_mine::Algorithm;
 use proptest::{Strategy, TestRng};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -58,12 +57,7 @@ fn main() {
         for (slot, algorithm) in Algorithm::all().into_iter().enumerate() {
             let t = Instant::now();
             let frequent = algorithm
-                .mine(
-                    &db,
-                    &config,
-                    &Metrics::disabled(),
-                    &BudgetGuard::unlimited(),
-                )
+                .mine(&db, &config)
                 .expect("generated configs are valid");
             totals[slot] += t.elapsed();
             counts[slot] = black_box(frequent.len());

@@ -17,9 +17,7 @@ use rayon::ThreadPoolBuilder;
 
 /// Runs `algorithm` unbudgeted and unobserved.
 fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    algorithm
-        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
-        .expect("valid config")
+    algorithm.mine(db, config).expect("valid config")
 }
 
 proptest! {

@@ -27,7 +27,7 @@
 //!   R2 on the lift branch (`1.5 × 1.111 > 1.333`) — the winner flips,
 //!   and the kept causes are `{R1, R3}`.
 
-use irma_mine::{Algorithm, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
+use irma_mine::{Algorithm, FrequentItemsets, MinerConfig, TransactionDb};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{
     generate_rules, Explainer, KeywordAnalysis, PruneEdge, PruneLog, PruneParams, Rule, RuleConfig,
@@ -113,8 +113,6 @@ fn run_at(c_lift: f64) -> Run {
                 min_support: 0.05,
                 max_len: 3,
             },
-            &metrics,
-            &BudgetGuard::unlimited(),
         )
         .unwrap();
     let config = RuleConfig {

@@ -15,7 +15,7 @@ use rayon::ThreadPoolBuilder;
 
 use irma_check::flat_prune::flat_prune_rules;
 use irma_check::generators::arb_transaction_db;
-use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, ItemId, MinerConfig};
+use irma_mine::{fpgrowth, FrequentItemsets, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{
     generate_rules, prune_rules, Explainer, PruneCondition, PruneParams, Rule, RuleConfig,
@@ -511,7 +511,7 @@ fn mine(db: &irma_mine::TransactionDb) -> FrequentItemsets {
         min_support: 0.05,
         max_len: 4,
     };
-    fpgrowth(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited()).expect("valid config")
+    fpgrowth(db, &config).expect("valid config")
 }
 
 /// The oracle's record of one generation plus one keyword prune.

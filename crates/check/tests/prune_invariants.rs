@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use irma_check::generators::{arb_transaction_db, shuffled};
-use irma_mine::{fpgrowth, BudgetGuard, ItemId, MinerConfig};
+use irma_mine::{fpgrowth, ItemId, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{
     generate_rules, prune_rules, PruneOutcome, PruneParams, Rule, RuleConfig, RuleRole,
@@ -23,7 +23,7 @@ fn rules_from(db: &irma_mine::TransactionDb) -> Vec<Rule> {
         max_len: 4,
     };
     let metrics = Metrics::disabled();
-    let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
+    let frequent = fpgrowth(db, &config).unwrap();
     generate_rules(&frequent, &RuleConfig::with_min_lift(0.0), &metrics)
 }
 

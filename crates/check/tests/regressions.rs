@@ -4,7 +4,6 @@
 
 use irma_data::parse_records;
 use irma_mine::{fpgrowth, BudgetGuard, Itemset, MinerConfig, SlidingWindowMiner};
-use irma_obs::Metrics;
 use irma_prep::{BinEdges, BinningScheme};
 
 /// `0.07 × 100 == 7.000000000000001`: the pre-fix ceil returned 8 and the
@@ -21,13 +20,7 @@ fn threshold_sitting_items_survive_the_float_ceil() {
         .collect();
 
     let db = irma_mine::TransactionDb::from_transactions(txns.clone());
-    let frequent = fpgrowth(
-        &db,
-        &config,
-        &Metrics::disabled(),
-        &BudgetGuard::unlimited(),
-    )
-    .unwrap();
+    let frequent = fpgrowth(&db, &config).unwrap();
     assert_eq!(frequent.count(&Itemset::singleton(0)), Some(7));
 
     let mut miner = SlidingWindowMiner::new(100, config.clone());

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use irma_check::generators::arb_transaction_db;
 use irma_core::{try_analyze, Analysis, AnalysisConfig};
 use irma_data::read_csv_str;
-use irma_mine::{fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
+use irma_mine::{fpgrowth, FrequentItemsets, MinerConfig, TransactionDb};
 use irma_obs::Metrics;
 use irma_prep::{EncoderSpec, FeatureSpec};
 use irma_rules::{generate_rules, Rule, RuleConfig};
@@ -33,13 +33,7 @@ fn mine_config() -> MinerConfig {
 
 /// The low-threshold family of `db`, unbudgeted.
 fn mined(db: &TransactionDb) -> FrequentItemsets {
-    fpgrowth(
-        db,
-        &mine_config(),
-        &Metrics::disabled(),
-        &BudgetGuard::unlimited(),
-    )
-    .unwrap()
+    fpgrowth(db, &mine_config()).unwrap()
 }
 
 fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {

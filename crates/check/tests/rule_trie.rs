@@ -16,9 +16,7 @@ use rayon::ThreadPoolBuilder;
 
 use irma_check::flat_prune::flat_prune_rules;
 use irma_check::generators::arb_transaction_db;
-use irma_mine::{
-    fpgrowth, BudgetGuard, FrequentItemsets, ItemId, Itemset, MinerConfig, TransactionDb,
-};
+use irma_mine::{fpgrowth, FrequentItemsets, ItemId, Itemset, MinerConfig, TransactionDb};
 use irma_obs::{Metrics, Provenance};
 use irma_rules::{generate_rules, prune_rules, PruneParams, Rule, RuleConfig};
 
@@ -81,8 +79,7 @@ fn assert_equivalent(
 /// Mines `db` unbudgeted and generates its rules, both unobserved.
 fn mine_rules(db: &TransactionDb, config: &MinerConfig, rules: &RuleConfig) -> Vec<Rule> {
     let metrics = Metrics::disabled();
-    let frequent: FrequentItemsets =
-        fpgrowth(db, config, &metrics, &BudgetGuard::unlimited()).expect("valid config");
+    let frequent: FrequentItemsets = fpgrowth(db, config).expect("valid config");
     generate_rules(&frequent, rules, &metrics)
 }
 

@@ -8,13 +8,13 @@
 //!   1, 2, and 8 — and under fuzzed steal orders (seeded victim jitter
 //!   via `ThreadPoolBuilder::steal_jitter`), because subtree results are
 //!   merged in rank order, never in completion order;
-//! * a forced budget trip fails with the same `MineError` at every width
-//!   (the trip predicate depends only on width-independent emit counts,
-//!   and a breach records only the cap, not which worker crossed it);
+//! * a forced budget trip fails Eclat, the one budgeted miner, with the
+//!   same `MineError` at every width (the trip predicate depends only on
+//!   width-independent emit counts, and a breach records only the cap,
+//!   not which worker crossed it);
 //! * an injected worker panic surfaces as `Err(MineError::WorkerPanic)`
-//!   at every width in FP-Growth and Eclat — contained per rank or per
-//!   top-level item, never unwinding through the pool or poisoning
-//!   sibling subtrees;
+//!   at every width in Eclat — contained per top-level item, never
+//!   unwinding through the pool or poisoning sibling subtrees;
 //! * the lock-free Chase-Lev deque under the pool never loses or
 //!   duplicates a task under fuzzed concurrent push/pop/steal
 //!   interleavings at widths up to 8 (one owner + up to 7 thieves);
@@ -34,7 +34,8 @@ use proptest::prelude::*;
 use irma_check::fault::FaultRng;
 use irma_check::generators::{arb_miner_config, arb_transaction_db};
 use irma_mine::{
-    Algorithm, BudgetGuard, ExecBudget, FrequentItemsets, MineError, MinerConfig, TransactionDb,
+    eclat, Algorithm, BudgetGuard, ExecBudget, FrequentItemsets, MineError, MinerConfig,
+    TransactionDb,
 };
 use irma_obs::Metrics;
 use rayon::deque::{ChaseLev, Steal};
@@ -73,22 +74,39 @@ impl Drop for ContainedRegion {
     }
 }
 
-/// Runs one miner on a fresh pool of the given width and steal-jitter
-/// seed. Building a pool per run also exercises spawn/shutdown churn.
+/// Runs `f` on a fresh pool of the given width and steal-jitter seed.
+/// Building a pool per run also exercises spawn/shutdown churn.
+fn on_pool<R: Send>(width: usize, jitter: u64, f: impl FnOnce() -> R + Send) -> R {
+    ThreadPoolBuilder::new()
+        .num_threads(width)
+        .steal_jitter(jitter)
+        .build()
+        .expect("pool builds")
+        .install(f)
+}
+
+/// Runs one miner unbudgeted on a fresh pool.
 fn mine_on(
     algorithm: Algorithm,
+    db: &TransactionDb,
+    config: &MinerConfig,
+    width: usize,
+    jitter: u64,
+) -> FrequentItemsets {
+    on_pool(width, jitter, || algorithm.mine(db, config)).expect("valid config")
+}
+
+/// Runs Eclat under `budget` on a fresh pool.
+fn eclat_on(
     db: &TransactionDb,
     config: &MinerConfig,
     budget: &ExecBudget,
     width: usize,
     jitter: u64,
 ) -> Result<FrequentItemsets, MineError> {
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(width)
-        .steal_jitter(jitter)
-        .build()
-        .expect("pool builds");
-    pool.install(|| algorithm.mine(db, config, &Metrics::disabled(), &BudgetGuard::new(budget)))
+    on_pool(width, jitter, || {
+        eclat(db, config, &Metrics::disabled(), &BudgetGuard::new(budget))
+    })
 }
 
 proptest! {
@@ -101,14 +119,11 @@ proptest! {
         jitter_seed in any::<u64>(),
     ) {
         let mut rng = FaultRng::new(jitter_seed);
-        let unlimited = ExecBudget::unlimited();
         for algorithm in Algorithm::all() {
-            let reference = mine_on(algorithm, &db, &config, &unlimited, 1, 0)
-                .expect("unlimited mine succeeds");
+            let reference = mine_on(algorithm, &db, &config, 1, 0);
             for width in [2usize, 8] {
                 let jitter = rng.next_u64();
-                let result = mine_on(algorithm, &db, &config, &unlimited, width, jitter)
-                    .expect("unlimited mine succeeds");
+                let result = mine_on(algorithm, &db, &config, width, jitter);
                 prop_assert_eq!(
                     result.as_slice(),
                     reference.as_slice(),
@@ -127,18 +142,15 @@ proptest! {
         config in arb_miner_config(),
         fuzz_seed in any::<u64>(),
     ) {
-        let unlimited = ExecBudget::unlimited();
         let mut rng = FaultRng::new(fuzz_seed);
         for algorithm in Algorithm::all() {
-            let reference = mine_on(algorithm, &db, &config, &unlimited, 1, 0)
-                .expect("sequential mine succeeds");
+            let reference = mine_on(algorithm, &db, &config, 1, 0);
             // Several independent jitter streams on the widest pool:
             // victim choice and steal timing differ per seed, output
             // must not.
             for _ in 0..4 {
                 let jitter = rng.next_u64();
-                let fuzzed = mine_on(algorithm, &db, &config, &unlimited, 8, jitter)
-                    .expect("parallel mine succeeds");
+                let fuzzed = mine_on(algorithm, &db, &config, 8, jitter);
                 prop_assert_eq!(
                     fuzzed.as_slice(),
                     reference.as_slice(),
@@ -162,21 +174,13 @@ proptest! {
             ..ExecBudget::unlimited()
         };
         let mut rng = FaultRng::new(jitter_seed);
-        let outcome = |algorithm, width, jitter| {
-            mine_on(algorithm, &db, &config, &budget, width, jitter).map(|f| f.as_slice().to_vec())
+        let outcome = |width, jitter| {
+            eclat_on(&db, &config, &budget, width, jitter).map(|f| f.as_slice().to_vec())
         };
-        for algorithm in Algorithm::all() {
-            let reference = outcome(algorithm, 1, 0);
-            for width in [2usize, 8] {
-                let result = outcome(algorithm, width, rng.next_u64());
-                prop_assert_eq!(
-                    &result,
-                    &reference,
-                    "{} outcome diverges at width {}",
-                    algorithm.name(),
-                    width
-                );
-            }
+        let reference = outcome(1, 0);
+        for width in [2usize, 8] {
+            let result = outcome(width, rng.next_u64());
+            prop_assert_eq!(&result, &reference, "outcome diverges at width {}", width);
         }
     }
 
@@ -195,35 +199,27 @@ proptest! {
             ..ExecBudget::unlimited()
         };
         let mut rng = FaultRng::new(jitter_seed);
-        // Apriori has no fan-out to contain a panic in; the pipeline
-        // contains it per stage instead.
-        for algorithm in [Algorithm::FpGrowth, Algorithm::Eclat] {
-            let baseline = mine_on(algorithm, &db, &config, &ExecBudget::unlimited(), 1, 0)
-                .expect("unlimited mine succeeds");
-            for width in [1usize, 2, 8] {
-                let _region = ContainedRegion::enter();
-                let result = mine_on(algorithm, &db, &config, &poisoned, width, rng.next_u64());
-                let name = algorithm.name();
-                if baseline.as_slice().is_empty() {
-                    // Nothing is ever emitted, so the injection never fires.
-                    prop_assert!(result.is_ok(), "{}: no emits, yet width {} failed", name, width);
-                } else {
-                    match &result {
-                        Err(MineError::WorkerPanic { message }) => prop_assert!(
-                            message.contains("injected"),
-                            "{}: panic payload lost at width {}: {}",
-                            name,
-                            width,
-                            message
-                        ),
-                        other => prop_assert!(
-                            false,
-                            "{}, width {}: expected WorkerPanic, got {:?}",
-                            name,
-                            width,
-                            other
-                        ),
-                    }
+        let baseline = mine_on(Algorithm::Eclat, &db, &config, 1, 0);
+        for width in [1usize, 2, 8] {
+            let _region = ContainedRegion::enter();
+            let result = eclat_on(&db, &config, &poisoned, width, rng.next_u64());
+            if baseline.as_slice().is_empty() {
+                // Nothing is ever emitted, so the injection never fires.
+                prop_assert!(result.is_ok(), "no emits, yet width {} failed", width);
+            } else {
+                match &result {
+                    Err(MineError::WorkerPanic { message }) => prop_assert!(
+                        message.contains("injected"),
+                        "panic payload lost at width {}: {}",
+                        width,
+                        message
+                    ),
+                    other => prop_assert!(
+                        false,
+                        "width {}: expected WorkerPanic, got {:?}",
+                        width,
+                        other
+                    ),
                 }
             }
         }

@@ -30,13 +30,7 @@ fn mine_both(
     config: &MinerConfig,
 ) -> (FrequentItemsets, FrequentItemsets) {
     let streamed = miner.mine(config, &BudgetGuard::unlimited()).unwrap();
-    let batch = fpgrowth(
-        &miner.snapshot(),
-        config,
-        &Metrics::disabled(),
-        &BudgetGuard::unlimited(),
-    )
-    .unwrap();
+    let batch = fpgrowth(&miner.snapshot(), config).unwrap();
     (streamed, batch)
 }
 

@@ -65,8 +65,8 @@ pub struct Telemetry {
 pub struct Budget {
     /// Cap on mined itemsets per run before the degradation ladder kicks in.
     pub itemsets: Option<u64>,
-    /// Cap on the miner's index memory per run (FP-tree arenas or
-    /// tid-sets), in MiB.
+    /// Cap on the miner's index memory per run (Eclat's tid-sets), in
+    /// MiB.
     pub tree_mb: Option<u64>,
     /// Wall-clock deadline per mining run (e.g. `250ms`).
     pub deadline: Option<Duration>,
@@ -740,8 +740,8 @@ USAGE:
       streams span_open/span_close/counter events as JSONL while the run
       executes (tail -f friendly).
       --budget-itemsets / --budget-tree-mb / --deadline bound the run:
-      mined itemsets, miner index memory in MiB (FP-tree arenas or
-      tid-sets) and wall time (DUR like 500us, 250ms, 2s, 5m). On a
+      mined itemsets, miner index memory in MiB (Eclat's tid-sets)
+      and wall time (DUR like 500us, 250ms, 2s, 5m). On a
       breach the workflow retries with raised min-support and lowered
       max itemset length and flags the result as degraded (exit code
       4); if the ladder runs out, the run fails with a typed error

@@ -7,8 +7,8 @@
 //!
 //! * every `span_close` becomes a complete (`"ph":"X"`) event whose
 //!   start is `offset_us - wall_us` — spans land on per-worker lanes
-//!   (`tid`) when they carry a `worker` field (parallel mining spans
-//!   do), and on the `main` lane otherwise;
+//!   (`tid`) when they carry a `worker` field, and on the `main` lane
+//!   otherwise;
 //! * every `counter` event becomes a `"ph":"C"` counter sample, so
 //!   prune/stream counters plot as time series under the lanes;
 //! * each distinct `run` id maps to one process (`pid`), with

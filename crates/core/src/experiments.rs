@@ -5,7 +5,7 @@
 //! DESIGN.md §4 maps the artifacts to these functions; EXPERIMENTS.md
 //! records paper-vs-measured values.
 
-use irma_mine::{fpgrowth, BudgetGuard, MinerConfig};
+use irma_mine::{fpgrowth, MinerConfig};
 use irma_obs::{Metrics, Provenance};
 use irma_prep::BinningScheme;
 use irma_rules::{KeywordAnalysis, PruneParams, Rule};
@@ -114,15 +114,9 @@ pub fn fig1(traces: &[TraceAnalysis], supports: &[f64]) -> Fig1 {
                         min_support: s,
                         ..t.analysis.config.miner.clone()
                     };
-                    let guard = BudgetGuard::unlimited();
-                    fpgrowth(
-                        &t.analysis.encoded.db,
-                        &config,
-                        &Metrics::disabled(),
-                        &guard,
-                    )
-                    .expect("the analysis' miner config with a sweep support in (0, 1]")
-                    .len()
+                    fpgrowth(&t.analysis.encoded.db, &config)
+                        .expect("the analysis' miner config with a sweep support in (0, 1]")
+                        .len()
                 })
                 .collect();
             (t.trace.name().to_string(), counts)

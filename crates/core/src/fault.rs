@@ -65,8 +65,8 @@ pub enum PipelineError {
         /// Total attempts made (initial + retries).
         attempts: u32,
     },
-    /// A parallel worker panicked; the panic was contained (per-rank in
-    /// FP-Growth, per-stage otherwise) instead of aborting the process.
+    /// A parallel worker panicked; the panic was contained (per top-level
+    /// item in Eclat, per stage otherwise) instead of aborting the process.
     WorkerPanic {
         /// Pipeline stage the worker belonged to.
         stage: &'static str,

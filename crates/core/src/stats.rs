@@ -97,11 +97,6 @@ impl BoxStats {
             n: finite.len(),
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Mean of a slice (0 for empty) — shared convenience.
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(b.q1, 2.0);
         assert_eq!(b.q3, 4.0);
         assert_eq!(b.mean, 3.0);
-        assert_eq!(b.iqr(), 2.0);
         assert_eq!(b.n, 5);
     }
 

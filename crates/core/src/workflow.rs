@@ -171,7 +171,7 @@ impl Analysis {
             self.n_jobs(),
             self.encoded.catalog.len(),
             report.n_items_before_drop,
-            100.0 * 0.8,
+            100.0 * report.drop_prevalence,
             self.frequent.len(),
             self.config.miner.min_support * 100.0,
             self.config.miner.max_len,
@@ -217,6 +217,10 @@ mod tests {
     use irma_prep::{FeatureSpec, ZeroBin};
 
     fn tiny_analysis() -> Analysis {
+        tiny_analysis_with_cut(0.8)
+    }
+
+    fn tiny_analysis_with_cut(drop_prevalence: f64) -> Analysis {
         // 20 jobs; short runtime strongly implies idle GPU.
         let mut csv = String::from("runtime,sm\n");
         for i in 0..20 {
@@ -230,10 +234,11 @@ mod tests {
             csv.push_str(&format!("{rt},{sm}\n"));
         }
         let frame = read_csv_str(&csv).unwrap();
-        let spec = irma_prep::EncoderSpec::new(vec![
+        let mut spec = irma_prep::EncoderSpec::new(vec![
             FeatureSpec::numeric("runtime", "Runtime"),
             FeatureSpec::numeric_zero("sm", "SM Util", ZeroBin::percent()),
         ]);
+        spec.drop_prevalence = drop_prevalence;
         let mut config = AnalysisConfig::default();
         config.rules.min_lift = 1.2;
         try_analyze(&frame, &spec, &config).unwrap()
@@ -294,6 +299,21 @@ mod tests {
         assert!(text.contains("frequent itemsets:"), "{text}");
         assert!(text.contains("runtime: bin edges"), "{text}");
         assert!(text.contains("sm:"), "{text}");
+        assert!(text.contains("before the 80% prevalence cut"), "{text}");
+    }
+
+    /// The header names the cut the encoder applied, not the default.
+    #[test]
+    fn summary_reports_the_applied_prevalence_cut() {
+        let analysis = tiny_analysis_with_cut(0.3);
+        let report = &analysis.encoded.report;
+        assert_eq!(report.drop_prevalence, 0.3);
+        // `SM Util = 0%` covers 10 of the 20 jobs.
+        assert!(!report.dropped.is_empty(), "{report:?}");
+        assert!(report.dropped.iter().all(|(_, share)| *share > 0.3));
+        let text = analysis.summary();
+        assert!(text.contains("before the 30% prevalence cut"), "{text}");
+        assert!(text.contains("SM Util = 0% (50% of jobs)"), "{text}");
     }
 
     #[test]

@@ -278,32 +278,6 @@ impl Column {
         }
     }
 
-    /// Count of null cells.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Int(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Str(v) => v.codes().iter().filter(|&&c| c == STR_NULL).count(),
-            Column::Bool(v) => v.iter().filter(|x| x.is_none()).count(),
-        }
-    }
-
-    /// Typed view of an int column.
-    pub fn as_ints(&self) -> Option<&[Option<i64>]> {
-        match self {
-            Column::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Typed view of a float column.
-    pub fn as_floats(&self) -> Option<&[Option<f64>]> {
-        match self {
-            Column::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Typed view of a string column.
     pub fn as_strs(&self) -> Option<&StrStorage> {
         match self {
@@ -321,11 +295,6 @@ impl Column {
             Column::Float(v) => v[row],
             _ => None,
         }
-    }
-
-    /// Whether this column type can be read through [`Column::numeric`].
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Column::Int(_) | Column::Float(_))
     }
 
     /// Materializes the rows given by `indices` (allowing repeats and
@@ -383,7 +352,8 @@ mod tests {
         let mut col = Column::empty(DType::Float);
         col.push_value("x", Value::Int(3)).unwrap();
         col.push_value("x", Value::Float(1.5)).unwrap();
-        assert_eq!(col.as_floats().unwrap(), &[Some(3.0), Some(1.5)]);
+        assert_eq!(col.get(0), Value::Float(3.0));
+        assert_eq!(col.get(1), Value::Float(1.5));
     }
 
     #[test]
@@ -400,7 +370,6 @@ mod tests {
         let mut col = Column::empty(DType::Int);
         col.push_value("x", Value::Null).unwrap();
         col.push_value("x", Value::Int(1)).unwrap();
-        assert_eq!(col.null_count(), 1);
         assert_eq!(col.get(0), Value::Null);
         assert_eq!(col.get(1), Value::Int(1));
     }
@@ -419,9 +388,7 @@ mod tests {
     fn numeric_view_widens_ints() {
         let col = Column::from_ints([1, 2]);
         assert_eq!(col.numeric(1), Some(2.0));
-        assert!(col.is_numeric());
         let s = Column::from_strs(["a"]);
         assert_eq!(s.numeric(0), None);
-        assert!(!s.is_numeric());
     }
 }

@@ -95,18 +95,6 @@ impl Frame {
         Ok(())
     }
 
-    /// Removes a column by name, returning it.
-    pub fn drop_column(&mut self, name: &str) -> Result<Column> {
-        let idx = self.column_index(name)?;
-        self.names.remove(idx);
-        let col = self.columns.remove(idx);
-        self.index.remove(name);
-        for (i, n) in self.names.iter().enumerate() {
-            self.index.insert(n.clone(), i);
-        }
-        Ok(col)
-    }
-
     /// Appends one row given as dynamic values, one per column in order.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.columns.len() {
@@ -283,14 +271,6 @@ mod tests {
             .add_column("user", Column::from_ints([1, 2, 3]))
             .unwrap_err();
         assert!(matches!(err, DataError::DuplicateColumn(_)));
-    }
-
-    #[test]
-    fn drop_column_reindexes() {
-        let mut f = sample();
-        f.drop_column("user").unwrap();
-        assert!(!f.has_column("user"));
-        assert_eq!(f.get(1, "sm_util").unwrap(), Value::Float(55.5));
     }
 
     #[test]

@@ -55,14 +55,6 @@ impl Value {
         }
     }
 
-    /// Boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Name of the payload type, for error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -220,7 +212,6 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_int(), None);
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert!(Value::Null.is_null());
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
     }
 
     #[test]

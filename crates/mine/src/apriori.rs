@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use rayon::prelude::*;
 
-use crate::budget::{BudgetGuard, MineError};
+use crate::budget::MineError;
 use crate::counts::{FrequentItemsets, MinerConfig};
 use crate::db::TransactionDb;
 use crate::item::{ItemId, Itemset};
@@ -155,13 +155,6 @@ impl FrozenTrie {
         self.walk(0, txn, weight, counts);
     }
 
-    /// Rough heap-footprint estimate for budget accounting: per-node
-    /// leaf slot + start offset, ~8 bytes per edge (label + child).
-    fn estimated_bytes(&self) -> u64 {
-        let per_node = std::mem::size_of::<Option<u32>>() + std::mem::size_of::<u32>();
-        (self.leaf.len() * per_node + self.child_items.len() * 8) as u64
-    }
-
     fn walk(&self, node: u32, txn: &[ItemId], weight: u64, counts: &mut [u64]) {
         if let Some(idx) = self.leaf[node as usize] {
             counts[idx as usize] += weight;
@@ -270,19 +263,12 @@ fn dedup_transactions(db: &TransactionDb) -> Vec<(u32, u64)> {
 /// Mines all frequent itemsets with the Apriori algorithm.
 ///
 /// Output-equivalent to [`crate::fpgrowth`]; kept as the performance
-/// baseline and as a cross-check oracle in property tests. Itemset and
-/// deadline budgets are checked once per level (level-wise search has no
-/// deep recursion to interleave checks into) and per emitted itemset, and
-/// a cancelled token makes the parallel counting fold skip its remaining
-/// transactions.
-pub fn apriori(
-    db: &TransactionDb,
-    config: &MinerConfig,
-    guard: &BudgetGuard,
-) -> Result<FrequentItemsets, MineError> {
+/// baseline and as a cross-check oracle in property tests. Like
+/// FP-Growth it is a reference miner: no budget, no metrics, and the only
+/// error is [`MineError::InvalidConfig`].
+pub fn apriori(db: &TransactionDb, config: &MinerConfig) -> Result<FrequentItemsets, MineError> {
     config.validate().map_err(MineError::InvalidConfig)?;
     let min_count = config.min_count(db.len());
-    guard.checkpoint_now()?;
     let mut all: Vec<(Itemset, u64)> = Vec::new();
 
     // L1.
@@ -294,7 +280,6 @@ pub fn apriori(
         .map(|(i, _)| Itemset::singleton(i as ItemId))
         .collect();
     for set in &frequent_k {
-        guard.charge_itemsets(1)?;
         all.push((set.clone(), counts[set.items()[0] as usize]));
     }
 
@@ -305,7 +290,6 @@ pub fn apriori(
         Vec::new()
     };
     while !frequent_k.is_empty() && k < config.max_len {
-        guard.checkpoint_now()?;
         frequent_k.sort_unstable();
         let candidates = generate_candidates(&frequent_k);
         if candidates.is_empty() {
@@ -316,28 +300,21 @@ pub fn apriori(
             trie.insert(c.items(), idx as u32);
         }
         let trie = trie.freeze();
-        guard.charge_tree_bytes(trie.estimated_bytes())?;
 
         // Parallel support counting over the unique rows: per-worker local
-        // count vectors, merged at the level barrier. The fold cannot
-        // early-exit, so on cancellation it degrades to a no-op per
-        // transaction and the post-level checkpoint reports the breach.
-        let token = guard.token();
+        // count vectors, merged at the level barrier.
         let n = candidates.len();
         let chunk_counts: Vec<Vec<u64>> = (0..uniques.len())
             .into_par_iter()
             .fold(
                 || vec![0u64; n],
                 |mut local, u| {
-                    if !token.is_cancelled() {
-                        let (t, weight) = uniques[u];
-                        trie.count_into(db.transaction(t as usize), weight, &mut local);
-                    }
+                    let (t, weight) = uniques[u];
+                    trie.count_into(db.transaction(t as usize), weight, &mut local);
                     local
                 },
             )
             .collect();
-        guard.checkpoint_now()?;
         let mut totals = vec![0u64; n];
         for local in chunk_counts {
             for (t, l) in totals.iter_mut().zip(local) {
@@ -348,7 +325,6 @@ pub fn apriori(
         frequent_k = Vec::new();
         for (candidate, count) in candidates.into_iter().zip(totals) {
             if count >= min_count {
-                guard.charge_itemsets(1)?;
                 all.push((candidate.clone(), count));
                 frequent_k.push(candidate);
             }
@@ -363,7 +339,6 @@ pub fn apriori(
 mod tests {
     use super::*;
     use crate::fpgrowth::fpgrowth;
-    use irma_obs::Metrics;
 
     fn textbook_db() -> TransactionDb {
         TransactionDb::from_transactions(vec![
@@ -388,14 +363,8 @@ mod tests {
                 min_support,
                 max_len: 5,
             };
-            let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
-            let f = fpgrowth(
-                &db,
-                &config,
-                &Metrics::disabled(),
-                &BudgetGuard::unlimited(),
-            )
-            .unwrap();
+            let a = apriori(&db, &config).unwrap();
+            let f = fpgrowth(&db, &config).unwrap();
             assert_eq!(a.as_slice(), f.as_slice(), "support {min_support}");
         }
     }
@@ -403,12 +372,7 @@ mod tests {
     #[test]
     fn counts_match_brute_force() {
         let db = textbook_db();
-        let fi = apriori(
-            &db,
-            &MinerConfig::with_min_support(0.2),
-            &BudgetGuard::unlimited(),
-        )
-        .unwrap();
+        let fi = apriori(&db, &MinerConfig::with_min_support(0.2)).unwrap();
         for (set, count) in fi.iter() {
             assert_eq!(*count, db.support_count(set), "wrong count for {set}");
         }
@@ -442,7 +406,7 @@ mod tests {
             min_support: 0.1,
             max_len: 2,
         };
-        let fi = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
+        let fi = apriori(&db, &config).unwrap();
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
     }
 

@@ -1,15 +1,18 @@
-//! Resource budgets and cooperative cancellation for the miners.
+//! Resource budgets and cooperative cancellation for the pipeline's
+//! miner.
 //!
 //! The paper's workflow is a one-shot offline analysis, but behind a
 //! service a pathological low-support configuration lets itemset
 //! enumeration blow past any memory or time bound (Fast Dimensional
 //! Analysis bounds mining work with adaptive support thresholds for
 //! exactly this reason). This module provides the primitives the
-//! fault-tolerant pipeline entry points build on:
+//! fault-tolerant pipeline entry points build on. Only [`crate::eclat`],
+//! the miner behind the pipeline, the daemon and the service, is
+//! budgeted; FP-Growth and Apriori are unbudgeted reference miners.
 //!
-//! * [`ExecBudget`] — declarative caps: mined itemsets, estimated miner
-//!   index bytes (FP-tree arenas or tid-sets), and a wall-clock deadline;
-//! * [`CancelToken`] — a shared flag + deadline the miner recursions poll
+//! * [`ExecBudget`] — declarative caps: mined itemsets, Eclat's
+//!   estimated tid-set bytes, and a wall-clock deadline;
+//! * [`CancelToken`] — a shared flag + deadline Eclat's recursion polls
 //!   cooperatively (an expired deadline and an explicit [`CancelToken::cancel`]
 //!   look the same to the mining loop);
 //! * [`BudgetGuard`] — one attempt's runtime state: atomic itemset/tree
@@ -27,8 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many cooperative checkpoints pass between wall-clock reads. The
-/// recursions checkpoint at least once per conditional tree / DFS node,
+/// How many cooperative checkpoints pass between wall-clock reads. Eclat's
+/// recursion checkpoints at least once per DFS node,
 /// so a stride of 64 bounds deadline-detection latency to well under a
 /// millisecond of mining work while keeping `Instant::now` off the hot
 /// path.
@@ -40,9 +43,9 @@ const CHECK_STRIDE: u64 = 64;
 pub struct ExecBudget {
     /// Maximum number of itemsets a miner may emit before tripping.
     pub max_itemsets: Option<u64>,
-    /// Maximum estimated miner index bytes — FP-tree arenas, Eclat
-    /// tid-sets or Apriori's candidate trie — cumulative over everything
-    /// built during the attempt (an upper bound on peak index memory).
+    /// Maximum estimated miner index bytes — Eclat's tid-sets —
+    /// cumulative over everything built during the attempt (an upper
+    /// bound on peak index memory).
     pub max_tree_bytes: Option<u64>,
     /// Wall-clock deadline for the whole run (all ladder attempts share
     /// it: retrying never wins back time already spent).
@@ -79,7 +82,7 @@ pub enum BudgetBreach {
         /// The configured cap.
         cap: u64,
     },
-    /// The estimated index-memory cap (FP-tree arenas or tid-sets) tripped.
+    /// The estimated index-memory cap (Eclat's tid-sets) tripped.
     TreeMemory {
         /// The configured cap.
         cap: u64,
@@ -110,15 +113,18 @@ impl std::fmt::Display for BudgetBreach {
     }
 }
 
-/// A typed mining failure: what [`crate::Algorithm::mine`] and the
-/// miner entry points return instead of panicking/aborting.
+/// A typed mining failure: what the miner entry points return instead
+/// of aborting. The reference miners ([`crate::fpgrowth`],
+/// [`crate::apriori`], [`crate::Algorithm::mine`]) only ever return
+/// [`MineError::InvalidConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum MineError {
     /// The [`crate::MinerConfig`] failed validation.
     InvalidConfig(String),
     /// A resource budget tripped mid-mine.
     Budget(BudgetBreach),
-    /// A parallel worker panicked; the panic was contained per-rank.
+    /// An Eclat worker panicked; the panic was contained per top-level
+    /// item.
     WorkerPanic {
         /// Rendered panic payload (best effort).
         message: String,
@@ -152,7 +158,7 @@ struct TokenState {
 }
 
 /// A shared cooperative-cancellation handle. Clones observe the same
-/// flag; the miner recursions poll it via their [`BudgetGuard`].
+/// flag; Eclat's recursion polls it via its [`BudgetGuard`].
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     state: Arc<TokenState>,
@@ -307,8 +313,8 @@ impl BudgetGuard {
     }
 
     /// Unstrided poll (always reads the clock when a deadline is set).
-    /// For coarse-grained call sites — e.g. once per Apriori level —
-    /// where striding would delay detection by whole levels.
+    /// For coarse-grained call sites — e.g. before and after Eclat builds
+    /// its vertical layout — where striding would delay detection.
     pub fn checkpoint_now(&self) -> Result<(), BudgetBreach> {
         if self.token.is_cancelled() {
             return Err(BudgetBreach::Cancelled);
@@ -340,8 +346,8 @@ impl BudgetGuard {
         Ok(())
     }
 
-    /// Charges an index structure's estimated footprint (an FP-tree
-    /// arena, a set of tid-sets, a candidate trie) against the cap.
+    /// Charges an index structure's estimated footprint (Eclat's layout
+    /// or a stored tail of tid-sets) against the cap.
     pub fn charge_tree_bytes(&self, bytes: u64) -> Result<(), BudgetBreach> {
         let Some(cap) = self.max_tree_bytes else {
             return Ok(());

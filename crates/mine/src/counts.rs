@@ -129,11 +129,6 @@ impl FrequentItemsets {
             .map(|c| c as f64 / self.n_transactions.max(1) as f64)
     }
 
-    /// Itemsets of exactly length `k` in canonical order.
-    pub fn of_len(&self, k: usize) -> impl Iterator<Item = &(Itemset, u64)> + '_ {
-        self.sets.iter().filter(move |(s, _)| s.len() == k)
-    }
-
     /// Largest itemset length present.
     pub fn max_len(&self) -> usize {
         self.sets.iter().map(|(s, _)| s.len()).max().unwrap_or(0)
@@ -214,7 +209,6 @@ mod tests {
         assert_eq!(fi.count(&Itemset::from_items([0, 1])), Some(3));
         assert_eq!(fi.support(&Itemset::from_items([2])), Some(0.5));
         assert_eq!(fi.count(&Itemset::from_items([9])), None);
-        assert_eq!(fi.of_len(1).count(), 2);
         assert_eq!(fi.max_len(), 2);
     }
 }

@@ -36,7 +36,6 @@ use rayon::prelude::*;
 use crate::budget::{BudgetBreach, BudgetGuard, MineError};
 use crate::counts::{FrequentItemsets, MinerConfig};
 use crate::db::TransactionDb;
-use crate::fpgrowth::panic_message;
 use crate::item::{ItemId, Itemset};
 use crate::simd;
 
@@ -359,6 +358,17 @@ fn extend(
     Ok(())
 }
 
+/// Renders a `catch_unwind` payload for a [`MineError::WorkerPanic`].
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Mines all frequent itemsets with Eclat.
 ///
 /// Emits a `mine.tree_build` stage event for the vertical layout
@@ -576,14 +586,8 @@ mod tests {
                     max_len,
                 };
                 let e = unbudgeted(&db, &config);
-                let f = fpgrowth(
-                    &db,
-                    &config,
-                    &Metrics::disabled(),
-                    &BudgetGuard::unlimited(),
-                )
-                .unwrap();
-                let a = apriori(&db, &config, &BudgetGuard::unlimited()).unwrap();
+                let f = fpgrowth(&db, &config).unwrap();
+                let a = apriori(&db, &config).unwrap();
                 assert_eq!(e.as_slice(), f.as_slice());
                 assert_eq!(e.as_slice(), a.as_slice());
             }

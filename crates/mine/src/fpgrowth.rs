@@ -23,11 +23,8 @@
 //!   the output is identical regardless of which worker ran what.
 
 use std::cell::RefCell;
-use std::panic::AssertUnwindSafe;
 
-use irma_obs::{Metrics, StageSpan};
-
-use crate::budget::{BudgetBreach, BudgetGuard, MineError};
+use crate::budget::MineError;
 use crate::counts::{FrequentItemsets, MinerConfig};
 use crate::db::TransactionDb;
 use crate::item::{ItemId, Itemset};
@@ -39,7 +36,7 @@ const NO_NODE: u32 = u32::MAX;
 /// A conditional tree smaller than this mines inline rather than
 /// forking: the join/steal overhead would exceed the subtree's work.
 /// (The top level always forks — per-rank subtrees are the natural
-/// parallel units and each gets an observability span.)
+/// parallel units.)
 const FORK_NODE_THRESHOLD: usize = 128;
 
 /// One FP-tree node (32 bytes; all links are arena indices).
@@ -273,15 +270,6 @@ impl FpTree {
         }
     }
 
-    /// Estimated arena footprint: nodes plus the per-rank tables. An
-    /// upper bound on what `rebuild` grew the arena to, charged against
-    /// [`BudgetGuard::charge_tree_bytes`].
-    fn estimated_bytes(&self) -> u64 {
-        let node = std::mem::size_of::<FpNode>() as u64;
-        // headers (4) + rank_counts (8) + rank_to_item (4) per rank.
-        self.nodes.len() as u64 * node + self.n_ranks() as u64 * 16
-    }
-
     /// Writes the conditional pattern base of `rank` — weighted prefix
     /// paths of global item ids — into a caller-provided scratch base
     /// (unsorted; `rebuild` re-ranks anyway). Borrowed flat storage
@@ -357,11 +345,10 @@ fn emit_single_path(
     suffix: &[ItemId],
     max_len: usize,
     out: &mut Vec<(Itemset, u64)>,
-    guard: &BudgetGuard,
-) -> Result<(), BudgetBreach> {
+) {
     let budget = max_len.saturating_sub(suffix.len());
     if budget == 0 || path.is_empty() {
-        return Ok(());
+        return;
     }
     let n = path.len();
     for mask in 1u32..(1 << n) {
@@ -373,39 +360,16 @@ fn emit_single_path(
         let count = path[deepest as usize].1;
         let mut items: Vec<ItemId> = suffix.to_vec();
         items.extend((0..n).filter(|&i| mask & (1 << i) != 0).map(|i| path[i].0));
-        guard.charge_itemsets(1)?;
         out.push((Itemset::from_items(items), count));
     }
-    Ok(())
 }
 
-/// Per-run mining statistics, accumulated locally (no synchronization in
-/// the hot recursion) and merged in rank order by [`fpgrowth`].
-#[derive(Debug, Clone, Copy, Default)]
-struct MineStats {
-    /// Conditional FP-trees built during the recursion.
-    conditional_trees: u64,
-    /// Times the single-prefix-path shortcut replaced recursion.
-    single_path_hits: u64,
-}
-
-impl MineStats {
-    fn merge(&mut self, other: MineStats) {
-        self.conditional_trees += other.conditional_trees;
-        self.single_path_hits += other.single_path_hits;
-    }
-}
-
-/// Immutable mining parameters threaded through the recursion. The
-/// budget guard rides along by reference, so budget charges and
-/// cancellation checks from *stolen* subtasks hit the same shared
-/// accounting as the spawning worker's.
-struct MineCtx<'a> {
+/// Immutable mining parameters threaded through the recursion.
+struct MineCtx {
     min_count: u64,
     max_len: usize,
     /// Pool width captured once at mine start; 1 disables forking.
     width: usize,
-    guard: &'a BudgetGuard,
 }
 
 /// A batch of emitted itemsets from one subtree, merged in rank order.
@@ -416,201 +380,85 @@ type Chunk = Vec<(Itemset, u64)>;
 /// through [`rayon::join`], making the right half stealable — at *every*
 /// recursion depth once the tree clears [`FORK_NODE_THRESHOLD`] (the top
 /// level always splits); a 1-wide pool walks the ranks in order. Chunks
-/// come back in rank order regardless of steal order; when several ranks
-/// fail, the lowest rank's error wins (left results are preferred), so
-/// errors are deterministic too.
-///
-/// `span` is the enclosing `mine.mine` span; it is threaded to top-level
-/// leaves only, which open one `mine.conditional_tree` child each —
-/// explicit parenting, because the implicit span stack is per-registry
-/// and ambiguous across worker threads.
-fn mine_ranks_par(
-    tree: &FpTree,
-    lo: u32,
-    hi: u32,
-    suffix: &[ItemId],
-    ctx: &MineCtx<'_>,
-    span: Option<&StageSpan>,
-) -> Result<(Vec<Chunk>, MineStats), MineError> {
+/// come back in rank order regardless of steal order.
+fn mine_ranks_par(tree: &FpTree, lo: u32, hi: u32, suffix: &[ItemId], ctx: &MineCtx) -> Vec<Chunk> {
     if hi <= lo {
-        return Ok((Vec::new(), MineStats::default()));
+        return Vec::new();
     }
     if hi - lo == 1 {
-        // Leaf: one rank, inside its own catch_unwind so a poisoned
-        // worker — wherever its task was stolen to — yields a typed
-        // error instead of unwinding through the pool.
-        return match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            mine_one_rank(tree, lo, suffix, ctx, span)
-        })) {
-            Ok(Ok((chunk, stats))) => Ok((vec![chunk], stats)),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(MineError::WorkerPanic {
-                message: panic_message(payload),
-            }),
-        };
+        return vec![mine_one_rank(tree, lo, suffix, ctx)];
     }
     let fork = ctx.width > 1 && (suffix.is_empty() || tree.nodes.len() >= FORK_NODE_THRESHOLD);
     if fork {
         let mid = lo + (hi - lo) / 2;
-        let (left, right) = rayon::join(
-            || mine_ranks_par(tree, lo, mid, suffix, ctx, span),
-            || mine_ranks_par(tree, mid, hi, suffix, ctx, span),
+        let (mut left, right) = rayon::join(
+            || mine_ranks_par(tree, lo, mid, suffix, ctx),
+            || mine_ranks_par(tree, mid, hi, suffix, ctx),
         );
-        return match (left, right) {
-            (Ok((mut chunks, mut stats)), Ok((right_chunks, right_stats))) => {
-                chunks.extend(right_chunks);
-                stats.merge(right_stats);
-                Ok((chunks, stats))
-            }
-            (Err(e), _) => Err(e),
-            (_, Err(e)) => Err(e),
-        };
+        left.extend(right);
+        return left;
     }
-    let mut chunks = Vec::with_capacity((hi - lo) as usize);
-    let mut stats = MineStats::default();
-    for rank in lo..hi {
-        let (sub, sub_stats) = mine_ranks_par(tree, rank, rank + 1, suffix, ctx, span)?;
-        chunks.extend(sub);
-        stats.merge(sub_stats);
-    }
-    Ok((chunks, stats))
+    (lo..hi)
+        .map(|rank| mine_one_rank(tree, rank, suffix, ctx))
+        .collect()
 }
 
 /// Mines one rank's conditional subtree: emits the extended suffix, then
 /// projects, rebuilds, and recurses through [`mine_ranks_par`] so deep
 /// subtrees keep fanning out.
-fn mine_one_rank(
-    tree: &FpTree,
-    rank: u32,
-    suffix: &[ItemId],
-    ctx: &MineCtx<'_>,
-    parent: Option<&StageSpan>,
-) -> Result<(Chunk, MineStats), MineError> {
-    ctx.guard.checkpoint().map_err(MineError::from)?;
+fn mine_one_rank(tree: &FpTree, rank: u32, suffix: &[ItemId], ctx: &MineCtx) -> Chunk {
     let count = tree.rank_counts[rank as usize];
     let item = tree.rank_to_item[rank as usize];
-    // Explicit child span (top level only): each rank's subtree is one
-    // unit of parallel work, nested under `mine.mine` and attributed to
-    // the worker that actually ran it.
-    let mut span = parent.map(|s| s.child("mine.conditional_tree"));
-    let mut chunk: Chunk = Vec::new();
-    let mut stats = MineStats::default();
-    ctx.guard.charge_itemsets(1).map_err(MineError::from)?;
     let mut items: Vec<ItemId> = Vec::with_capacity(suffix.len() + 1);
     items.extend_from_slice(suffix);
     items.push(item);
-    chunk.push((Itemset::from_items(items.iter().copied()), count));
+    let mut chunk: Chunk = vec![(Itemset::from_items(items.iter().copied()), count)];
     if items.len() < ctx.max_len {
-        with_frame(|frame| -> Result<(), MineError> {
+        with_frame(|frame| {
             tree.pattern_base_into(rank, &mut frame.base);
             if frame.base.is_empty() {
-                return Ok(());
+                return;
             }
             frame
                 .tree
                 .rebuild(&frame.base, ctx.min_count, &mut frame.build);
-            ctx.guard
-                .charge_tree_bytes(frame.tree.estimated_bytes())
-                .map_err(MineError::from)?;
-            stats.conditional_trees += 1;
             if frame.tree.n_ranks() == 0 {
-                return Ok(());
+                return;
             }
             if frame.tree.single_path_into(&mut frame.path) && frame.path.len() <= 31 {
-                stats.single_path_hits += 1;
-                return emit_single_path(&frame.path, &items, ctx.max_len, &mut chunk, ctx.guard)
-                    .map_err(MineError::from);
+                emit_single_path(&frame.path, &items, ctx.max_len, &mut chunk);
+                return;
             }
             let n_ranks = frame.tree.n_ranks() as u32;
-            let (sub_chunks, sub_stats) =
-                mine_ranks_par(&frame.tree, 0, n_ranks, &items, ctx, None)?;
-            for sub in sub_chunks {
+            for sub in mine_ranks_par(&frame.tree, 0, n_ranks, &items, ctx) {
                 chunk.extend(sub);
             }
-            stats.merge(sub_stats);
-            Ok(())
-        })?;
+        });
     }
-    if let Some(span) = span.as_mut() {
-        span.field("item", item as u64);
-        span.field("itemsets_out", chunk.len() as u64);
-        if let Some(worker) = rayon::current_thread_index() {
-            span.field("worker", worker as u64);
-        }
-    }
-    Ok((chunk, stats))
-}
-
-/// Renders a `catch_unwind` payload for a [`MineError::WorkerPanic`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    chunk
 }
 
 /// Mines all frequent itemsets with FP-Growth.
 ///
 /// Equivalent to [`crate::apriori`] and [`crate::eclat`] in output (the
 /// equivalence is property-tested) but asymptotically cheaper on large,
-/// dense databases.
-///
-/// Emits a `mine.tree_build` stage event (transactions in, surviving
-/// frequent items) and a `mine.mine` event (itemsets out, conditional
-/// trees built, single-path shortcuts taken) into `metrics`; statistics
-/// are accumulated thread-locally and merged, so the recursion is as hot
-/// as with a disabled registry.
-///
-/// Budget breaches come back as [`MineError::Budget`], an invalid config
-/// as [`MineError::InvalidConfig`], and a panic inside any parallel
-/// subtree — wherever it was stolen to — is contained by the nearest
-/// leaf's `catch_unwind` and surfaced as [`MineError::WorkerPanic`]
-/// (lowest poisoned rank wins when several fail, so the error is
-/// deterministic).
-pub fn fpgrowth(
-    db: &TransactionDb,
-    config: &MinerConfig,
-    metrics: &Metrics,
-    guard: &BudgetGuard,
-) -> Result<FrequentItemsets, MineError> {
+/// dense databases. A reference miner: it takes no budget, records no
+/// metrics, and a panic inside the fan-out reaches the caller as from
+/// any library function. The only error is [`MineError::InvalidConfig`].
+pub fn fpgrowth(db: &TransactionDb, config: &MinerConfig) -> Result<FrequentItemsets, MineError> {
     config.validate().map_err(MineError::InvalidConfig)?;
     let n_transactions = db.len();
     let min_count = config.min_count(n_transactions);
-    guard.checkpoint_now()?;
-
-    let mut span = metrics.span("mine.tree_build");
     let tree = FpTree::build(db.iter().map(|t| (t, 1)), db.n_items(), min_count);
-    span.field("transactions_in", n_transactions as u64);
-    span.field("frequent_items", tree.n_ranks() as u64);
-    span.field("tree_nodes", tree.nodes.len() as u64);
-    drop(span);
-    guard.charge_tree_bytes(tree.estimated_bytes())?;
-    guard.checkpoint_now()?;
-
-    let mut span = metrics.span("mine.mine");
-    if tree.n_ranks() == 0 {
-        span.field("itemsets_out", 0);
-        drop(span);
-        return Ok(FrequentItemsets::new(Vec::new(), n_transactions));
-    }
-
     let ctx = MineCtx {
         min_count,
         max_len: config.max_len,
         width: rayon::current_num_threads(),
-        guard,
     };
-    let (chunks, stats) = mine_ranks_par(&tree, 0, tree.n_ranks() as u32, &[], &ctx, Some(&span))?;
-    let out: Chunk = chunks.into_iter().flatten().collect();
-
-    span.field("itemsets_out", out.len() as u64);
-    span.field("conditional_trees", stats.conditional_trees);
-    span.field("single_path_shortcuts", stats.single_path_hits);
-    drop(span);
-
+    let out: Chunk = mine_ranks_par(&tree, 0, tree.n_ranks() as u32, &[], &ctx)
+        .into_iter()
+        .flatten()
+        .collect();
     Ok(FrequentItemsets::new(out, n_transactions))
 }
 
@@ -635,11 +483,7 @@ mod tests {
     }
 
     fn mine_db(db: &TransactionDb, min_support: f64) -> FrequentItemsets {
-        unbudgeted(db, &MinerConfig::with_min_support(min_support))
-    }
-
-    fn unbudgeted(db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-        fpgrowth(db, config, &Metrics::disabled(), &BudgetGuard::unlimited()).unwrap()
+        fpgrowth(db, &MinerConfig::with_min_support(min_support)).unwrap()
     }
 
     #[test]
@@ -678,7 +522,7 @@ mod tests {
             min_support: 0.1,
             max_len: 2,
         };
-        let fi = unbudgeted(&db, &config);
+        let fi = fpgrowth(&db, &config).unwrap();
         assert!(fi.iter().all(|(s, _)| s.len() <= 2));
         // And the capped family equals the full family filtered to len<=2.
         let full = mine_db(&db, 0.1);
@@ -707,43 +551,6 @@ mod tests {
         let fi = mine_db(&db, 1.0);
         assert_eq!(fi.len(), 7); // 2^3 - 1 subsets
         assert_eq!(fi.count(&Itemset::from_items([0, 1, 2])), Some(1));
-    }
-
-    #[test]
-    fn metrics_capture_build_and_mine_split() {
-        let db = textbook_db();
-        let metrics = Metrics::enabled();
-        let fi = fpgrowth(
-            &db,
-            &MinerConfig::with_min_support(0.2),
-            &metrics,
-            &BudgetGuard::unlimited(),
-        )
-        .unwrap();
-        let snap = metrics.snapshot();
-        let build = snap.stage("mine.tree_build").expect("tree_build event");
-        assert_eq!(build.field("transactions_in"), Some(10));
-        assert_eq!(build.field("frequent_items"), Some(5));
-        let mine = snap.stage("mine.mine").expect("mine event");
-        assert_eq!(mine.field("itemsets_out"), Some(fi.len() as u64));
-        assert!(mine.field("conditional_trees").unwrap() > 0);
-        // The parallel fan-out nests one conditional-tree span per
-        // frequent item under `mine.mine`.
-        let children: Vec<_> = snap
-            .stages
-            .iter()
-            .filter(|e| e.stage == "mine.conditional_tree")
-            .collect();
-        assert_eq!(children.len(), 5);
-        assert!(children.iter().all(|c| c.parent == Some(mine.id)));
-        let per_rank: u64 = children
-            .iter()
-            .map(|c| c.field("itemsets_out").unwrap())
-            .sum();
-        assert_eq!(per_rank, fi.len() as u64);
-        // Disabled-path result is identical.
-        let plain = unbudgeted(&db, &MinerConfig::with_min_support(0.2));
-        assert_eq!(plain.as_slice(), fi.as_slice());
     }
 
     /// Regression: `FpTree::build` used to require `I: Clone` and scan the

@@ -12,12 +12,15 @@
 //!   rayon fan-out over the header table;
 //! * [`apriori`] — the level-wise baseline both are compared against.
 //!
-//! All three take a [`TransactionDb`], a [`MinerConfig`] and a
-//! [`BudgetGuard`] and return the identical [`FrequentItemsets`] family
-//! (property-tested) or a typed [`MineError`], so downstream rule
-//! generation is miner-agnostic. Each miner forks only on a rayon pool
-//! wider than one worker, so the pool width is the one parallelism
-//! switch.
+//! All three take a [`TransactionDb`] and a [`MinerConfig`] and return the
+//! identical [`FrequentItemsets`] family (property-tested), so downstream
+//! rule generation is miner-agnostic. Only [`eclat`] also takes a
+//! [`BudgetGuard`] and a metrics registry: it alone runs behind the
+//! pipeline and the service, so it alone is budgeted, observed, and
+//! contains worker panics as a typed [`MineError`]. The two baselines
+//! are plain reference miners whose only error is an invalid config.
+//! Each miner forks only on a rayon pool wider than one worker, so the
+//! pool width is the one parallelism switch.
 //!
 //! ```
 //! use irma_mine::{eclat, BudgetGuard, Itemset, MinerConfig, TransactionDb};
@@ -68,29 +71,23 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Runs the selected miner under `guard`, so budget breaches, invalid
-    /// configs, and (for the FP-Growth and Eclat fan-outs) contained
-    /// worker panics come back as a typed [`MineError`] instead of
-    /// unwinding. FP-Growth and Eclat report their tree-build/mine split
-    /// into `metrics`; Apriori emits a single `mine.mine` stage event with
-    /// the input/output cardinalities.
+    /// Runs the selected miner. Eclat runs unbudgeted and unobserved, so
+    /// all three answer the same call: the error is an invalid config, or
+    /// under Eclat alone a contained worker panic.
     pub fn mine(
         self,
         db: &TransactionDb,
         config: &MinerConfig,
-        metrics: &irma_obs::Metrics,
-        guard: &BudgetGuard,
     ) -> Result<FrequentItemsets, MineError> {
         match self {
-            Algorithm::FpGrowth => fpgrowth(db, config, metrics, guard),
-            Algorithm::Eclat => eclat(db, config, metrics, guard),
-            Algorithm::Apriori => {
-                let mut span = metrics.span("mine.mine");
-                let frequent = apriori(db, config, guard)?;
-                span.field("transactions_in", db.len() as u64);
-                span.field("itemsets_out", frequent.len() as u64);
-                Ok(frequent)
-            }
+            Algorithm::FpGrowth => fpgrowth(db, config),
+            Algorithm::Apriori => apriori(db, config),
+            Algorithm::Eclat => eclat(
+                db,
+                config,
+                &irma_obs::Metrics::disabled(),
+                &BudgetGuard::unlimited(),
+            ),
         }
     }
 

@@ -297,13 +297,7 @@ mod tests {
     }
 
     fn batch(db: &TransactionDb) -> FrequentItemsets {
-        fpgrowth(
-            db,
-            &config(),
-            &Metrics::disabled(),
-            &BudgetGuard::unlimited(),
-        )
-        .unwrap()
+        fpgrowth(db, &config()).unwrap()
     }
 
     #[test]

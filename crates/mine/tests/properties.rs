@@ -3,14 +3,10 @@
 
 use proptest::prelude::*;
 
-use irma_mine::{Algorithm, BudgetGuard, FrequentItemsets, Itemset, MinerConfig, TransactionDb};
-use irma_obs::Metrics;
+use irma_mine::{Algorithm, FrequentItemsets, Itemset, MinerConfig, TransactionDb};
 
-/// Runs `algorithm` unbudgeted and unobserved.
 fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    algorithm
-        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
-        .expect("valid config")
+    algorithm.mine(db, config).expect("valid config")
 }
 
 /// Random database over a small item universe (so brute force stays cheap).

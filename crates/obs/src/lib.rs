@@ -25,7 +25,7 @@
 //!   parent (implicit: the innermost still-open span on this registry;
 //!   explicit: [`StageSpan::child`] for parallel fan-out, where "last
 //!   open" is ambiguous across threads), so traces nest
-//!   (`mine.mine` > `mine.conditional_tree`).
+//!   (`core.analyze` > `mine.mine`).
 //! * **Streaming event log** — [`Metrics::with_event_sink`] attaches an
 //!   [`EventSink`] that writes `span_open` / `span_close` / `counter`
 //!   JSONL lines *live* (see [`event`](EventSink) docs for the schema),

@@ -70,6 +70,9 @@ pub struct EncodeReport {
     pub dropped: Vec<(String, f64)>,
     /// Item count before the prevalence cut.
     pub n_items_before_drop: usize,
+    /// The applied cut: items present in more than this share of rows
+    /// were dropped ([`EncoderSpec::drop_prevalence`]).
+    pub drop_prevalence: f64,
 }
 
 /// A frozen preparation: everything needed to encode new frames with the
@@ -428,6 +431,7 @@ fn fit_slotted(frame: &Frame, spec: &EncoderSpec) -> (FittedEncoder, Vec<Slots>)
             numeric_fits: HashMap::new(), // filled below (shared clone)
             dropped,
             n_items_before_drop: prelim.len(),
+            drop_prevalence: spec.drop_prevalence,
         },
     }
     .with_report_fits();

@@ -152,28 +152,6 @@ impl FeatureSpec {
         }
     }
 
-    /// Numeric feature with default-value spike detection.
-    pub fn numeric_spike(column: &str, display: &str) -> FeatureSpec {
-        match Self::numeric(column, display) {
-            FeatureSpec::Numeric {
-                column,
-                display,
-                n_bins,
-                scheme,
-                zero,
-                ..
-            } => FeatureSpec::Numeric {
-                column,
-                display,
-                n_bins,
-                scheme,
-                zero,
-                spike: Some(SpikeBin::default()),
-            },
-            _ => unreachable!(),
-        }
-    }
-
     /// Plain categorical feature.
     pub fn categorical(column: &str, display: &str) -> FeatureSpec {
         FeatureSpec::Categorical {
@@ -267,12 +245,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(spec.column(), "sm_util");
-
-        let spike = FeatureSpec::numeric_spike("cpu_request", "CPU Request");
-        match spike {
-            FeatureSpec::Numeric { spike: Some(s), .. } => assert_eq!(s.label, "Std"),
-            other => panic!("unexpected {other:?}"),
-        }
 
         let cat =
             FeatureSpec::categorical_remap("model", "Model", [("resnet", "CV"), ("bert", "NLP")]);

@@ -159,7 +159,7 @@ pub(crate) fn candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irma_mine::{fpgrowth, BudgetGuard, MinerConfig, TransactionDb};
+    use irma_mine::{fpgrowth, MinerConfig, TransactionDb};
 
     /// 0 and 1 co-occur strongly; 2 is independent noise.
     fn db() -> TransactionDb {
@@ -180,13 +180,7 @@ mod tests {
 
     fn mined() -> FrequentItemsets {
         let config = MinerConfig::with_min_support(0.05);
-        fpgrowth(
-            &db(),
-            &config,
-            &Metrics::disabled(),
-            &BudgetGuard::unlimited(),
-        )
-        .unwrap()
+        fpgrowth(&db(), &config).unwrap()
     }
 
     fn generate(frequent: &FrequentItemsets, config: &RuleConfig) -> Vec<Rule> {

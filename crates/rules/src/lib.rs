@@ -8,7 +8,7 @@
 //! any rule was kept, pruned or filtered, on demand.
 //!
 //! ```
-//! use irma_mine::{fpgrowth, BudgetGuard, ItemCatalog, MinerConfig, TransactionDb};
+//! use irma_mine::{fpgrowth, ItemCatalog, MinerConfig, TransactionDb};
 //! use irma_obs::{Metrics, Provenance};
 //! use irma_rules::{generate_rules, KeywordAnalysis, PruneParams, RuleConfig};
 //!
@@ -27,7 +27,7 @@
 //! let db = TransactionDb::from_transactions(txns).with_universe(catalog.len());
 //! let (metrics, provenance) = (Metrics::disabled(), Provenance::disabled());
 //! let config = MinerConfig::with_min_support(0.05);
-//! let frequent = fpgrowth(&db, &config, &metrics, &BudgetGuard::unlimited())?;
+//! let frequent = fpgrowth(&db, &config)?;
 //! let rules = generate_rules(&frequent, &RuleConfig::with_min_lift(1.2), &metrics);
 //! let params = PruneParams::default();
 //! let analysis = KeywordAnalysis::run(&rules, idle, &params, &metrics, &provenance)?;

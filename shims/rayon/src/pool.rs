@@ -19,8 +19,8 @@
 //! the thief finishes. Panics in either closure are captured and
 //! re-thrown on the joining thread, so a panic anywhere in a steal tree
 //! surfaces exactly where sequential code would have raised it — which
-//! is what lets the miners keep their per-rank `catch_unwind`
-//! attribution no matter which worker actually ran the subtree.
+//! is what lets Eclat keep its per-item `catch_unwind` attribution no
+//! matter which worker actually ran the subtree.
 //!
 //! Idle workers sleep on an `EventCounter` (eventcount protocol):
 //! every producer bumps an epoch before checking for sleepers, and a

@@ -345,3 +345,100 @@ fn philly_encoding_is_pinned() {
         "golden Philly encoding changed"
     );
 }
+
+/// A rule keyed by its labels, with its exact counts and metric bits.
+type LabeledRule = (Vec<String>, Vec<String>, u64, u64, u64);
+
+fn labeled(rule: &Rule, catalog: &irma::mine::ItemCatalog) -> LabeledRule {
+    let labels = |set: &irma::mine::Itemset| {
+        let mut out: Vec<String> = set
+            .items()
+            .iter()
+            .map(|&id| catalog.label(id).to_string())
+            .collect();
+        out.sort();
+        out
+    };
+    (
+        labels(&rule.antecedent),
+        labels(&rule.consequent),
+        rule.support_count,
+        rule.confidence.to_bits(),
+        rule.lift.to_bits(),
+    )
+}
+
+fn labeled_set<'a>(
+    rules: impl IntoIterator<Item = &'a Rule>,
+    catalog: &irma::mine::ItemCatalog,
+) -> std::collections::BTreeSet<LabeledRule> {
+    rules.into_iter().map(|r| labeled(r, catalog)).collect()
+}
+
+/// Metamorphic check: the analysis is a function of the *set* of jobs,
+/// not of their row order. Permuting the merged frame's rows must leave
+/// the itemset count, the rule set (with exact support counts,
+/// confidence and lift) and each keyword's kept rules equal, compared by
+/// label. Item ids are not compared: they follow first appearance in the
+/// rows, so they (and the render order among exactly tied rules) move.
+#[test]
+fn row_permutation_leaves_the_analysis_unchanged() {
+    let config = TraceConfig {
+        n_jobs: 5_000,
+        seed: 31,
+        max_monitor_samples: 32,
+    };
+    let traces = [
+        ("pai", pai(&config).merged(), pai_spec()),
+        ("philly", philly(&config).merged(), philly_spec()),
+        (
+            "supercloud",
+            supercloud(&config).merged(),
+            supercloud_spec(),
+        ),
+    ];
+    for (name, frame, spec) in traces {
+        // Seeded Fisher-Yates over the row indices (SplitMix64 steps).
+        let mut order: Vec<usize> = (0..frame.n_rows()).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            order.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        let permuted = frame.take(&order);
+        let run = |frame| {
+            try_analyze(frame, &spec, &AnalysisConfig::default()).expect("clean synthetic input")
+        };
+        let (a, b) = (run(&frame), run(&permuted));
+        let (ca, cb) = (&a.encoded.catalog, &b.encoded.catalog);
+
+        assert_eq!(a.frequent.len(), b.frequent.len(), "{name}: itemset count");
+        assert_eq!(a.rules.len(), b.rules.len(), "{name}: rule count");
+        assert!(
+            labeled_set(&a.rules, ca) == labeled_set(&b.rules, cb),
+            "{name}: rule sets differ"
+        );
+        let mut keywords = 0;
+        for label in [KW_FAILED, KW_SM_ZERO] {
+            let (Some(ka), Some(kb)) = (a.keyword(label), b.keyword(label)) else {
+                assert!(a.item(label).is_none() && b.item(label).is_none());
+                continue;
+            };
+            keywords += 1;
+            assert_eq!(
+                labeled_set(&ka.causes, ca),
+                labeled_set(&kb.causes, cb),
+                "{name}: `{label}` kept causes"
+            );
+            assert_eq!(
+                labeled_set(&ka.characteristics, ca),
+                labeled_set(&kb.characteristics, cb),
+                "{name}: `{label}` kept characteristics"
+            );
+        }
+        assert!(keywords > 0, "{name}: no paper keyword present");
+    }
+}

@@ -4,15 +4,13 @@
 //! workload the paper mines.
 
 use irma::core::{philly_spec, supercloud_spec, Metrics};
-use irma::mine::{Algorithm, BudgetGuard, FrequentItemsets, MinerConfig, TransactionDb};
+use irma::mine::{Algorithm, FrequentItemsets, MinerConfig, TransactionDb};
 use irma::prep::encode;
 use irma::synth::{philly, supercloud, TraceConfig};
 
 /// Runs `algorithm` unbudgeted and unobserved.
 fn mine(algorithm: Algorithm, db: &TransactionDb, config: &MinerConfig) -> FrequentItemsets {
-    algorithm
-        .mine(db, config, &Metrics::disabled(), &BudgetGuard::unlimited())
-        .expect("valid config")
+    algorithm.mine(db, config).expect("valid config")
 }
 
 #[test]

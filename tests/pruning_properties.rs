@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use irma::mine::{fpgrowth, BudgetGuard, ItemId, Itemset, MinerConfig, TransactionDb};
+use irma::mine::{fpgrowth, ItemId, Itemset, MinerConfig, TransactionDb};
 use irma::obs::{Metrics, Provenance};
 use irma::rules::{
     generate_rules, prune_rules, KeywordAnalysis, PruneOutcome, PruneParams, Rule, RuleConfig,
@@ -19,7 +19,7 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
 fn rules_of(db: &TransactionDb, min_lift: f64) -> Vec<Rule> {
     let metrics = Metrics::disabled();
     let config = MinerConfig::with_min_support(0.05);
-    let frequent = fpgrowth(db, &config, &metrics, &BudgetGuard::unlimited()).unwrap();
+    let frequent = fpgrowth(db, &config).unwrap();
     generate_rules(&frequent, &RuleConfig::with_min_lift(min_lift), &metrics)
 }
 

@@ -6,13 +6,12 @@ use proptest::prelude::*;
 use irma::mine::{
     fpgrowth, BudgetGuard, FrequentItemsets, MinerConfig, SlidingWindowMiner, TransactionDb,
 };
-use irma::obs::Metrics;
 use irma::synth::sched::{simulate_queue, GpuPool, SchedRequest};
 
 /// FP-Growth at `min_support`, unbudgeted and unobserved.
 fn mine(db: &TransactionDb, min_support: f64) -> FrequentItemsets {
     let config = MinerConfig::with_min_support(min_support);
-    fpgrowth(db, &config, &Metrics::disabled(), &BudgetGuard::unlimited()).unwrap()
+    fpgrowth(db, &config).unwrap()
 }
 
 fn arb_requests(max_pool: usize) -> impl Strategy<Value = Vec<SchedRequest>> {
